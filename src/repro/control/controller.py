@@ -151,12 +151,15 @@ class SessionController:
         self.batch_bytes = batch_bytes
         self.config = config
         # One scheduler for the whole session: its energy-floor cache
-        # and warm-start bounds are what make replans incremental.
+        # and warm-start bounds are what make replans incremental. A
+        # handed-in plan is only evaluated, never searched for, so with
+        # ``plan=`` the floor cache fills on the first replan instead.
         self.scheduler = Scheduler(model)
         self.regulator = StatisticsAwareRegulator(
             model,
             trigger_threshold=config.trigger_threshold,
             smoothing=config.smoothing,
+            estimate=None if plan is None else model.evaluate(plan),
             auto_replan=False,
             scheduler=self.scheduler,
         )

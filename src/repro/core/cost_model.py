@@ -299,6 +299,19 @@ class CostModel:
             return base
         return base * core.zeta_at(kappa, frequency) / core.zeta_at(kappa, None)
 
+    def table_stamp(self) -> Tuple:
+        """Snapshot of the mutable inputs every per-(stage, core) table
+        value depends on: the κ scales and the frequency map (ζ and η
+        are read at each core's mapped frequency)."""
+        return (
+            ()
+            if not self.kappa_scale
+            else tuple(sorted(self.kappa_scale.items())),
+            None
+            if self.frequency_map is None
+            else tuple(sorted(self.frequency_map.items())),
+        )
+
     def _tables(self) -> Optional[_CostTables]:
         """The precomputed lookup tables, rebuilt on κ/frequency drift.
 
@@ -312,14 +325,7 @@ class CostModel:
         """
         if _np is None:
             return None
-        stamp = (
-            ()
-            if not self.kappa_scale
-            else tuple(sorted(self.kappa_scale.items())),
-            None
-            if self.frequency_map is None
-            else tuple(sorted(self.frequency_map.items())),
-        )
+        stamp = self.table_stamp()
         tables = getattr(self, "_table_cache", None)
         if tables is not None and tables.stamp == stamp:
             return tables

@@ -131,9 +131,9 @@ class Scheduler:
         }
         # Per-stage energy minima reused across incremental replans: the
         # floors depend only on replica counts and the energy-side model
-        # parameters (κ scales), not on the latency calibration the
-        # regulator adjusts, so a controller replanning after drift
-        # recomputes nothing here.
+        # parameters (κ scales, frequency map), not on the latency
+        # calibration the regulator adjusts, so a controller replanning
+        # after drift recomputes nothing here.
         self._floor_cache: Dict[Tuple, List[float]] = {}
 
     # -- placement enumeration ---------------------------------------------
@@ -166,12 +166,10 @@ class Scheduler:
 
     def _energy_floor_key(self, replica_counts: Tuple[int, ...]) -> Tuple:
         """Cache key of the per-stage energy minima: the floors depend on
-        the replica counts and the κ scales (which shift each stage's
-        position on the ζ curve), never on the latency calibration."""
-        return (
-            replica_counts,
-            tuple(sorted(self.model.kappa_scale.items())),
-        )
+        the replica counts, the κ scales (which shift each stage's
+        position on the ζ curve) and the frequency map (ζ is read at the
+        mapped frequency), never on the latency calibration."""
+        return (replica_counts, self.model.table_stamp())
 
     def _stage_energy_floors(
         self,

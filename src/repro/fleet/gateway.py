@@ -151,6 +151,7 @@ class Gateway:
         config: GatewayConfig = GatewayConfig(),
         seed: int = 0,
         label: str = "fleet",
+        scheduler: Optional[FleetScheduler] = None,
     ) -> None:
         if not boards:
             raise ConfigurationError("fleet has no boards")
@@ -159,7 +160,15 @@ class Gateway:
         self.config = config
         self.seed = seed
         self.label = label
-        self.scheduler = FleetScheduler(workloads, boards, seed=seed)
+        if scheduler is None:
+            scheduler = FleetScheduler(workloads, boards, seed=seed)
+        elif scheduler.seed != seed:
+            raise ConfigurationError(
+                "shared FleetScheduler was built for another seed"
+            )
+        #: placement cache; arms of one scenario may share it, since its
+        #: contexts and plans depend only on (workload, board kind, seed)
+        self.scheduler = scheduler
         self.backoff = replace(config.backoff, seed=seed)
         self.boards = {
             b.board_index: _BoardState(handle=b) for b in boards

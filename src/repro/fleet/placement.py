@@ -13,11 +13,15 @@ single-board control loop uses at window boundaries.
 
 Boards of one kind share calibration, so contexts, models and schedule
 results are cached per (tenant, kind) — a 6-board fleet prices like a
-3-kind fleet.
+3-kind fleet. The cached values depend only on (tenant workload, board
+kind, seed), so one :class:`FleetScheduler` is shared by all arms of a
+scenario (:func:`repro.fleet.scenario.run_fleet_scenario`): each
+(tenant, kind) plan is searched once per scenario, not once per arm.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
@@ -98,32 +102,38 @@ class FleetScheduler:
         self._contexts: Dict[Tuple[int, str], WorkloadContext] = {}
         #: (tenant_id, kind) -> ScheduleResult of the canonical graph
         self._schedules: Dict[Tuple[int, str], object] = {}
+        # Arms run on worker threads may share one scheduler: each cache
+        # fill is check-then-act, and every caller must get the same
+        # object (a plan's graph is its tenant's one canonical graph).
+        self._lock = threading.RLock()
 
     # -- cached per-(tenant, kind) artifacts ---------------------------------
 
     def canonical_graph(self, tenant_id: int):
-        if tenant_id not in self._graphs:
-            workload = self.workloads[tenant_id]
-            context = WorkloadContext.build(
-                self._reference,
-                workload.profile,
-                workload.l_set_us_per_byte,
-                seed=self.seed,
-            )
-            self._graphs[tenant_id] = context.fine_graph
-        return self._graphs[tenant_id]
+        with self._lock:
+            if tenant_id not in self._graphs:
+                workload = self.workloads[tenant_id]
+                context = WorkloadContext.build(
+                    self._reference,
+                    workload.profile,
+                    workload.l_set_us_per_byte,
+                    seed=self.seed,
+                )
+                self._graphs[tenant_id] = context.fine_graph
+            return self._graphs[tenant_id]
 
     def context(self, tenant_id: int, board: BoardHandle) -> WorkloadContext:
         key = (tenant_id, board.kind)
-        if key not in self._contexts:
-            workload = self.workloads[tenant_id]
-            self._contexts[key] = WorkloadContext.build(
-                board.spec,
-                workload.profile,
-                workload.l_set_us_per_byte,
-                seed=self.seed,
-            )
-        return self._contexts[key]
+        with self._lock:
+            if key not in self._contexts:
+                workload = self.workloads[tenant_id]
+                self._contexts[key] = WorkloadContext.build(
+                    board.spec,
+                    workload.profile,
+                    workload.l_set_us_per_byte,
+                    seed=self.seed,
+                )
+            return self._contexts[key]
 
     def model(self, tenant_id: int, board: BoardHandle) -> CostModel:
         """A fresh cost model for this tenant's canonical graph on this
@@ -136,10 +146,13 @@ class FleetScheduler:
         self, tenant_id: int, board: BoardHandle
     ) -> PlanEstimate:
         key = (tenant_id, board.kind)
-        if key not in self._schedules:
-            model = self.model(tenant_id, board)
-            self._schedules[key] = Scheduler(model).schedule(best_effort=True)
-        return self._schedules[key].estimate
+        with self._lock:
+            if key not in self._schedules:
+                model = self.model(tenant_id, board)
+                self._schedules[key] = Scheduler(model).schedule(
+                    best_effort=True
+                )
+            return self._schedules[key].estimate
 
     def busy_us_by_core(
         self, estimate: PlanEstimate, window_bytes: int

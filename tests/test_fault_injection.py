@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.plan import SchedulingPlan
 from repro.errors import ConfigurationError
+from repro.faults.model import DvfsThrottle, FaultPlan
 from repro.runtime.executor import (
     ExecutionConfig,
     FaultSpec,
@@ -30,7 +31,17 @@ def setup():
     return board, profile, plan
 
 
-def run(board, profile, plan, fault=None, batches=10):
+def throttle(core_id, at_batch, frequency_mhz):
+    return FaultPlan(events=(
+        DvfsThrottle(
+            core_id=core_id, at_batch=at_batch, frequency_mhz=frequency_mhz
+        ),
+    ))
+
+
+def run(board, profile, plan, batches=10, **fault):
+    """One noise-free run; ``fault`` is ``fault_plan=`` (or, for the
+    adapter's own tests, the deprecated ``fault=``)."""
     executor = PipelineExecutor(
         board,
         ExecutionConfig(
@@ -39,7 +50,7 @@ def run(board, profile, plan, fault=None, batches=10):
             batches_per_repetition=batches,
             warmup_batches=2,
             noise_sigma=0.0,
-            fault=fault,
+            **fault,
         ),
     )
     per_batch = (list(profile.per_batch_step_costs) * batches)[:batches]
@@ -60,7 +71,7 @@ class TestThrottling:
         healthy = run(board, profile, plan)
         faulty = run(
             board, profile, plan,
-            fault=FaultSpec(core_id=4, at_batch=3, frequency_mhz=600.0),
+            fault_plan=throttle(core_id=4, at_batch=3, frequency_mhz=600.0),
         )
         assert (
             faulty.mean_latency_us_per_byte
@@ -71,7 +82,7 @@ class TestThrottling:
         board, profile, plan = setup
         faulty = run(
             board, profile, plan,
-            fault=FaultSpec(core_id=4, at_batch=6, frequency_mhz=600.0),
+            fault_plan=throttle(core_id=4, at_batch=6, frequency_mhz=600.0),
         )
         healthy = run(board, profile, plan)
         faulty_batches = faulty.repetitions[0].batches
@@ -88,7 +99,7 @@ class TestThrottling:
         healthy = run(board, profile, plan)
         faulty = run(
             board, profile, plan,
-            fault=FaultSpec(core_id=5, at_batch=2, frequency_mhz=600.0),
+            fault_plan=throttle(core_id=5, at_batch=2, frequency_mhz=600.0),
         )
         assert faulty.mean_latency_us_per_byte == pytest.approx(
             healthy.mean_latency_us_per_byte, rel=1e-6
@@ -100,7 +111,9 @@ class TestThrottling:
         healthy = run(board, profile, plan)
         capped_high = run(
             board, profile, plan,
-            fault=FaultSpec(core_id=4, at_batch=2, frequency_mhz=1800.0),
+            fault_plan=throttle(
+                core_id=4, at_batch=2, frequency_mhz=1800.0
+            ),
         )
         assert capped_high.mean_latency_us_per_byte == pytest.approx(
             healthy.mean_latency_us_per_byte, rel=1e-6
@@ -119,8 +132,6 @@ class TestFaultSpecDeprecation:
         """The adapter must preserve byte-identical behaviour: a legacy
         ``fault=`` run and the explicit ``fault_plan=`` spelling of the
         same throttle produce the same numbers."""
-        from repro.faults.model import DvfsThrottle, FaultPlan
-
         board, profile, plan = setup
         with pytest.deprecated_call():
             legacy = run(
@@ -129,23 +140,10 @@ class TestFaultSpecDeprecation:
                     core_id=4, at_batch=3, frequency_mhz=600.0
                 ),
             )
-        executor = PipelineExecutor(
-            board,
-            ExecutionConfig(
-                latency_constraint_us_per_byte=26.0,
-                repetitions=1,
-                batches_per_repetition=10,
-                warmup_batches=2,
-                noise_sigma=0.0,
-                fault_plan=FaultPlan(events=(
-                    DvfsThrottle(
-                        core_id=4, at_batch=3, frequency_mhz=600.0
-                    ),
-                )),
-            ),
+        modern = run(
+            board, profile, plan,
+            fault_plan=throttle(core_id=4, at_batch=3, frequency_mhz=600.0),
         )
-        per_batch = (list(profile.per_batch_step_costs) * 10)[:10]
-        modern = executor.run(plan, per_batch, profile.batch_size_bytes)
         assert modern == legacy
 
 

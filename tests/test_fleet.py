@@ -9,11 +9,14 @@ check reads from it.
 from __future__ import annotations
 
 import json
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.analysis.verify import verify_fleet_health
+from repro.control.controller import SessionController
+from repro.core.scheduler import Scheduler
 from repro.errors import ConfigurationError
 from repro.fleet.backoff import BackoffPolicy
 from repro.fleet.breaker import (
@@ -22,6 +25,7 @@ from repro.fleet.breaker import (
     CircuitBreaker,
     replay_transitions,
 )
+from repro.fleet.placement import FleetScheduler
 from repro.fleet.registry import BOARD_KINDS, build_fleet
 from repro.fleet.scenario import (
     FLEET_ARMS,
@@ -32,6 +36,7 @@ from repro.fleet.scenario import (
 from repro.fleet.tenants import build_tenant_catalog, build_tenant_workloads
 from repro.obs.check import validate_fleet_health
 from repro.obs.health import FleetHealth
+from repro.obs.registry import REGISTRY
 
 
 @pytest.fixture(scope="module")
@@ -241,8 +246,10 @@ class TestDeterminism:
         )
 
     def test_arms_share_catalogue_independent_of_run_order(self):
-        # arms computed concurrently (jobs=2) must equal the serial
-        # pass — nothing in the gateway depends on global state
+        # arms computed concurrently (jobs=2) over one shared placement
+        # cache must equal the serial pass with a cache per arm —
+        # nothing in the gateway depends on global state or on which
+        # arm filled the cache first
         spec = FleetScenarioSpec(boards=3, tenants=6, windows=6)
         boards = build_fleet(spec.boards)
         workloads = build_tenant_workloads(
@@ -254,16 +261,31 @@ class TestDeterminism:
                                boards=boards).to_json()
             for arm in FLEET_ARMS
         }
+        shared = FleetScheduler(workloads, boards, seed=spec.seed)
         with ThreadPoolExecutor(max_workers=2) as pool:
             futures = {
                 arm: pool.submit(run_fleet_arm, spec, arm,
-                                 workloads=workloads, boards=boards)
+                                 workloads=workloads, boards=boards,
+                                 scheduler=shared)
                 for arm in reversed(FLEET_ARMS)
             }
             threaded = {
                 arm: f.result().to_json() for arm, f in futures.items()
             }
         assert serial == threaded
+
+    def test_shared_scheduler_must_match_the_seed(self):
+        spec = FleetScenarioSpec(boards=3, tenants=6, windows=6, seed=1)
+        boards = build_fleet(spec.boards)
+        workloads = build_tenant_workloads(
+            build_tenant_catalog(spec.tenants, seed=spec.seed),
+            seed=spec.seed,
+        )
+        with pytest.raises(ConfigurationError):
+            run_fleet_arm(
+                spec, "static", workloads=workloads, boards=boards,
+                scheduler=FleetScheduler(workloads, boards, seed=0),
+            )
 
     def test_seed_changes_the_run(self, comparison_small):
         other = run_fleet_arm(
@@ -314,3 +336,90 @@ class TestHealthReport:
         requeues[0]["detail"] = "board dead; requeued, retry in 99.0 windows"
         findings = verify_fleet_health(payload)
         assert any(f.code == "FLT005" for f in findings)
+
+
+class TestPlanSearchBudget:
+    """Each plan search is paid for once per scenario."""
+
+    def test_scenario_searches_each_tenant_kind_once(self, monkeypatch):
+        cold = []
+        original = Scheduler.schedule
+
+        def counting(self, *args, **kwargs):
+            if kwargs.get("warm_start") is None:
+                # a tenant's canonical graph is one object per scenario
+                cold.append((id(self.model.graph), self.model.board.name))
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Scheduler, "schedule", counting)
+        spec = FleetScenarioSpec(boards=3, tenants=6, windows=6)
+        run_fleet_scenario(spec)
+        assert cold, "the scenario placed no tenant"
+        assert len(cold) == len(set(cold))
+        # one SLO-anchoring search per tenant on the reference board,
+        # then at most one placement search per (tenant, kind)
+        assert len(cold) <= spec.tenants * (1 + len(BOARD_KINDS))
+
+    def test_controller_with_a_plan_runs_no_search(self):
+        boards = build_fleet(3)
+        workloads = build_tenant_workloads(
+            build_tenant_catalog(2, seed=0), seed=0
+        )
+        fleet = FleetScheduler(workloads, boards, seed=0)
+        workload = workloads[0]
+        plan = fleet.plan_estimate(workload.tenant_id, boards[0]).plan
+        model = fleet.model(workload.tenant_id, boards[0])
+        before = REGISTRY.counter("scheduler.schedules")
+        controller = SessionController(
+            model,
+            [workload.profile.mean_step_costs] * 4,
+            workload.spec.batch_bytes,
+            plan=plan,
+        )
+        assert REGISTRY.counter("scheduler.schedules") == before
+        assert controller.plan == plan
+        assert controller.regulator.estimate == model.evaluate(plan)
+
+    def test_shared_cache_fills_once_under_thread_contention(
+        self, monkeypatch
+    ):
+        # more workers than cores and a tiny switch interval, so a
+        # check-then-act race in the cache would search a key twice or
+        # hand two workers different objects
+        boards = build_fleet(3)
+        workloads = build_tenant_workloads(
+            build_tenant_catalog(2, seed=0), seed=0
+        )
+        fleet = FleetScheduler(workloads, boards, seed=0)
+        searches = []
+        original = Scheduler.schedule
+
+        def counting(self, *args, **kwargs):
+            searches.append(self.model.board.name)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Scheduler, "schedule", counting)
+        keys = [(w.tenant_id, board) for w in workloads for board in boards]
+
+        def place_all():
+            return [
+                (fleet.canonical_graph(tenant),
+                 fleet.plan_estimate(tenant, board))
+                for tenant, board in keys
+            ]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(place_all) for _ in range(4)]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(searches) == len(workloads) * len(BOARD_KINDS)
+        for result in results[1:]:
+            assert all(
+                graph is first_graph and estimate is first_estimate
+                for (graph, estimate), (first_graph, first_estimate)
+                in zip(result, results[0])
+            )

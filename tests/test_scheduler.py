@@ -226,3 +226,34 @@ class TestSearchInstrumentation:
         before = REGISTRY.counter("scheduler.plans_evaluated")
         Scheduler(model).schedule(best_effort=True)
         assert REGISTRY.counter("scheduler.plans_evaluated") > before
+
+
+class TestEnergyFloorCache:
+    """The per-stage energy floors are cached per scheduler; the cache
+    must notice every model input they depend on, or a stale floor
+    over-prunes the next search."""
+
+    #: little cores capped to their lowest DVFS level: ζ rises there, so
+    #: floors computed at full frequency are too high to be admissible
+    CAP = {0: 408.0, 1: 408.0, 2: 408.0, 3: 408.0}
+
+    def test_frequency_map_change_invalidates_floors(self, context):
+        model = context.cost_model(context.fine_graph)
+        scheduler = Scheduler(model)
+        splits = [list(scheduler._stage_placements(1))] * 2
+        uncapped = scheduler._stage_energy_floors((1, 1), splits)
+        model.frequency_map = dict(self.CAP)
+        capped = scheduler._stage_energy_floors((1, 1), splits)
+        fresh = Scheduler(model)._stage_energy_floors((1, 1), splits)
+        assert capped == fresh
+        assert capped != uncapped
+
+    def test_frequency_map_change_matches_fresh_scheduler(self, context):
+        model = context.cost_model(context.fine_graph)
+        scheduler = Scheduler(model)
+        scheduler.schedule(best_effort=True)
+        model.frequency_map = dict(self.CAP)
+        reused = scheduler.schedule(best_effort=True)
+        fresh = Scheduler(model).schedule(best_effort=True)
+        assert reused == fresh
+        assert reused.estimate == fresh.estimate
