@@ -197,20 +197,11 @@ class TraceRecorder:
             dur_us=end_us - start_us, category="task", **args,
         )
 
-    def context_switch(
-        self,
-        core_id: int,
-        count: float,
-        ts_us: float,
-        duration_us: float = 0.0,
-    ) -> None:
+    def context_switch(self, core_id: int, count: float, ts_us: float) -> None:
         """``count`` context switches on a core (fractional counts model
-        the per-KB preemption rates of :class:`MechanismDynamics`)."""
+        the per-KB preemption rates of :class:`MechanismDynamics`). The
+        switch's own stall, if any, is a separate ``ctx-switch`` span."""
         self.context_switches += count
-        if duration_us > 0.0:
-            self.span(
-                "ctx-switch", core_id, ts_us - duration_us, ts_us
-            )
         self._emit(
             "context_switches", "C", ts_us, core_id,
             category="os", value=self.context_switches,

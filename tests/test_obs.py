@@ -41,7 +41,8 @@ def small_recorder() -> TraceRecorder:
     recorder.batch_complete(0, 140.0)
     recorder.migration(2, 150.0)
     recorder.context_switch(1, 2.5, 220.0)
-    recorder.context_switch(2, 1.0, 230.0, duration_us=10.0)
+    recorder.span("ctx-switch", 2, 220.0, 230.0)
+    recorder.context_switch(2, 1.0, 230.0)
     recorder.batch_complete(1, 240.0)
     recorder.end_repetition(window_us=240.0, batch_bytes=1 << 19, batches=2)
     return recorder
