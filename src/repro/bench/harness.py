@@ -86,24 +86,17 @@ def _frozen(mapping: Optional[Mapping]) -> Tuple:
     return tuple((key, _freeze(mapping[key])) for key in sorted(mapping))
 
 
-#: ExecutionConfig override keys that carry fault-injection payloads
-_FAULT_OVERRIDE_KEYS = ("fault", "fault_plan")
-
-
-def _normalize_fault_override(value):
-    """Cache-key form of a fault override: the plan's content digest.
+def _normalize_fault_override(plan):
+    """Cache-key form of a ``fault_plan`` override: its content digest.
 
     A faulted cell must never hit a fault-free cache entry (nor one
     injected with a different plan), so keys carry a stable fingerprint
-    of the fault payload rather than the object identity. ``None``
-    passes through so fault-free keys stay byte-identical to pre-fault
-    harness versions and warm caches remain valid."""
-    if value is None:
+    of the plan rather than the object identity. ``None`` passes
+    through so fault-free keys stay byte-identical to pre-fault harness
+    versions and warm caches remain valid."""
+    if plan is None:
         return None
-    fingerprint = getattr(value, "fingerprint", None)
-    if callable(fingerprint):
-        return ("fault-plan", fingerprint())
-    return ("fault-plan", stable_digest(repr(value), salt="fault-plan")[:16])
+    return ("fault-plan", plan.fingerprint())
 
 
 @dataclass(frozen=True)
@@ -233,17 +226,13 @@ class Harness:
         cache version) for the persistent store. Fault overrides are
         replaced by their plan fingerprint (see
         :func:`_normalize_fault_override`)."""
-        if config_overrides and any(
-            key in config_overrides for key in _FAULT_OVERRIDE_KEYS
-        ):
-            config_overrides = {
-                key: (
-                    _normalize_fault_override(value)
-                    if key in _FAULT_OVERRIDE_KEYS
-                    else value
-                )
-                for key, value in config_overrides.items()
-            }
+        if config_overrides and "fault_plan" in config_overrides:
+            config_overrides = dict(
+                config_overrides,
+                fault_plan=_normalize_fault_override(
+                    config_overrides["fault_plan"]
+                ),
+            )
         return (
             "run",
             self.board_fingerprint(),

@@ -108,13 +108,11 @@ def _scan_entry_points() -> None:
     if _entry_points_scanned:
         return
     _entry_points_scanned = True
-    try:
-        from importlib import metadata
-    except ImportError:  # pragma: no cover - py<3.8
-        return
+    from importlib import metadata
+
     try:
         entries = metadata.entry_points(group=ENTRY_POINT_GROUP)
-    except TypeError:  # pragma: no cover - legacy API without group=
+    except TypeError:  # pragma: no cover - Python 3.9 has no group=
         entries = metadata.entry_points().get(ENTRY_POINT_GROUP, ())
     except Exception:  # pragma: no cover - corrupt install metadata
         return

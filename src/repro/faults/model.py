@@ -1,9 +1,7 @@
 """Declarative fault plans: typed hardware/stream faults on a schedule.
 
-The executor's original fault surface was one
-:class:`~repro.runtime.executor.FaultSpec` — a single thermal throttle.
-Real boards degrade in more ways than that, so a
-:class:`FaultPlan` generalizes it to a seeded schedule of typed events:
+Real boards degrade in more ways than a single thermal throttle, so a
+:class:`FaultPlan` is a seeded schedule of typed events:
 
 * :class:`CoreFailure` — a core dies permanently after ``at_batch``
   batches complete; its in-flight work is lost and re-enqueued on a
@@ -12,8 +10,10 @@ Real boards degrade in more ways than that, so a
   loop adopts a plan that avoids it;
 * :class:`CoreStall` — a transient stall (thermal hiccup, RCU storm):
   the core's next task pays ``stall_us`` extra occupancy once;
-* :class:`DvfsThrottle` — the existing ``FaultSpec`` semantics: a
-  permanent frequency cap (the SoC's thermal governor stepping in);
+* :class:`DvfsThrottle` — after ``at_batch`` batches complete, the
+  core is permanently capped to ``frequency_mhz`` (the SoC's thermal
+  governor stepping in); a cap above the current frequency changes
+  nothing;
 * :class:`InterconnectDegradation` — one path class (c0/c1/c2) loses
   bandwidth: per-byte cost and per-message overhead scale by ``factor``;
 * :class:`BatchCorruption` — each delivered batch in a range is corrupt
@@ -39,8 +39,7 @@ simulation starts (:func:`corruption_schedule`), so the schedule is
 byte-identical regardless of process interleaving and never perturbs
 the simulation's own RNG draw order. Batch-indexed events fire at batch
 boundaries in plan order. ``repetition=None`` fires the event in every
-repetition (the legacy ``FaultSpec`` behaviour); an integer restricts
-it to that repetition only.
+repetition; an integer restricts it to that repetition only.
 
 Layering: this module imports only :mod:`repro.errors` and numpy, so
 both the runtime executor and the bench harness can depend on it.
@@ -131,7 +130,8 @@ class CoreStall:
 
 @dataclass(frozen=True)
 class DvfsThrottle:
-    """Permanent frequency cap (the legacy ``FaultSpec`` semantics)."""
+    """Permanent frequency cap: once ``at_batch`` batches complete,
+    ``core_id`` runs at no more than ``frequency_mhz``."""
 
     core_id: int
     at_batch: int
@@ -378,9 +378,9 @@ class FaultPlan:
     ) -> Dict[int, Tuple[FaultEvent, ...]]:
         """Batch-boundary events keyed by completed-batch count.
 
-        A key of ``n`` fires after the ``n``-th batch completes (so
-        ``at_batch=0`` never fires — the legacy ``FaultSpec`` semantics,
-        which compared *after* incrementing the completion counter).
+        A key of ``n`` fires after the ``n``-th batch completes, so
+        ``at_batch=0`` never fires: the executor compares *after*
+        incrementing its completion counter.
         """
         schedule: Dict[int, List[FaultEvent]] = {}
         for event in self.events_for(repetition):

@@ -2,7 +2,6 @@
 
 from repro.runtime.executor import (
     ExecutionConfig,
-    FaultSpec,
     MechanismDynamics,
     PipelineExecutor,
 )
@@ -12,7 +11,6 @@ from repro.runtime.visualize import render_gantt, render_plan, render_power_trac
 __all__ = [
     "BatchMetrics",
     "ExecutionConfig",
-    "FaultSpec",
     "MechanismDynamics",
     "PipelineExecutor",
     "RepetitionResult",

@@ -5,11 +5,7 @@ import pytest
 from repro.core.plan import SchedulingPlan
 from repro.errors import ConfigurationError
 from repro.faults.model import DvfsThrottle, FaultPlan
-from repro.runtime.executor import (
-    ExecutionConfig,
-    FaultSpec,
-    PipelineExecutor,
-)
+from repro.runtime.executor import ExecutionConfig, PipelineExecutor
 
 
 @pytest.fixture(scope="module")
@@ -40,8 +36,7 @@ def throttle(core_id, at_batch, frequency_mhz):
 
 
 def run(board, profile, plan, batches=10, **fault):
-    """One noise-free run; ``fault`` is ``fault_plan=`` (or, for the
-    adapter's own tests, the deprecated ``fault=``)."""
+    """One noise-free run; ``fault`` is an optional ``fault_plan=``."""
     executor = PipelineExecutor(
         board,
         ExecutionConfig(
@@ -57,12 +52,12 @@ def run(board, profile, plan, batches=10, **fault):
     return executor.run(plan, per_batch, profile.batch_size_bytes)
 
 
-class TestFaultSpec:
+class TestDvfsThrottle:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            FaultSpec(core_id=4, at_batch=-1, frequency_mhz=600.0)
+            DvfsThrottle(core_id=4, at_batch=-1, frequency_mhz=600.0)
         with pytest.raises(ConfigurationError):
-            FaultSpec(core_id=4, at_batch=0, frequency_mhz=0.0)
+            DvfsThrottle(core_id=4, at_batch=0, frequency_mhz=0.0)
 
 
 class TestThrottling:
@@ -118,33 +113,6 @@ class TestThrottling:
         assert capped_high.mean_latency_us_per_byte == pytest.approx(
             healthy.mean_latency_us_per_byte, rel=1e-6
         )
-
-
-class TestFaultSpecDeprecation:
-    def test_fault_kwarg_warns(self):
-        with pytest.deprecated_call():
-            ExecutionConfig(
-                latency_constraint_us_per_byte=26.0,
-                fault=FaultSpec(core_id=4, at_batch=3, frequency_mhz=600.0),
-            )
-
-    def test_legacy_fault_equivalent_to_fault_plan(self, setup):
-        """The adapter must preserve byte-identical behaviour: a legacy
-        ``fault=`` run and the explicit ``fault_plan=`` spelling of the
-        same throttle produce the same numbers."""
-        board, profile, plan = setup
-        with pytest.deprecated_call():
-            legacy = run(
-                board, profile, plan,
-                fault=FaultSpec(
-                    core_id=4, at_batch=3, frequency_mhz=600.0
-                ),
-            )
-        modern = run(
-            board, profile, plan,
-            fault_plan=throttle(core_id=4, at_batch=3, frequency_mhz=600.0),
-        )
-        assert modern == legacy
 
 
 class TestThermalAblation:

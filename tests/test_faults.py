@@ -1,4 +1,4 @@
-"""Fault-plan model: validation, schedules, fingerprints, adapters."""
+"""Fault-plan model: validation, schedules, fingerprints."""
 
 import pytest
 
@@ -12,7 +12,6 @@ from repro.faults.model import (
     InterconnectDegradation,
     corruption_schedule,
 )
-from repro.runtime.executor import ExecutionConfig, FaultSpec
 from repro.simcore.boards import rk3399
 from repro.simcore.interconnect import Path
 
@@ -86,7 +85,7 @@ class TestSchedules:
         assert plan.corruptions(0) == plan.events
 
     def test_at_batch_zero_never_fires(self):
-        # Legacy FaultSpec compared after incrementing the completion
+        # The executor compares after incrementing the completion
         # counter, so a key of 0 is unreachable; schedule_for keeps the
         # key and the executor's counter (starting at 1) skips it.
         plan = FaultPlan(events=(CoreFailure(core_id=4, at_batch=0),))
@@ -175,47 +174,3 @@ class TestInterconnectDegraded:
     def test_speedup_rejected(self):
         with pytest.raises(ConfigurationError):
             rk3399().interconnect.degraded(Path.C1, 0.5)
-
-
-class TestFaultSpecAdapter:
-    def test_legacy_fault_becomes_plan(self):
-        with pytest.deprecated_call():
-            config = ExecutionConfig(
-                latency_constraint_us_per_byte=26.0,
-                fault=FaultSpec(core_id=4, at_batch=3, frequency_mhz=600.0),
-            )
-        assert config.fault_plan is not None
-        (event,) = config.fault_plan.events
-        assert isinstance(event, DvfsThrottle)
-        assert (event.core_id, event.at_batch, event.frequency_mhz) == (
-            4, 3, 600.0
-        )
-
-    def test_matching_fault_and_plan_tolerated(self):
-        # dataclasses.replace() re-runs __post_init__ with both fields
-        # populated; equality must not raise.
-        import dataclasses
-        with pytest.deprecated_call():
-            config = ExecutionConfig(
-                latency_constraint_us_per_byte=26.0,
-                fault=FaultSpec(core_id=4, at_batch=3, frequency_mhz=600.0),
-            )
-        clone = dataclasses.replace(config, seed=config.seed + 1)
-        assert clone.fault_plan == config.fault_plan
-
-    def test_disagreeing_fault_and_plan_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ExecutionConfig(
-                latency_constraint_us_per_byte=26.0,
-                fault=FaultSpec(core_id=4, at_batch=3, frequency_mhz=600.0),
-                fault_plan=FaultPlan(
-                    events=(CoreFailure(core_id=4, at_batch=3),)
-                ),
-            )
-
-    def test_no_fault_no_warning(self):
-        import warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            config = ExecutionConfig(latency_constraint_us_per_byte=26.0)
-        assert config.fault is None and config.fault_plan is None
