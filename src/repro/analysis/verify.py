@@ -65,9 +65,11 @@ Severity model: **error** findings make the CLI exit 1; **warning**
 findings are printed but only fail with ``--strict``. CI runs the
 verifier over every cell the smoke job traces.
 
-This module is importable with the standard library alone (plans and
-cost models are duck-typed), so :mod:`repro.obs.check` can reuse the
-trace checks without dragging in the simulator.
+Plans, cost models, traces and health reports are duck-typed (reports
+are checked as parsed JSON), so :mod:`repro.obs.check` reuses these
+checks as its invariant layer. Constants the invariants depend on are
+read from their owners: the breaker's legal edges, the gateway's
+default backoff policy and the interconnect path classes.
 """
 
 from __future__ import annotations
@@ -80,6 +82,11 @@ import re
 import sys
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+
+from repro.fleet.breaker import LEGAL_TRANSITIONS
+from repro.fleet.gateway import GatewayConfig
+from repro.obs.health import FLEET_HEALTH_SCHEMA_VERSION, read_report
+from repro.simcore.interconnect import Path
 
 __all__ = [
     "VerifyFinding",
@@ -745,7 +752,7 @@ def verify_chrome_payload(payload: Any) -> List[VerifyFinding]:
 _RESIDUAL_EPSILON = 1e-6
 
 #: interconnect path classes a "path" attribution may name
-_KNOWN_PATHS = ("local", "c0", "c1", "c2")
+_KNOWN_PATHS = tuple(path.value for path in Path)
 
 
 def _health_number(value: Any) -> Optional[float]:
@@ -760,8 +767,7 @@ def verify_health(payload: Any) -> List[VerifyFinding]:
     Expects the report to be schema-valid already
     (:func:`repro.obs.check.validate_health` runs the schema layer);
     here only the cross-field arithmetic is enforced, duck-typed over
-    the raw JSON so this module stays importable with the standard
-    library alone.
+    the raw JSON.
     """
     findings: List[VerifyFinding] = []
     if not isinstance(payload, dict):
@@ -895,18 +901,12 @@ def verify_health(payload: Any) -> List[VerifyFinding]:
 # FLT001-FLT005 — fleet health reports (schema v2)
 # ---------------------------------------------------------------------------
 
-#: legal breaker edges — mirrors repro.fleet.breaker.LEGAL_TRANSITIONS
-#: (duplicated so this module stays stdlib-importable)
-_FLEET_BREAKER_EDGES = frozenset({
-    ("closed", "open"),
-    ("open", "half-open"),
-    ("half-open", "closed"),
-    ("half-open", "open"),
-})
-
-#: FLT005 bound: the default BackoffPolicy's jittered cap,
-#: cap_windows * (1 + jitter) = 8 * 1.25
-_FLEET_BACKOFF_CAP_WINDOWS = 10.0
+#: FLT005 bound: the default backoff policy's jittered cap,
+#: cap_windows * (1 + jitter)
+_FLEET_BACKOFF = GatewayConfig().backoff
+_FLEET_BACKOFF_CAP_WINDOWS = _FLEET_BACKOFF.cap_windows * (
+    1.0 + _FLEET_BACKOFF.jitter
+)
 
 _RETRY_DELAY_PATTERN = re.compile(r"retry in ([0-9][0-9.]*) windows")
 
@@ -1033,7 +1033,7 @@ def verify_fleet_health(payload: Any) -> List[VerifyFinding]:
                         location=f"windows[{w_index}]",
                     )
                 )
-            if (from_state, to_state) not in _FLEET_BREAKER_EDGES:
+            if (from_state, to_state) not in LEGAL_TRANSITIONS:
                 findings.append(
                     VerifyFinding(
                         code="FLT003",
@@ -1166,35 +1166,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     status = 0
     for path in args.traces:
         try:
-            with open(path, "r", encoding="utf-8") as source:
-                text = source.read()
-        except OSError as error:
+            payload = read_report(path)
+        except (OSError, json.JSONDecodeError) as error:
             print(f"{path}: unreadable trace: {error}", file=sys.stderr)
             status = 2
             continue
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as error:
+        if isinstance(payload, list):
             # An NDJSON tail of per-window health records (the format
-            # `cstream --health-out` streams) is one JSON object per
-            # line; wrap it into a session-shaped payload.
-            try:
-                records = [
-                    json.loads(line)
-                    for line in text.splitlines()
-                    if line.strip()
-                ]
-            except json.JSONDecodeError:
-                records = []
-            if records and all(isinstance(r, dict) for r in records):
-                payload = {"windows": records}
-            else:
-                print(
-                    f"{path}: unreadable trace: {error}", file=sys.stderr
-                )
-                status = 2
-                continue
-        if isinstance(payload, dict) and payload.get("schema_version") == 2:
+            # `cstream --health-out` streams): a session without header.
+            payload = {"windows": payload}
+        if (
+            isinstance(payload, dict)
+            and payload.get("schema_version") == FLEET_HEALTH_SCHEMA_VERSION
+        ):
             checked = verify_fleet_health(payload)
         elif isinstance(payload, dict) and "windows" in payload:
             checked = verify_health(payload)

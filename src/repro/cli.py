@@ -774,26 +774,36 @@ def _command_serve(args) -> int:
 def _command_top(args) -> int:
     import time
 
-    from repro.obs.health import FleetHealth, SessionHealth
+    from repro.obs.health import (
+        FLEET_HEALTH_SCHEMA_VERSION,
+        FleetHealth,
+        SessionHealth,
+        WindowHealth,
+        from_record,
+        read_report,
+    )
     from repro.obs.live import (
         fleet_prometheus_text,
         prometheus_text,
-        read_ndjson,
         render_fleet_top,
         render_top,
     )
 
     def _load():
-        """(windows, session) from NDJSON tail or a full health JSON."""
-        with open(args.health, "r", encoding="utf-8") as stream:
-            text = stream.read()
-        stripped = text.lstrip()
-        if stripped.startswith("{") and '"schema_version": 2' in stripped:
-            return None, FleetHealth.from_json(text)
-        if stripped.startswith("{") and '"windows"' in stripped:
-            session = SessionHealth.from_json(text)
+        """(windows, session) from NDJSON tail or a full health JSON;
+        windows is None for a fleet report."""
+        payload = read_report(args.health)
+        if isinstance(payload, list):
+            records = payload
+        elif payload.get("schema_version") == FLEET_HEALTH_SCHEMA_VERSION:
+            return None, from_record(FleetHealth, payload)
+        elif "windows" in payload:
+            session = from_record(SessionHealth, payload)
             return list(session.windows), session
-        windows = read_ndjson(text.splitlines())
+        else:
+            # a one-line NDJSON tail parses as a single document
+            records = [payload]
+        windows = [from_record(WindowHealth, record) for record in records]
         session = SessionHealth(
             label=os.path.basename(args.health),
             board="unknown",

@@ -177,9 +177,8 @@ class SchedulingPlan:
         :meth:`~repro.core.scheduler.Scheduler.schedule` call when
         ``REPRO_VALIDATE_PLANS=1`` (the test suite's default).
         """
-        # Imported lazily: repro.analysis.verify is stdlib-only, but
-        # keeping it out of module scope avoids import-time coupling of
-        # the core data model to the analysis tooling.
+        # Imported lazily: repro.analysis.verify imports the fleet and
+        # obs packages, which import this module.
         from repro.analysis.verify import verify_plan
 
         from repro.errors import InvariantViolationError

@@ -35,9 +35,10 @@ real hardware:
   controller consumes these as its ``reason="diagnosis"`` trigger.
 * :mod:`~repro.obs.live` — live telemetry export: NDJSON tail
   (``cstream top``) and Prometheus-style text exposition.
-* :mod:`~repro.obs.check` — a dependency-free validator for the
-  exported trace files and health reports (used by CI on the traced
-  smoke run and the chaos health artifact).
+* :mod:`~repro.obs.check` — the validator for the exported trace files
+  and health reports (used by CI on the traced smoke run and the chaos
+  and fleet health artifacts); the health schema it checks is derived
+  from the report dataclasses.
 """
 
 from repro.obs.registry import (

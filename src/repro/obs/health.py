@@ -13,8 +13,12 @@ and every tenant (placement, SLO compliance, energy), plus the ordered
 event log (admissions, rejections, sheds, failovers, breaker
 transitions, board faults) that makes the run replayable.
 
-Both reports round-trip through JSON (``to_json``/``from_json``) and are
-what :mod:`repro.obs.check` validates and :mod:`repro.obs.live` streams;
+The frozen dataclasses below *are* the health schema. Everything else
+is derived from their field tables (names in declaration order, types
+from the annotations): the JSON codec (:func:`to_record`,
+:func:`from_record`, and the reports' ``to_json``/``from_json``) and
+the structural checker :func:`schema_problems` that
+:mod:`repro.obs.check` runs. :mod:`repro.obs.live` streams the reports;
 :mod:`repro.analysis.verify` enforces their invariants (HLT001-003 for
 v1, FLT001-005 for v2 — dispatched on ``schema_version``).
 """
@@ -23,15 +27,29 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+import numbers
+from dataclasses import dataclass, fields, is_dataclass
+from functools import lru_cache
+from typing import (
+    Any,
+    List,
+    Literal,
+    NamedTuple,
+    Optional,
+    Tuple,
+    Union,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
-from repro.obs.residuals import WindowResidual
+from repro.obs.residuals import ComponentKind, WindowResidual
 
 __all__ = [
     "HEALTH_SCHEMA_VERSION",
     "FLEET_HEALTH_SCHEMA_VERSION",
     "Attribution",
+    "Component",
     "WindowHealth",
     "SessionHealth",
     "build_window_health",
@@ -40,6 +58,10 @@ __all__ = [
     "FleetEvent",
     "FleetWindowHealth",
     "FleetHealth",
+    "to_record",
+    "from_record",
+    "schema_problems",
+    "read_report",
 ]
 
 HEALTH_SCHEMA_VERSION = 1
@@ -48,13 +70,23 @@ FLEET_HEALTH_SCHEMA_VERSION = 2
 #: anomaly score above which a window's top component is named
 DEFAULT_ANOMALY_THRESHOLD = 3.0
 
+BreakerState = Literal["closed", "open", "half-open"]
+#: "running", "queued" (awaiting admission/re-admission), "stranded"
+#: (board dead, no failover arm), "rejected" (final), or "pending"
+#: (not yet considered)
+TenantState = Literal["pending", "queued", "running", "stranded", "rejected"]
+EventKind = Literal[
+    "admit", "reject", "queue", "retry", "shed", "failover", "breaker",
+    "board-crash", "board-reboot", "board-throttle", "rpc-failure",
+]
+
 
 @dataclass(frozen=True)
 class Attribution:
     """The component a window's residual is pinned on."""
 
     #: "path" (degraded link), "retry" (retry-heavy stage), "core"
-    kind: str
+    kind: ComponentKind
     #: path class ("c1"), stage index ("2"), or core id ("4")
     key: str
     score: float
@@ -71,6 +103,15 @@ class Attribution:
         return f"underperforming core {self.key}"
 
 
+class Component(NamedTuple):
+    """One per-component residual slice of a window."""
+
+    kind: ComponentKind
+    key: str
+    residual_us_per_byte: float
+    score: float
+
+
 @dataclass(frozen=True)
 class WindowHealth:
     """One window's health record (one NDJSON line when streamed)."""
@@ -82,81 +123,12 @@ class WindowHealth:
     measured_energy_uj_per_byte: float
     predicted_energy_uj_per_byte: float
     energy_residual_uj_per_byte: float
-    #: per-component residual slices, (kind, key, residual, score)
-    components: Tuple[Tuple[str, str, float, float], ...]
+    components: Tuple[Component, ...]
     unattributed_us_per_byte: float
     #: window violated the latency SLO on a steady batch
     violated: bool
     anomalous: bool
     attribution: Optional[Attribution]
-
-    def to_record(self) -> Dict[str, object]:
-        record: Dict[str, object] = {
-            "window_index": self.window_index,
-            "measured_latency_us_per_byte": self.measured_latency_us_per_byte,
-            "predicted_latency_us_per_byte": self.predicted_latency_us_per_byte,
-            "latency_residual_us_per_byte": self.latency_residual_us_per_byte,
-            "measured_energy_uj_per_byte": self.measured_energy_uj_per_byte,
-            "predicted_energy_uj_per_byte": self.predicted_energy_uj_per_byte,
-            "energy_residual_uj_per_byte": self.energy_residual_uj_per_byte,
-            "components": [
-                {"kind": kind, "key": key, "residual_us_per_byte": residual,
-                 "score": score}
-                for kind, key, residual, score in self.components
-            ],
-            "unattributed_us_per_byte": self.unattributed_us_per_byte,
-            "violated": self.violated,
-            "anomalous": self.anomalous,
-            "attribution": None,
-        }
-        if self.attribution is not None:
-            record["attribution"] = {
-                "kind": self.attribution.kind,
-                "key": self.attribution.key,
-                "score": self.attribution.score,
-                "residual_us_per_byte":
-                    self.attribution.residual_us_per_byte,
-                "confidence": self.attribution.confidence,
-            }
-        return record
-
-    @staticmethod
-    def from_record(record: Dict[str, object]) -> "WindowHealth":
-        attribution = None
-        raw = record.get("attribution")
-        if raw is not None:
-            attribution = Attribution(
-                kind=str(raw["kind"]),
-                key=str(raw["key"]),
-                score=float(raw["score"]),
-                residual_us_per_byte=float(raw["residual_us_per_byte"]),
-                confidence=float(raw["confidence"]),
-            )
-        return WindowHealth(
-            window_index=int(record["window_index"]),
-            measured_latency_us_per_byte=float(
-                record["measured_latency_us_per_byte"]),
-            predicted_latency_us_per_byte=float(
-                record["predicted_latency_us_per_byte"]),
-            latency_residual_us_per_byte=float(
-                record["latency_residual_us_per_byte"]),
-            measured_energy_uj_per_byte=float(
-                record["measured_energy_uj_per_byte"]),
-            predicted_energy_uj_per_byte=float(
-                record["predicted_energy_uj_per_byte"]),
-            energy_residual_uj_per_byte=float(
-                record["energy_residual_uj_per_byte"]),
-            components=tuple(
-                (str(c["kind"]), str(c["key"]),
-                 float(c["residual_us_per_byte"]), float(c["score"]))
-                for c in record["components"]
-            ),
-            unattributed_us_per_byte=float(
-                record["unattributed_us_per_byte"]),
-            violated=bool(record["violated"]),
-            anomalous=bool(record["anomalous"]),
-            attribution=attribution,
-        )
 
 
 def build_window_health(
@@ -196,7 +168,7 @@ def build_window_health(
         predicted_energy_uj_per_byte=residual.predicted_energy_uj_per_byte,
         energy_residual_uj_per_byte=residual.energy_residual_uj_per_byte,
         components=tuple(
-            (c.kind, c.key, c.residual_us_per_byte, c.score)
+            Component(c.kind, c.key, c.residual_us_per_byte, c.score)
             for c in residual.components
         ),
         unattributed_us_per_byte=residual.unattributed_us_per_byte,
@@ -229,53 +201,11 @@ class SessionHealth:
         return tuple(w for w in self.windows if w.anomalous)
 
     def to_json(self) -> str:
-        return json.dumps({
-            "schema_version": self.schema_version,
-            "label": self.label,
-            "board": self.board,
-            "latency_constraint_us_per_byte":
-                self.latency_constraint_us_per_byte,
-            "windows": [w.to_record() for w in self.windows],
-        }, indent=2, sort_keys=True)
+        return json.dumps(to_record(self), indent=2, sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "SessionHealth":
-        payload = json.loads(text)
-        return SessionHealth(
-            label=str(payload["label"]),
-            board=str(payload["board"]),
-            latency_constraint_us_per_byte=float(
-                payload["latency_constraint_us_per_byte"]),
-            windows=tuple(
-                WindowHealth.from_record(w) for w in payload["windows"]
-            ),
-            schema_version=int(payload["schema_version"]),
-        )
-
-    def finite(self) -> bool:
-        """True when every numeric field in the report is finite."""
-        for window in self.windows:
-            values: List[float] = [
-                window.measured_latency_us_per_byte,
-                window.predicted_latency_us_per_byte,
-                window.latency_residual_us_per_byte,
-                window.measured_energy_uj_per_byte,
-                window.predicted_energy_uj_per_byte,
-                window.energy_residual_uj_per_byte,
-                window.unattributed_us_per_byte,
-            ]
-            for _kind, _key, residual, score in window.components:
-                values.append(residual)
-                values.append(score)
-            if window.attribution is not None:
-                values.extend([
-                    window.attribution.score,
-                    window.attribution.residual_us_per_byte,
-                    window.attribution.confidence,
-                ])
-            if not all(math.isfinite(v) for v in values):
-                return False
-        return math.isfinite(self.latency_constraint_us_per_byte)
+        return from_record(SessionHealth, json.loads(text))
 
 
 # -- fleet health (schema v2) -------------------------------------------------
@@ -289,8 +219,7 @@ class FleetBoardHealth:
     name: str
     kind: str
     alive: bool
-    #: circuit-breaker state: "closed", "open", or "half-open"
-    breaker_state: str
+    breaker_state: BreakerState
     consecutive_failures: int
     #: sustained DVFS cap in force, or None at nominal frequency
     throttled_mhz: Optional[float]
@@ -300,36 +229,6 @@ class FleetBoardHealth:
     #: window RPCs against this board that failed (after retries)
     rpc_failures: int
 
-    def to_record(self) -> Dict[str, object]:
-        return {
-            "board_index": self.board_index,
-            "name": self.name,
-            "kind": self.kind,
-            "alive": self.alive,
-            "breaker_state": self.breaker_state,
-            "consecutive_failures": self.consecutive_failures,
-            "throttled_mhz": self.throttled_mhz,
-            "max_core_load": self.max_core_load,
-            "tenants_running": self.tenants_running,
-            "rpc_failures": self.rpc_failures,
-        }
-
-    @staticmethod
-    def from_record(record: Dict[str, object]) -> "FleetBoardHealth":
-        throttled = record["throttled_mhz"]
-        return FleetBoardHealth(
-            board_index=int(record["board_index"]),
-            name=str(record["name"]),
-            kind=str(record["kind"]),
-            alive=bool(record["alive"]),
-            breaker_state=str(record["breaker_state"]),
-            consecutive_failures=int(record["consecutive_failures"]),
-            throttled_mhz=None if throttled is None else float(throttled),
-            max_core_load=float(record["max_core_load"]),
-            tenants_running=int(record["tenants_running"]),
-            rpc_failures=int(record["rpc_failures"]),
-        )
-
 
 @dataclass(frozen=True)
 class FleetTenantHealth:
@@ -338,9 +237,7 @@ class FleetTenantHealth:
     tenant_id: int
     name: str
     priority: int
-    #: "running", "queued" (awaiting admission/re-admission),
-    #: "stranded" (board dead, no failover arm), or "rejected" (final)
-    state: str
+    state: TenantState
     #: hosting board while running/stranded, else None
     board_index: Optional[int]
     l_set_us_per_byte: float
@@ -350,39 +247,6 @@ class FleetTenantHealth:
     modeled_energy_uj_per_byte: float
     violated: bool
 
-    def to_record(self) -> Dict[str, object]:
-        return {
-            "tenant_id": self.tenant_id,
-            "name": self.name,
-            "priority": self.priority,
-            "state": self.state,
-            "board_index": self.board_index,
-            "l_set_us_per_byte": self.l_set_us_per_byte,
-            "modeled_latency_us_per_byte": self.modeled_latency_us_per_byte,
-            "measured_latency_us_per_byte": self.measured_latency_us_per_byte,
-            "modeled_energy_uj_per_byte": self.modeled_energy_uj_per_byte,
-            "violated": self.violated,
-        }
-
-    @staticmethod
-    def from_record(record: Dict[str, object]) -> "FleetTenantHealth":
-        board = record["board_index"]
-        return FleetTenantHealth(
-            tenant_id=int(record["tenant_id"]),
-            name=str(record["name"]),
-            priority=int(record["priority"]),
-            state=str(record["state"]),
-            board_index=None if board is None else int(board),
-            l_set_us_per_byte=float(record["l_set_us_per_byte"]),
-            modeled_latency_us_per_byte=float(
-                record["modeled_latency_us_per_byte"]),
-            measured_latency_us_per_byte=float(
-                record["measured_latency_us_per_byte"]),
-            modeled_energy_uj_per_byte=float(
-                record["modeled_energy_uj_per_byte"]),
-            violated=bool(record["violated"]),
-        )
-
 
 @dataclass(frozen=True)
 class FleetEvent:
@@ -391,36 +255,10 @@ class FleetEvent:
     #: running sequence number — total order across the whole run
     sequence: int
     window_index: int
-    #: "admit", "reject", "queue", "retry", "shed", "failover",
-    #: "breaker", "board-crash", "board-reboot", "board-throttle",
-    #: "rpc-failure"
-    kind: str
+    kind: EventKind
     tenant_id: Optional[int]
     board_index: Optional[int]
     detail: str
-
-    def to_record(self) -> Dict[str, object]:
-        return {
-            "sequence": self.sequence,
-            "window_index": self.window_index,
-            "kind": self.kind,
-            "tenant_id": self.tenant_id,
-            "board_index": self.board_index,
-            "detail": self.detail,
-        }
-
-    @staticmethod
-    def from_record(record: Dict[str, object]) -> "FleetEvent":
-        tenant = record["tenant_id"]
-        board = record["board_index"]
-        return FleetEvent(
-            sequence=int(record["sequence"]),
-            window_index=int(record["window_index"]),
-            kind=str(record["kind"]),
-            tenant_id=None if tenant is None else int(tenant),
-            board_index=None if board is None else int(board),
-            detail=str(record["detail"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -435,29 +273,6 @@ class FleetWindowHealth:
     violations: int
     #: modeled fleet energy spent this window, µJ
     energy_uj: float
-
-    def to_record(self) -> Dict[str, object]:
-        return {
-            "window_index": self.window_index,
-            "boards": [b.to_record() for b in self.boards],
-            "tenants": [t.to_record() for t in self.tenants],
-            "violations": self.violations,
-            "energy_uj": self.energy_uj,
-        }
-
-    @staticmethod
-    def from_record(record: Dict[str, object]) -> "FleetWindowHealth":
-        return FleetWindowHealth(
-            window_index=int(record["window_index"]),
-            boards=tuple(
-                FleetBoardHealth.from_record(b) for b in record["boards"]
-            ),
-            tenants=tuple(
-                FleetTenantHealth.from_record(t) for t in record["tenants"]
-            ),
-            violations=int(record["violations"]),
-            energy_uj=float(record["energy_uj"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -504,53 +319,158 @@ class FleetHealth:
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> str:
-        return json.dumps({
-            "schema_version": self.schema_version,
-            "label": self.label,
-            "arm": self.arm,
-            "seed": self.seed,
-            "board_count": self.board_count,
-            "tenant_count": self.tenant_count,
-            "energy_budget_uj_per_window":
-                self.energy_budget_uj_per_window,
-            "windows": [w.to_record() for w in self.windows],
-            "events": [e.to_record() for e in self.events],
-        }, indent=2, sort_keys=True)
+        return json.dumps(to_record(self), indent=2, sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "FleetHealth":
-        payload = json.loads(text)
-        return FleetHealth(
-            label=str(payload["label"]),
-            arm=str(payload["arm"]),
-            seed=int(payload["seed"]),
-            board_count=int(payload["board_count"]),
-            tenant_count=int(payload["tenant_count"]),
-            energy_budget_uj_per_window=float(
-                payload["energy_budget_uj_per_window"]),
-            windows=tuple(
-                FleetWindowHealth.from_record(w) for w in payload["windows"]
-            ),
-            events=tuple(
-                FleetEvent.from_record(e) for e in payload["events"]
-            ),
-            schema_version=int(payload["schema_version"]),
-        )
+        return from_record(FleetHealth, json.loads(text))
 
-    def finite(self) -> bool:
-        """True when every numeric field in the report is finite."""
-        values: List[float] = [self.energy_budget_uj_per_window]
-        for window in self.windows:
-            values.append(window.energy_uj)
-            for board in window.boards:
-                values.append(board.max_core_load)
-                if board.throttled_mhz is not None:
-                    values.append(board.throttled_mhz)
-            for tenant in window.tenants:
-                values.extend([
-                    tenant.l_set_us_per_byte,
-                    tenant.modeled_latency_us_per_byte,
-                    tenant.measured_latency_us_per_byte,
-                    tenant.modeled_energy_uj_per_byte,
-                ])
-        return all(math.isfinite(v) for v in values)
+
+# -- the schema, derived from the dataclasses ---------------------------------
+
+
+@lru_cache(maxsize=None)
+def _field_table(cls: Any) -> Tuple[Tuple[str, Any], ...]:
+    """``(name, type)`` per field of a record class, in declaration
+    order; empty for anything that is not a dataclass or NamedTuple."""
+    if is_dataclass(cls):
+        names = [f.name for f in fields(cls)]
+    elif isinstance(cls, type) and issubclass(cls, tuple) and hasattr(
+        cls, "_fields"
+    ):
+        names = list(cls._fields)
+    else:
+        return ()
+    hints = get_type_hints(cls)
+    return tuple((name, hints[name]) for name in names)
+
+
+def to_record(value: Any) -> Any:
+    """JSON-ready form of a health value: records become objects keyed
+    by field name, tuples become arrays, leaves pass through."""
+    table = _field_table(type(value))
+    if table:
+        return {name: to_record(getattr(value, name)) for name, _ in table}
+    if isinstance(value, tuple):
+        return [to_record(item) for item in value]
+    return value
+
+
+def from_record(hint: Any, record: Any) -> Any:
+    """Rebuild a value of type ``hint`` from its :func:`to_record` form."""
+    table = _field_table(hint)
+    if table:
+        return hint(**{
+            name: from_record(field_type, record[name])
+            for name, field_type in table
+        })
+    origin = get_origin(hint)
+    if origin is Union:
+        if record is None:
+            return None
+        return from_record(get_args(hint)[0], record)
+    if origin is tuple:
+        item_type = get_args(hint)[0]
+        return tuple(from_record(item_type, item) for item in record)
+    if origin is Literal:
+        return str(record)
+    return hint(record)
+
+
+def schema_problems(hint: Any, payload: Any, where: str = "") -> List[str]:
+    """Every way ``payload`` departs from :func:`to_record`'s form of
+    ``hint`` (empty = well-formed). ``where`` prefixes the field paths.
+
+    Records must carry exactly their fields; ``int`` leaves are
+    integers (not bools), ``bool`` leaves booleans, ``float`` leaves
+    finite numbers, ``str`` leaves non-empty strings, ``Literal`` leaves
+    a member of their set; ``Optional`` admits null and
+    ``Tuple[X, ...]`` is an array of X.
+    """
+    problems: List[str] = []
+    _walk(hint, payload, where, problems)
+    return problems
+
+
+def _walk(hint: Any, value: Any, where: str, problems: List[str]) -> None:
+    table = _field_table(hint)
+    if table:
+        at = where or "top level"
+        if not isinstance(value, dict):
+            problems.append(f"{at}: not an object")
+            return
+        names = [name for name, _ in table]
+        for name in names:
+            if name not in value:
+                problems.append(f"{at}: missing field {name!r}")
+        for name in sorted(value.keys() - set(names)):
+            problems.append(f"{at}: unexpected field {name!r}")
+        prefix = f"{where}." if where else ""
+        for name, field_type in table:
+            if name in value:
+                _walk(field_type, value[name], prefix + name, problems)
+        return
+    origin = get_origin(hint)
+    if origin is Union:
+        if value is not None:
+            _walk(get_args(hint)[0], value, where, problems)
+        return
+    if origin is tuple:
+        if not isinstance(value, list):
+            problems.append(f"{where}: must be an array")
+            return
+        item_type = get_args(hint)[0]
+        for index, item in enumerate(value):
+            _walk(item_type, item, f"{where}[{index}]", problems)
+        return
+    if origin is Literal:
+        allowed = get_args(hint)
+        if value not in allowed:
+            problems.append(
+                f"{where}: unknown value {value!r}, expected one of "
+                f"{', '.join(allowed)}")
+        return
+    if hint is bool:
+        ok, expected = isinstance(value, bool), "a boolean"
+    elif hint is int:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+        expected = "an integer"
+    elif hint is float:
+        ok = (
+            isinstance(value, numbers.Real)
+            and not isinstance(value, bool)
+            and math.isfinite(value)
+        )
+        expected = "a finite number"
+    elif hint is str:
+        ok = isinstance(value, str) and bool(value)
+        expected = "a non-empty string"
+    else:
+        raise TypeError(f"no schema rule for field type {hint!r}")
+    if not ok:
+        problems.append(f"{where}: must be {expected}, got {value!r}")
+
+
+def read_report(path: str) -> Any:
+    """Parse a trace or health file: one JSON document, or failing that
+    an NDJSON tail (one JSON object per line, blank lines skipped),
+    returned as the list of its records. Callers dispatch on the result:
+    a list is a window tail, ``schema_version`` 2 a fleet report.
+
+    Raises :class:`OSError` when the file is unreadable and
+    :class:`json.JSONDecodeError` when it is neither form.
+    """
+    with open(path, "r", encoding="utf-8") as source:
+        text = source.read()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as error:
+        try:
+            records = [
+                json.loads(line) for line in text.splitlines() if line.strip()
+            ]
+        except json.JSONDecodeError:
+            raise error from None
+        if not records or not all(isinstance(r, dict) for r in records):
+            raise error from None
+        return records

@@ -22,7 +22,13 @@ from __future__ import annotations
 import json
 from typing import IO, Iterable, List, Optional, Sequence
 
-from repro.obs.health import FleetHealth, SessionHealth, WindowHealth
+from repro.obs.health import (
+    FleetHealth,
+    SessionHealth,
+    WindowHealth,
+    from_record,
+    to_record,
+)
 from repro.obs.registry import MetricsRegistry
 
 __all__ = [
@@ -43,7 +49,7 @@ class NdjsonTail:
 
     def emit(self, window: WindowHealth) -> None:
         self._stream.write(
-            json.dumps(window.to_record(), sort_keys=True) + "\n"
+            json.dumps(to_record(window), sort_keys=True) + "\n"
         )
         self._stream.flush()
 
@@ -58,13 +64,11 @@ def read_ndjson(lines: Iterable[str]) -> List[WindowHealth]:
     Blank lines are skipped so a partially written tail (or a trailing
     newline) parses cleanly.
     """
-    records: List[WindowHealth] = []
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        records.append(WindowHealth.from_record(json.loads(line)))
-    return records
+    return [
+        from_record(WindowHealth, json.loads(line))
+        for line in lines
+        if line.strip()
+    ]
 
 
 def _prom_escape(value: str) -> str:

@@ -1,9 +1,12 @@
 """Command-line interface."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.obs.check import main as check_main
 
 
 @pytest.fixture
@@ -170,6 +173,27 @@ class TestServe:
         prom = prom_path.read_text()
         assert "cstream_fleet_board_alive" in prom
         assert "cstream_fleet_tenant_l_set_us_per_byte" in prom
+
+    def test_top_renders_compact_fleet_report(self, tmp_path, capsys):
+        health_path = tmp_path / "fleet.json"
+        main(
+            [
+                "serve", "--arm", "shed-failover", "--windows", "6",
+                "--health-out", str(health_path),
+            ]
+        )
+        capsys.readouterr()
+        pretty = health_path.read_text()
+        assert main(["top", str(health_path)]) == 0
+        expected = capsys.readouterr().out
+        # the same report without whitespace is still a valid v2 report
+        health_path.write_text(
+            json.dumps(json.loads(pretty), separators=(",", ":"))
+        )
+        assert check_main(["--health", str(health_path)]) == 0
+        capsys.readouterr()
+        assert main(["top", str(health_path)]) == 0
+        assert capsys.readouterr().out == expected
 
     def test_serve_top_flag_prints_dashboard(self, capsys):
         assert main(

@@ -34,7 +34,7 @@ from repro.fleet.scenario import (
     run_fleet_scenario,
 )
 from repro.fleet.tenants import build_tenant_catalog, build_tenant_workloads
-from repro.obs.check import validate_fleet_health
+from repro.obs.check import validate_fleet_health, validate_health
 from repro.obs.health import FleetHealth
 from repro.obs.registry import REGISTRY
 
@@ -298,12 +298,28 @@ class TestDeterminism:
 
 class TestHealthReport:
     def test_roundtrip_and_finite(self, comparison_small):
-        for arm in FLEET_ARMS:
-            health = comparison_small.healths[arm]
-            assert health.finite()
+        throttled = run_fleet_arm(
+            FleetScenarioSpec(boards=3, tenants=6, scenario="board-throttle"),
+            "shed-failover",
+        )
+        reports = [comparison_small.healths[arm] for arm in FLEET_ARMS]
+        for health in reports + [throttled]:
+            assert validate_health(json.loads(health.to_json())) == []
             restored = FleetHealth.from_json(health.to_json())
             assert restored == health
             assert restored.schema_version == 2
+        # the Optional fields round-trip both null and set
+        boards = [b for w in throttled.windows for b in w.boards]
+        tenants = [t for h in reports for w in h.windows for t in w.tenants]
+        events = [e for h in reports for e in h.events]
+        for values in (
+            [b.throttled_mhz for b in boards],
+            [t.board_index for t in tenants],
+            [e.tenant_id for e in events],
+            [e.board_index for e in events],
+        ):
+            assert None in values
+            assert any(value is not None for value in values)
 
     def test_flt_invariants_hold(self, comparison_small):
         for arm in FLEET_ARMS:
@@ -336,6 +352,52 @@ class TestHealthReport:
         requeues[0]["detail"] = "board dead; requeued, retry in 99.0 windows"
         findings = verify_fleet_health(payload)
         assert any(f.code == "FLT005" for f in findings)
+
+
+#: (case, planted defect, text the rejection must carry — the path)
+_SCHEMA_DEFECTS = [
+    ("breaker-state",
+     lambda p: p["windows"][0]["boards"][0].update(breaker_state="ajar"),
+     "windows[0].boards[0].breaker_state: unknown value 'ajar'"),
+    ("tenant-state",
+     lambda p: p["windows"][1]["tenants"][2].update(state="zombie"),
+     "windows[1].tenants[2].state: unknown value 'zombie'"),
+    ("event-kind",
+     lambda p: p["events"][0].update(kind="teleport"),
+     "events[0].kind: unknown value 'teleport'"),
+    ("missing-field",
+     lambda p: p["windows"][2]["boards"][1].pop("alive"),
+     "windows[2].boards[1]: missing field 'alive'"),
+    ("unexpected-field",
+     lambda p: p["windows"][0]["tenants"][0].update(mood="sunny"),
+     "windows[0].tenants[0]: unexpected field 'mood'"),
+    ("nan-energy",
+     lambda p: p["windows"][3].update(energy_uj=float("nan")),
+     "windows[3].energy_uj: must be a finite number"),
+    ("bool-as-int",
+     lambda p: p["windows"][0]["boards"][0].update(rpc_failures=True),
+     "windows[0].boards[0].rpc_failures: must be an integer"),
+    ("empty-label",
+     lambda p: p.update(label=""),
+     "label: must be a non-empty string"),
+]
+
+
+class TestFleetSchema:
+    @pytest.mark.parametrize(
+        "plant, expected",
+        [case[1:] for case in _SCHEMA_DEFECTS],
+        ids=[case[0] for case in _SCHEMA_DEFECTS],
+    )
+    def test_planted_defect_rejected(self, comparison_small, plant, expected):
+        payload = json.loads(
+            comparison_small.healths["shed-failover"].to_json()
+        )
+        assert validate_fleet_health(payload) == []
+        plant(payload)
+        problems = validate_fleet_health(payload)
+        assert any(expected in problem for problem in problems), problems
+        assert validate_health(payload) == problems
 
 
 class TestPlanSearchBudget:

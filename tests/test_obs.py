@@ -17,7 +17,7 @@ from repro.obs import (
     set_active_recorder,
     write_chrome_trace,
 )
-from repro.obs.check import main as check_main, validate_trace
+from repro.obs.check import main as check_main, validate_health, validate_trace
 from repro.obs.trace import TID_GOVERNOR, TID_OS_SCHED, TID_RUNTIME
 from repro.simcore.boards import rk3399
 
@@ -374,7 +374,10 @@ class TestHealthRoundTrip:
         assert again == session
         assert again.dominant().key == "c1"
         assert len(again.anomalous_windows()) == 1
-        assert again.finite()
+        # Optional attribution round-trips both set and null
+        assert again.windows[0].attribution is not None
+        assert again.windows[1].attribution is None
+        assert validate_health(json.loads(again.to_json())) == []
 
     def test_ndjson_round_trip(self, tmp_path):
         import io
