@@ -1,8 +1,10 @@
 """Real codec throughput (not a paper figure — library performance).
 
 Measures actual wall-clock MB/s of each codec on a Rovio-profile batch,
-including the vectorized fast paths where available. This is the one
-bench where the numbers are *real time*, not simulated time.
+including the vectorized fast paths where available, plus the two numpy
+kernels behind codec dry-run profiling (``pack_codes`` and
+``analyze_batch``) on 16384-word Micro batches. This is the one bench
+where the numbers are *real time*, not simulated time.
 """
 
 import os
@@ -12,14 +14,24 @@ import numpy as np
 import pytest
 
 from repro.compression import Lz4, Tcomp32, Tdic32
-from repro.datasets import get_dataset
+from repro.compression.bitio import pack_codes
+from repro.compression.stats import analyze_batch
+from repro.datasets import MicroDataset, get_dataset
 
 BATCH_BYTES = 262144
+MICRO_WORDS = 16384
 
 
 @pytest.fixture(scope="module")
 def batch():
     return get_dataset("rovio").generate(BATCH_BYTES, seed=1)
+
+
+@pytest.fixture(scope="module")
+def micro_batch():
+    return MicroDataset(
+        dynamic_range=50_000, symbol_duplication=0.5
+    ).generate(4 * MICRO_WORDS, seed=1)
 
 
 def _compress(codec, data):
@@ -60,6 +72,24 @@ def test_decompress_throughput(benchmark, batch, label, factory):
 
     restored = benchmark(round_trip)
     assert restored == batch
+
+
+def test_pack_codes_throughput(benchmark, micro_batch):
+    """tcomp32's ``(5-bit length, n-bit value)`` codes, packed alone."""
+    words = np.frombuffer(micro_batch, dtype=np.uint32).astype(np.uint64)
+    bits = np.array([max(int(word).bit_length(), 1) for word in words],
+                    dtype=np.uint64)
+    chunks = ((bits - np.uint64(1)) << bits) | words
+    widths = bits + np.uint64(5)
+    benchmark.extra_info["codes"] = MICRO_WORDS
+    packed = benchmark(lambda: pack_codes(chunks, widths))
+    assert len(packed) == (int(widths.sum()) + 7) // 8
+
+
+def test_analyze_batch_throughput(benchmark, micro_batch):
+    benchmark.extra_info["words"] = MICRO_WORDS
+    stats = benchmark(lambda: analyze_batch(micro_batch))
+    assert stats.symbol_count == MICRO_WORDS
 
 
 def test_tcomp32_fast_path_is_faster(benchmark):

@@ -171,28 +171,48 @@ def pack_codes(chunks: "np.ndarray", widths: "np.ndarray") -> bytes:
 
     ``chunks[i]`` holds code *i* in its low ``widths[i]`` bits; the
     result is byte-identical to writing each code through
-    :class:`BitWriter`. Codes may be up to 56 bits wide (so that a code
-    plus its up-to-7-bit intra-byte offset fits one 64-bit window, whose
-    eight bytes are OR-ed into the output buffer).
+    :class:`BitWriter`, which includes rejecting a chunk that does not
+    fit its width. Codes may be up to 56 bits wide.
+
+    The stream is built as big-endian 64-bit words. Code *i* starts in
+    word ``offset >> 6`` with ``free`` bits left in it: a code that fits
+    is shifted to sit just below the bits already used, and a code that
+    does not fit puts its high bits at the bottom of that word and
+    spills the rest into the top of the next one. Offsets only grow, so
+    the codes that share a start word are adjacent and one
+    ``bitwise_or.reduceat`` combines them; only the last code of a word
+    can spill, so each word receives at most one spilled tail.
     """
     chunks = np.ascontiguousarray(chunks, dtype=np.uint64)
     widths = np.ascontiguousarray(widths, dtype=np.uint64)
-    if chunks.size == 0:
-        return b""
     if chunks.shape != widths.shape:
         raise ValueError("chunks and widths must align")
+    if chunks.size == 0:
+        return b""
     if int(widths.max()) > 56:
         raise ValueError("pack_codes supports codes up to 56 bits")
+    # every shift amount is at most 64, and uint8 arrays are an eighth
+    # of the memory traffic of uint64 ones
+    small_widths = widths.astype(np.uint8)
+    if np.any(chunks >> small_widths):
+        raise ValueError("pack_codes got a chunk wider than its width")
     ends = np.cumsum(widths)
-    offsets = ends - widths
     total_bits = int(ends[-1])
-    byte_start = (offsets >> np.uint64(3)).astype(np.int64)
-    bit_in_byte = offsets & np.uint64(7)
-    windows = chunks << (np.uint64(64) - bit_in_byte - widths)
-    packed = np.zeros((total_bits + 7) // 8 + 8, dtype=np.uint8)
-    for index in range(8):
-        byte_values = (
-            (windows >> np.uint64(56 - 8 * index)) & np.uint64(0xFF)
-        ).astype(np.uint8)
-        np.bitwise_or.at(packed, byte_start + index, byte_values)
-    return packed[: (total_bits + 7) // 8].tobytes()
+    offsets = ends - widths
+    word_index = offsets >> np.uint64(6)
+    free = np.uint8(64) - (offsets & np.uint64(63)).astype(np.uint8)
+    # a code that fits shifts left by free - width; a code that spills
+    # shifts right by its spill, width - free
+    roof = np.maximum(small_widths, free)
+    spill = roof - free
+    heads = (chunks >> spill) << (roof - small_widths)
+    words = np.zeros(total_bits // 64 + 1, dtype=np.uint64)
+    starts = np.flatnonzero(
+        np.concatenate(([True], word_index[1:] != word_index[:-1]))
+    )
+    words[word_index[starts]] = np.bitwise_or.reduceat(heads, starts)
+    spilled = np.flatnonzero(spill != 0)
+    words[word_index[spilled] + 1] |= chunks[spilled] << (
+        np.uint64(64) - spill[spilled]
+    )
+    return words.astype(">u8").tobytes()[: (total_bits + 7) // 8]

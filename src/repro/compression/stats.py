@@ -75,12 +75,22 @@ def _as_words(data: bytes, word_bytes: int) -> np.ndarray:
     return np.frombuffer(data[:usable], dtype=dtype)
 
 
-def _duplication_fraction(words: np.ndarray) -> float:
-    """Fraction of words that are repeats of a value already seen."""
+def _value_counts(words: np.ndarray) -> np.ndarray:
+    """Run length of each distinct value of ``words``, ascending by value.
+
+    The same array ``np.unique(words, return_counts=True)`` returns as
+    its counts, read off the change points of one plain sort.
+    """
     if words.size == 0:
-        return 0.0
-    unique = np.unique(words).size
-    return 1.0 - unique / words.size
+        return np.zeros(0, dtype=np.intp)
+    ordered = np.sort(words)
+    change = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+    return np.diff(np.concatenate(([0], change, [ordered.size])))
+
+
+def _duplication_fraction(distinct: int, size: int) -> float:
+    """Fraction of ``size`` words that repeat a value already seen."""
+    return 1.0 - distinct / size if size else 0.0
 
 
 def analyze_batch(data: bytes) -> BatchStatistics:
@@ -88,13 +98,13 @@ def analyze_batch(data: bytes) -> BatchStatistics:
     symbols = _as_words(data, _SYMBOL_BYTES)
     vocabularies = _as_words(data, _VOCABULARY_BYTES)
 
+    symbol_counts = _value_counts(symbols)
     if symbols.size:
         # Significant bits per symbol; zero needs one bit (Algorithm 2).
         clipped = np.maximum(symbols, 1).astype(np.uint64)
         bits = np.floor(np.log2(clipped.astype(np.float64))).astype(np.int64) + 1
         dynamic_range = float(bits.mean())
-        values, counts = np.unique(symbols, return_counts=True)
-        probabilities = counts / symbols.size
+        probabilities = symbol_counts / symbols.size
         entropy = float(-(probabilities * np.log2(probabilities)).sum())
     else:
         dynamic_range = 0.0
@@ -103,8 +113,12 @@ def analyze_batch(data: bytes) -> BatchStatistics:
     return BatchStatistics(
         size_bytes=len(data),
         symbol_count=int(symbols.size),
-        symbol_duplication=_duplication_fraction(symbols),
-        vocabulary_duplication=_duplication_fraction(vocabularies),
+        symbol_duplication=_duplication_fraction(
+            symbol_counts.size, symbols.size
+        ),
+        vocabulary_duplication=_duplication_fraction(
+            _value_counts(vocabularies).size, vocabularies.size
+        ),
         dynamic_range_bits=dynamic_range,
         symbol_entropy_bits=entropy,
     )

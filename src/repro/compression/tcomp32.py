@@ -77,9 +77,10 @@ class Tcomp32(StatelessCompressor):
     """Stateless 32-bit null-suppression stream compressor.
 
     Two byte-identical encoder implementations are provided: a
-    vectorized numpy path (default — packs every word's
-    ``(5-bit length, n-bit value)`` code with shifted 64-bit windows
-    OR-ed into the output buffer) and a reference loop over
+    vectorized numpy path (default — builds every word's
+    ``(5-bit length, n-bit value)`` code at once and packs them into
+    big-endian 64-bit words with
+    :func:`~repro.compression.bitio.pack_codes`) and a reference loop over
     :class:`~repro.compression.bitio.BitWriter`. ``fast=False`` selects
     the reference path; the test suite asserts their equivalence.
     """

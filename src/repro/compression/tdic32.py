@@ -190,7 +190,12 @@ class Tdic32(StatefulCompressor):
         slots = slots.astype(np.int64)
         signed_words = words.astype(np.int64)
 
-        order = np.argsort(slots, kind="stable")
+        # A stable sort yields one permutation whatever the key width;
+        # on a key of 16 bits or less numpy's stable sort is a radix sort.
+        order = np.argsort(
+            slots.astype(np.min_scalar_type((1 << index_bits) - 1)),
+            kind="stable",
+        )
         sorted_slots = slots[order]
         sorted_words = signed_words[order]
         count = words.size

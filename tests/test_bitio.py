@@ -1,10 +1,16 @@
 """Bit-level I/O: the foundation every codec builds on."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compression.bitio import BitReader, BitWriter, bits_required
+from repro.compression.bitio import (
+    BitReader,
+    BitWriter,
+    bits_required,
+    pack_codes,
+)
 from repro.errors import CorruptStreamError
 
 
@@ -215,3 +221,82 @@ class TestRoundTrip:
         for width in widths:
             expected = (1 << width) - 1 if width else 0
             assert reader.read(width) == expected
+
+
+def _written(codes):
+    """The bytes :class:`BitWriter` produces for ``(chunk, width)`` codes."""
+    writer = BitWriter()
+    for chunk, width in codes:
+        writer.write(chunk, width)
+    return writer.getvalue()
+
+
+def _packed(codes):
+    chunks = np.array([chunk for chunk, _ in codes], dtype=np.uint64)
+    widths = np.array([width for _, width in codes], dtype=np.uint64)
+    return pack_codes(chunks, widths)
+
+
+_codes = st.lists(
+    st.integers(min_value=1, max_value=56).flatmap(
+        lambda width: st.tuples(
+            st.integers(min_value=0, max_value=(1 << width) - 1),
+            st.just(width),
+        )
+    ),
+    max_size=200,
+)
+
+
+class TestPackCodes:
+    """The vectorized packer equals the BitWriter byte for byte."""
+
+    @given(_codes)
+    @settings(max_examples=200, deadline=None)
+    def test_random_widths_match_bitwriter(self, codes):
+        assert _packed(codes) == _written(codes)
+
+    def test_codes_crossing_word_boundaries(self):
+        # 40 + 40 crosses bit 64; 3 * 56 crosses bits 64 and 128 and
+        # leaves a last word holding nothing but a spilled tail; 8 * 8
+        # ends exactly on a word before the next code starts
+        for widths in ([40, 40], [56, 56, 56], [56, 7, 1, 56],
+                       [3, 56, 56], [8] * 8 + [56]):
+            codes = []
+            for index, width in enumerate(widths):
+                mask = (1 << width) - 1
+                codes.append((mask if index % 2 else 0x55555555555555 & mask,
+                              width))
+            assert _packed(codes) == _written(codes)
+
+    def test_all_56_bit_codes(self):
+        codes = [((1 << 56) - 1 - index, 56) for index in range(17)]
+        assert _packed(codes) == _written(codes)
+
+    def test_all_1_bit_codes(self):
+        bits = np.random.default_rng(7).integers(0, 2, 333).tolist()
+        codes = [(bit, 1) for bit in bits]
+        assert _packed(codes) == _written(codes)
+
+    def test_single_code(self):
+        assert _packed([(0b101, 3)]) == bytes([0b1010_0000])
+        assert _packed([(0b101, 3)]) == _written([(0b101, 3)])
+
+    def test_empty_input(self):
+        assert pack_codes(np.zeros(0), np.zeros(0)) == b""
+
+    def test_width_above_56_rejected(self):
+        with pytest.raises(ValueError, match="56 bits"):
+            pack_codes(np.array([1, 1]), np.array([8, 57]))
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="align"):
+            pack_codes(np.array([1, 1]), np.array([8]))
+
+    def test_chunk_wider_than_width_rejected(self):
+        # BitWriter refuses 0b111 in one bit; packing it would OR the
+        # extra bits into the previous code
+        with pytest.raises(ValueError, match="does not fit"):
+            _written([(0b1, 3), (0b111, 1)])
+        with pytest.raises(ValueError, match="wider than its width"):
+            pack_codes(np.array([0b1, 0b111]), np.array([3, 1]))

@@ -405,11 +405,15 @@ class TestPlanSearchBudget:
 
     def test_scenario_searches_each_tenant_kind_once(self, monkeypatch):
         cold = []
+        # holding every counted graph keeps its id from being reused by
+        # a later graph, which would look like a repeated search
+        counted_graphs = []
         original = Scheduler.schedule
 
         def counting(self, *args, **kwargs):
             if kwargs.get("warm_start") is None:
                 # a tenant's canonical graph is one object per scenario
+                counted_graphs.append(self.model.graph)
                 cold.append((id(self.model.graph), self.model.board.name))
             return original(self, *args, **kwargs)
 

@@ -86,3 +86,88 @@ class TestAnalyzeBatch:
         assert 0.0 <= stats.dynamic_range_bits <= 32.0
         assert stats.symbol_entropy_bits >= 0.0
         assert stats.size_bytes == len(data)
+
+
+def _reference_statistics(data):
+    """analyze_batch as written on ``np.unique``, the parity oracle."""
+    symbols = np.frombuffer(data[: len(data) - len(data) % 4], dtype=np.uint32)
+    vocabularies = np.frombuffer(
+        data[: len(data) - len(data) % 8], dtype=np.uint64
+    )
+
+    def duplication(words):
+        if words.size == 0:
+            return 0.0
+        return 1.0 - np.unique(words).size / words.size
+
+    if symbols.size:
+        clipped = np.maximum(symbols, 1).astype(np.uint64)
+        bits = np.floor(np.log2(clipped.astype(np.float64))).astype(np.int64) + 1
+        dynamic_range = float(bits.mean())
+        _, counts = np.unique(symbols, return_counts=True)
+        probabilities = counts / symbols.size
+        entropy = float(-(probabilities * np.log2(probabilities)).sum())
+    else:
+        dynamic_range = 0.0
+        entropy = 0.0
+    return (
+        len(data),
+        int(symbols.size),
+        duplication(symbols),
+        duplication(vocabularies),
+        dynamic_range,
+        entropy,
+    )
+
+
+def _fields(stats):
+    return (
+        stats.size_bytes,
+        stats.symbol_count,
+        stats.symbol_duplication,
+        stats.vocabulary_duplication,
+        stats.dynamic_range_bits,
+        stats.symbol_entropy_bits,
+    )
+
+
+class TestAnalyzeBatchParity:
+    """Every field equals the np.unique reference exactly, not approx."""
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(0, 7),
+                st.integers(0, 0xFFFF),
+                st.integers(0, 0xFFFFFFFF),
+            ),
+            max_size=400,
+        ),
+        st.binary(max_size=7),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_batches(self, words, tail):
+        data = np.array(words, dtype=np.uint32).tobytes() + tail
+        assert _fields(analyze_batch(data)) == _reference_statistics(data)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"",
+            b"\x01\x02\x03",
+            np.array([0xDEADBEEF], dtype=np.uint32).tobytes(),
+            np.full(64, 7, dtype=np.uint32).tobytes(),
+            np.full(65, 7, dtype=np.uint32).tobytes(),
+            np.arange(3, dtype=np.uint32).tobytes(),
+            np.arange(5, dtype=np.uint32).tobytes() + b"\xff\xff",
+            np.random.default_rng(3)
+            .integers(0, 40, 16387, dtype=np.uint32)
+            .tobytes(),
+        ],
+        ids=[
+            "empty", "under-one-word", "one-word", "all-equal",
+            "all-equal-odd-count", "12-bytes", "22-bytes", "16387-words",
+        ],
+    )
+    def test_edge_batches(self, data):
+        assert _fields(analyze_batch(data)) == _reference_statistics(data)

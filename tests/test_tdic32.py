@@ -221,6 +221,31 @@ class TestFastPath:
             Tdic32(fast=False).compress(data).payload
         )
 
+    @pytest.mark.parametrize("index_bits", [2, 12, 16, 17, 24])
+    def test_multi_batch_stream_at_every_sort_key_width(
+        self, index_bits, rovio_data
+    ):
+        """Slot ids sort on uint8/uint16 keys (radix) up to 16 index
+        bits and on uint32 keys (comparison sort) above; the permutation
+        and therefore the payload and the table are the same."""
+        repeats = words_to_bytes(
+            np.random.default_rng(index_bits).integers(0, 600, 1500).tolist()
+        )
+        batches = [rovio_data[:4096], repeats, rovio_data[4096:8192], repeats]
+
+        def encode(fast):
+            codec = Tdic32(index_bits=index_bits, fast=fast)
+            payloads = [codec.compress(batch).payload for batch in batches]
+            filled = np.flatnonzero(codec._table >= 0)
+            # keep only the filled slots: a 2**24-slot table is 128 MiB
+            return payloads, filled, codec._table[filled]
+
+        fast_payloads, fast_slots, fast_words = encode(True)
+        payloads, slots, words = encode(False)
+        assert fast_payloads == payloads
+        assert np.array_equal(fast_slots, slots)
+        assert np.array_equal(fast_words, words)
+
     def test_fast_round_trips(self, rovio_data):
         codec = Tdic32(fast=True)
         payload = codec.compress(rovio_data).payload
