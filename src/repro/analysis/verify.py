@@ -473,7 +473,8 @@ def iter_chrome_events(payload: Any) -> Iterable[Dict[str, Any]]:
 def iter_recorder_events(recorder: Any) -> Iterable[Dict[str, Any]]:
     """Normalized event dicts straight from a live
     :class:`repro.obs.trace.TraceRecorder` (duck-typed: anything with an
-    ``events`` list of ``TraceEvent``-shaped objects)."""
+    ``events`` list of ``TraceEvent``-shaped objects). A recorder builds
+    that list from its row buffer on every read, so it is read once."""
     for index, event in enumerate(recorder.events):
         yield {
             "index": index,

@@ -484,7 +484,7 @@ def _command_trace(args) -> int:
     print()
     print(result.trace_summary.format(board=board))
     print()
-    print(f"wrote {len(recorder.events)} events to {out} "
+    print(f"wrote {recorder.summary().event_count} events to {out} "
           "(open in https://ui.perfetto.dev or chrome://tracing)")
     if args.gantt:
         print()
@@ -626,7 +626,7 @@ def _command_adapt(args) -> int:
 
         write_chrome_trace(recorder, args.out, board=board)
         print(
-            f"wrote {len(recorder.events)} events to {args.out} "
+            f"wrote {recorder.summary().event_count} events to {args.out} "
             f"({recorder.replans} replans, "
             f"{recorder.plan_migrations} migrations)"
         )
@@ -703,7 +703,7 @@ def _command_chaos(args) -> int:
 
         write_chrome_trace(recorder, args.out, board=board)
         print(
-            f"wrote {len(recorder.events)} events to {args.out} "
+            f"wrote {recorder.summary().event_count} events to {args.out} "
             f"({recorder.core_failures} core failures, "
             f"{recorder.corrupted_batches} corrupted batches, "
             f"{recorder.batch_retries} retries)"

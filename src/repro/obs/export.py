@@ -20,7 +20,8 @@ Mapping choices:
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional
+from itertools import islice
+from typing import Any, Dict, Iterator
 
 from repro.obs.trace import (
     TID_GOVERNOR,
@@ -37,22 +38,17 @@ _SYNTHETIC_TRACKS = {
     TID_RUNTIME: "runtime",
 }
 
-
-def _json_safe(value: Any) -> Any:
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(item) for item in value]
-    if isinstance(value, dict):
-        return {str(key): _json_safe(item) for key, item in value.items()}
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return repr(value)
+#: records per ``json.dumps`` call in :func:`write_chrome_trace`; picked
+#: by peak RSS of the ``traced`` benchmark (DESIGN.md, trace row buffer)
+_CHUNK = 512
 
 
-def chrome_trace(recorder: TraceRecorder, board=None) -> Dict[str, Any]:
-    """Render a recorder as a Chrome trace-event JSON object."""
-    events: List[Dict[str, Any]] = []
-    pids = sorted({event.pid for event in recorder.events}) or [0]
-    tids = sorted({event.tid for event in recorder.events})
+def _records(recorder: TraceRecorder, board=None) -> Iterator[Dict[str, Any]]:
+    """The ``traceEvents`` records: the ``M`` metadata naming every
+    process and thread, then one dict per row of the recorder's buffer."""
+    rows = recorder._rows
+    pids = sorted({row[3] for row in rows}) or [0]
+    tids = sorted({row[4] for row in rows})
 
     thread_names = dict(_SYNTHETIC_TRACKS)
     if board is not None:
@@ -63,50 +59,44 @@ def chrome_trace(recorder: TraceRecorder, board=None) -> Dict[str, Any]:
             )
 
     for pid in pids:
-        events.append(
-            {
-                "name": "process_name",
+        yield {
+            "name": "process_name",
+            "ph": "M",
+            "pid": pid,
+            "tid": 0,
+            "args": {"name": f"repetition {pid}"},
+        }
+        for tid in tids:
+            yield {
+                "name": "thread_name",
                 "ph": "M",
                 "pid": pid,
-                "tid": 0,
-                "args": {"name": f"repetition {pid}"},
+                "tid": tid,
+                "args": {"name": thread_names.get(tid, f"track {tid}")},
             }
-        )
-        for tid in tids:
-            name = thread_names.get(tid, f"track {tid}")
-            events.append(
-                {
-                    "name": "thread_name",
-                    "ph": "M",
-                    "pid": pid,
-                    "tid": tid,
-                    "args": {"name": name},
-                }
-            )
 
-    for event in recorder.events:
+    for name, phase, ts_us, pid, tid, dur_us, category, args in rows:
         record: Dict[str, Any] = {
-            "name": event.name,
-            "ph": event.phase,
-            "ts": event.ts_us,
-            "pid": event.pid,
-            "tid": event.tid,
-            "cat": event.category,
+            "name": name,
+            "ph": phase,
+            "ts": ts_us,
+            "pid": pid,
+            "tid": tid,
+            "cat": category,
         }
-        if event.phase == "X":
-            record["dur"] = event.dur_us
-        if event.phase == "i":
+        if phase == "X":
+            record["dur"] = dur_us
+        elif phase == "i":
             record["s"] = "t"  # thread-scoped instant
-        if event.phase == "C":
+        if phase == "C":
             # Counter events draw their series from args.
-            args = dict(event.args)
-            record["args"] = {"value": _json_safe(args.get("value", 0))}
-        elif event.args:
-            record["args"] = {
-                key: _json_safe(value) for key, value in event.args
-            }
-        events.append(record)
+            record["args"] = {"value": dict(args).get("value", 0)}
+        elif args:
+            record["args"] = dict(args)
+        yield record
 
+
+def _payload(recorder: TraceRecorder, events) -> Dict[str, Any]:
     summary = recorder.summary()
     return {
         "traceEvents": events,
@@ -123,12 +113,35 @@ def chrome_trace(recorder: TraceRecorder, board=None) -> Dict[str, Any]:
     }
 
 
-def write_chrome_trace(
-    recorder: TraceRecorder, path: str, board=None, indent: Optional[int] = None
-) -> str:
-    """Write the recorder to ``path`` as Chrome trace JSON; returns path."""
-    payload = chrome_trace(recorder, board=board)
+def chrome_trace(recorder: TraceRecorder, board=None) -> Dict[str, Any]:
+    """Render a recorder as a Chrome trace-event JSON object.
+
+    Arg values are as recorded; the file :func:`write_chrome_trace`
+    writes is this object through ``json.dumps(..., default=repr)``
+    (tuples become lists, values JSON cannot hold their ``repr``)."""
+    return _payload(recorder, list(_records(recorder, board)))
+
+
+def write_chrome_trace(recorder: TraceRecorder, path: str, board=None) -> str:
+    """Write the recorder to ``path`` as Chrome trace JSON; returns path.
+
+    The bytes are those of ``json.dump(chrome_trace(...), default=repr)``,
+    but the events go through the C encoder of ``json.dumps``
+    (``json.dump`` only has the pure-Python one) in chunks of
+    :data:`_CHUNK` records, so the full list of event dicts is never
+    built."""
+    # the payload with an empty event list, cut where the events go
+    head, tail = json.dumps(_payload(recorder, [])).split("[]", 1)
+    records = _records(recorder, board)
     with open(path, "w", encoding="utf-8") as sink:
-        json.dump(payload, sink, indent=indent)
-        sink.write("\n")
+        sink.write(head + "[")
+        separator = ""
+        while True:
+            chunk = list(islice(records, _CHUNK))
+            if not chunk:
+                break
+            sink.write(separator)
+            sink.write(json.dumps(chunk, default=repr)[1:-1])
+            separator = ", "
+        sink.write("]" + tail + "\n")
     return path

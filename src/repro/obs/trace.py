@@ -26,6 +26,12 @@ Event timestamps are simulated microseconds; the ``pid`` of an event is
 the repetition it belongs to (so multi-repetition traces open as one
 process per repetition in Perfetto) and the ``tid`` is the core id, or
 one of the ``TID_*`` synthetic tracks for non-core actors.
+
+Events live in one row buffer: each hook appends a plain tuple in
+:class:`TraceEvent` field order, its ``args`` pairs already sorted by
+key. :func:`repro.obs.export.write_chrome_trace` streams those rows
+straight to JSON; :attr:`TraceRecorder.events` builds the dataclasses
+on each read, for tests and verifiers.
 """
 
 from __future__ import annotations
@@ -84,15 +90,9 @@ class TraceRecorder:
         #: also record engine-level process resume/end instants (noisy;
         #: off by default, ``cstream trace --process-events`` turns it on)
         self.process_events = process_events
-        # Batched dispatch: hooks append one raw tuple (pid captured at
-        # emit time) to ``_pending``; :attr:`events` materializes the
-        # frozen TraceEvent dataclasses on first read. Constructing a
-        # dataclass per event inside the DES hot loop cost more than the
-        # hooks' own bookkeeping; the flushed stream is field-for-field
-        # the stream eager construction produced. Counters stay eager —
-        # hooks read them back mid-run (cumulative counter events).
-        self._events: List[TraceEvent] = []
-        self._pending: List[tuple] = []
+        # The row buffer (module docstring). Counters stay eager: hooks
+        # read them back mid-run (cumulative counter events).
+        self._rows: List[tuple] = []
         self.repetition = 0
         # aggregate counters (the raw material of TraceSummary)
         self.repetitions_seen = 0
@@ -144,44 +144,17 @@ class TraceRecorder:
         tid: int,
         dur_us: float = 0.0,
         category: str = "sim",
-        **args: Any,
+        args: Tuple[Tuple[str, Any], ...] = (),
     ) -> None:
-        self._pending.append(
-            (
-                name,
-                phase,
-                ts_us,
-                self.repetition,
-                tid,
-                dur_us,
-                category,
-                tuple(sorted(args.items())),
-            )
+        """Append one row; ``args`` pairs must already be sorted by key."""
+        self._rows.append(
+            (name, phase, ts_us, self.repetition, tid, dur_us, category, args)
         )
-
-    def _flush(self) -> None:
-        pending = self._pending
-        if pending:
-            self._events.extend(
-                TraceEvent(
-                    name=raw[0],
-                    phase=raw[1],
-                    ts_us=raw[2],
-                    pid=raw[3],
-                    tid=raw[4],
-                    dur_us=raw[5],
-                    category=raw[6],
-                    args=raw[7],
-                )
-                for raw in pending
-            )
-            pending.clear()
 
     @property
     def events(self) -> List[TraceEvent]:
-        """The recorded stream, in emission order (flushes the buffer)."""
-        self._flush()
-        return self._events
+        """The recorded stream, in emission order (a new list per read)."""
+        return [TraceEvent(*row) for row in self._rows]
 
     # -- executor / engine hooks --------------------------------------------
 
@@ -193,8 +166,8 @@ class TraceRecorder:
             self.core_busy_us.get(core_id, 0.0) + (end_us - start_us)
         )
         self._emit(
-            name, "X", start_us, core_id,
-            dur_us=end_us - start_us, category="task", **args,
+            name, "X", start_us, core_id, end_us - start_us, "task",
+            tuple(sorted(args.items())),
         )
 
     def context_switch(self, core_id: int, count: float, ts_us: float) -> None:
@@ -204,14 +177,14 @@ class TraceRecorder:
         self.context_switches += count
         self._emit(
             "context_switches", "C", ts_us, core_id,
-            category="os", value=self.context_switches,
+            category="os", args=(("value", self.context_switches),),
         )
 
     def migration(self, core_id: int, ts_us: float) -> None:
         self.migrations += 1
         self._emit(
             "migration", "i", ts_us, core_id, category="os",
-            total=self.migrations,
+            args=(("total", self.migrations),),
         )
 
     def dvfs_transition(
@@ -220,14 +193,15 @@ class TraceRecorder:
         self.dvfs_transitions += 1
         self._emit(
             "dvfs-transition", "i", ts_us, TID_GOVERNOR, category="dvfs",
-            core=core_id, from_mhz=from_mhz, to_mhz=to_mhz,
+            args=(("core", core_id), ("from_mhz", from_mhz),
+                  ("to_mhz", to_mhz)),
         )
 
     def fault(self, core_id: int, ts_us: float, frequency_mhz: float) -> None:
         self.fault_injections += 1
         self._emit(
             "fault-injected", "i", ts_us, TID_RUNTIME, category="fault",
-            core=core_id, capped_mhz=frequency_mhz,
+            args=(("capped_mhz", frequency_mhz), ("core", core_id)),
         )
 
     def core_failure(
@@ -241,7 +215,7 @@ class TraceRecorder:
         self.core_failures += 1
         self._emit(
             "core-failure", "i", ts_us, TID_RUNTIME, category="fault",
-            core=core_id, failover=failover_core,
+            args=(("core", core_id), ("failover", failover_core)),
         )
 
     def core_stall(
@@ -252,7 +226,7 @@ class TraceRecorder:
         self.core_stalls += 1
         self._emit(
             "core-stall", "i", ts_us, TID_RUNTIME, category="fault",
-            core=core_id, stall_us=stall_us,
+            args=(("core", core_id), ("stall_us", stall_us)),
         )
 
     def interconnect_degraded(
@@ -263,7 +237,7 @@ class TraceRecorder:
         self.interconnect_faults += 1
         self._emit(
             "interconnect-degraded", "i", ts_us, TID_RUNTIME,
-            category="fault", path=path, factor=factor,
+            category="fault", args=(("factor", factor), ("path", path)),
         )
 
     def batch_corrupted(
@@ -280,7 +254,8 @@ class TraceRecorder:
         self.corrupted_batches += 1
         self._emit(
             "batch-corrupted", "i", ts_us, TID_RUNTIME, category="fault",
-            batch=batch_index, attempts=attempts, exhausted=exhausted,
+            args=(("attempts", attempts), ("batch", batch_index),
+                  ("exhausted", exhausted)),
         )
 
     def batch_retry(
@@ -294,21 +269,23 @@ class TraceRecorder:
         self.batch_retries += 1
         self._emit(
             "batch-retry", "i", ts_us, TID_RUNTIME, category="fault",
-            batch=batch_index, attempt=attempt, backoff_us=backoff_us,
+            args=(("attempt", attempt), ("backoff_us", backoff_us),
+                  ("batch", batch_index)),
         )
 
     def batch_complete(self, batch_index: int, ts_us: float) -> None:
         self.batches_completed += 1
         self._emit(
             "batch-complete", "i", ts_us, TID_RUNTIME, category="pipeline",
-            batch=batch_index,
+            args=(("batch", batch_index),),
         )
 
     def queue_depth(self, queue: str, depth: int, ts_us: float) -> None:
         if depth > self.queue_highwater.get(queue, 0):
             self.queue_highwater[queue] = depth
         self._emit(
-            queue, "C", ts_us, TID_RUNTIME, category="queue", value=depth,
+            queue, "C", ts_us, TID_RUNTIME, category="queue",
+            args=(("value", depth),),
         )
 
     def energy_sample(self, kind: str, energy_uj: float, ts_us: float) -> None:
@@ -319,14 +296,14 @@ class TraceRecorder:
             self.energy_overhead_uj += energy_uj
         self._emit(
             f"energy.{kind}", "C", ts_us, TID_RUNTIME, category="energy",
-            value=self.energy_busy_uj + self.energy_overhead_uj,
+            args=(("value", self.energy_busy_uj + self.energy_overhead_uj),),
         )
 
     def placement(self, name: str, cores: Tuple[int, ...]) -> None:
         """A scheduler placement decision (e.g. one EAS wake-up round)."""
         self._emit(
             name, "i", 0.0, TID_OS_SCHED, category="sched",
-            cores=tuple(cores),
+            args=(("cores", tuple(cores)),),
         )
 
     def process_event(self, kind: str, name: str, ts_us: float) -> None:
@@ -352,9 +329,10 @@ class TraceRecorder:
             self.replans_adopted += 1
         self._emit(
             "replan", "i", ts_us, TID_RUNTIME, category="control",
-            window=window_index, adopted=adopted, reason=reason,
-            energy_uj_per_byte=energy_uj_per_byte,
-            warm_start_hits=warm_start_hits,
+            args=(("adopted", adopted),
+                  ("energy_uj_per_byte", energy_uj_per_byte),
+                  ("reason", reason), ("warm_start_hits", warm_start_hits),
+                  ("window", window_index)),
         )
 
     def plan_migration(
@@ -374,8 +352,8 @@ class TraceRecorder:
         self._emit(
             "plan-migration", "X", start_us, TID_RUNTIME,
             dur_us=pause_us, category="control",
-            window=window_index, moved_replicas=moved_replicas,
-            energy_uj=energy_uj, moves=description,
+            args=(("energy_uj", energy_uj), ("moved_replicas", moved_replicas),
+                  ("moves", description), ("window", window_index)),
         )
 
     # -- digest --------------------------------------------------------------
@@ -396,7 +374,7 @@ class TraceRecorder:
             queue_highwater=tuple(sorted(self.queue_highwater.items())),
             energy_busy_uj=self.energy_busy_uj,
             energy_overhead_uj=self.energy_overhead_uj,
-            event_count=len(self._events) + len(self._pending),
+            event_count=len(self._rows),
             scheduler=tuple(scheduler),
         )
 

@@ -4,10 +4,13 @@ Recorder aggregation, Chrome trace export, the dependency-free schema
 checker, and the process-wide metrics registry.
 """
 
+import inspect
 import json
 
+import numpy as np
 import pytest
 
+from repro.obs import export
 from repro.obs import (
     MetricsRegistry,
     TraceRecorder,
@@ -157,6 +160,126 @@ class TestChromeExport:
         with open(path) as source:
             payload = json.load(source)
         assert validate_trace(payload) == []
+
+
+def _instants(count: int) -> TraceRecorder:
+    recorder = TraceRecorder()
+    for index in range(count):
+        recorder.batch_complete(index, float(index))
+    return recorder
+
+
+class TestStreamedWriter:
+    """``write_chrome_trace`` writes what ``json.dump`` of
+    :func:`chrome_trace` would, whatever the chunking."""
+
+    @staticmethod
+    def _written(recorder, tmp_path, board=None) -> str:
+        path = write_chrome_trace(recorder, str(tmp_path / "t.json"), board)
+        with open(path, encoding="utf-8") as source:
+            return source.read()
+
+    @staticmethod
+    def _dumped(recorder, board=None) -> str:
+        payload = chrome_trace(recorder, board=board)
+        return json.dumps(payload, default=repr) + "\n"
+
+    def test_empty_recorder(self, tmp_path):
+        recorder = TraceRecorder()
+        text = self._written(recorder, tmp_path)
+        assert text == self._dumped(recorder)
+        assert [e["name"] for e in json.loads(text)["traceEvents"]] == [
+            "process_name"
+        ]
+
+    # one repetition on one track: two metadata records precede the rows
+    @pytest.mark.parametrize(
+        "rows", [export._CHUNK - 2, export._CHUNK - 1], ids=["one", "one+1"]
+    )
+    def test_chunk_boundaries(self, rows, tmp_path):
+        recorder = _instants(rows)
+        text = self._written(recorder, tmp_path)
+        assert text == self._dumped(recorder)
+        assert len(json.loads(text)["traceEvents"]) == rows + 2
+
+    def test_small_recorder_with_board(self, tmp_path):
+        recorder = small_recorder()
+        board = rk3399()
+        assert self._written(recorder, tmp_path, board) == self._dumped(
+            recorder, board
+        )
+
+    def test_args_json_cannot_hold_export_as_repr(self, tmp_path):
+        class Opaque:
+            def __repr__(self):
+                return "<opaque>"
+
+        recorder = TraceRecorder()
+        recorder.span(
+            "t", 1, 0.0, 1.0,
+            count=np.int64(3), blob=Opaque(), pair=(1, (2, 3)),
+        )
+        event = json.loads(self._written(recorder, tmp_path))["traceEvents"][-1]
+        assert event["args"] == {
+            "blob": "<opaque>",
+            "count": repr(np.int64(3)),
+            "pair": [1, [2, 3]],
+        }
+
+
+#: one call per recorder hook, with the arg keys its row must carry
+HOOK_CALLS = {
+    "span": (("compress", 1, 0.0, 5.0), {"zeta": 1, "batch": 0},
+             ("batch", "zeta")),
+    "context_switch": ((1, 2.0, 5.0), {}, ("value",)),
+    "migration": ((2, 6.0), {}, ("total",)),
+    "dvfs_transition": ((1, 1416.0, 1800.0, 7.0), {},
+                        ("core", "from_mhz", "to_mhz")),
+    "fault": ((2, 8.0, 600.0), {}, ("capped_mhz", "core")),
+    "core_failure": ((4, 0, 9.0), {}, ("core", "failover")),
+    "core_stall": ((1, 10.0, 400.0), {}, ("core", "stall_us")),
+    "interconnect_degraded": (("c1", 11.0, 6.0), {}, ("factor", "path")),
+    "batch_corrupted": ((3, 12.0, 2), {"exhausted": True},
+                        ("attempts", "batch", "exhausted")),
+    "batch_retry": ((3, 1, 13.0), {"backoff_us": 5.0},
+                    ("attempt", "backoff_us", "batch")),
+    "batch_complete": ((3, 14.0), {}, ("batch",)),
+    "queue_depth": (("q.s1r0.p0", 2, 15.0), {}, ("value",)),
+    "energy_sample": (("busy", 3.5, 16.0), {}, ("value",)),
+    "placement": (("eas_place", (4, 5)), {}, ("cores",)),
+    "process_event": (("resume", "stage-1", 17.0), {}, ()),
+    "replan": ((2, 18.0, True, "cheaper", 0.42), {"warm_start_hits": 3},
+               ("adopted", "energy_uj_per_byte", "reason",
+                "warm_start_hits", "window")),
+    "plan_migration": ((2, 19.0, 250.0, 1, 12.5, "s1r0 0->4"), {},
+                       ("energy_uj", "moved_replicas", "moves", "window")),
+}
+
+
+class TestHookContract:
+    def test_every_hook_is_covered(self):
+        structure = {"begin_repetition", "end_repetition", "summary"}
+        hooks = {
+            name
+            for name, member in inspect.getmembers(TraceRecorder)
+            if inspect.isfunction(member)
+            and not name.startswith("_")
+            and name not in structure
+        }
+        assert hooks == set(HOOK_CALLS)
+
+    @pytest.mark.parametrize("hook", sorted(HOOK_CALLS))
+    def test_row_args_sorted_by_key(self, hook):
+        positional, keywords, keys = HOOK_CALLS[hook]
+        recorder = TraceRecorder()
+        recorder.begin_repetition(3)
+        getattr(recorder, hook)(*positional, **keywords)
+        (row,) = recorder._rows
+        args = row[-1]
+        assert args == tuple(sorted(args))
+        assert tuple(key for key, _ in args) == keys
+        (event,) = recorder.events
+        assert event.pid == 3 and event.args == args
 
 
 class TestChecker:

@@ -9,6 +9,7 @@ and an ondemand-governed OS cell shows nonzero context-switch,
 migration and DVFS counters.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -16,9 +17,13 @@ import pytest
 from repro.analysis.verify import errors_only, verify_chrome_payload
 from repro.bench.cache import ResultCache
 from repro.bench.harness import Harness, WorkloadSpec
+from repro.control.session import SessionSpec, run_adaptive_session
+from repro.faults.chaos import ChaosSpec, run_chaos_session
 from repro.faults.model import CoreFailure, CoreStall, DvfsThrottle, FaultPlan
-from repro.obs.export import chrome_trace
+from repro.obs.export import chrome_trace, write_chrome_trace
 from repro.obs.check import validate_trace
+from repro.obs.trace import TraceRecorder
+from repro.simcore.boards import rk3399
 
 BATCH = 8192
 
@@ -206,3 +211,95 @@ class TestPercentiles:
         only = result.repetitions[0].latency_us_per_byte
         assert result.p50_latency_us_per_byte == pytest.approx(only)
         assert result.p99_latency_us_per_byte == pytest.approx(only)
+
+
+def _golden_cell():
+    """The golden suite's traced cell (tests/test_golden_identity.py)."""
+    harness = Harness(
+        repetitions=3, batches_per_repetition=5, profile_batches=4,
+        seed=0, cache=None, jobs=1,
+    )
+    _, recorder = harness.run_traced(
+        WorkloadSpec.of("tcomp32", "rovio", batch_size=16384), "CStream"
+    )
+    return recorder, harness.board
+
+
+def _os_process_events():
+    harness = make_harness()
+    _, recorder = harness.run_traced(spec_of(), "OS", process_events=True)
+    return recorder, harness.board
+
+
+def _session_harness():
+    return Harness(
+        board=rk3399(), repetitions=1, batches_per_repetition=18,
+        profile_batches=3, cache=None,
+    )
+
+
+def _chaos_failure_corruption():
+    harness, recorder = _session_harness(), TraceRecorder()
+    run_chaos_session(
+        harness,
+        ChaosSpec(scenario="core-failure+corruption", batch_bytes=BATCH),
+        trace=recorder,
+    )
+    return recorder, harness.board
+
+
+def _adapt_phase_shift():
+    harness, recorder = _session_harness(), TraceRecorder()
+    run_adaptive_session(
+        harness, SessionSpec(scenario="phase-shift"), trace=recorder
+    )
+    return recorder, harness.board
+
+
+#: sha256 of the exported file, taken from the ``json.dump`` writer that
+#: preceded the chunked one; the streamed export must keep these bytes
+EXPORT_SHA256 = {
+    "golden-cell": (
+        _golden_cell,
+        "29a60c0cc4d01a5cc2d91c33ae651390120b8c26288db1d77f9a933280a82687",
+    ),
+    "os-process-events": (
+        _os_process_events,
+        "b4f1714c8c5cb31ec4b7bc249eda236a157d4937086b811295445560e401830a",
+    ),
+    "chaos-failure-corruption": (
+        _chaos_failure_corruption,
+        "64e8e46616061167b0af9e34a90c2151bfb6feadd9d85f73c74b27f47fa77058",
+    ),
+    "adapt-phase-shift": (
+        _adapt_phase_shift,
+        "401079474d7959cb3ef57b4cd6ac627d7b640c3661ea817bde4a0651d0e36bb7",
+    ),
+}
+
+
+class TestExportBytes:
+    """The Chrome export is pinned byte for byte."""
+
+    @pytest.mark.parametrize("name", sorted(EXPORT_SHA256))
+    def test_export_bytes_pinned(self, name, tmp_path):
+        build, expected = EXPORT_SHA256[name]
+        recorder, board = build()
+        path = write_chrome_trace(recorder, str(tmp_path / "t.json"), board)
+        with open(path, "rb") as source:
+            data = source.read()
+        assert hashlib.sha256(data).hexdigest() == expected
+        # the dict API and the streamed writer describe the same trace
+        # (through JSON: placement args hold tuples, the file has lists)
+        payload = chrome_trace(recorder, board=board)
+        assert json.loads(data) == json.loads(json.dumps(payload, default=repr))
+
+    def test_hooks_of_interest_are_in_the_pinned_traces(self):
+        names = set()
+        for name in ("chaos-failure-corruption", "adapt-phase-shift"):
+            recorder, _ = EXPORT_SHA256[name][0]()
+            names |= {event.name for event in recorder.events}
+        assert {
+            "core-failure", "batch-corrupted", "batch-retry",
+            "replan", "plan-migration",
+        } <= names
