@@ -18,17 +18,12 @@ whole-program view:
 * **Resolution** — call chains are resolved against the symbol table:
   bare names through imports to module functions, ``self.m()`` through
   the class and its project bases, ``obj.m()`` through the inferred
-  receiver type, module-level singletons (``REGISTRY.inc``) through
+  receiver type, module-level singletons (``_BIG_ETA.value``) through
   module variable types, and — when the receiver is unknown — a *duck*
   edge to the method's unique project-wide definition. Calls that stay
   ambiguous (unknown receiver and zero or several candidate classes,
   bare calls of local callables) land on an explicit
   :attr:`CallGraph.worklist` instead of silently vanishing.
-* **Caching** — extraction is the expensive part, so summaries are
-  cached per file keyed on the source's SHA-256 (plus
-  :data:`ANALYSIS_VERSION`); an unchanged file is never re-parsed. The
-  CI ``static-analysis`` job keeps the cache file between runs keyed on
-  the tree hash of ``src/repro``.
 
 Known conservatism (also summarised in DESIGN.md): nested functions and
 lambdas are attributed to their enclosing def; property *reads* are not
@@ -39,16 +34,13 @@ multi-candidate dynamic calls are reported, not expanded.
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 import os
-from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis import lint
 
 __all__ = [
-    "ANALYSIS_VERSION",
     "SOURCE_KIND_BY_RULE",
     "SourceSite",
     "CallSite",
@@ -61,9 +53,6 @@ __all__ = [
     "build_graph",
     "iter_package_files",
 ]
-
-#: bump to invalidate every cached :class:`ModuleSummary`
-ANALYSIS_VERSION = 1
 
 #: CSA rule -> taint-source kind; the taint pass *reuses* the linter's
 #: matchers, so these five rules are the single definition of what a
@@ -159,7 +148,6 @@ class ModuleSummary:
     module: str
     package: str
     path: str
-    sha256: str
     aliases: Dict[str, str] = field(default_factory=dict)
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
     classes: Dict[str, ClassInfo] = field(default_factory=dict)
@@ -175,10 +163,6 @@ class UnresolvedCall:
     chain: Tuple[str, ...]
     reason: str
     candidates: Tuple[str, ...] = ()
-
-
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _chain_of(node: ast.AST) -> Optional[Tuple[str, ...]]:
@@ -382,7 +366,7 @@ class _Extractor(ast.NodeVisitor):
     # -- module level ------------------------------------------------------
 
     def visit_Assign(self, node: ast.Assign) -> None:
-        # Module-level singletons: ``REGISTRY = MetricsRegistry()``.
+        # Module-level singletons: ``_BIG_ETA = PiecewiseRoofline(...)``.
         if len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
             cls_name = _class_name_of(node.value)
             if cls_name:
@@ -406,9 +390,7 @@ def _det_suppressed(line_text: str, kind: str) -> bool:
     return wanted in codes
 
 
-def extract_module(
-    path: str, module: str, source: Optional[str] = None
-) -> ModuleSummary:
+def extract_module(path: str, module: str) -> ModuleSummary:
     """Parse one file into a :class:`ModuleSummary`.
 
     Sources are detected by re-running the CSA linter with the strict
@@ -418,16 +400,10 @@ def extract_module(
     told to ignore (with its audited why-comment) is not a source;
     ``# det: ignore[DET00x]`` works the same way for flow-only sites.
     """
-    if source is None:
-        with open(path, "r", encoding="utf-8") as handle:
-            source = handle.read()
+    with open(path, "r", encoding="utf-8") as handle:
+        source = handle.read()
     package = module.split(".")[1] if module.count(".") else ""
-    summary = ModuleSummary(
-        module=module,
-        package=package,
-        path=path,
-        sha256=_sha256(source),
-    )
+    summary = ModuleSummary(module=module, package=package, path=path)
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError:
@@ -688,7 +664,7 @@ class CallGraph:
             self._duck(caller, site, chain[-1])
             return
 
-        # Module-level singleton (``REGISTRY.inc``).
+        # Module-level singleton (``_BIG_ETA.value``).
         var_type = module.module_var_types.get(head)
         if var_type is not None and len(chain) >= 2:
             cls_info = self._resolve_class_name(var_type, module)
@@ -787,7 +763,7 @@ class CallGraph:
                 self._duck(caller, site, last)
             return
         # ``module.SINGLETON.method`` — a module-level instance imported
-        # from elsewhere (``from repro.obs.registry import REGISTRY``).
+        # from elsewhere (``from repro.simcore.boards import _BIG_ETA``).
         if owning is not None and cls_name in owning.module_var_types:
             cls_info = self._resolve_class_name(
                 owning.module_var_types[cls_name], owning
@@ -854,111 +830,10 @@ class CallGraph:
         return sorted(hits, key=lambda f: f.qualname)
 
 
-# -- cache --------------------------------------------------------------------
-
-
-def _summary_to_dict(summary: ModuleSummary) -> Dict[str, Any]:
-    return asdict(summary)
-
-
-def _function_from_dict(data: Mapping[str, Any]) -> FunctionInfo:
-    return FunctionInfo(
-        qualname=data["qualname"],
-        module=data["module"],
-        cls=data["cls"],
-        name=data["name"],
-        line=data["line"],
-        end_line=data["end_line"],
-        params=tuple(data["params"]),
-        contract=data["contract"],
-        sources=tuple(SourceSite(**s) for s in data["sources"]),
-        calls=tuple(
-            CallSite(line=c["line"], chain=tuple(c["chain"]))
-            for c in data["calls"]
-        ),
-        local_types=dict(data["local_types"]),
-    )
-
-
-def _summary_from_dict(data: Mapping[str, Any]) -> ModuleSummary:
-    summary = ModuleSummary(
-        module=data["module"],
-        package=data["package"],
-        path=data["path"],
-        sha256=data["sha256"],
-        aliases=dict(data["aliases"]),
-        module_var_types=dict(data["module_var_types"]),
-    )
-    summary.functions = {
-        name: _function_from_dict(fn)
-        for name, fn in data["functions"].items()
-    }
-    for name, cls in data["classes"].items():
-        info = ClassInfo(
-            qualname=cls["qualname"],
-            module=cls["module"],
-            name=cls["name"],
-            line=cls["line"],
-            bases=tuple(cls["bases"]),
-            attr_types=dict(cls["attr_types"]),
-        )
-        info.methods = {
-            m_name: _function_from_dict(m)
-            for m_name, m in cls["methods"].items()
-        }
-        summary.classes[name] = info
-    return summary
-
-
-def build_graph(
-    root: str, cache_path: Optional[str] = None
-) -> Tuple[CallGraph, Dict[str, int]]:
-    """Extract (with per-file SHA-keyed caching) and resolve the graph.
-
-    Returns the graph plus cache statistics (``hits``/``misses``) so the
-    CLI and CI can report whether the AST cache did its job.
-    """
-    cached: Dict[str, Any] = {}
-    if cache_path is not None and os.path.exists(cache_path):
-        try:
-            with open(cache_path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-            if payload.get("version") == ANALYSIS_VERSION:
-                cached = payload.get("files", {})
-        except (OSError, ValueError):
-            cached = {}
-
-    summaries: List[ModuleSummary] = []
-    fresh: Dict[str, Any] = {}
-    stats = {"hits": 0, "misses": 0}
-    for path, module in iter_package_files(root):
-        with open(path, "r", encoding="utf-8") as handle:
-            source = handle.read()
-        digest = _sha256(source)
-        entry = cached.get(module)
-        if entry is not None and entry.get("sha256") == digest:
-            stats["hits"] += 1
-            summary = _summary_from_dict(entry["summary"])
-            summary.path = path  # tolerate checkouts moving around
-        else:
-            stats["misses"] += 1
-            summary = extract_module(path, module, source=source)
-        summaries.append(summary)
-        fresh[module] = {
-            "sha256": digest,
-            "summary": _summary_to_dict(summary),
-        }
-
-    if cache_path is not None:
-        try:
-            os.makedirs(
-                os.path.dirname(os.path.abspath(cache_path)), exist_ok=True
-            )
-            with open(cache_path, "w", encoding="utf-8") as handle:
-                json.dump(
-                    {"version": ANALYSIS_VERSION, "files": fresh}, handle
-                )
-        except OSError:
-            pass  # cache is an optimisation, never a failure
-
-    return CallGraph(summaries), stats
+def build_graph(root: str) -> CallGraph:
+    """Extract every module under ``root`` and resolve the graph."""
+    summaries = [
+        extract_module(path, module)
+        for path, module in iter_package_files(root)
+    ]
+    return CallGraph(summaries)

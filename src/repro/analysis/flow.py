@@ -73,7 +73,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Any,
     Dict,
@@ -210,7 +210,6 @@ class FlowReport:
     contract_subtrees: Dict[str, List[str]]
     worklist: List[Dict[str, Any]]
     external_unaudited: List[str]
-    cache: Dict[str, int] = field(default_factory=dict)
 
     def payload(self) -> Dict[str, Any]:
         counts: Dict[str, int] = {}
@@ -239,7 +238,6 @@ class FlowReport:
             },
             "worklist": self.worklist,
             "external_unaudited": self.external_unaudited,
-            "cache": self.cache,
             "rules": FLOW_RULES,
         }
 
@@ -745,11 +743,9 @@ def check_units(graph: CallGraph) -> List[FlowFinding]:
 # -- orchestration ------------------------------------------------------------
 
 
-def analyze(
-    root: str, cache_path: Optional[str] = None
-) -> FlowReport:
-    """Build the call graph (cached) and run both analyses."""
-    graph, cache_stats = build_graph(root, cache_path=cache_path)
+def analyze(root: str) -> FlowReport:
+    """Build the call graph and run both analyses."""
+    graph = build_graph(root)
     taint, entries = _taint_findings(graph)
     contract_findings, contracts, subtrees = _contract_findings(graph)
     unit_findings = check_units(graph)
@@ -780,7 +776,6 @@ def analyze(
             for item in graph.worklist
         ],
         external_unaudited=external_unaudited,
-        cache=cache_stats,
     )
 
 
@@ -809,11 +804,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--report", default=None, metavar="FILE",
         help="also write the JSON report to FILE",
     )
-    parser.add_argument(
-        "--cache", default=None, metavar="FILE",
-        help="per-file AST/call-graph summary cache keyed on source "
-        "hashes (CI keeps it between runs)",
-    )
     args = parser.parse_args(argv)
 
     root = args.root or _default_root()
@@ -821,7 +811,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: not a directory: {root}", file=sys.stderr)
         return 2
 
-    report = analyze(root, cache_path=args.cache)
+    report = analyze(root)
     payload = report.payload()
     if args.report:
         try:

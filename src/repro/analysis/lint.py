@@ -13,9 +13,9 @@ code      rule
 ========  ==================================================================
 CSA001    no wall-clock calls (``time.time``, ``perf_counter``,
           ``datetime.now``, …) in ``simcore``/``core``/``runtime``/
-          ``compression`` — real time must stay confined to
-          ``repro.obs.registry`` and explicitly suppressed
-          instrumentation sites
+          ``compression`` — host time is measured from outside the
+          program (``benchmarks/e2e/spans.py``); any other real-time
+          read needs an explicit suppression
 CSA002    no module-level or unseeded ``random`` / ``numpy.random`` use
           (global-RNG functions, ``default_rng()`` without a seed,
           ``os.urandom``/``uuid.uuid4``/``secrets``) anywhere
@@ -512,8 +512,9 @@ class _Linter(ast.NodeVisitor):
                 node, "CSA001",
                 f"{resolved}() reads the wall clock inside deterministic "
                 "code; simulated time must come from the DES clock "
-                "(real-time instrumentation belongs in repro.obs.registry "
-                "or needs an explicit suppression)",
+                "(time the host from outside the program, as "
+                "benchmarks/e2e/spans.py does, or suppress the site "
+                "explicitly)",
             )
 
         # CSA002 — RNG / entropy

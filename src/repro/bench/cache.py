@@ -39,8 +39,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional
 
-from repro.obs.registry import REGISTRY
-
 __all__ = [
     "CACHE_VERSION",
     "CACHE_DIR_ENV",
@@ -115,10 +113,6 @@ class ResultCache:
 
     def get(self, payload: Any) -> Optional[Any]:
         """Load the entry for ``payload``, or None on miss/corruption."""
-        with REGISTRY.timer("cache.get"):
-            return self._get(payload)
-
-    def _get(self, payload: Any) -> Optional[Any]:
         path = self.path_for(self.key(payload))
         try:
             with open(path, "rb") as source:
@@ -141,10 +135,6 @@ class ResultCache:
 
     def put(self, payload: Any, value: Any) -> None:
         """Atomically persist ``value`` under ``payload``'s key."""
-        with REGISTRY.timer("cache.put"):
-            self._put(payload, value)
-
-    def _put(self, payload: Any, value: Any) -> None:
         path = self.path_for(self.key(payload))
         path.parent.mkdir(parents=True, exist_ok=True)
         descriptor, temp_path = tempfile.mkstemp(

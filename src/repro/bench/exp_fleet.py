@@ -11,7 +11,8 @@ crash→last-re-placement lag and the fleet's modeled energy. The
 acceptance bar of the robustness PR — shedding+failover re-places all
 victims within 3 windows and ends with at most 25% of the static
 arm's steady-state violations on the 3-board and 6-board fleets — is
-asserted here and in ``benchmarks/bench_harness_scaling.py``.
+asserted here. ``benchmarks/bench_outcomes.py`` records every cell of
+this sweep in ``BENCH_outcomes.json``.
 """
 
 from __future__ import annotations

@@ -41,7 +41,6 @@ from repro.core.baselines import (
 )
 from repro.core.profiler import WorkloadProfile, profile_workload
 from repro.datasets import get_dataset
-from repro.obs.registry import REGISTRY
 from repro.obs.trace import TraceRecorder
 from repro.runtime.executor import ExecutionConfig, PipelineExecutor
 from repro.runtime.metrics import RunResult
@@ -271,14 +270,13 @@ class Harness:
                 memo_key = (spec, batches, self.seed)
                 cached = _PROFILE_MEMO.get(memo_key)
                 if cached is None:
-                    with REGISTRY.timer("harness.profile"):
-                        cached = profile_workload(
-                            spec.make_codec(),
-                            spec.make_dataset(),
-                            spec.batch_size,
-                            batches=batches,
-                            seed=self.seed,
-                        )
+                    cached = profile_workload(
+                        spec.make_codec(),
+                        spec.make_dataset(),
+                        spec.batch_size,
+                        batches=batches,
+                        seed=self.seed,
+                    )
                     if len(_PROFILE_MEMO) >= 64:
                         _PROFILE_MEMO.clear()
                     _PROFILE_MEMO[memo_key] = cached
@@ -442,14 +440,13 @@ class Harness:
         config = ExecutionConfig(**config_kwargs)
         executor = PipelineExecutor(self.board, config, trace=trace)
         per_batch = self._window(profile, config.batches_per_repetition)
-        with REGISTRY.timer("harness.simulate"):
-            return executor.run(
-                outcome.plan,
-                per_batch,
-                profile.batch_size_bytes,
-                dynamics=outcome.dynamics,
-                shared_state_stages=shared_state_stages,
-            )
+        return executor.run(
+            outcome.plan,
+            per_batch,
+            profile.batch_size_bytes,
+            dynamics=outcome.dynamics,
+            shared_state_stages=shared_state_stages,
+        )
 
     def _window(self, profile: WorkloadProfile, batches: Optional[int] = None) -> List:
         batches = batches or self.batches_per_repetition

@@ -322,9 +322,6 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--deep-report", default=None, metavar="FILE",
                          help="write the flow JSON report to FILE "
                          "(implies --deep)")
-    analyze.add_argument("--cache", default=None, metavar="FILE",
-                         help="per-file AST/call-graph summary cache for "
-                         "--deep, keyed on source hashes")
 
     commands.add_parser("boards", help="list simulated boards")
     return parser
@@ -860,7 +857,7 @@ def _command_analyze(args) -> int:
         if args.strict:
             verify_args.append("--strict")
         status = max(status, verify.main(verify_args))
-    if args.deep or args.deep_report or args.cache:
+    if args.deep or args.deep_report:
         from repro.analysis import flow
 
         # The flow pass analyses one package root; honour an explicit
@@ -873,8 +870,6 @@ def _command_analyze(args) -> int:
             flow_args.append("--json")
         if args.deep_report:
             flow_args += ["--report", args.deep_report]
-        if args.cache:
-            flow_args += ["--cache", args.cache]
         status = max(status, flow.main(flow_args))
     return status
 

@@ -41,7 +41,6 @@ from repro.core.cost_model import CostModel
 from repro.core.plan import PlanEstimate, SchedulingPlan
 from repro.errors import ConfigurationError, InfeasiblePlanError
 from repro.numerics import ordered_sum
-from repro.obs.registry import REGISTRY
 
 __all__ = ["Scheduler", "ScheduleResult", "SearchStats"]
 
@@ -179,7 +178,6 @@ class Scheduler:
         key = self._energy_floor_key(replica_counts)
         cached = self._floor_cache.get(key)
         if cached is not None:
-            REGISTRY.inc("scheduler.floor_cache_hits")
             return cached
         floors: List[float] = []
         for stage_index, splits in enumerate(stage_splits):
@@ -484,14 +482,6 @@ class Scheduler:
             wall_clock_s=time.perf_counter() - search_started,  # csa: ignore[CSA001]
             warm_start_hits=total_warm_pruned,
         )
-        # Publish to the process-wide metrics registry so the harness
-        # and benches can report aggregate search effort.
-        REGISTRY.inc("scheduler.schedules")
-        REGISTRY.inc("scheduler.plans_evaluated", total_evaluated)
-        REGISTRY.inc("scheduler.nodes_expanded", total_expanded)
-        REGISTRY.inc("scheduler.branches_pruned", total_pruned)
-        REGISTRY.inc("scheduler.warm_start_hits", total_warm_pruned)
-        REGISTRY.observe("scheduler.search", stats.wall_clock_s)
 
         if best_overall is not None:
             self._validate_if_enabled(best_overall.plan, expect_feasible=True)

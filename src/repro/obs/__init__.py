@@ -19,10 +19,6 @@ real hardware:
   :class:`~repro.runtime.metrics.RunResult` and cacheable alongside it.
 * :mod:`~repro.obs.export` — Chrome trace-event / Perfetto JSON export
   (open the file in https://ui.perfetto.dev or ``chrome://tracing``).
-* :mod:`~repro.obs.registry` — a process-wide metrics registry (wall
-  clock timers + counters + sample series with total-edge-case
-  percentiles) used by the scheduler search, the result cache and the
-  harness to expose where *real* time goes.
 * :mod:`~repro.obs.residuals` — the model-vs-measured residual ledger:
   per-window decomposition of the latency/energy residual to
   stage × core × interconnect-path components, with EWMA baselines and
@@ -41,12 +37,6 @@ real hardware:
   from the report dataclasses.
 """
 
-from repro.obs.registry import (
-    REGISTRY,
-    MetricsRegistry,
-    diff_snapshots,
-    quantile,
-)
 from repro.obs.trace import (
     TraceEvent,
     TraceRecorder,
@@ -67,9 +57,7 @@ from repro.obs.live import NdjsonTail, prometheus_text, read_ndjson, render_top
 __all__ = [
     "Attribution",
     "LedgerConfig",
-    "MetricsRegistry",
     "NdjsonTail",
-    "REGISTRY",
     "ResidualLedger",
     "SessionHealth",
     "TelemetryCollector",
@@ -80,9 +68,7 @@ __all__ = [
     "WindowTelemetry",
     "active_recorder",
     "chrome_trace",
-    "diff_snapshots",
     "prometheus_text",
-    "quantile",
     "read_ndjson",
     "render_top",
     "set_active_recorder",

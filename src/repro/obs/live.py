@@ -7,9 +7,8 @@ Two export surfaces over the health stream of :mod:`repro.obs.health`:
   live view (:func:`render_top`). NDJSON is the exchange format: the
   same lines round-trip into :class:`~repro.obs.health.WindowHealth`
   via :func:`read_ndjson`.
-* :func:`prometheus_text` — renders the latest state of a session (and
-  optionally a :class:`~repro.obs.registry.MetricsRegistry` snapshot)
-  in the Prometheus text exposition format, for scraping off a file or
+* :func:`prometheus_text` — renders the latest state of a session in
+  the Prometheus text exposition format, for scraping off a file or
   one-shot endpoint.
 
 Everything here is pull/append-only and allocation-light; none of it is
@@ -29,7 +28,6 @@ from repro.obs.health import (
     from_record,
     to_record,
 )
-from repro.obs.registry import MetricsRegistry
 
 __all__ = [
     "NdjsonTail",
@@ -75,15 +73,11 @@ def _prom_escape(value: str) -> str:
     return value.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def prometheus_text(
-    health: SessionHealth,
-    registry: Optional[MetricsRegistry] = None,
-) -> str:
+def prometheus_text(health: SessionHealth) -> str:
     """Prometheus text-format exposition of a session's latest state.
 
     Gauges carry the last window's values; counters accumulate across
-    the session. When ``registry`` is given, its counters and timers
-    are appended under the ``cstream_registry_`` prefix.
+    the session.
     """
     label = _prom_escape(health.label)
     lines: List[str] = []
@@ -146,19 +140,6 @@ def prometheus_text(
             f'cstream_health_attribution_score{{session="{label}",'
             f'kind="{_prom_escape(dominant.kind)}",'
             f'key="{_prom_escape(dominant.key)}"}} {dominant.score:.9g}')
-
-    if registry is not None:
-        snapshot = registry.snapshot()
-        for name in sorted(snapshot.get("counters", {})):
-            metric = "cstream_registry_" + name.replace(".", "_")
-            lines.append(f"# TYPE {metric} counter")
-            lines.append(f"{metric} {snapshot['counters'][name]:.9g}")
-        for name in sorted(snapshot.get("timers", {})):
-            entry = snapshot["timers"][name]
-            metric = "cstream_registry_" + name.replace(".", "_")
-            lines.append(f"# TYPE {metric}_seconds summary")
-            lines.append(f"{metric}_seconds_count {entry['count']}")
-            lines.append(f"{metric}_seconds_sum {entry['total_s']:.9g}")
     return "\n".join(lines) + "\n"
 
 

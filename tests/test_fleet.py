@@ -36,7 +36,6 @@ from repro.fleet.scenario import (
 from repro.fleet.tenants import build_tenant_catalog, build_tenant_workloads
 from repro.obs.check import validate_fleet_health, validate_health
 from repro.obs.health import FleetHealth
-from repro.obs.registry import REGISTRY
 
 
 @pytest.fixture(scope="module")
@@ -426,7 +425,7 @@ class TestPlanSearchBudget:
         # then at most one placement search per (tenant, kind)
         assert len(cold) <= spec.tenants * (1 + len(BOARD_KINDS))
 
-    def test_controller_with_a_plan_runs_no_search(self):
+    def test_controller_with_a_plan_runs_no_search(self, monkeypatch):
         boards = build_fleet(3)
         workloads = build_tenant_workloads(
             build_tenant_catalog(2, seed=0), seed=0
@@ -435,14 +434,21 @@ class TestPlanSearchBudget:
         workload = workloads[0]
         plan = fleet.plan_estimate(workload.tenant_id, boards[0]).plan
         model = fleet.model(workload.tenant_id, boards[0])
-        before = REGISTRY.counter("scheduler.schedules")
+        searches = []
+        original = Scheduler.schedule
+
+        def counting(self, *args, **kwargs):
+            searches.append(self.model)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Scheduler, "schedule", counting)
         controller = SessionController(
             model,
             [workload.profile.mean_step_costs] * 4,
             workload.spec.batch_bytes,
             plan=plan,
         )
-        assert REGISTRY.counter("scheduler.schedules") == before
+        assert searches == []
         assert controller.plan == plan
         assert controller.regulator.estimate == model.evaluate(plan)
 

@@ -8,7 +8,7 @@ entry points anchor identically. The suite also pins the acceptance
 regression — a ``perf_counter()`` two call-hops outside the strict
 packages that the per-file CSA linter provably misses — the exit-code
 convention shared by the lint/flow/verify CLIs, the JSON report
-round-trip, the AST cache, and dogfoods the pass against the real tree.
+round-trip, and dogfoods the pass against the real tree.
 """
 
 from __future__ import annotations
@@ -626,7 +626,6 @@ class TestExitCodeConvention:
         status = cli_main([
             "analyze", dirty, "--json",
             "--deep-report", str(report),
-            "--cache", str(tmp_path / "ast-cache.json"),
         ])
         assert status == 1  # the two-hop clock is a --deep finding
         payload = json.loads(report.read_text())
@@ -635,7 +634,7 @@ class TestExitCodeConvention:
 
 
 # ---------------------------------------------------------------------------
-# report round-trip + cache
+# report round-trip
 # ---------------------------------------------------------------------------
 
 
@@ -651,37 +650,6 @@ class TestReportAndCache:
         assert [f["code"] for f in restored["findings"]] == ["DET001"]
         assert len(restored["findings"][0]["chain"]) == 3
         assert restored["entry_points"]
-
-    def test_cache_hits_on_second_run(self, tmp_path):
-        root = build_pkg(tmp_path, TestSeededTwoHopRegression.FILES)
-        cache = str(tmp_path / "cache.json")
-        first = analyze(root, cache_path=cache)
-        assert first.cache == {"hits": 0, "misses": 3}
-        second = analyze(root, cache_path=cache)
-        assert second.cache == {"hits": 3, "misses": 0}
-        assert flow_codes(second) == flow_codes(first)
-        assert [f.chain for f in second.findings] == [
-            f.chain for f in first.findings
-        ]
-
-    def test_cache_invalidated_by_edit(self, tmp_path):
-        root = build_pkg(tmp_path, TestSeededTwoHopRegression.FILES)
-        cache = str(tmp_path / "cache.json")
-        analyze(root, cache_path=cache)
-        helper = os.path.join(root, "bench", "deeper.py")
-        with open(helper, "a", encoding="utf-8") as handle:
-            handle.write("\n\ndef extra():\n    return 0\n")
-        third = analyze(root, cache_path=cache)
-        assert third.cache == {"hits": 2, "misses": 1}
-        assert flow_codes(third) == ["DET001"]
-
-    def test_corrupt_cache_is_tolerated(self, tmp_path):
-        root = build_pkg(tmp_path, TestSeededTwoHopRegression.FILES)
-        cache = tmp_path / "cache.json"
-        cache.write_text("{broken")
-        report = analyze(root, cache_path=str(cache))
-        assert report.cache == {"hits": 0, "misses": 3}
-        assert flow_codes(report) == ["DET001"]
 
 
 # ---------------------------------------------------------------------------
@@ -708,7 +676,7 @@ class TestCallGraph:
                         return backend.get()
             """,
         })
-        graph, _ = callgraph.build_graph(root)
+        graph = callgraph.build_graph(root)
         ambiguous = [
             item for item in graph.worklist
             if item.chain[-1] == "get"

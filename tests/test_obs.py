@@ -1,7 +1,7 @@
 """Unit tests for the observability package (repro.obs).
 
 Recorder aggregation, Chrome trace export, the dependency-free schema
-checker, and the process-wide metrics registry.
+checker, and the live telemetry exports.
 """
 
 import inspect
@@ -12,11 +12,9 @@ import pytest
 
 from repro.obs import export
 from repro.obs import (
-    MetricsRegistry,
     TraceRecorder,
     active_recorder,
     chrome_trace,
-    diff_snapshots,
     set_active_recorder,
     write_chrome_trace,
 )
@@ -316,74 +314,6 @@ class TestChecker:
         capsys.readouterr()
 
 
-class TestMetricsRegistry:
-    def test_counters(self):
-        registry = MetricsRegistry()
-        registry.inc("cells")
-        registry.inc("cells", 2.0)
-        assert registry.counter("cells") == 3.0
-        assert registry.counter("absent") == 0.0
-
-    def test_timer_accumulates(self):
-        registry = MetricsRegistry()
-        registry.observe("phase", 0.5)
-        registry.observe("phase", 1.5)
-        snapshot = registry.snapshot()
-        entry = snapshot["timers"]["phase"]
-        assert entry["count"] == 2
-        assert entry["total_s"] == pytest.approx(2.0)
-        assert entry["min_s"] == pytest.approx(0.5)
-        assert entry["max_s"] == pytest.approx(1.5)
-        assert registry.timer_total("phase") == pytest.approx(2.0)
-
-    def test_timer_context_manager_measures(self):
-        registry = MetricsRegistry()
-        with registry.timer("work"):
-            pass
-        assert registry.timer_total("work") >= 0.0
-        assert registry.snapshot()["timers"]["work"]["count"] == 1
-
-    def test_diff_snapshots_isolates_interval(self):
-        registry = MetricsRegistry()
-        registry.inc("n", 5)
-        registry.observe("t", 1.0)
-        before = registry.snapshot()
-        registry.inc("n", 2)
-        registry.observe("t", 0.25)
-        delta = diff_snapshots(before, registry.snapshot())
-        assert delta["counters"] == {"n": 2}
-        assert delta["timers"]["t"]["count"] == 1
-        assert delta["timers"]["t"]["total_s"] == pytest.approx(0.25)
-
-    def test_reset_clears_everything(self):
-        registry = MetricsRegistry()
-        registry.inc("n")
-        registry.observe("t", 1.0)
-        registry.reset()
-        snapshot = registry.snapshot()
-        assert snapshot["counters"] == {} and snapshot["timers"] == {}
-
-    def test_series_quantiles_and_edge_cases(self):
-        from repro.obs import quantile
-
-        registry = MetricsRegistry()
-        # Empty series: a well-defined value, not an IndexError.
-        assert registry.percentile("absent", 0.5) == 0.0
-        assert quantile([], 0.99) == 0.0
-        # Single sample: every quantile is that sample.
-        registry.record("lat", 7.0)
-        for q in (0.0, 0.5, 0.99, 1.0):
-            assert registry.percentile("lat", q) == 7.0
-        # Interpolation between samples, q clamped to [0, 1].
-        registry.record("lat", 9.0)
-        assert registry.percentile("lat", 0.5) == pytest.approx(8.0)
-        assert registry.percentile("lat", -3.0) == 7.0
-        assert registry.percentile("lat", 42.0) == 9.0
-        assert registry.series("lat") == [7.0, 9.0]
-        registry.reset()
-        assert registry.series("lat") == []
-
-
 def _window_record(index=0, **overrides):
     record = {
         "window_index": index,
@@ -513,18 +443,13 @@ class TestHealthRoundTrip:
         windows = read_ndjson(buffer.getvalue().splitlines() + ["", "  "])
         assert tuple(windows) == session.windows
 
-    def test_prometheus_text_exposes_session_and_registry(self):
+    def test_prometheus_text_exposes_session(self):
         from repro.obs import prometheus_text
 
-        registry = MetricsRegistry()
-        registry.inc("cells", 3)
-        registry.observe("phase", 0.5)
-        text = prometheus_text(self._session(), registry)
+        text = prometheus_text(self._session())
         assert 'cstream_windows_total{session="chaos:interconnect"} 2' in text
         assert "cstream_windows_violated_total" in text
         assert 'kind="path",key="c1"' in text
-        assert "cstream_registry_cells 3" in text
-        assert "cstream_registry_phase_seconds_count 1" in text
 
     def test_render_top_lists_windows_and_verdict(self):
         from repro.obs import render_top

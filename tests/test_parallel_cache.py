@@ -6,6 +6,7 @@ serial, parallel and warm-cache execution of the same grid produce
 identical ``RunResult`` numbers for every cell.
 """
 
+import warnings
 
 import pytest
 
@@ -16,7 +17,7 @@ from repro.bench.cache import (
     stable_digest,
 )
 from repro.bench.harness import Harness, WorkloadSpec
-from repro.bench.parallel import default_jobs, run_grid
+from repro.bench.parallel import default_jobs, resolve_jobs, run_grid
 from repro.simcore.boards import jetson_tx2_like, rk3399
 
 TEST_BATCH = 4096
@@ -200,3 +201,12 @@ class TestParallelGrid:
         monkeypatch.setenv("REPRO_PARALLEL", "3")
         assert default_jobs() == 3
         assert Harness(repetitions=2).jobs == 3
+
+    def test_resolve_jobs_clamps_to_cpu_count(self, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        with pytest.warns(RuntimeWarning, match="clamping to 2"):
+            assert resolve_jobs(4) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert resolve_jobs(0) == 1
+            assert resolve_jobs(2) == 2

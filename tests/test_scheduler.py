@@ -220,13 +220,6 @@ class TestSearchInstrumentation:
         second = replace(first, search_stats=None)
         assert first == second
 
-    def test_search_publishes_registry_counters(self, model):
-        from repro.obs.registry import REGISTRY
-
-        before = REGISTRY.counter("scheduler.plans_evaluated")
-        Scheduler(model).schedule(best_effort=True)
-        assert REGISTRY.counter("scheduler.plans_evaluated") > before
-
 
 class TestEnergyFloorCache:
     """The per-stage energy floors are cached per scheduler; the cache
