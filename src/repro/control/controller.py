@@ -330,7 +330,7 @@ class SessionController:
             self.model.latency_scale[stage] = (
                 self.model.latency_scale.get(stage, 1.0) * scale
             )
-        # The scheduler's energy-floor caches and the vectorized cost
+        # The scheduler's energy-floor caches and the cost model's lookup
         # tables both predate the model edit — rebuild from scratch (and
         # keep honoring any earlier failover's survivor restriction).
         surviving = [

@@ -24,8 +24,9 @@ for any pair"; see DESIGN.md).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.plan import PlanEstimate, SchedulingPlan, TaskEstimate
 from repro.core.profiler import (
@@ -37,20 +38,17 @@ from repro.core.profiler import (
 from repro.core.roofline import FittedPiecewise, fit_piecewise
 from repro.core.task import TaskGraph
 from repro.errors import ConfigurationError
-from repro.numerics import ordered_sum
 from repro.simcore.boards import BoardSpec
 from repro.simcore.hardware import CoreType, replication_factor
 from repro.simcore.interconnect import Path
-
-try:  # numpy is optional here: the scalar path below is self-sufficient
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via monkeypatching
-    _np = None
 
 __all__ = ["CostModel", "CalibratedCurves", "calibrate_curves"]
 
 #: default safety factor applied to L_set when checking Eq 2
 DEFAULT_GUARD_BAND = 0.99
+
+#: one float per core id (0.0 where the board has no core with that id)
+Row = Tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -99,21 +97,18 @@ class _CostTables:
     """Precomputed per-(stage, core) lookup tables for one cost model.
 
     Every value is produced by the model's own scalar helpers
-    (``_eta``/``_zeta``, ``stage_kappa``, the communication table), so a
-    table lookup returns the *same float object chain* the scalar path
-    would compute — the fast path changes where numbers are read from,
-    never how they are made. ``stamp`` snapshots the mutable inputs
-    (``kappa_scale``, ``frequency_map``); :meth:`CostModel._tables`
-    rebuilds when the PID controller drifts them. ``latency_scale`` is a
-    direct multiplier applied at evaluation time, so it stays live-read
-    and never invalidates tables.
+    (``_eta``/``_zeta``, ``stage_kappa``, the communication table), and
+    every derived row keeps the Eq 4/6 operand order, so reading a table
+    yields the same float the per-call formula would compute. ``stamp``
+    snapshots the mutable inputs (``kappa_scale``, ``frequency_map``);
+    :meth:`CostModel._tables` rebuilds when the PID controller drifts
+    them. ``latency_scale`` is a direct multiplier, so a latency row
+    remembers the scale it was built with and is rebuilt when it moves.
     """
 
     __slots__ = (
-        "stamp", "kappas", "instructions", "output_bytes",
-        "eta", "zeta", "eta_rows", "zeta_rows",
-        "comm_unit", "comm_overhead", "comm_energy",
-        "_replication_latency", "_replication_energy",
+        "stamp", "kappas", "instructions", "output_bytes", "eta", "zeta",
+        "comm_unit", "comm_overhead", "comm_energy", "_batch_bytes", "_rows",
         "_latency_overhead", "_energy_overhead",
     )
 
@@ -141,8 +136,6 @@ class _CostTables:
                 zeta_row[core_id] = model._zeta(kappa, core_id)
             self.eta.append(eta_row)
             self.zeta.append(zeta_row)
-        self.eta_rows = [_np.array(row) for row in self.eta]
-        self.zeta_rows = [_np.array(row) for row in self.zeta]
         communication = model.communication
         self.comm_unit = [[0.0] * size for _ in range(size)]
         self.comm_overhead = [[0.0] * size for _ in range(size)]
@@ -159,24 +152,45 @@ class _CostTables:
                 self.comm_energy[producer][consumer] = (
                     communication.energy(path)
                 )
-        self._replication_latency: Dict[int, float] = {}
-        self._replication_energy: Dict[int, float] = {}
+        self._batch_bytes = model._batch_bytes
+        self._rows: Dict[Tuple[int, int], Tuple[float, Row, Row]] = {}
         self._latency_overhead = board.replication_latency_overhead
         self._energy_overhead = board.replication_energy_overhead
 
-    def replication_latency(self, replicas: int) -> float:
-        factor = self._replication_latency.get(replicas)
-        if factor is None:
-            factor = replication_factor(self._latency_overhead, replicas)
-            self._replication_latency[replicas] = factor
-        return factor
-
-    def replication_energy(self, replicas: int) -> float:
-        factor = self._replication_energy.get(replicas)
-        if factor is None:
-            factor = replication_factor(self._energy_overhead, replicas)
-            self._replication_energy[replicas] = factor
-        return factor
+    def rows(
+        self, stage: int, replicas: int, scale: float
+    ) -> Tuple[float, Row, Row]:
+        """``(scale, l_comp row, e row)`` of one of ``replicas``
+        replicas of ``stage`` (Eqs 6 and 4). ``scale`` is the stage's
+        ``latency_scale``; a cached entry built under another scale is
+        rebuilt."""
+        key = (stage, replicas)
+        cached = self._rows.get(key)
+        if cached is not None and cached[0] == scale:
+            return cached
+        instructions = self.instructions[stage] / replicas
+        latency = (
+            scale
+            * instructions
+            * replication_factor(self._latency_overhead, replicas)
+        )
+        energy = instructions * replication_factor(
+            self._energy_overhead, replicas
+        )
+        batch = self._batch_bytes
+        cached = (
+            scale,
+            tuple(
+                latency / eta / batch if eta else 0.0
+                for eta in self.eta[stage]
+            ),
+            tuple(
+                energy / zeta / batch if zeta else 0.0
+                for zeta in self.zeta[stage]
+            ),
+        )
+        self._rows[key] = cached
+        return cached
 
 
 @dataclass
@@ -251,9 +265,9 @@ class CostModel:
         with that path's unit cost, per-message overhead and transfer
         energy scaled, mirroring
         :meth:`repro.simcore.interconnect.InterconnectSpec.degraded`.
-        The vectorized lookup tables are invalidated explicitly because
-        their stamp only tracks κ/frequency drift, not the
-        communication table.
+        The lookup tables are invalidated explicitly because their
+        stamp only tracks κ/frequency drift, not the communication
+        table.
         """
         if factor <= 0:
             raise ConfigurationError("degradation factor must be positive")
@@ -312,19 +326,14 @@ class CostModel:
             else tuple(sorted(self.frequency_map.items())),
         )
 
-    def _tables(self) -> Optional[_CostTables]:
+    def _tables(self) -> _CostTables:
         """The precomputed lookup tables, rebuilt on κ/frequency drift.
 
-        Returns ``None`` without numpy, putting every entry point on the
-        original scalar path. The stamp check is cheap in the common
-        case (no adaptive drift, no static frequency map: two empty
-        snapshots), so branch-and-bound search — which calls
-        :meth:`compute_latency`/:meth:`task_energy` thousands of times
-        per plan — pays one dict/tuple compare per call instead of a
-        piecewise-curve walk.
+        The stamp check is cheap in the common case (no adaptive drift,
+        no static frequency map: two empty snapshots), so each scored
+        plan pays one tuple compare instead of a piecewise-curve walk
+        per replica.
         """
-        if _np is None:
-            return None
         stamp = self.table_stamp()
         tables = getattr(self, "_table_cache", None)
         if tables is not None and tables.stamp == stamp:
@@ -335,42 +344,32 @@ class CostModel:
 
     # -- per-task estimates (Eqs 4, 6, 7) -----------------------------------
 
+    def replica_rows(
+        self, stage_index: int, replicas: int
+    ) -> Tuple[Row, Row]:
+        """``(l_comp, e)`` of one of ``replicas`` replicas of a stage on
+        every core, indexed by core id (Eqs 6 and 4).
+
+        The branch-and-bound search reads these once per search instead
+        of calling :meth:`compute_latency`/:meth:`task_energy` per
+        branch.
+        """
+        _, latency_row, energy_row = self._tables().rows(
+            stage_index, replicas, self.latency_scale.get(stage_index, 1.0)
+        )
+        return latency_row, energy_row
+
     def compute_latency(
         self, stage_index: int, core_id: int, replicas: int = 1
     ) -> float:
         """l_comp of one replica, µs per byte of batch (Eq 6)."""
-        tables = self._tables()
-        if tables is None:
-            kappa = self.stage_kappa(stage_index)
-            eta = self._eta(kappa, core_id)
-            instructions = self.stage_instructions(stage_index) / replicas
-            overhead = replication_factor(
-                self.board.replication_latency_overhead, replicas
-            )
-        else:
-            eta = tables.eta[stage_index][core_id]
-            instructions = tables.instructions[stage_index] / replicas
-            overhead = tables.replication_latency(replicas)
-        scale = self.latency_scale.get(stage_index, 1.0)
-        return scale * instructions * overhead / eta / self._batch_bytes
+        return self.replica_rows(stage_index, replicas)[0][core_id]
 
     def task_energy(
         self, stage_index: int, core_id: int, replicas: int = 1
     ) -> float:
         """e of one replica, µJ per byte of batch (Eq 4)."""
-        tables = self._tables()
-        if tables is None:
-            kappa = self.stage_kappa(stage_index)
-            zeta = self._zeta(kappa, core_id)
-            instructions = self.stage_instructions(stage_index) / replicas
-            overhead = replication_factor(
-                self.board.replication_energy_overhead, replicas
-            )
-        else:
-            zeta = tables.zeta[stage_index][core_id]
-            instructions = tables.instructions[stage_index] / replicas
-            overhead = tables.replication_energy(replicas)
-        return instructions * overhead / zeta / self._batch_bytes
+        return self.replica_rows(stage_index, replicas)[1][core_id]
 
     def communication_latency(
         self,
@@ -394,20 +393,17 @@ class CostModel:
         if producer_stage < 0 or not self.communication_aware:
             return 0.0
         tables = self._tables()
-        upstream_bytes = self.stage_output_bytes(producer_stage)
-        share = upstream_bytes / replicas / len(upstream_cores)
+        share = (
+            tables.output_bytes[producer_stage]
+            / replicas
+            / len(upstream_cores)
+        )
+        unit = tables.comm_unit
+        overhead = tables.comm_overhead
         total_us = 0.0
-        if tables is None:
-            for producer_core in upstream_cores:
-                path = self.board.path_between(producer_core, core_id)
-                total_us += share * self.communication.unit_cost(path)
-                total_us += self.communication.overhead(path)
-        else:
-            unit = tables.comm_unit
-            overhead = tables.comm_overhead
-            for producer_core in upstream_cores:
-                total_us += share * unit[producer_core][core_id]
-                total_us += overhead[producer_core][core_id]
+        for producer_core in upstream_cores:
+            total_us += share * unit[producer_core][core_id]
+            total_us += overhead[producer_core][core_id]
         return total_us / self._batch_bytes
 
     def communication_energy(
@@ -430,165 +426,125 @@ class CostModel:
             producer_stage = stage_index - 1
         if producer_stage < 0 or not self.communication_aware:
             return 0.0
-        tables = self._tables()
+        energy = self._tables().comm_energy
         total_uj = 0.0
-        if tables is None:
-            for producer_core in upstream_cores:
-                path = self.board.path_between(producer_core, core_id)
-                total_uj += self.communication.energy(path)
-        else:
-            energy = tables.comm_energy
-            for producer_core in upstream_cores:
-                total_uj += energy[producer_core][core_id]
+        for producer_core in upstream_cores:
+            total_uj += energy[producer_core][core_id]
         return total_uj / self._batch_bytes
 
     # -- plan evaluation (Eqs 1-3) -------------------------------------------
 
-    def evaluate(self, plan: SchedulingPlan) -> PlanEstimate:
-        """Predict L_est, E_est and feasibility of a plan.
-
-        With numpy available this assembles per-stage l_comp/e arrays in
-        a handful of elementwise ops over the precomputed η/ζ tables;
-        every operation keeps the scalar path's operand order and
-        parenthesization (elementwise numpy arithmetic on float64 is
-        IEEE-754 identical to the equivalent scalar expression), and the
-        plan-level reductions stay Python left folds — ``ordered_sum``
-        for E_est, producer-ordered loops for Eq 7 — so the result is
-        bit-for-bit the scalar path's (``tests/test_golden_identity``).
-        """
-        if plan.graph is not self.graph and plan.graph != self.graph:
+    def _check_graph(self, graph: TaskGraph) -> None:
+        if graph is not self.graph and graph != self.graph:
             raise ConfigurationError("plan was built for a different task graph")
-        tables = self._tables()
-        if tables is None:
-            return self._evaluate_scalar(plan)
 
-        batch = self._batch_bytes
-        estimates = []
-        core_load: Dict[int, float] = {}
-        for stage_index, cores in enumerate(plan.assignments):
-            replicas = len(cores)
-            columns = list(cores)
-            instructions = tables.instructions[stage_index] / replicas
-            scale = self.latency_scale.get(stage_index, 1.0)
-            latency_numerator = (
-                scale * instructions * tables.replication_latency(replicas)
-            )
-            energy_numerator = (
-                instructions * tables.replication_energy(replicas)
-            )
-            l_comp_values = (
-                latency_numerator / tables.eta_rows[stage_index][columns]
-                / batch
-            ).tolist()
-            e_comp_values = (
-                energy_numerator / tables.zeta_rows[stage_index][columns]
-                / batch
-            ).tolist()
+    def _plan_kernel(
+        self,
+        assignments: Sequence[Tuple[int, ...]],
+        estimates: Optional[List[TaskEstimate]] = None,
+    ) -> Tuple[float, float, Dict[int, float]]:
+        """Eqs 2-7 over one plan: the per-task loop behind both
+        :meth:`score` and :meth:`evaluate`.
 
-            producer_stages = plan.graph.predecessors_of(stage_index)
-            l_comm_values = [0.0] * replicas
-            e_comm_values = [0.0] * replicas
-            if producer_stages and self.communication_aware:
-                unit = tables.comm_unit
-                overhead = tables.comm_overhead
-                comm_energy = tables.comm_energy
-                # Producer stages in ascending order, producers within a
-                # stage in assignment order — the same deterministic
-                # fold the scalar oracle performs. For chains this is
-                # one producer stage, so the accumulation is the old
-                # single-pass loop bit for bit (0.0 + x == x).
-                for producer_stage in producer_stages:
-                    upstream_cores = plan.assignments[producer_stage]
-                    share = (
-                        tables.output_bytes[producer_stage]
-                        / replicas
-                        / len(upstream_cores)
-                    )
-                    for replica_index, core_id in enumerate(cores):
-                        total_us = 0.0
-                        total_uj = 0.0
-                        for producer_core in upstream_cores:
-                            total_us += share * unit[producer_core][core_id]
-                            total_us += overhead[producer_core][core_id]
-                            total_uj += comm_energy[producer_core][core_id]
-                        l_comm_values[replica_index] += total_us / batch
-                        e_comm_values[replica_index] += total_uj / batch
-
-            kappa = tables.kappas[stage_index]
-            for replica_index, core_id in enumerate(cores):
-                l_comp = l_comp_values[replica_index]
-                estimates.append(
-                    TaskEstimate(
-                        stage_index=stage_index,
-                        replica_index=replica_index,
-                        core_id=core_id,
-                        kappa=kappa,
-                        l_comp_us_per_byte=l_comp,
-                        l_comm_us_per_byte=l_comm_values[replica_index],
-                        energy_uj_per_byte=(
-                            e_comp_values[replica_index]
-                            + e_comm_values[replica_index]
-                        ),
-                    )
-                )
-                core_load[core_id] = core_load.get(core_id, 0.0) + l_comp
-        return self._finish_estimate(plan, estimates, core_load)
-
-    def _evaluate_scalar(self, plan: SchedulingPlan) -> PlanEstimate:
-        """Reference implementation: one scalar call chain per replica.
-
-        This is the pre-vectorization code path, kept both as the
-        numpy-free fallback and as the oracle the parity tests compare
-        the fast path against.
+        Returns ``(L_est, E_est, core_load)``. Replicas are visited stage
+        by stage in assignment order; E_est is the left fold
+        ``ordered_sum`` would compute over them, and each replica's
+        l_comm/e_comm folds producer stages in ascending order and the
+        producers within a stage in assignment order. L_est is
+        ``max(bottleneck task, bottleneck core)``: a core hosting several
+        replicas serializes their l_comp (Eq 3's capacity constraint
+        expressed in time). When ``estimates`` is a list, one
+        :class:`TaskEstimate` per replica is appended to it.
         """
-        estimates = []
+        tables = self._tables()
+        batch = self._batch_bytes
+        scales = self.latency_scale
+        graph_tasks = self.graph.tasks
+        communication_aware = self.communication_aware
+        unit = tables.comm_unit
+        overhead = tables.comm_overhead
+        comm_energy = tables.comm_energy
+        output_bytes = tables.output_bytes
+        rows = tables.rows
         core_load: Dict[int, float] = {}
-        for stage_index, cores in enumerate(plan.assignments):
+        bottleneck_task = -math.inf
+        energy = 0.0
+        for stage_index, cores in enumerate(assignments):
             replicas = len(cores)
-            producer_stages = plan.graph.predecessors_of(stage_index)
+            _, latency_row, energy_row = rows(
+                stage_index, replicas, scales.get(stage_index, 1.0)
+            )
+            producers = []
+            if communication_aware:
+                for producer_stage in graph_tasks[stage_index].predecessors:
+                    upstream_cores = assignments[producer_stage]
+                    producers.append((
+                        upstream_cores,
+                        output_bytes[producer_stage]
+                        / replicas
+                        / len(upstream_cores),
+                    ))
             for replica_index, core_id in enumerate(cores):
-                l_comp = self.compute_latency(stage_index, core_id, replicas)
+                l_comp = latency_row[core_id]
                 l_comm = 0.0
                 e_comm = 0.0
-                for producer_stage in producer_stages:
-                    upstream_cores = plan.assignments[producer_stage]
-                    l_comm += self.communication_latency(
-                        stage_index,
-                        core_id,
-                        upstream_cores,
-                        replicas,
-                        producer_stage=producer_stage,
-                    )
-                    e_comm += self.communication_energy(
-                        stage_index,
-                        core_id,
-                        upstream_cores,
-                        producer_stage=producer_stage,
-                    )
-                energy = self.task_energy(
-                    stage_index, core_id, replicas
-                ) + e_comm
-                estimates.append(
-                    TaskEstimate(
-                        stage_index=stage_index,
-                        replica_index=replica_index,
-                        core_id=core_id,
-                        kappa=self.stage_kappa(stage_index),
-                        l_comp_us_per_byte=l_comp,
-                        l_comm_us_per_byte=l_comm,
-                        energy_uj_per_byte=energy,
-                    )
-                )
+                for upstream_cores, share in producers:
+                    total_us = 0.0
+                    total_uj = 0.0
+                    for producer_core in upstream_cores:
+                        total_us += share * unit[producer_core][core_id]
+                        total_us += overhead[producer_core][core_id]
+                        total_uj += comm_energy[producer_core][core_id]
+                    l_comm += total_us / batch
+                    e_comm += total_uj / batch
+                task_energy = energy_row[core_id] + e_comm
+                task_latency = l_comp + l_comm
+                if task_latency > bottleneck_task:
+                    bottleneck_task = task_latency
                 core_load[core_id] = core_load.get(core_id, 0.0) + l_comp
-        return self._finish_estimate(plan, estimates, core_load)
+                energy += task_energy
+                if estimates is not None:
+                    estimates.append(
+                        TaskEstimate(
+                            stage_index=stage_index,
+                            replica_index=replica_index,
+                            core_id=core_id,
+                            kappa=tables.kappas[stage_index],
+                            l_comp_us_per_byte=l_comp,
+                            l_comm_us_per_byte=l_comm,
+                            energy_uj_per_byte=task_energy,
+                        )
+                    )
+        latency = max(bottleneck_task, max(core_load.values()))
+        return latency, energy, core_load
 
-    def _finish_estimate(
-        self, plan: SchedulingPlan, estimates, core_load: Dict[int, float]
-    ) -> PlanEstimate:
-        bottleneck_task = max(est.l_us_per_byte for est in estimates)
-        bottleneck_core = max(core_load.values())
-        latency = max(bottleneck_task, bottleneck_core)
-        energy = ordered_sum(est.energy_uj_per_byte for est in estimates)
+    def score(
+        self,
+        assignments: Sequence[Tuple[int, ...]],
+        graph: Optional[TaskGraph] = None,
+    ) -> Tuple[float, float, bool]:
+        """``(L_est, E_est, feasible)`` of a plan's assignments, bit for
+        bit what :meth:`evaluate` reports, without building a
+        :class:`PlanEstimate`.
+
+        The plan search scores every leaf this way and evaluates only
+        the incumbents. ``graph``, when given, is checked against the
+        model's graph exactly as :meth:`evaluate` checks a plan's.
+        """
+        if graph is not None:
+            self._check_graph(graph)
+        latency, energy, _ = self._plan_kernel(assignments)
+        budget = self.guard_band * self.latency_constraint_us_per_byte
+        return latency, energy, not latency > budget
+
+    def evaluate(self, plan: SchedulingPlan) -> PlanEstimate:
+        """Predict L_est, E_est, feasibility and the per-replica
+        estimates of a plan (see :meth:`_plan_kernel`)."""
+        self._check_graph(plan.graph)
+        estimates: List[TaskEstimate] = []
+        latency, energy, core_load = self._plan_kernel(
+            plan.assignments, estimates
+        )
 
         # Critical path: per-stage latency (slowest replica) summed along
         # the heaviest chain of stage edges. For chains this degenerates

@@ -20,8 +20,8 @@ is already placed. Two structural reductions keep it exact *and* small:
   beat the best complete feasible plan found so far (see
   :meth:`Scheduler.search` for the exact bounds). There is no memo
   table — per-core loads are continuous, so distinct prefixes almost
-  never collide; ``plans_evaluated`` counts complete plans reaching
-  evaluation, not pruned branches.
+  never collide; ``plans_evaluated`` counts complete plans scored, not
+  pruned branches.
 
 Replication follows the paper's *topologically sorted iterative
 scaling*: start with one replica per stage; while no feasible plan
@@ -52,7 +52,8 @@ class SearchStats:
     ``nodes_expanded`` counts per-stage split branches the depth-first
     walk actually descended into; ``branches_pruned`` counts branches
     cut by the energy-floor / latency bound; ``plans_evaluated`` counts
-    complete plans reaching cost-model evaluation; ``scaling_rounds``
+    complete plans scored (:meth:`CostModel.score`; only the incumbents
+    among them get a full :meth:`CostModel.evaluate`); ``scaling_rounds``
     counts iterative-scaling restarts; ``wall_clock_s`` is real time.
     """
 
@@ -181,15 +182,15 @@ class Scheduler:
             return cached
         floors: List[float] = []
         for stage_index, splits in enumerate(stage_splits):
-            minima = []
-            for split in splits:
-                cores = self._assign_cores(split, {})
-                minima.append(
-                    ordered_sum(
-                        self.model.task_energy(stage_index, core, len(cores))
-                        for core in cores
-                    )
+            energy_row = self.model.replica_rows(
+                stage_index, replica_counts[stage_index]
+            )[1]
+            minima = [
+                ordered_sum(
+                    energy_row[core] for core in self._assign_cores(split, {})
                 )
+                for split in splits
+            ]
             floors.append(min(minima) if minima else 0.0)
         self._floor_cache[key] = floors
         return floors
@@ -221,15 +222,22 @@ class Scheduler:
         equal-energy alternative is still explored and exactness is
         preserved.
 
+        Every complete plan is scored with :meth:`CostModel.score`
+        (``(L_est, E_est, feasible)``, no estimate objects); a
+        :class:`PlanEstimate` is built with :meth:`CostModel.evaluate`
+        only for a plan that becomes the new fastest or best incumbent.
+        The walk and the energy floors read each stage's per-core
+        l_comp/e rows (:meth:`CostModel.replica_rows`) once per search.
+
         Returns ``(best_feasible, min_latency, plans_evaluated)`` — the
-        energy optimum among feasible plans (or None) and the
+        energy optimum among feasible plans (or None), the
         latency-minimizing plan (used to locate the bottleneck stage for
-        iterative scaling). After each call,
-        :attr:`last_search_counters` holds the walk's instrumentation
-        (``expanded`` branches descended, ``pruned`` branches cut,
-        ``evaluated`` complete plans, ``warm_pruned`` cuts only the
-        incumbent bound enabled); :meth:`schedule` aggregates them into
-        a :class:`SearchStats`.
+        iterative scaling) and the number of complete plans scored.
+        After each call, :attr:`last_search_counters` holds the walk's
+        instrumentation (``expanded`` branches descended, ``pruned``
+        branches cut, ``evaluated`` complete plans scored,
+        ``warm_pruned`` cuts only the incumbent bound enabled);
+        :meth:`schedule` aggregates them into a :class:`SearchStats`.
         """
         graph = self.model.graph
         stage_splits = [
@@ -247,35 +255,44 @@ class Scheduler:
                 + stage_energy_floor[stage_index]
             )
 
-        state = {
-            "best": None,       # best feasible estimate
-            "fastest": None,    # min-latency estimate
-            "evaluated": 0,
+        rows = [
+            self.model.replica_rows(stage_index, replicas)
+            for stage_index, replicas in enumerate(replica_counts)
+        ]
+        score = self.model.score
+        evaluate = self.model.evaluate
+        # Incumbents as scalars for the hot comparisons; the estimates
+        # are built only when a leaf replaces one of them.
+        best: Optional[PlanEstimate] = None         # best feasible
+        best_energy = best_latency = 0.0
+        fastest: Optional[PlanEstimate] = None      # min latency
+        fastest_latency = 0.0
+        counters = {
             "expanded": 0,      # branches descended into
             "pruned": 0,        # branches cut by the bounds
+            "evaluated": 0,     # complete plans scored
             "warm_pruned": 0,   # cuts only the incumbent bound enabled
         }
 
         def consider(assignments: List[Tuple[int, ...]]) -> None:
-            plan = SchedulingPlan(graph=graph, assignments=tuple(assignments))
-            estimate = self.model.evaluate(plan)
-            state["evaluated"] += 1
-            fastest = state["fastest"]
-            if fastest is None or (
-                estimate.latency_us_per_byte < fastest.latency_us_per_byte
-            ):
-                state["fastest"] = estimate
-            best = state["best"]
-            if estimate.feasible and (
+            nonlocal best, best_energy, best_latency, fastest, fastest_latency
+            latency, energy, feasible = score(assignments)
+            counters["evaluated"] += 1
+            new_fastest = fastest is None or latency < fastest_latency
+            new_best = feasible and (
                 best is None
-                or estimate.energy_uj_per_byte < best.energy_uj_per_byte
-                or (
-                    estimate.energy_uj_per_byte == best.energy_uj_per_byte
-                    and estimate.latency_us_per_byte
-                    < best.latency_us_per_byte
-                )
-            ):
-                state["best"] = estimate
+                or energy < best_energy
+                or (energy == best_energy and latency < best_latency)
+            )
+            if not (new_fastest or new_best):
+                return
+            estimate = evaluate(
+                SchedulingPlan(graph=graph, assignments=tuple(assignments))
+            )
+            if new_fastest:
+                fastest, fastest_latency = estimate, latency
+            if new_best:
+                best, best_energy, best_latency = estimate, energy, latency
 
         def walk(
             stage_index: int,
@@ -286,57 +303,44 @@ class Scheduler:
             if stage_index == graph.stage_count:
                 consider(assignments)
                 return
+            latency_row, energy_row = rows[stage_index]
             for split in stage_splits[stage_index]:
                 cores = self._assign_cores(split, load)
-                replicas = len(cores)
-                stage_energy = ordered_sum(
-                    self.model.task_energy(stage_index, core, replicas)
-                    for core in cores
-                )
+                stage_energy = ordered_sum(energy_row[core] for core in cores)
                 candidate_energy = partial_energy + stage_energy
-                best = state["best"]
                 energy_floor = (
                     candidate_energy + remaining_floor[stage_index + 1]
                 )
                 beaten_by_best = (
-                    best is not None
-                    and energy_floor >= best.energy_uj_per_byte
+                    best is not None and energy_floor >= best_energy
                 )
                 beaten_by_incumbent = (
                     initial_bound is not None and energy_floor > initial_bound
                 )
-                if (beaten_by_best or beaten_by_incumbent) and state[
-                    "fastest"
-                ] is not None and (
+                if (beaten_by_best or beaten_by_incumbent) and (
+                    fastest is not None
+                ) and (
                     # The latency incumbent can still improve; only cut
                     # when the branch cannot help either search. A
                     # cheap sufficient condition: the partial core loads
                     # already exceed the fastest plan seen.
-                    max(load.values(), default=0.0)
-                    >= state["fastest"].latency_us_per_byte
+                    max(load.values(), default=0.0) >= fastest_latency
                 ):
-                    state["pruned"] += 1
+                    counters["pruned"] += 1
                     if beaten_by_incumbent and not beaten_by_best:
-                        state["warm_pruned"] += 1
+                        counters["warm_pruned"] += 1
                     continue
-                state["expanded"] += 1
+                counters["expanded"] += 1
                 new_load = dict(load)
                 for core in cores:
-                    new_load[core] = new_load.get(
-                        core, 0.0
-                    ) + self.model.compute_latency(stage_index, core, replicas)
+                    new_load[core] = new_load.get(core, 0.0) + latency_row[core]
                 assignments.append(cores)
                 walk(stage_index + 1, assignments, new_load, candidate_energy)
                 assignments.pop()
 
         walk(0, [], {}, 0.0)
-        self.last_search_counters = {
-            "expanded": state["expanded"],
-            "pruned": state["pruned"],
-            "evaluated": state["evaluated"],
-            "warm_pruned": state["warm_pruned"],
-        }
-        return state["best"], state["fastest"], state["evaluated"]
+        self.last_search_counters = counters
+        return best, fastest, counters["evaluated"]
 
     # -- plan validation ------------------------------------------------------
 

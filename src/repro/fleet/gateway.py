@@ -23,7 +23,7 @@ machinery, not a re-implementation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -502,10 +502,10 @@ class Gateway:
                     else:
                         self._evict(tenant, "stranded")
                     continue
-                estimate = tenant.controller.model.evaluate(
-                    tenant.controller.plan
+                plan = tenant.controller.plan
+                modeled, energy, _ = tenant.controller.model.score(
+                    plan.assignments, plan.graph
                 )
-                modeled = estimate.latency_us_per_byte
                 # until the tenant's controller has seen the DVFS signal
                 # its model prices nominal frequencies; the physical cap
                 # applies regardless
@@ -515,8 +515,7 @@ class Gateway:
                 tenant.measured_us_per_byte = measured
                 tenant.modeled_us_per_byte = modeled
                 tenant.energy_uj = (
-                    estimate.energy_uj_per_byte
-                    * tenant.workload.spec.window_bytes
+                    energy * tenant.workload.spec.window_bytes
                 )
                 tenant.violated = (
                     measured > tenant.workload.l_set_us_per_byte

@@ -1,11 +1,15 @@
 """Cost model (Eqs 4-7): per-task estimates and plan evaluation."""
 
+import math
+import random
+
 import pytest
 
 from repro.core.cost_model import CostModel, calibrate_curves
 from repro.core.plan import SchedulingPlan
 from repro.errors import ConfigurationError
 from repro.simcore.hardware import CoreType
+from tests import cost_oracle
 
 BIG, LITTLE = 4, 0
 
@@ -220,3 +224,112 @@ class TestFrequencyAwarePlanning:
         assert partial.compute_latency(1, LITTLE) == pytest.approx(
             full.compute_latency(1, LITTLE)
         )
+
+
+@pytest.fixture(scope="module")
+def unlz4_rovio_context():
+    from repro.core.baselines import WorkloadContext
+    from repro.core.profiler import profile_workload
+    from repro.compression import get_codec
+    from repro.datasets import get_dataset
+    from repro.simcore.boards import rk3399
+
+    profile = profile_workload(
+        get_codec("unlz4"), get_dataset("rovio"), 8192, batches=3
+    )
+    # tight enough that random plans straddle the budget
+    return WorkloadContext.build(rk3399(), profile, 8.0)
+
+
+#: model variants the scorer must track: the PID controller's κ drift, a
+#: static DVFS map, its l_comp calibration, and the §VII-D ablation
+SCORE_VARIANTS = {
+    "nominal": {},
+    "drifted": {
+        "kappa_scale": {0: 1.3, 1: 0.8},
+        "frequency_map": {LITTLE: 408.0, BIG: 600.0},
+    },
+    "latency-scaled": {"latency_scale": {0: 0.9, 1: 1.7}},
+    "communication-blind": {"communication_aware": False},
+}
+
+
+def _random_assignments(board, stage_count, count, seed):
+    """Random plans, replicated up to 4 ways and often colocated."""
+    rng = random.Random(seed)
+    core_ids = list(board.core_ids)
+    return [
+        tuple(
+            tuple(rng.choice(core_ids) for _ in range(rng.randint(1, 4)))
+            for _ in range(stage_count)
+        )
+        for _ in range(count)
+    ]
+
+
+class TestScore:
+    """``score`` is ``evaluate``'s (L_est, E_est, feasible), bit for bit."""
+
+    @pytest.mark.parametrize("variant", sorted(SCORE_VARIANTS))
+    @pytest.mark.parametrize("shape", ["chain", "dag"])
+    def test_score_equals_evaluate_on_random_plans(
+        self, request, shape, variant
+    ):
+        context = request.getfixturevalue(
+            "tcomp32_rovio_context" if shape == "chain"
+            else "unlz4_rovio_context"
+        )
+        graph = context.fine_graph
+        assert graph.is_chain == (shape == "chain")
+        model = context.cost_model(graph, **SCORE_VARIANTS[variant])
+        feasible = set()
+        for assignments in _random_assignments(
+            context.board, graph.stage_count, count=40, seed=20261017
+        ):
+            plan = SchedulingPlan(graph=graph, assignments=assignments)
+            estimate = model.evaluate(plan)
+            reference = cost_oracle.evaluate(model, plan)
+            expected = (
+                estimate.latency_us_per_byte,
+                estimate.energy_uj_per_byte,
+                estimate.feasible,
+            )
+            assert model.score(assignments) == expected
+            assert expected == (
+                reference.latency_us_per_byte,
+                reference.energy_uj_per_byte,
+                reference.feasible,
+            )
+            feasible.add(estimate.feasible)
+        if variant == "nominal":
+            # the random plans straddle the budget
+            assert feasible == {True, False}
+
+    def test_budget_boundary(self, tcomp32_rovio_context):
+        """L_est exactly on the budget is feasible (Eq 2 is ``<=``); one
+        ulp tighter it is not — for both entry points alike."""
+        context = tcomp32_rovio_context
+        assignments = ((BIG,), (LITTLE,))
+        plan = SchedulingPlan(graph=context.fine_graph, assignments=assignments)
+        latency = context.cost_model(
+            context.fine_graph
+        ).evaluate(plan).latency_us_per_byte
+        for constraint, feasible in (
+            (latency, True),
+            (math.nextafter(latency, 0.0), False),
+        ):
+            model = context.cost_model(context.fine_graph, guard_band=1.0)
+            model.latency_constraint_us_per_byte = constraint
+            estimate = model.evaluate(plan)
+            assert estimate.feasible is feasible
+            assert model.score(assignments) == (
+                latency, estimate.energy_uj_per_byte, feasible
+            )
+
+    def test_graph_checked_when_given(self, model):
+        from repro.core.task import TaskGraph
+
+        foreign = TaskGraph.coarse("tcomp32", ("s0", "s1", "s2"))
+        assert model.score(((BIG,), (LITTLE,)), model.graph)[2]
+        with pytest.raises(ConfigurationError):
+            model.score(((0,),), foreign)

@@ -25,6 +25,7 @@ from repro.core.scheduler import Scheduler
 from repro.core.task import Task, TaskGraph
 from repro.datasets import get_dataset
 from repro.errors import ConfigurationError
+from tests import cost_oracle
 
 TEST_BATCH = 8192
 RELAXED_CONSTRAINT = 60.0
@@ -200,15 +201,10 @@ class TestDagScheduling:
         )
         assert estimate.critical_path_us_per_byte >= bottleneck * 0.999
 
-    def test_scalar_oracle_matches_vectorized_on_dag(self, dag_schedule):
+    def test_curve_oracle_matches_evaluate_on_dag(self, dag_schedule):
         result, model = dag_schedule
-        vectorized = model.evaluate(result.plan)
-        scalar = model._evaluate_scalar(result.plan)
-        assert vectorized.latency_us_per_byte == scalar.latency_us_per_byte
-        assert vectorized.energy_uj_per_byte == scalar.energy_uj_per_byte
-        assert (
-            vectorized.critical_path_us_per_byte
-            == scalar.critical_path_us_per_byte
+        assert model.evaluate(result.plan) == cost_oracle.evaluate(
+            model, result.plan
         )
 
 

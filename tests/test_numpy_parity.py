@@ -1,26 +1,21 @@
-"""Numpy fast paths must be bit-identical to their scalar references.
+"""The table-driven and vectorized paths equal independent references.
 
-The cost model (``repro.core.cost_model``) and the lz4 encoder
-(``repro.compression.lz4``) each carry an optional numpy fast path with
-a pure-Python fallback (the package must run without numpy). These
-tests force the fallback by monkeypatching the modules' ``_np`` handles
-and assert the two paths agree bit for bit — on randomized plans and
-randomized payloads, not just the curated fixtures — so the fast paths
-can never drift from the reference semantics.
+The cost model reads precomputed per-(stage, core) lookup tables and the
+lz4 encoder hashes every scan position in one uint32 numpy pass. These
+tests compare both against references that share none of that code —
+the curve-level oracle in ``tests/cost_oracle.py`` (fitted η/ζ curves
+and the measured communication table, one scalar call chain per
+replica) and a per-probe 4-byte hash — bit for bit, on randomized plans
+and randomized payloads, not just the curated fixtures.
 """
 
 import random
 
 import pytest
 
-import repro.compression.lz4 as lz4_module
-import repro.core.cost_model as cost_model_module
-from repro.compression.lz4 import Lz4
+from repro.compression.lz4 import Lz4, _MATCH_SEARCH_MARGIN, _hash_all
 from repro.core.plan import SchedulingPlan
-
-pytestmark = pytest.mark.skipif(
-    cost_model_module._np is None, reason="numpy not installed"
-)
+from tests import cost_oracle
 
 
 @pytest.fixture(scope="module")
@@ -56,53 +51,59 @@ def _random_plans(context, count, seed):
 
 
 class TestCostModelParity:
-    def test_randomized_plans_scalar_equals_numpy(
-        self, context, monkeypatch
-    ):
-        """evaluate() with and without numpy gives identical estimates."""
-        plans = _random_plans(context, count=25, seed=20260808)
-
-        fast_model = context.cost_model(context.fine_graph)
-        fast = [fast_model.evaluate(plan) for plan in plans]
-
-        monkeypatch.setattr(cost_model_module, "_np", None)
-        scalar_model = context.cost_model(context.fine_graph)
-        scalar = [scalar_model.evaluate(plan) for plan in plans]
-
-        for fast_estimate, scalar_estimate in zip(fast, scalar):
-            assert fast_estimate == scalar_estimate
+    def test_randomized_plans_scalar_equals_numpy(self, context):
+        """The table-driven evaluate() (which replaced the numpy-array
+        path) equals the scalar curve-level oracle, estimate for
+        estimate, on randomized replicated and colocated plans."""
+        model = context.cost_model(context.fine_graph)
+        for plan in _random_plans(context, count=25, seed=20260808):
+            assert model.evaluate(plan) == cost_oracle.evaluate(model, plan)
 
     def test_evaluate_matches_internal_scalar_path(self, context):
-        """The retained _evaluate_scalar reference agrees with evaluate()."""
+        """evaluate() and score() agree with the scalar reference, which
+        now lives test-side in ``tests/cost_oracle.py``."""
         model = context.cost_model(context.fine_graph)
         for plan in _random_plans(context, count=10, seed=77):
-            assert model.evaluate(plan) == model._evaluate_scalar(plan)
+            reference = cost_oracle.evaluate(model, plan)
+            assert model.evaluate(plan) == reference
+            assert model.score(plan.assignments) == (
+                reference.latency_us_per_byte,
+                reference.energy_uj_per_byte,
+                reference.feasible,
+            )
 
-    def test_per_task_estimates_identical(self, context, monkeypatch):
-        fast_model = context.cost_model(context.fine_graph)
-        graph = fast_model.graph
+    def test_per_task_estimates_identical(self, context):
+        model = context.cost_model(context.fine_graph)
+        graph = model.graph
         cores = [core.core_id for core in context.board.cores]
-        fast = [
-            (
-                fast_model.compute_latency(stage, core, replicas),
-                fast_model.task_energy(stage, core, replicas),
-            )
-            for stage in range(graph.stage_count)
-            for core in cores
-            for replicas in (1, 2)
-        ]
-        monkeypatch.setattr(cost_model_module, "_np", None)
-        scalar_model = context.cost_model(context.fine_graph)
-        scalar = [
-            (
-                scalar_model.compute_latency(stage, core, replicas),
-                scalar_model.task_energy(stage, core, replicas),
-            )
-            for stage in range(graph.stage_count)
-            for core in cores
-            for replicas in (1, 2)
-        ]
-        assert fast == scalar
+        for stage in range(graph.stage_count):
+            for core in cores:
+                for replicas in (1, 2, 3):
+                    assert model.compute_latency(
+                        stage, core, replicas
+                    ) == cost_oracle.compute_latency(
+                        model, stage, core, replicas
+                    )
+                    assert model.task_energy(
+                        stage, core, replicas
+                    ) == cost_oracle.task_energy(model, stage, core, replicas)
+                    if stage == 0:
+                        continue
+                    upstream = tuple(cores[:replicas])
+                    assert (
+                        model.communication_latency(
+                            stage, core, upstream, replicas
+                        ),
+                        model.communication_energy(stage, core, upstream),
+                    ) == cost_oracle.communication(
+                        model, core, upstream, replicas, stage - 1
+                    )
+
+
+def _hash4(data: bytes, position: int, index_bits: int) -> int:
+    """Per-probe multiplicative hash of the 4 bytes at ``position``."""
+    word = int.from_bytes(data[position:position + 4], "little")
+    return ((word * 2654435761) & 0xFFFFFFFF) >> (32 - index_bits)
 
 
 class TestLz4Parity:
@@ -114,15 +115,13 @@ class TestLz4Parity:
             payloads.append((b"sensor-0042;" * (size // 12 + 1))[:size])
         return payloads
 
-    def test_vectorized_hash_path_byte_identical(self, monkeypatch):
+    def test_vectorized_hash_path_byte_identical(self):
         codecs = [Lz4(), Lz4(index_bits=8, max_search_length=32)]
         for data in self._payloads():
+            limit = len(data) - _MATCH_SEARCH_MARGIN
             for codec in codecs:
-                fast = codec.compress(data)
-                monkeypatch.setattr(lz4_module, "_np", None)
-                scalar = codec.compress(data)
-                monkeypatch.undo()
-                assert fast.payload == scalar.payload
-                assert fast.counters == scalar.counters
-                assert fast.step_costs == scalar.step_costs
-                assert codec.decompress(fast.payload) == data
+                assert _hash_all(data, limit, codec.index_bits) == [
+                    _hash4(data, position, codec.index_bits)
+                    for position in range(limit)
+                ]
+                assert codec.decompress(codec.compress(data).payload) == data

@@ -250,3 +250,128 @@ class TestEnergyFloorCache:
         fresh = Scheduler(model).schedule(best_effort=True)
         assert reused == fresh
         assert reused.estimate == fresh.estimate
+
+
+@pytest.fixture(scope="module")
+def unlz4_context():
+    from repro.core.baselines import WorkloadContext
+    from repro.core.profiler import profile_workload
+    from repro.compression import get_codec
+    from repro.datasets import get_dataset
+    from repro.simcore.boards import rk3399
+
+    profile = profile_workload(
+        get_codec("unlz4"), get_dataset("rovio"), 8192, batches=3
+    )
+    return WorkloadContext.build(rk3399(), profile, 8.0)
+
+
+def _incumbent_changes(leaves):
+    """Leaves that replaced the fastest or the best feasible incumbent,
+    replaying :meth:`Scheduler.search`'s comparisons and tie rules."""
+    changes = 0
+    fastest = None
+    best = None
+    for latency, energy, feasible in leaves:
+        new_fastest = fastest is None or latency < fastest
+        new_best = feasible and (best is None or (energy, latency) < best)
+        if new_fastest:
+            fastest = latency
+        if new_best:
+            best = (energy, latency)
+        changes += new_fastest or new_best
+    return changes
+
+
+class TestIncumbentOnlyEvaluation:
+    """The search scores every leaf and builds a PlanEstimate only for
+    the leaves that become an incumbent."""
+
+    CASES = [
+        ("context", 8.0),
+        ("context", 12.0),
+        ("unlz4_context", 8.0),
+        ("unlz4_context", 4.0),
+    ]
+
+    @staticmethod
+    def _model(request, fixture, constraint):
+        context = request.getfixturevalue(fixture)
+        model = context.cost_model(context.fine_graph)
+        model.latency_constraint_us_per_byte = constraint
+        return model
+
+    @pytest.mark.parametrize("fixture,constraint", CASES)
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_evaluate_count_equals_incumbent_changes(
+        self, request, monkeypatch, fixture, constraint, warm
+    ):
+        # plan validation re-evaluates the returned plan; count the
+        # search alone
+        monkeypatch.setenv("REPRO_VALIDATE_PLANS", "0")
+        model = self._model(request, fixture, constraint)
+        warm_start = (
+            Scheduler(model).schedule(best_effort=True).plan if warm else None
+        )
+        scheduler = Scheduler(model)
+        searches = []
+        evaluations = []
+        real_search = scheduler.search
+        real_score = model.score
+        real_evaluate = model.evaluate
+
+        def search(*args, **kwargs):
+            searches.append([])
+            return real_search(*args, **kwargs)
+
+        def score(assignments, graph=None):
+            result = real_score(assignments, graph)
+            searches[-1].append(result)
+            return result
+
+        def evaluate(plan):
+            evaluations.append(plan)
+            return real_evaluate(plan)
+
+        monkeypatch.setattr(scheduler, "search", search)
+        monkeypatch.setattr(model, "score", score)
+        monkeypatch.setattr(model, "evaluate", evaluate)
+        result = scheduler.schedule(best_effort=True, warm_start=warm_start)
+
+        changes = sum(_incumbent_changes(leaves) for leaves in searches)
+        leaves = sum(len(leaves) for leaves in searches)
+        assert len(evaluations) == changes + (1 if warm else 0)
+        assert leaves == result.search_stats.plans_evaluated
+        if not warm:
+            # a warm start shrinks the walk to few leaves, nearly all of
+            # them incumbents; a cold search scores far more than it keeps
+            assert 2 * len(evaluations) < leaves
+
+    @pytest.mark.parametrize("fixture,constraint", CASES)
+    def test_matches_evaluating_every_leaf(
+        self, request, monkeypatch, fixture, constraint
+    ):
+        """Scoring leaves changes no result and no search counter: a
+        search whose scorer builds a full PlanEstimate for every leaf
+        agrees on everything but wall clock."""
+        model = self._model(request, fixture, constraint)
+        scored = Scheduler(model).schedule(best_effort=True)
+
+        def score_by_evaluating(assignments, graph=None):
+            estimate = model.evaluate(
+                SchedulingPlan(graph=model.graph, assignments=tuple(assignments))
+            )
+            return (
+                estimate.latency_us_per_byte,
+                estimate.energy_uj_per_byte,
+                estimate.feasible,
+            )
+
+        monkeypatch.setattr(model, "score", score_by_evaluating)
+        evaluated = Scheduler(model).schedule(best_effort=True)
+        assert scored == evaluated
+        assert scored.estimate == evaluated.estimate
+        assert (
+            dict(scored.search_stats.as_pairs(), wall_clock_s=0.0)
+            == dict(evaluated.search_stats.as_pairs(), wall_clock_s=0.0)
+        )
