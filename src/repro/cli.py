@@ -102,6 +102,19 @@ _EXPERIMENT_CELLS = {
 }
 
 
+def _positive(kind):
+    """argparse type: ``kind(text)``, rejected (exit 2) unless > 0."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cstream",
@@ -289,9 +302,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      "a fleet health JSON from cstream serve")
     top.add_argument("--follow", action="store_true",
                      help="keep re-reading the file like tail -f")
-    top.add_argument("--interval", type=float, default=1.0,
+    top.add_argument("--interval", type=_positive(float), default=1.0,
                      help="poll interval with --follow (seconds)")
-    top.add_argument("--limit", type=int, default=12,
+    top.add_argument("--limit", type=_positive(int), default=12,
                      help="windows shown (most recent first)")
     top.add_argument("--prom", default=None, metavar="FILE",
                      help="also write a Prometheus-style text exposition")

@@ -1,43 +1,52 @@
-"""The session controller: drift → warm replan → gated migration.
+"""The session controller: one replan decision whenever the model goes stale.
 
-Decision pipeline, run once per window boundary (the executor calls
-:meth:`SessionController.on_window` after draining the window's
-in-flight batches):
+The executor calls :meth:`SessionController.on_window` at every window
+boundary, after draining the window's in-flight batches. Three triggers
+can fire, checked in this order; each makes its own edit to the cost
+model, then all three run the same replan (:meth:`_replan`):
 
-1. **Drift detection** — the window's per-batch step costs feed a
-   :class:`~repro.core.statistics_regulator.StatisticsAwareRegulator`
-   in detect-only mode (``auto_replan=False``). The regulator owns the
-   hysteresis and the one-step model recalibration
-   (``latency_scale[stage] *= observed / baseline``); the controller
-   owns what happens next.
-2. **Incremental replanning** — on drift, a single shared
-   :class:`~repro.core.scheduler.Scheduler` re-searches with
-   ``warm_start=incumbent``: the incumbent's re-evaluated energy seeds
-   the branch-and-bound bound (strict-``>`` pruning, so ties keep the
-   incumbent) and the scheduler's per-stage energy-floor cache carries
-   over — floors depend on κ scales, not on the recalibrated
-   ``latency_scale``, so they survive drift recalibration.
-3. **Migration gating** — the candidate is adopted only when the
-   modeled energy savings over ``horizon_windows`` windows exceed the
-   modeled migration cost (state transfer over the board's c0/c1/c2
-   paths, priced with the profiled communication table, plus the
-   pipeline-pause energy at static power). Exception: a candidate that
-   rescues a violated latency constraint is adopted unconditionally —
-   meeting ``L_set`` trumps the energy ledger.
-4. **Residual diagnosis** (only when the executor carries a telemetry
-   collector) — windows that violate ``L_set`` without any heartbeat or
-   drift signal are handed to the residual ledger
-   (:mod:`repro.obs.residuals`). When the ledger's health report pins
-   the violation on a *signal-free* fault, the controller edits the
-   cost model to match reality and replans around it with
-   ``reason="diagnosis"``: a degraded interconnect path is re-priced in
-   the communication table
-   (:meth:`~repro.core.cost_model.CostModel.apply_path_degradation`),
-   so the scheduler routes the pipeline off the slow link; a
-   retry-heavy final stage gets its ``latency_scale`` inflated by the
-   measured retry burden, so the scheduler buys replicas that shrink
-   the re-run cost. Each (kind, key) is acted on once per session —
-   the model edit is persistent, so repeating it would compound.
+=========  =====================================  =======================
+trigger    model edit, search incumbent           adoption
+=========  =====================================  =======================
+failover   capped frequencies enter the model;    always
+           scheduler rebuilt over the survivors;
+           incumbent remapped onto the
+           executor's emergency routes
+drift      regulator recalibrates                 ``incumbent-optimal``,
+           ``latency_scale``; incumbent as is     ``constraint-rescue``,
+                                                  ``amortized-saving`` or
+                                                  ``migration-too-costly``
+diagnosis  degraded path re-priced, or retry      whenever the placement
+           stage's ``latency_scale`` inflated;    moves
+           scheduler rebuilt over the survivors
+=========  =====================================  =======================
+
+- **Failover** reads the heartbeat (dead or newly throttled cores).
+  Every batch on an emergency route pays the reroute surcharge, so no
+  amortization argument applies. The incumbent is patched with
+  :meth:`~repro.simcore.boards.BoardSpec.fallback_core`, the rule the
+  executor routes with, so it describes what the pipeline already does.
+- **Drift** comes from a
+  :class:`~repro.core.statistics_regulator.StatisticsAwareRegulator` in
+  detect-only mode, which owns the hysteresis and the one-step
+  recalibration (``latency_scale[stage] *= observed / baseline``). A
+  candidate that rescues a violated ``L_set`` is adopted outright;
+  otherwise its modeled saving over ``horizon_windows`` windows must
+  exceed the migration cost by ``min_saving_ratio``.
+- **Diagnosis** (only with telemetry) fires when a window violates
+  ``L_set`` without heartbeat or drift and the residual ledger
+  (:mod:`repro.obs.residuals`) pins a *signal-free* fault on a degraded
+  path (:meth:`~repro.core.cost_model.CostModel.apply_path_degradation`)
+  or a retry-heavy stage. Each (kind, key) is acted on once per
+  session: the edit is persistent, so repeating it would compound.
+
+The search runs with ``warm_start=incumbent``: the incumbent's energy
+seeds the branch-and-bound bound (strict-``>`` pruning, so ties keep
+the incumbent), and the scheduler's energy-floor cache survives drift
+recalibration (floors depend on κ scales, not ``latency_scale``). The
+migration from the plan in force is state transfer over the board's
+c0/c1/c2 paths (profiled communication table) plus the pipeline-pause
+energy at static power.
 
 Everything is deterministic: the controller draws no randomness and
 reads no clocks (the ledger's tie-break epsilons come from a fixed
@@ -223,13 +232,34 @@ class SessionController:
             if self._throttled.get(core) != mhz
         )
         if new_failed or new_throttled:
-            return self._failover(observation, new_failed, new_throttled)
+            self._apply_degradation(new_failed, new_throttled)
+            self._rebuild_scheduler()
+            board = self.model.board
+            routing = {
+                core: board.fallback_core(core, self._failed_cores)
+                for core in sorted(self._failed_cores)
+            }
+            decision = self._replan(
+                observation, "failover", self.plan.remap_cores(routing)
+            )
+            self.failovers.append(
+                FailoverEvent(
+                    window_index=observation.window_index,
+                    failed_cores=tuple(sorted(self._failed_cores)),
+                    throttled_cores=tuple(sorted(self._throttled.items())),
+                    pause_us=decision.pause_us,
+                    energy_uj=decision.energy_uj,
+                    candidate_energy_uj_per_byte=decision.energy_uj_per_byte,
+                )
+            )
+            return decision
         if drifted:
-            return self._replan(observation)
+            return self._replan(observation, "drift", self.plan)
         # No heartbeat, no drift: the residual ledger is the last line
         # of defense against signal-free faults.
-        if health is not None:
-            return self._diagnose(observation, health)
+        if health is not None and self._apply_diagnosis(health):
+            self._rebuild_scheduler()
+            return self._replan(observation, "diagnosis", self.plan)
         return None
 
     # -- residual diagnosis ---------------------------------------------------
@@ -273,33 +303,31 @@ class SessionController:
             windows=tuple(self.health_windows),
         )
 
-    def _diagnose(
-        self, observation: WindowObservation, health: WindowHealth
-    ) -> Optional[WindowDecision]:
-        """Replan around a component the health report implicates.
+    def _apply_diagnosis(self, health: WindowHealth) -> bool:
+        """Edit the model around a component the health report implicates.
 
-        Fires only for windows that violate ``L_set`` with an anomalous
+        Acts only on windows that violate ``L_set`` with an anomalous
         attribution on a *signal-free* component — a degraded path or a
-        retry-heavy stage. Core attributions stay report-only: an
-        underperforming core that matters shows up through the
-        heartbeat (throttle/failure) or drift paths, which own those
-        responses.
+        retry-heavy stage — and returns whether it edited the model.
+        Core attributions stay report-only: an underperforming core that
+        matters shows up through the heartbeat (throttle/failure) or
+        drift triggers, which own those responses.
         """
         attribution = health.attribution
         if attribution is None or not health.violated:
-            return None
+            return False
         if attribution.kind not in ("path", "retry"):
-            return None
+            return False
         if (attribution.kind, attribution.key) in self._diagnosed:
-            return None
+            return False
         self._diagnosed.add((attribution.kind, attribution.key))
 
-        # Teach the model what the ledger measured, then replan on it.
         window = self.ledger.windows[-1]
         component = next(
             c for c in window.components
             if c.kind == attribution.kind and c.key == attribution.key
         )
+        cap = self.config.diagnosis_scale_cap
         if attribution.kind == "path":
             if component.predicted_us_per_byte > 0.0:
                 factor = (
@@ -307,107 +335,71 @@ class SessionController:
                     / component.predicted_us_per_byte
                 )
             else:
-                factor = self.config.diagnosis_scale_cap
-            factor = min(
-                max(factor, 1.0), self.config.diagnosis_scale_cap
-            )
+                factor = cap
+            factor = min(max(factor, 1.0), cap)
             self.model.apply_path_degradation(Path(attribution.key), factor)
-        else:
-            stage = int(attribution.key)
-            replica_l_comp = [
-                t.l_comp_us_per_byte
-                for t in self.model.evaluate(self.plan).task_estimates
-                if t.stage_index == stage
-            ]
-            mean_l_comp = (
-                ordered_sum(replica_l_comp) / len(replica_l_comp)
-                if replica_l_comp else 0.0
+            return True
+        stage = int(attribution.key)
+        replica_l_comp = [
+            t.l_comp_us_per_byte
+            for t in self.model.evaluate(self.plan).task_estimates
+            if t.stage_index == stage
+        ]
+        mean_l_comp = (
+            ordered_sum(replica_l_comp) / len(replica_l_comp)
+            if replica_l_comp else 0.0
+        )
+        if mean_l_comp <= 0.0:
+            return False
+        scale = min(1.0 + component.measured_us_per_byte / mean_l_comp, cap)
+        self.model.latency_scale[stage] = (
+            self.model.latency_scale.get(stage, 1.0) * scale
+        )
+        return True
+
+    # -- internals -----------------------------------------------------------
+
+    def _apply_degradation(
+        self, new_failed: Sequence[int], new_throttled: Sequence
+    ) -> None:
+        """Record the heartbeat's news and teach the cost model the
+        capped frequencies, so candidates price throttled cores
+        honestly."""
+        self._failed_cores.update(new_failed)
+        for core, mhz in new_throttled:
+            current = self._throttled.get(core)
+            self._throttled[core] = (
+                mhz if current is None else min(current, mhz)
             )
-            if mean_l_comp <= 0.0:
-                return None
-            scale = 1.0 + component.measured_us_per_byte / mean_l_comp
-            scale = min(scale, self.config.diagnosis_scale_cap)
-            self.model.latency_scale[stage] = (
-                self.model.latency_scale.get(stage, 1.0) * scale
-            )
-        # The scheduler's energy-floor caches and the cost model's lookup
-        # tables both predate the model edit — rebuild from scratch (and
-        # keep honoring any earlier failover's survivor restriction).
+        if new_throttled:
+            fmap = dict(self.model.frequency_map or {})
+            for core, mhz in self._throttled.items():
+                fmap[core] = min(fmap.get(core, mhz), mhz)
+            self.model.frequency_map = fmap
+
+    def _rebuild_scheduler(self) -> None:
+        """A fresh scheduler over the surviving cores, shared with the
+        regulator so later drift replans search the same cores. The old
+        one's energy-floor cache predates the model edit."""
         surviving = [
             c.core_id for c in self.model.board.cores
             if c.core_id not in self._failed_cores
         ]
-        self.scheduler = Scheduler(
-            self.model,
-            allowed_cores=surviving if self._failed_cores else None,
-        )
+        self.scheduler = Scheduler(self.model, allowed_cores=surviving)
         self.regulator.scheduler = self.scheduler
 
+    def _replan(
+        self,
+        observation: WindowObservation,
+        trigger: str,
+        incumbent_plan: SchedulingPlan,
+    ) -> WindowDecision:
+        """Search from ``incumbent_plan``, price the move away from the
+        plan in force, and apply ``trigger``'s adoption gate."""
         self.replans += 1
-        incumbent = self.model.evaluate(self.plan)
-        result = self.scheduler.schedule(best_effort=True, warm_start=self.plan)
-        candidate = result.estimate
-        hits = (
-            result.search_stats.warm_start_hits
-            if result.search_stats is not None
-            else 0
-        )
-        self.warm_start_hits += hits
-
-        delta = self.plan.diff(candidate.plan)
-        cost = migration_cost(
-            delta,
-            self.model.board,
-            self.model.communication,
-            self._state_bytes,
-        )
-        window_bytes = float(self.batch_bytes * observation.batch_count)
-        saving_uj = (
-            incumbent.energy_uj_per_byte - candidate.energy_uj_per_byte
-        ) * window_bytes * self.config.horizon_windows
-        cost_uj = cost.energy_uj + cost.pause_us * self._static_power_w
-
-        # A diagnosis targets an active SLO violation, so adoption is
-        # unconditional (like a failover) whenever the placement moves.
-        adopted = not delta.is_empty
-        if adopted:
-            self.plans_adopted += 1
-            self.plan = candidate.plan
-        self.events.append(
-            ControlEvent(
-                window_index=observation.window_index,
-                drifted=False,
-                replanned=True,
-                adopted=adopted,
-                reason="diagnosis",
-                incumbent_energy_uj_per_byte=incumbent.energy_uj_per_byte,
-                candidate_energy_uj_per_byte=candidate.energy_uj_per_byte,
-                modeled_saving_uj=saving_uj,
-                migration_cost_uj=cost_uj,
-                migration_pause_us=cost.pause_us,
-                warm_start_hits=hits,
-            )
-        )
-        return WindowDecision(
-            replanned=True,
-            adopted=adopted,
-            reason="diagnosis",
-            plan=candidate.plan if adopted else None,
-            pause_us=cost.pause_us if adopted else 0.0,
-            energy_uj=cost.energy_uj if adopted else 0.0,
-            moved_replicas=cost.moved_replicas,
-            moves=delta.describe(),
-            energy_uj_per_byte=candidate.energy_uj_per_byte,
-            warm_start_hits=hits,
-        )
-
-    # -- internals -----------------------------------------------------------
-
-    def _replan(self, observation: WindowObservation) -> WindowDecision:
-        self.replans += 1
-        incumbent = self.model.evaluate(self.plan)
+        incumbent = self.model.evaluate(incumbent_plan)
         result = self.scheduler.schedule(
-            best_effort=True, warm_start=self.plan
+            best_effort=True, warm_start=incumbent_plan
         )
         candidate = result.estimate
         hits = (
@@ -430,24 +422,24 @@ class SessionController:
         ) * window_bytes * self.config.horizon_windows
         cost_uj = cost.energy_uj + cost.pause_us * self._static_power_w
 
-        rescue = not incumbent.feasible and candidate.feasible
-        if delta.is_empty:
-            adopted = False
-            reason = "incumbent-optimal"
-        elif rescue:
+        reason = trigger
+        if trigger == "failover":
             adopted = True
-            reason = "constraint-rescue"
+        elif trigger == "diagnosis":
+            adopted = not delta.is_empty
+        elif delta.is_empty:
+            adopted, reason = False, "incumbent-optimal"
+        elif not incumbent.feasible and candidate.feasible:
+            adopted, reason = True, "constraint-rescue"
         elif saving_uj > cost_uj * self.config.min_saving_ratio:
-            adopted = True
-            reason = "amortized-saving"
+            adopted, reason = True, "amortized-saving"
         else:
-            adopted = False
-            reason = "migration-too-costly"
+            adopted, reason = False, "migration-too-costly"
 
         self.events.append(
             ControlEvent(
                 window_index=observation.window_index,
-                drifted=True,
+                drifted=trigger == "drift",
                 replanned=True,
                 adopted=adopted,
                 reason=reason,
@@ -469,120 +461,6 @@ class SessionController:
             plan=candidate.plan if adopted else None,
             pause_us=cost.pause_us if adopted else 0.0,
             energy_uj=cost.energy_uj if adopted else 0.0,
-            moved_replicas=cost.moved_replicas,
-            moves=delta.describe(),
-            energy_uj_per_byte=candidate.energy_uj_per_byte,
-            warm_start_hits=hits,
-        )
-
-    def _fallback_core(self, core_id: int, surviving: Sequence[int]) -> int:
-        """The executor's emergency-routing rule: lowest-id survivor of
-        the same cluster, else lowest-id survivor anywhere. Matching the
-        rule means the patched incumbent describes what the pipeline is
-        already doing."""
-        victim = self.model.board.core_by_id[core_id]
-        same_cluster = [
-            c for c in surviving
-            if self.model.board.core_by_id[c].is_big == victim.is_big
-        ]
-        return min(same_cluster) if same_cluster else min(surviving)
-
-    def _failover(
-        self,
-        observation: WindowObservation,
-        new_failed: Sequence[int],
-        new_throttled: Sequence,
-    ) -> WindowDecision:
-        """Replan over the surviving cores after hardware degradation.
-
-        The candidate is adopted unconditionally — every batch spent on
-        emergency routes pays the reroute surcharge (and likely violates
-        ``L_set``), so no amortization argument applies."""
-        self.replans += 1
-        self._failed_cores.update(new_failed)
-        for core, mhz in new_throttled:
-            current = self._throttled.get(core)
-            self._throttled[core] = (
-                mhz if current is None else min(current, mhz)
-            )
-        if new_throttled:
-            # Teach the cost model the capped frequencies so candidate
-            # estimates price throttled cores honestly.
-            fmap = dict(self.model.frequency_map or {})
-            for core, mhz in self._throttled.items():
-                fmap[core] = min(fmap.get(core, mhz), mhz)
-            self.model.frequency_map = fmap
-        surviving = [
-            c.core_id for c in self.model.board.cores
-            if c.core_id not in self._failed_cores
-        ]
-        # Fresh scheduler restricted to survivors, shared with the
-        # regulator so later drift replans also avoid the dead cores.
-        self.scheduler = Scheduler(self.model, allowed_cores=surviving)
-        self.regulator.scheduler = self.scheduler
-
-        routing = {
-            core: self._fallback_core(core, surviving)
-            for core in sorted(self._failed_cores)
-        }
-        patched = self.plan.remap_cores(routing)
-        incumbent = self.model.evaluate(patched)
-        result = self.scheduler.schedule(best_effort=True, warm_start=patched)
-        candidate = result.estimate
-        hits = (
-            result.search_stats.warm_start_hits
-            if result.search_stats is not None
-            else 0
-        )
-        self.warm_start_hits += hits
-
-        delta = self.plan.diff(candidate.plan)
-        cost = migration_cost(
-            delta,
-            self.model.board,
-            self.model.communication,
-            self._state_bytes,
-        )
-        window_bytes = float(self.batch_bytes * observation.batch_count)
-        saving_uj = (
-            incumbent.energy_uj_per_byte - candidate.energy_uj_per_byte
-        ) * window_bytes * self.config.horizon_windows
-        cost_uj = cost.energy_uj + cost.pause_us * self._static_power_w
-
-        self.plans_adopted += 1
-        self.plan = candidate.plan
-        self.events.append(
-            ControlEvent(
-                window_index=observation.window_index,
-                drifted=False,
-                replanned=True,
-                adopted=True,
-                reason="failover",
-                incumbent_energy_uj_per_byte=incumbent.energy_uj_per_byte,
-                candidate_energy_uj_per_byte=candidate.energy_uj_per_byte,
-                modeled_saving_uj=saving_uj,
-                migration_cost_uj=cost_uj,
-                migration_pause_us=cost.pause_us,
-                warm_start_hits=hits,
-            )
-        )
-        self.failovers.append(
-            FailoverEvent(
-                window_index=observation.window_index,
-                failed_cores=tuple(sorted(self._failed_cores)),
-                throttled_cores=tuple(sorted(self._throttled.items())),
-                pause_us=cost.pause_us,
-                energy_uj=cost.energy_uj,
-                candidate_energy_uj_per_byte=candidate.energy_uj_per_byte,
-            )
-        )
-        return WindowDecision(
-            replanned=True,
-            adopted=True,
-            reason="failover",
-            plan=candidate.plan,
-            pause_us=cost.pause_us,
-            energy_uj=cost.energy_uj,
             moved_replicas=cost.moved_replicas,
             moves=delta.describe(),
             energy_uj_per_byte=candidate.energy_uj_per_byte,

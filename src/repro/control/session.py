@@ -29,6 +29,7 @@ from repro.runtime.executor import (
     ExecutionConfig,
     PipelineExecutor,
     SessionResult,
+    window_latencies,
 )
 
 __all__ = [
@@ -37,6 +38,7 @@ __all__ = [
     "build_drift_stream",
     "finalize_session_health",
     "run_adaptive_session",
+    "summarize_session",
 ]
 
 
@@ -153,15 +155,32 @@ def finalize_session_health(
     what they ran under — and return the full report.
     """
     for telemetry in collector.windows[len(controller.health_windows):]:
-        start = telemetry.batch_start
-        previous = result.completion_ts_us[start - 1] if start > 0 else 0.0
-        latencies = []
-        for batch_index in range(start, start + telemetry.batch_count):
-            completed = result.completion_ts_us[batch_index]
-            latencies.append((completed - previous) / batch_bytes)
-            previous = completed
+        latencies = window_latencies(
+            result.completion_ts_us,
+            telemetry.batch_start,
+            telemetry.batch_count,
+            batch_bytes,
+        )
         controller.ingest_telemetry(telemetry, latencies)
     return controller.session_health(label)
+
+
+def summarize_session(result: SessionResult, spec) -> Tuple[float, int, int]:
+    """One arm's mean measured energy (µJ/byte), its violations and its
+    steady-state violations (window-boundary batches excluded).
+
+    ``spec`` is a :class:`SessionSpec` or a
+    :class:`~repro.faults.chaos.ChaosSpec`: only its
+    ``warmup_batches`` and ``window_batches`` are read."""
+    measured = result.measured(spec.warmup_batches)
+    energy = sum(b.energy_uj_per_byte for b in measured) / len(measured)
+    violations = sum(1 for b in measured if b.violated)
+    steady = sum(
+        1
+        for b in measured
+        if b.violated and b.batch_index % spec.window_batches != 0
+    )
+    return energy, violations, steady
 
 
 def run_adaptive_session(
@@ -231,20 +250,11 @@ def run_adaptive_session(
             label=f"adapt:{spec.scenario}",
         )
 
-    def _summarize(result: SessionResult) -> Tuple[float, int, int]:
-        measured = result.measured(spec.warmup_batches)
-        energy = sum(b.energy_uj_per_byte for b in measured) / len(measured)
-        violations = sum(1 for b in measured if b.violated)
-        steady = sum(
-            1
-            for b in measured
-            if b.violated and b.batch_index % spec.window_batches != 0
-        )
-        return energy, violations, steady
-
-    static_energy, static_violations, static_steady = _summarize(static_result)
-    adaptive_energy, adaptive_violations, adaptive_steady = _summarize(
-        adaptive_result
+    static_energy, static_violations, static_steady = summarize_session(
+        static_result, spec
+    )
+    adaptive_energy, adaptive_violations, adaptive_steady = summarize_session(
+        adaptive_result, spec
     )
     return SessionComparison(
         spec=spec,

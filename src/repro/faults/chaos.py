@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.control.controller import ControllerConfig, SessionController
-from repro.control.session import finalize_session_health
+from repro.control.session import finalize_session_health, summarize_session
 from repro.core.scheduler import Scheduler
 from repro.errors import ConfigurationError
 from repro.obs.health import SessionHealth
@@ -333,23 +333,12 @@ def run_chaos_session(
             label=f"chaos:{spec.scenario}",
         )
 
-    def _summarize(result: SessionResult) -> Tuple[float, int, int]:
-        measured = result.measured(spec.warmup_batches)
-        energy = sum(b.energy_uj_per_byte for b in measured) / len(measured)
-        violations = sum(1 for b in measured if b.violated)
-        steady = sum(
-            1
-            for b in measured
-            if b.violated and b.batch_index % spec.window_batches != 0
-        )
-        return energy, violations, steady
-
-    baseline_energy, _, _ = _summarize(baseline_result)
-    static_energy, static_violations, static_steady = _summarize(
-        static_result
+    baseline_energy, _, _ = summarize_session(baseline_result, spec)
+    static_energy, static_violations, static_steady = summarize_session(
+        static_result, spec
     )
-    adaptive_energy, adaptive_violations, adaptive_steady = _summarize(
-        adaptive_result
+    adaptive_energy, adaptive_violations, adaptive_steady = summarize_session(
+        adaptive_result, spec
     )
     return ChaosComparison(
         spec=spec,

@@ -78,6 +78,7 @@ __all__ = [
     "WindowObservation",
     "WindowDecision",
     "SessionResult",
+    "window_latencies",
 ]
 
 #: κ assumed for context-switch work (kernel code, cache refills)
@@ -322,6 +323,24 @@ class _CoreServer:
             trace.queue_depth(self._runq, len(queue), self.simulator.now)
 
 
+def window_latencies(
+    completions: Union[Mapping[int, float], Sequence[float]],
+    batch_start: int,
+    batch_count: int,
+    batch_bytes: int,
+) -> List[float]:
+    """Per-batch latency (µs/byte) of one window: each batch's
+    completion gap to the batch before it, over the batch size.
+    ``completions`` gives each batch's completion time, µs."""
+    previous = completions[batch_start - 1] if batch_start > 0 else 0.0
+    latencies = []
+    for batch_index in range(batch_start, batch_start + batch_count):
+        completed = completions[batch_index]
+        latencies.append((completed - previous) / batch_bytes)
+        previous = completed
+    return latencies
+
+
 @dataclass(frozen=True)
 class WindowObservation:
     """What the executor tells a session controller at a window boundary.
@@ -548,25 +567,6 @@ class _RepetitionRun:
 
     # -- fault firing --------------------------------------------------------
 
-    def _failover_target(self, core_id: int) -> int:
-        """Deterministic emergency fallback for a dead core: the
-        lowest-id surviving core of the same cluster, else the lowest-id
-        survivor anywhere. Raises if every core is dead."""
-        dead = set(self.failed_cores) | {core_id}
-        victim = self.board.core_by_id[core_id]
-        survivors = [
-            c.core_id for c in self.board.cores if c.core_id not in dead
-        ]
-        if not survivors:
-            raise ConfigurationError(
-                "fault plan killed every core on the board"
-            )
-        same_cluster = [
-            c for c in survivors
-            if self.board.core_by_id[c].is_big == victim.is_big
-        ]
-        return min(same_cluster) if same_cluster else min(survivors)
-
     def route_core(self, core_id: int) -> int:
         """Resolve a planned core through the failure map (transitively,
         in case a fallback died later)."""
@@ -616,7 +616,9 @@ class _RepetitionRun:
         elif isinstance(event, CoreFailure):
             if event.core_id not in servers or event.core_id in self.failed_cores:
                 return
-            target = self._failover_target(event.core_id)
+            target = self.board.fallback_core(
+                event.core_id, self.failed_cores
+            )
             self.failed_cores[event.core_id] = target
             self.reroute_penalty = max(
                 self.reroute_penalty, event.reroute_penalty
@@ -1124,9 +1126,14 @@ class PipelineExecutor:
             repetition=repetition,
         )
         run.spawn_plan(plan, 0, run.batch_count)
+        return self._finish(run, batch_bytes)
+
+    def _finish(
+        self, run: _RepetitionRun, batch_bytes: int
+    ) -> List[BatchMetrics]:
+        """Run the simulation out, keep its trace and measure it."""
         run.simulator.run()
         run.check_complete()
-
         self.last_trace = {
             core_id: list(server.spans)
             for core_id, server in run.servers.items()
@@ -1137,9 +1144,7 @@ class PipelineExecutor:
                 batch_bytes=batch_bytes,
                 batches=run.batch_count,
             )
-        return self._collect_metrics(
-            plan, run.servers, run.meter, run.completions, batch_bytes, governor
-        )
+        return self._collect_metrics(run, batch_bytes)
 
     # -- windowed session (online control loop) -------------------------------
 
@@ -1215,16 +1220,9 @@ class PipelineExecutor:
                         )
                     if controller is None or window_index == len(windows) - 1:
                         continue
-                    previous = (
-                        run.completions[start - 1] if start > 0 else 0.0
+                    latencies = window_latencies(
+                        run.completions, start, count, batch_bytes
                     )
-                    latencies = []
-                    for batch_index in range(start, start + count):
-                        completed = run.completions[batch_index]
-                        latencies.append(
-                            (completed - previous) / batch_bytes
-                        )
-                        previous = completed
                     decision = controller.on_window(
                         WindowObservation(
                             window_index=window_index,
@@ -1273,23 +1271,7 @@ class PipelineExecutor:
                     current = decision.plan
 
             run.simulator.process(orchestrator(), name="session-controller")
-            run.simulator.run()
-            run.check_complete()
-
-            self.last_trace = {
-                core_id: list(server.spans)
-                for core_id, server in run.servers.items()
-            }
-            if trace is not None:
-                trace.end_repetition(
-                    window_us=max(run.completions.values(), default=0.0),
-                    batch_bytes=batch_bytes,
-                    batches=batch_count,
-                )
-            metrics = self._collect_metrics(
-                plan, run.servers, run.meter, run.completions,
-                batch_bytes, governor,
-            )
+            metrics = self._finish(run, batch_bytes)
         finally:
             if trace is not None:
                 set_active_recorder(None)
@@ -1309,16 +1291,11 @@ class PipelineExecutor:
         )
 
     def _collect_metrics(
-        self,
-        plan: SchedulingPlan,
-        servers: Dict[int, "_CoreServer"],
-        meter: EnergyMeter,
-        completions: Dict[int, float],
-        batch_bytes: int,
-        governor: Governor,
+        self, run: _RepetitionRun, batch_bytes: int
     ) -> List[BatchMetrics]:
         config = self.config
         board = self.board
+        completions = run.completions
         batch_count = len(completions)
         window_us = max(completions.values())
         static_power = board.uncore_power_w + ordered_sum(
@@ -1326,10 +1303,10 @@ class PipelineExecutor:
         )
 
         energy_by_batch: Dict[int, float] = {b: 0.0 for b in range(batch_count)}
-        for server in servers.values():
+        for server in run.servers.values():
             for batch_index, energy in server.energy_by_batch.items():
                 energy_by_batch[batch_index] += energy
-        overhead_total = meter.finalize(window_us).overhead_uj
+        overhead_total = run.meter.finalize(window_us).overhead_uj
         overhead_share = overhead_total / batch_count
 
         metrics: List[BatchMetrics] = []

@@ -17,7 +17,7 @@ derivation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Tuple
+from typing import Collection, Dict, Mapping, Tuple
 
 from repro.errors import ConfigurationError
 from repro.simcore.hardware import ClusterSpec, CoreSpec, CoreType, PiecewiseRoofline
@@ -85,6 +85,26 @@ class BoardSpec:
     @property
     def little_core_ids(self) -> Tuple[int, ...]:
         return tuple(c.core_id for c in self.cores_of_type(CoreType.LITTLE))
+
+    def fallback_core(self, core_id: int, dead: Collection[int]) -> int:
+        """Emergency route for the dead core ``core_id``: the lowest-id
+        survivor of its own cluster type, else the lowest-id survivor
+        anywhere. ``dead`` holds the other dead cores; raises when none
+        survives. The executor routes failed work with this rule and the
+        controller patches its incumbent with it, so the two agree."""
+        victim = self.core_by_id[core_id]
+        survivors = [
+            c for c in self.cores
+            if c.core_id != core_id and c.core_id not in dead
+        ]
+        if not survivors:
+            raise ConfigurationError(
+                "fault plan killed every core on the board"
+            )
+        same_cluster = [
+            c.core_id for c in survivors if c.is_big == victim.is_big
+        ]
+        return min(same_cluster or [c.core_id for c in survivors])
 
     def path_between(self, from_core: int, to_core: int) -> Path:
         return self.interconnect.classify(

@@ -41,6 +41,28 @@ class TestRk3399Topology:
             assert board.core_cluster[core_id] == 1
 
 
+class TestFallbackCore:
+    """The emergency-routing rule the executor and controller share."""
+
+    @pytest.mark.parametrize(
+        "victim, dead, expected",
+        [
+            (4, {4}, 5),        # big survivor of the same cluster
+            (4, {4, 5}, 0),     # big cluster gone: lowest-id survivor
+            (5, {4, 5}, 0),
+            (0, {0}, 1),        # little survivor of the same cluster
+            (0, set(), 1),      # the victim counts as dead either way
+            (2, {0, 1, 2}, 3),
+        ],
+    )
+    def test_rk3399_table(self, board, victim, dead, expected):
+        assert board.fallback_core(victim, dead) == expected
+
+    def test_every_core_dead_rejected(self, board):
+        with pytest.raises(ConfigurationError, match="every core"):
+            board.fallback_core(0, set(board.core_ids))
+
+
 class TestPathClassification:
     def test_same_core_local(self, board):
         assert board.path_between(0, 0) is Path.LOCAL

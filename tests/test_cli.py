@@ -208,6 +208,30 @@ class TestServe:
             main(["serve", "--scenario", "meteor-strike"])
 
 
+class TestTopArguments:
+    """``top`` rejects a window limit below 1 and a poll interval that
+    is not positive at parse time, before it reads the health file."""
+
+    @pytest.mark.parametrize("limit", ["0", "-3"])
+    def test_limit_below_one_rejected(self, tmp_path, capsys, limit):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["top", str(tmp_path / "absent.json"), "--limit", limit])
+        assert exit_info.value.code == 2
+        assert "--limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("interval", ["0", "-1.5"])
+    def test_non_positive_interval_rejected(self, tmp_path, capsys, interval):
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                [
+                    "top", str(tmp_path / "absent.json"),
+                    "--follow", "--interval", interval,
+                ]
+            )
+        assert exit_info.value.code == 2
+        assert "--interval" in capsys.readouterr().err
+
+
 class TestAdaptDefaults:
     def test_jetson_gets_its_own_default_l_set(self, capsys):
         assert main(
