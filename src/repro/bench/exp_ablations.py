@@ -22,18 +22,16 @@ import numpy as np
 
 from repro.bench.experiments import ExperimentResult
 from repro.bench.harness import Harness, WorkloadSpec, default_harness
-from repro.compression import get_codec
 from repro.core.adaptive import FeedbackRegulator
 from repro.core.baselines import (
     CStreamMechanism,
     MechanismOutcome,
     WorkloadContext,
 )
-from repro.core.profiler import profile_workload
+from repro.core.profiler import profile_named
 from repro.core.scheduler import Scheduler
 from repro.core.statistics_regulator import StatisticsAwareRegulator
 from repro.core.task import Task, TaskGraph
-from repro.datasets import MicroDataset
 from repro.runtime.executor import (
     ExecutionConfig,
     MechanismDynamics,
@@ -180,12 +178,13 @@ def abl_regulator(
     )
     context = harness.context(spec)
     low_profile = harness.profile(spec)
-    high_profile = profile_workload(
-        get_codec("tcomp32"),
-        MicroDataset(dynamic_range=50_000),
+    high_profile = profile_named(
+        "tcomp32",
+        "micro",
         batch_size,
         batches=batches - change_at,
         seed=harness.seed + 1,
+        dataset_options={"dynamic_range": 50_000},
     )
     stream = (
         list(low_profile.per_batch_step_costs)[:change_at]

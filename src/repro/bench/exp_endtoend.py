@@ -19,8 +19,7 @@ from repro.compression import get_codec
 from repro.core.adaptive import FeedbackRegulator
 from repro.core.baselines import MECHANISM_NAMES, MechanismOutcome
 from repro.core.plan import SchedulingPlan
-from repro.core.profiler import profile_workload
-from repro.datasets import MicroDataset
+from repro.core.profiler import profile_named
 from repro.runtime.executor import (
     ExecutionConfig,
     MechanismDynamics,
@@ -247,14 +246,14 @@ def fig09_adaptivity(
     context = harness.context(spec)
 
     # Build the dynamic stream: per-batch step costs before/after the jump.
-    codec = get_codec("tcomp32")
     low_profile = harness.profile(spec)
-    high_profile = profile_workload(
-        codec,
-        MicroDataset(dynamic_range=high_range),
+    high_profile = profile_named(
+        "tcomp32",
+        "micro",
         batch_size,
         batches=max(batches - change_at, 1),
         seed=harness.seed + 1,
+        dataset_options={"dynamic_range": high_range},
     )
     stream = list(low_profile.per_batch_step_costs)[:change_at]
     stream += list(high_profile.per_batch_step_costs)

@@ -1,9 +1,10 @@
 """Experiment harness regenerating the paper's tables and figures.
 
-The harness owns a process-wide cache of profiled workloads, workload
-contexts and measurement runs, so the figure benches (which share many
-cells — Fig 7 and Fig 8 are the same runs read out two ways) never
-repeat a simulation. Two optional layers extend that:
+The harness caches workload contexts and measurement runs, so the
+figure benches (which share many cells — Fig 7 and Fig 8 are the same
+runs read out two ways) never repeat a simulation; dry runs go through
+the process-wide :func:`~repro.core.profiler.profile_named` memo.
+Two optional layers extend that:
 
 * a **persistent result cache** (:mod:`repro.bench.cache`): point
   ``REPRO_CACHE_DIR`` at a directory (or pass ``cache=``) and profiles
@@ -39,7 +40,7 @@ from repro.core.baselines import (
     WorkloadContext,
     get_mechanism,
 )
-from repro.core.profiler import WorkloadProfile, profile_workload
+from repro.core.profiler import WorkloadProfile, profile_named
 from repro.datasets import get_dataset
 from repro.obs.trace import TraceRecorder
 from repro.runtime.executor import ExecutionConfig, PipelineExecutor
@@ -54,9 +55,6 @@ TRACE_DIR_ENV = "REPRO_TRACE_DIR"
 #: paper defaults
 PAPER_LATENCY_CONSTRAINT = 26.0
 PAPER_BATCH_BYTES = 932_800
-
-#: process-wide dry-run memo, (spec, batches, seed) -> WorkloadProfile
-_PROFILE_MEMO: Dict[Tuple, WorkloadProfile] = {}
 
 DEFAULT_BATCH_BYTES = int(os.environ.get("REPRO_BATCH_BYTES", 65536))
 DEFAULT_REPETITIONS = int(os.environ.get("REPRO_REPETITIONS", 100))
@@ -258,28 +256,12 @@ class Harness:
         if key not in self._profiles:
             cached = self.cache.get(key) if self.cache is not None else None
             if cached is None:
-                batches = max(
-                    self.profile_batches, self.batches_per_repetition
+                batches = max(self.profile_batches, self.batches_per_repetition)
+                cached = profile_named(
+                    spec.codec, spec.dataset, spec.batch_size, batches,
+                    self.seed, codec_options=spec.codec_options,
+                    dataset_options=spec.dataset_options,
                 )
-                # Process-wide memo: a dry run is a pure function of
-                # (spec, batches, seed) — WorkloadSpec names codec and
-                # dataset by registry name plus options — and the
-                # returned profile is frozen, so harnesses in one
-                # process (grid workers, benchmarks) share the
-                # measurement instead of re-compressing sample batches.
-                memo_key = (spec, batches, self.seed)
-                cached = _PROFILE_MEMO.get(memo_key)
-                if cached is None:
-                    cached = profile_workload(
-                        spec.make_codec(),
-                        spec.make_dataset(),
-                        spec.batch_size,
-                        batches=batches,
-                        seed=self.seed,
-                    )
-                    if len(_PROFILE_MEMO) >= 64:
-                        _PROFILE_MEMO.clear()
-                    _PROFILE_MEMO[memo_key] = cached
                 if self.cache is not None:
                     self.cache.put(key, cached)
             self._profiles[key] = cached

@@ -16,12 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Mapping, Optional, Tuple
 
-from repro.compression import get_codec
 from repro.compression.base import StepCost
 from repro.control.controller import ControllerConfig, SessionController
-from repro.core.profiler import profile_workload
+from repro.core.profiler import profile_named
 from repro.core.scheduler import Scheduler
-from repro.datasets import DRIFT_KINDS, MicroDataset, drift_schedule
+from repro.datasets import DRIFT_KINDS, drift_schedule
 from repro.errors import ConfigurationError
 from repro.obs.health import SessionHealth
 from repro.obs.residuals import TelemetryCollector
@@ -106,10 +105,12 @@ def build_drift_stream(
     """The drifting per-batch cost stream plus its workload context.
 
     Profiles one Micro variant per distinct ``dynamic_range`` in the
-    schedule (deterministic seeds derived from the harness seed) and
-    assembles the per-batch step costs batch by batch. The returned
-    context is profiled at ``low_range`` — the regime the static plan is
-    optimized for, exactly as a one-shot deployment would be.
+    schedule (deterministic seeds derived from the harness seed, not
+    from its board, so sessions on every board share the memoized
+    profiles) and assembles the per-batch step costs batch by batch.
+    The returned context is profiled at ``low_range`` — the regime the
+    static plan is optimized for, exactly as a one-shot deployment
+    would be.
     """
     from repro.bench.harness import WorkloadSpec
 
@@ -125,12 +126,13 @@ def build_drift_stream(
     )
     profiles = {}
     for index, value in enumerate(sorted(set(ranges))):
-        profiles[value] = profile_workload(
-            get_codec(spec.codec),
-            MicroDataset(dynamic_range=value),
+        profiles[value] = profile_named(
+            spec.codec,
+            "micro",
             workload.batch_size,
             batches=3,
             seed=harness.seed + 1 + index,
+            dataset_options={"dynamic_range": value},
         )
     stream: List[Mapping[str, StepCost]] = []
     for batch_index, value in enumerate(ranges):

@@ -17,14 +17,17 @@ Three measurements feed the cost model:
 from __future__ import annotations
 
 import hashlib
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.compression.base import StepCost, StreamCompressor
+from repro.compression.registry import get_codec
 from repro.compression.stats import BatchStatistics, analyze_batch
 from repro.datasets.base import Dataset
+from repro.datasets.loaders import get_dataset
 from repro.errors import ProfilingError
 from repro.simcore.boards import BoardSpec
 from repro.simcore.hardware import CoreSpec
@@ -33,6 +36,7 @@ from repro.simcore.interconnect import Path
 __all__ = [
     "WorkloadProfile",
     "profile_workload",
+    "profile_named",
     "profile_roofline",
     "measure_communication",
     "RooflineSamples",
@@ -40,6 +44,10 @@ __all__ = [
 ]
 
 _DEFAULT_PROFILE_BATCHES = 10
+
+#: bound of the :func:`profile_named` memo; a profile pickles to 1-2 KB
+_NAMED_PROFILES_MAX = 1024
+_NAMED_PROFILES: "OrderedDict[Tuple, WorkloadProfile]" = OrderedDict()
 
 
 @dataclass(frozen=True)
@@ -153,6 +161,41 @@ def profile_workload(
             for step_id, producers in codec.step_dependencies().items()
         },
     )
+
+
+def profile_named(
+    codec: str,
+    dataset: str,
+    batch_size: int,
+    batches: int = _DEFAULT_PROFILE_BATCHES,
+    seed: int = 0,
+    warmup_batches: int = 1,
+    codec_options: Mapping = (),
+    dataset_options: Mapping = (),
+) -> WorkloadProfile:
+    """:func:`profile_workload` of a registry-named workload, memoized
+    process-wide.
+
+    Options are a mapping or ``(name, value)`` pairs with hashable
+    values. The key is every argument (options as sorted pairs), so the
+    same arguments always reach the dry run. The memo keeps the
+    :data:`_NAMED_PROFILES_MAX` most recently used profiles and hands
+    out shared ones: no caller may mutate a profile.
+    """
+    key = (codec, tuple(sorted(dict(codec_options).items())),
+           dataset, tuple(sorted(dict(dataset_options).items())),
+           batch_size, batches, seed, warmup_batches)
+    profile = _NAMED_PROFILES.pop(key, None)
+    if profile is None:
+        profile = profile_workload(
+            get_codec(codec, **dict(codec_options)),
+            get_dataset(dataset, **dict(dataset_options)),
+            batch_size, batches, seed, warmup_batches,
+        )
+        if len(_NAMED_PROFILES) >= _NAMED_PROFILES_MAX:
+            _NAMED_PROFILES.popitem(last=False)
+    _NAMED_PROFILES[key] = profile
+    return profile
 
 
 @dataclass(frozen=True)

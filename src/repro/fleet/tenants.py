@@ -19,11 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from repro.compression import get_codec
 from repro.core.baselines import WorkloadContext
-from repro.core.profiler import WorkloadProfile, profile_workload
+from repro.core.profiler import WorkloadProfile, profile_named
 from repro.core.scheduler import Scheduler
-from repro.datasets import MicroDataset
 from repro.errors import ConfigurationError
 from repro.simcore.boards import rk3399
 
@@ -156,12 +154,13 @@ def profile_tenant(spec: TenantSpec, seed: int = 0) -> WorkloadProfile:
     are independent of catalogue order and of which tenants share a
     run.
     """
-    return profile_workload(
-        get_codec(spec.codec),
-        MicroDataset(dynamic_range=spec.dynamic_range),
+    return profile_named(
+        spec.codec,
+        "micro",
         spec.batch_bytes,
         batches=2,
         seed=seed * 1_000 + spec.tenant_id + 1,
+        dataset_options={"dynamic_range": spec.dynamic_range},
     )
 
 
