@@ -156,11 +156,17 @@ class Mechanism(abc.ABC):
 def _random_plan_provider(
     graph: TaskGraph, core_pool: Tuple[int, ...]
 ) -> Callable[[int, np.random.Generator], SchedulingPlan]:
-    """Each repetition draws one random core per stage from the pool."""
+    """Each repetition draws one random core per stage from the pool.
+
+    ``rng.integers(0, n)`` is the draw ``rng.choice(core_pool)`` makes,
+    without converting the pool to an array on every call.
+    """
+    pool_size = len(core_pool)
 
     def provider(repetition: int, rng: np.random.Generator) -> SchedulingPlan:
         assignments = tuple(
-            (int(rng.choice(core_pool)),) for _ in graph.tasks
+            (core_pool[int(rng.integers(0, pool_size))],)
+            for _ in graph.tasks
         )
         return SchedulingPlan(graph=graph, assignments=assignments)
 

@@ -19,9 +19,11 @@ sequences in the simulation and scheduling packages and points here.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
-__all__ = ["ordered_sum"]
+import numpy as np
+
+__all__ = ["mean", "ordered_sum"]
 
 
 def ordered_sum(values: Iterable[float], start: float = 0.0) -> float:
@@ -36,3 +38,20 @@ def ordered_sum(values: Iterable[float], start: float = 0.0) -> float:
     for value in values:
         total += value
     return total
+
+
+def mean(values: Sequence[float]) -> float:
+    """``float(np.mean(values))``, bit for bit, without numpy for short
+    sequences.
+
+    numpy adds fewer than 8 values one after another, starting from
+    0.0, and divides the sum by the count — exactly this left fold. From
+    8 values on it sums pairwise, so those go to numpy.
+    """
+    count = len(values)
+    if count >= 8:
+        return float(np.mean(values))
+    total = 0.0
+    for value in values:
+        total += value
+    return total / count

@@ -33,7 +33,7 @@ byte-identical to an untraced run's (tests assert this).
 from __future__ import annotations
 
 import gc
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass, replace
 from typing import (
     Callable,
@@ -61,7 +61,7 @@ from repro.faults.model import (
     InterconnectDegradation,
     corruption_schedule,
 )
-from repro.numerics import ordered_sum
+from repro.numerics import mean, ordered_sum
 from repro.obs.trace import TraceRecorder, set_active_recorder
 from repro.runtime.metrics import BatchMetrics, RepetitionResult, RunResult
 from repro.simcore.boards import BoardSpec
@@ -86,6 +86,22 @@ _SWITCH_KAPPA = 50.0
 #: real cpufreq governors re-evaluate every ~10 ms; the executor decides
 #: per batch, so transition costs scale by the missed decision points
 GOVERNOR_SAMPLING_PERIOD_US = 10_000.0
+
+#: bound of the repetition-seed memo; a grid's cells share their seeds
+_SEED_STATES_MAX = 1024
+_SEED_STATES: "OrderedDict[int, dict]" = OrderedDict()
+
+
+def _seed_state(seed: int) -> dict:
+    """``np.random.default_rng(seed).bit_generator.state``, memoized
+    process-wide (least recently used evicted; callers only read it)."""
+    state = _SEED_STATES.pop(seed, None)
+    if state is None:
+        state = np.random.PCG64(seed).state
+        if len(_SEED_STATES) >= _SEED_STATES_MAX:
+            _SEED_STATES.popitem(last=False)
+    _SEED_STATES[seed] = state
+    return state
 
 
 @dataclass(frozen=True)
@@ -142,10 +158,12 @@ class _CoreServer:
 
     A callback chain on the calendar (see DESIGN.md "Callback core
     servers"): ``submit`` queues an item, and an idle server takes it
-    with one zero-delay *kick* event. The kick charges a context switch
-    when the task differs from the last one served (a ``switch_us``
-    pause), then the service timeout runs; its completion hands the
-    next queued item to a fresh kick or marks the server idle.
+    with one zero-delay *kick*. The kick charges a context switch when
+    the task differs from the last one served (a ``switch_us`` pause),
+    then the service runs; its completion hands the next queued item to
+    a fresh kick or marks the server idle. Kick, pause and completion
+    are calendar thunks (bound methods queued with
+    ``Simulator._schedule``), each in the slot its event would take.
 
     Trace hooks sit at those points, each behind its own
     ``trace is not None`` guard, so an untraced run pays one attribute
@@ -225,11 +243,9 @@ class _CoreServer:
 
     def _dispatch(self, item) -> None:
         self._current = item
-        kick = self.simulator._internal_event()
-        kick.callbacks.append(self._begin)
-        kick.succeed(None)
+        self.simulator._schedule(0.0, self._begin)
 
-    def _begin(self, _event) -> None:
+    def _begin(self) -> None:
         task_name, batch_index, duration, energy_uj, done = self._current
         if self.failed:
             # The dead core's in-flight batch is lost; re-enqueue it on
@@ -271,12 +287,11 @@ class _CoreServer:
                 trace.span(
                     "ctx-switch", self.core.core_id, now, now + switch_us
                 )
-            pause = self.simulator.timeout(switch_us, transient=True)
-            pause.callbacks.append(self._after_switch)
+            self.simulator._schedule(switch_us, self._after_switch)
             return
         self._start()
 
-    def _after_switch(self, _event) -> None:
+    def _after_switch(self) -> None:
         trace = self.trace
         if trace is not None:
             trace.context_switch(self.core.core_id, 1.0, self.simulator.now)
@@ -294,10 +309,9 @@ class _CoreServer:
             trace.span(
                 task_name, self.core.core_id, start, end, batch=batch_index
             )
-        work = self.simulator.timeout(duration, transient=True)
-        work.callbacks.append(self._complete)
+        self.simulator._schedule(duration, self._complete)
 
-    def _complete(self, _event) -> None:
+    def _complete(self) -> None:
         _task, batch_index, duration, energy_uj, done = self._current
         core_id = self.core.core_id
         mean_power = energy_uj / duration if duration > 0 else 0.0
@@ -420,7 +434,7 @@ class SessionResult:
 class _RepetitionRun:
     """One repetition's DES state: simulator, servers, meter, governor.
 
-    Shared by the one-shot path (:meth:`PipelineExecutor._run_once`) and
+    Shared by the one-shot path (:meth:`PipelineExecutor.run_single`) and
     the windowed session path (:meth:`PipelineExecutor.run_session`).
     Event-creation order is what fixes the heap's sequence numbers — and
     with them the interleaving and the RNG draw order — so construction
@@ -492,15 +506,16 @@ class _RepetitionRun:
                 graph, per_batch_step_costs, self.stage_costs
             )
 
-        self.simulator = Simulator(trace=self.trace)
-        self.meter = EnergyMeter(
-            self.board, trace=self.trace, clock=(lambda: self.simulator.now)
-        )
+        # The clock closes over the simulator, not over this run, so a
+        # finished repetition holds no reference cycle through it.
+        simulator = self.simulator = Simulator(trace=self.trace)
+        clock = lambda: simulator.now
+        self.meter = EnergyMeter(self.board, trace=self.trace, clock=clock)
         if self.trace is not None:
-            governor.attach_trace(self.trace, lambda: self.simulator.now)
+            governor.attach_trace(self.trace, clock)
         self.servers = {
             core.core_id: _CoreServer(
-                self.simulator,
+                simulator,
                 core,
                 governor.frequency_of(core.core_id),
                 self.meter,
@@ -531,14 +546,15 @@ class _RepetitionRun:
 
     def on_batch_complete(self) -> None:
         """Sink hook: inject faults, feed the DVFS governor."""
-        simulator = self.simulator
-        servers = self.servers
-        governor = self.governor
         self.completed_batches += 1
         if self.fault_schedule:
             for event in self.fault_schedule.pop(self.completed_batches, ()):
                 self._fire(event)
-        now = simulator.now
+        governor = self.governor
+        if not governor.adapts:
+            return
+        servers = self.servers
+        now = self.simulator.now
         elapsed = now - self.previous_time
         if elapsed <= 0.0:
             return
@@ -973,7 +989,7 @@ class _RepetitionRun:
 class PipelineExecutor:
     """Runs scheduling plans on a simulated board and measures them.
 
-    After a run, :attr:`last_trace` holds the final repetition's
+    After a run, :attr:`last_trace` gives the final repetition's
     execution trace: ``{core_id: [(task, batch, start_us, end_us), ...]}``
     — the raw material for Gantt rendering and occupancy debugging.
 
@@ -996,9 +1012,17 @@ class PipelineExecutor:
         #: (duck-typed); ``None`` keeps every hook site dormant so the
         #: run stays byte-identical to a pre-telemetry build
         self.telemetry = telemetry
-        self.last_trace: Dict[int, List] = {}
+        #: the last repetition's core servers, read by :attr:`last_trace`
+        self._last_servers: Dict[int, _CoreServer] = {}
         #: (graph, per_batch_step_costs, merged rows) — see _RepetitionRun
         self._stage_costs_memo = None
+
+    @property
+    def last_trace(self) -> Dict[int, List]:
+        return {
+            core_id: list(server.spans)
+            for core_id, server in self._last_servers.items()
+        }
 
     # -- public API ---------------------------------------------------------
 
@@ -1010,7 +1034,15 @@ class PipelineExecutor:
         dynamics: MechanismDynamics = MechanismDynamics(),
         shared_state_stages: Set[int] = frozenset(),
     ) -> RunResult:
-        """Measure a plan (or a per-repetition plan factory) repeatedly."""
+        """Measure a plan (or a per-repetition plan factory) repeatedly.
+
+        Repetition ``r`` draws from ``np.random.default_rng(seed +
+        7919·r)``: one PCG64 is reset to that seed's memoized state.
+        """
+        config = self.config
+        bit_generator = np.random.PCG64(config.seed)
+        rng = np.random.Generator(bit_generator)
+        fixed_description = None if callable(plan) else plan.describe()
         repetition_results = []
         if self.trace is not None:
             # Publish the recorder so instrumentation points that plan
@@ -1025,40 +1057,33 @@ class PipelineExecutor:
         if gc_was_enabled:
             gc.disable()
         try:
-            for repetition in range(self.config.repetitions):
-                rng = np.random.default_rng(
-                    self.config.seed + 7919 * repetition
+            for repetition in range(config.repetitions):
+                bit_generator.state = _seed_state(
+                    config.seed + 7919 * repetition
                 )
                 if self.trace is not None:
                     self.trace.begin_repetition(repetition)
                 current_plan = plan(repetition, rng) if callable(plan) else plan
-                governor = self._make_governor()
-                batches = self._run_once(
-                    current_plan,
-                    per_batch_step_costs,
-                    batch_bytes,
-                    rng,
-                    governor,
-                    dynamics,
-                    shared_state_stages,
+                batches = self.run_single(
+                    current_plan, per_batch_step_costs, batch_bytes, rng,
+                    dynamics=dynamics, shared_state_stages=shared_state_stages,
                     repetition=repetition,
                 )
-                measured = batches[self.config.warmup_batches:]
-                latency = float(
-                    np.mean([b.latency_us_per_byte for b in measured])
-                )
-                energy = float(
-                    np.mean([b.energy_uj_per_byte for b in measured])
-                )
+                measured = batches[config.warmup_batches:]
+                latency = mean([b.latency_us_per_byte for b in measured])
                 repetition_results.append(
                     RepetitionResult(
                         repetition=repetition,
                         batches=tuple(batches),
                         latency_us_per_byte=latency,
-                        energy_uj_per_byte=energy,
+                        energy_uj_per_byte=mean(
+                            [b.energy_uj_per_byte for b in measured]
+                        ),
                         violated=latency
-                        > self.config.latency_constraint_us_per_byte,
-                        plan_description=current_plan.describe(),
+                        > config.latency_constraint_us_per_byte,
+                        plan_description=(
+                            fixed_description or current_plan.describe()
+                        ),
                     )
                 )
         finally:
@@ -1085,35 +1110,6 @@ class PipelineExecutor:
         """One repetition with full control (used by the adaptive loop)."""
         if governor is None:
             governor = self._make_governor()
-        return self._run_once(
-            plan,
-            per_batch_step_costs,
-            batch_bytes,
-            rng,
-            governor,
-            dynamics,
-            shared_state_stages,
-            repetition=repetition,
-        )
-
-    # -- internals ------------------------------------------------------------
-
-    def _make_governor(self) -> Governor:
-        if self.config.governor == "default":
-            return StaticGovernor(self.board, self.config.frequency_map)
-        return get_governor(self.config.governor, self.board)
-
-    def _run_once(
-        self,
-        plan: SchedulingPlan,
-        per_batch_step_costs: Sequence[Mapping[str, StepCost]],
-        batch_bytes: int,
-        rng: np.random.Generator,
-        governor: Governor,
-        dynamics: MechanismDynamics,
-        shared_state_stages: Set[int],
-        repetition: int = 0,
-    ) -> List[BatchMetrics]:
         run = _RepetitionRun(
             self,
             per_batch_step_costs,
@@ -1128,16 +1124,20 @@ class PipelineExecutor:
         run.spawn_plan(plan, 0, run.batch_count)
         return self._finish(run, batch_bytes)
 
+    # -- internals ------------------------------------------------------------
+
+    def _make_governor(self) -> Governor:
+        if self.config.governor == "default":
+            return StaticGovernor(self.board, self.config.frequency_map)
+        return get_governor(self.config.governor, self.board)
+
     def _finish(
         self, run: _RepetitionRun, batch_bytes: int
     ) -> List[BatchMetrics]:
         """Run the simulation out, keep its trace and measure it."""
         run.simulator.run()
         run.check_complete()
-        self.last_trace = {
-            core_id: list(server.spans)
-            for core_id, server in run.servers.items()
-        }
+        self._last_servers = run.servers
         if self.trace is not None:
             self.trace.end_repetition(
                 window_us=max(run.completions.values(), default=0.0),

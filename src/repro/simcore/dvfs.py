@@ -48,6 +48,9 @@ class Governor(abc.ABC):
     #: decides to move, keeps re-switching (on-demand hunts around the
     #: target level; conservative settles after its single step)
     oscillation_factor: float = 0.05
+    #: False when :meth:`observe` can never change a frequency; the
+    #: executor then skips the per-batch utilization feed
+    adapts: bool = True
 
     def __init__(self, board: BoardSpec) -> None:
         self.board = board
@@ -115,6 +118,7 @@ class StaticGovernor(Governor):
     """Fixed frequencies; the default pins every core at its maximum."""
 
     name = "default"
+    adapts = False
 
     def __init__(
         self, board: BoardSpec, frequency_map: Optional[Mapping[int, float]] = None

@@ -26,12 +26,20 @@ handshakes, same-tick resumes), which the index turns into one dict hit
 and a list append, no tuple comparisons. Within a bucket, insertion
 order *is* the old sequence order, so pop order is provably identical
 to the heap it replaced. Events have no cancel API (they fire exactly
-once), so no lazy-cancellation bookkeeping is needed. Internal
-engine-owned events — process bootstraps, already-triggered-target
-resume ticks, :meth:`Simulator.all_of` deferred counts — are recycled
-through a free-list the public constructors (``timeout``/``event``/
-store handshakes) draw from; events handed to user code are never
-recycled, so holding one after it fired stays safe.
+once), so no lazy-cancellation bookkeeping is needed.
+
+A bucket entry is either an :class:`Event` or a *thunk*: a bound
+method the engine (or a core server of the executor) queues with
+:meth:`Simulator._schedule` for a hop nobody else waits on — a process
+bootstrap, a core server's kick, switch pause and service completion.
+The run loop calls a thunk directly instead of triggering an event and
+running its one callback. A thunk takes the bucket slot the event it
+replaces would have taken, so pop order is unchanged. Other internal
+events — already-triggered-target resume ticks, :meth:`Simulator.all_of`
+deferred counts — are recycled through a free-list the public
+constructors (``timeout``/``event``/store handshakes) draw from; events
+handed to user code are never recycled, so holding one after it fired
+stays safe.
 
 Observability: a :class:`Simulator` may carry a
 :class:`~repro.obs.trace.TraceRecorder` (``trace=``). Named stores then
@@ -45,6 +53,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from types import MethodType
 from typing import Any, Callable, Generator, List, Optional
 
 from repro.errors import SimulationError
@@ -59,8 +68,8 @@ class Event:
     with a value, and *triggered* once the simulator pops it and runs its
     callbacks. Processes waiting on an event resume with its value.
 
-    ``recyclable`` marks engine-internal events (bootstraps, resume
-    ticks, join counters) that provably have no external references once
+    ``recyclable`` marks engine-internal events (resume ticks, join
+    counters) that provably have no external references once
     fired; the run loop resets those into the simulator's free-list.
     """
 
@@ -82,18 +91,7 @@ class Event:
             raise SimulationError("event succeeded twice")
         self.queued = True
         self.value = value
-        # Inlined Simulator._schedule — succeed() is the engine's single
-        # hottest call and the extra frame was measurable.
-        simulator = self.simulator
-        if delay < 0:
-            raise SimulationError(f"cannot schedule {delay} into the past")
-        at = simulator.now + delay
-        bucket = simulator._buckets.get(at)
-        if bucket is None:
-            simulator._buckets[at] = [self]
-            heapq.heappush(simulator._times, at)
-        else:
-            bucket.append(self)
+        self.simulator._schedule(delay, self)
         return self
 
 
@@ -119,9 +117,12 @@ class Process(Event):
         self.name = name
         trace = simulator.trace
         self._traced = trace is not None and trace.process_events
-        bootstrap = simulator._internal_event()
-        bootstrap.callbacks.append(self._resume)
-        bootstrap.succeed(None)
+        simulator._schedule(0.0, self._bootstrap)
+
+    def _bootstrap(self) -> None:
+        # A process's own value is None until its generator returns, so
+        # the process stands in for the bootstrap event.
+        self._resume(self)
 
     def _resume(self, event: Event) -> None:
         simulator = self.simulator
@@ -171,16 +172,18 @@ class Simulator:
         #: recycled engine-internal events (see :class:`Event`)
         self._free: List[Event] = []
 
-    def _schedule(self, delay: float, event: Event) -> None:
+    def _schedule(self, delay: float, entry) -> None:
+        """Queue ``entry`` — an :class:`Event` or a thunk (a bound
+        method taking no argument) — ``delay`` µs from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay} into the past")
         at = self.now + delay
         bucket = self._buckets.get(at)
         if bucket is None:
-            self._buckets[at] = [event]
+            self._buckets[at] = [entry]
             heapq.heappush(self._times, at)
         else:
-            bucket.append(event)
+            bucket.append(entry)
 
     def _internal_event(self) -> Event:
         """A fresh (or recycled) event for engine-internal plumbing."""
@@ -294,6 +297,9 @@ class Simulator:
                 while index < len(bucket):
                     event = bucket[index]
                     index += 1
+                    if event.__class__ is MethodType:
+                        event()
+                        continue
                     event.triggered = True
                     callbacks, event.callbacks = event.callbacks, []
                     for callback in callbacks:
@@ -311,6 +317,10 @@ class Simulator:
                 raise
             del buckets[time]
             heapq.heappop(times)
+        # Recycled events point back at the simulator; a drained
+        # calendar drops them so the pair is not left to the cycle
+        # collector.
+        free.clear()
         if until is not None:
             self.now = until
         return self.now
