@@ -23,11 +23,7 @@ import numpy as np
 from repro.bench.experiments import ExperimentResult
 from repro.bench.harness import Harness, WorkloadSpec, default_harness
 from repro.core.adaptive import FeedbackRegulator
-from repro.core.baselines import (
-    CStreamMechanism,
-    MechanismOutcome,
-    WorkloadContext,
-)
+from repro.core.baselines import CStreamMechanism, MechanismOutcome
 from repro.core.profiler import profile_named
 from repro.core.scheduler import Scheduler
 from repro.core.statistics_regulator import StatisticsAwareRegulator
@@ -122,8 +118,7 @@ def abl_fusion(
     rows = []
     values = {}
     for label, graph in variants:
-        model = context.cost_model(graph)
-        result = Scheduler(model).schedule(best_effort=True)
+        result = context.plan(graph)
         outcome = MechanismOutcome(
             mechanism=label,
             graph=graph,

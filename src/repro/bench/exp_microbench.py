@@ -13,7 +13,6 @@ from typing import Optional
 from repro.bench.experiments import ExperimentResult
 from repro.bench.harness import Harness, WorkloadSpec, default_harness
 from repro.core.profiler import profile_roofline
-from repro.core.scheduler import Scheduler
 from repro.simcore.hardware import CoreType
 from repro.simcore.interconnect import Path, stream_probe
 
@@ -153,9 +152,7 @@ def tab05_model_accuracy(
     for codec in ("lz4", "tcomp32", "tdic32"):
         spec = WorkloadSpec.of(codec, "rovio")
         context = harness.context(spec)
-        model = context.cost_model(context.fine_graph)
-        schedule = Scheduler(model).schedule(best_effort=True)
-        estimate = schedule.estimate
+        estimate = context.plan(context.fine_graph).estimate
         result = harness.run(spec, "CStream", repetitions=repetitions)
         l_est = estimate.latency_us_per_byte
         l_pro = result.mean_latency_us_per_byte
@@ -175,7 +172,7 @@ def tab05_model_accuracy(
         extras[codec] = {
             "relative_error_latency": abs(l_pro - l_est) / l_pro,
             "relative_error_energy": abs(e_pro - e_est) / e_pro,
-            "plan": schedule.plan.describe(),
+            "plan": estimate.plan.describe(),
         }
     return ExperimentResult(
         experiment_id="tab5",

@@ -1,9 +1,10 @@
 """Experiment harness regenerating the paper's tables and figures.
 
-The harness caches workload contexts and measurement runs, so the
-figure benches (which share many cells — Fig 7 and Fig 8 are the same
-runs read out two ways) never repeat a simulation; dry runs go through
-the process-wide :func:`~repro.core.profiler.profile_named` memo.
+The harness caches measurement runs, so the figure benches (which
+share many cells — Fig 7 and Fig 8 are the same runs read out two
+ways) never repeat a simulation; dry runs and workload contexts go
+through the process-wide :func:`~repro.core.profiler.profile_named`
+and :meth:`~repro.core.baselines.WorkloadContext.build` memos.
 Two optional layers extend that:
 
 * a **persistent result cache** (:mod:`repro.bench.cache`): point
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.bench.cache import ResultCache, default_cache, stable_digest
@@ -177,16 +178,16 @@ class Harness:
             trace_dir = os.environ.get(TRACE_DIR_ENV) or None
         self.trace_dir = trace_dir
         self._profiles: Dict = {}
-        self._contexts: Dict = {}
         self._runs: Dict = {}
 
     # -- cache keys ---------------------------------------------------------
 
     def board_fingerprint(self) -> str:
-        """Stable digest of the board spec (``repr`` covers every field
-        that shapes the simulation). Recomputed per call so a mutated
-        ``harness.board`` can never serve another board's cells."""
-        return stable_digest(repr(self.board), salt="board")[:16]
+        """Stable digest of the board spec (its :meth:`BoardSpec.key`
+        covers every field that shapes the simulation). Recomputed per
+        call so a reassigned ``harness.board`` can never serve another
+        board's cells."""
+        return stable_digest(self.board.key(), salt="board")[:16]
 
     def profile_key(self, spec: WorkloadSpec) -> Tuple:
         """Everything :func:`profile_workload` depends on."""
@@ -197,17 +198,6 @@ class Harness:
             spec.batch_size,
             max(self.profile_batches, self.batches_per_repetition),
             self.seed,
-        )
-
-    def context_key(
-        self, spec: WorkloadSpec, frequency_map: Optional[Mapping] = None
-    ) -> Tuple:
-        return (
-            "context",
-            self.board_fingerprint(),
-            self.profile_key(spec),
-            spec.latency_constraint,
-            _frozen(frequency_map),
         )
 
     def run_key(
@@ -246,7 +236,6 @@ class Harness:
         """Drop the in-memory caches (workers call this between grids to
         bound memory; the persistent cache is unaffected)."""
         self._profiles.clear()
-        self._contexts.clear()
         self._runs.clear()
 
     # -- cached building blocks ---------------------------------------------
@@ -270,16 +259,13 @@ class Harness:
     def context(
         self, spec: WorkloadSpec, frequency_map: Optional[Mapping] = None
     ) -> WorkloadContext:
-        key = self.context_key(spec, frequency_map)
-        if key not in self._contexts:
-            self._contexts[key] = WorkloadContext.build(
-                self.board,
-                self.profile(spec),
-                spec.latency_constraint,
-                seed=self.seed,
-                frequency_map=dict(frequency_map) if frequency_map else None,
-            )
-        return self._contexts[key]
+        return WorkloadContext.build(
+            self.board,
+            self.profile(spec),
+            spec.latency_constraint,
+            seed=self.seed,
+            frequency_map=frequency_map or None,
+        )
 
     # -- measurement -----------------------------------------------------------
 

@@ -94,7 +94,6 @@ def _worker_initialize(payload_bytes: bytes) -> None:
         cache=cache,
         jobs=1,  # workers never nest process pools
     )
-    harness.clear_caches()
     for key, profile in payload["profiles"].items():
         if profile.fingerprint() != payload["fingerprints"][key]:
             raise RuntimeError(

@@ -68,7 +68,6 @@ from repro.bench.harness import Harness, WorkloadSpec
 from repro.compression import CODEC_NAMES, get_codec
 from repro.compression.stream import CompressionSession, DecompressionSession
 from repro.core.baselines import MECHANISM_NAMES, get_mechanism
-from repro.core.scheduler import Scheduler
 from repro.datasets import DATASET_NAMES, DRIFT_KINDS
 from repro.errors import ReproError
 from repro.faults.chaos import CHAOS_SCENARIOS
@@ -398,8 +397,7 @@ def _command_plan(args) -> int:
     print(f"workload:       {spec.label} "
           f"(ratio {profile.compression_ratio:.2f})")
     print(f"decomposition:  {context.fine_graph.describe()}")
-    model = context.cost_model(context.fine_graph)
-    result = Scheduler(model).schedule(best_effort=True)
+    result = context.plan(context.fine_graph)
     print(f"plan:           {result.plan.describe()}")
     if not result.feasible:
         print("warning: no plan meets the constraint; showing best effort")

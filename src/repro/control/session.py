@@ -19,7 +19,6 @@ from typing import List, Mapping, Optional, Tuple
 from repro.compression.base import StepCost
 from repro.control.controller import ControllerConfig, SessionController
 from repro.core.profiler import profile_named
-from repro.core.scheduler import Scheduler
 from repro.datasets import DRIFT_KINDS, drift_schedule
 from repro.errors import ConfigurationError
 from repro.obs.health import SessionHealth
@@ -216,8 +215,7 @@ def run_adaptive_session(
     )
 
     # Static arm: the one-shot plan for the profiled (pre-drift) regime.
-    static_model = context.cost_model(context.fine_graph)
-    static_plan = Scheduler(static_model).schedule(best_effort=True).estimate.plan
+    static_plan = context.plan(context.fine_graph).plan
     static_result = PipelineExecutor(harness.board, config).run_session(
         static_plan,
         stream,

@@ -23,8 +23,9 @@ symmetric placement), ``+decom.`` (fine tasks, random placement),
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Union
+from collections import OrderedDict
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -36,9 +37,10 @@ from repro.core.profiler import (
     WorkloadProfile,
     measure_communication,
 )
-from repro.core.scheduler import Scheduler
+from repro.core.scheduler import ScheduleResult, Scheduler
 from repro.core.task import TaskGraph
 from repro.errors import ConfigurationError
+from repro.memo import lru_lookup
 from repro.runtime.executor import MechanismDynamics
 from repro.simcore.boards import BoardSpec
 from repro.simcore.os_sched import (
@@ -69,6 +71,12 @@ PlanOrProvider = Union[
 ]
 
 
+#: bound of the :meth:`WorkloadContext.build` memo (a context with its
+#: plans takes a few tens of KB)
+_CONTEXTS_MAX = 256
+_CONTEXTS: "OrderedDict[Tuple, WorkloadContext]" = OrderedDict()
+
+
 @dataclass(frozen=True)
 class WorkloadContext:
     """Shared per-workload inputs every mechanism consumes."""
@@ -83,6 +91,10 @@ class WorkloadContext:
     seed: int = 0
     #: static frequency map for planning (None = maximum frequencies)
     frequency_map: Optional[dict] = None
+    #: graph -> best-effort ScheduleResult, filled by :meth:`plan`
+    _plans: Dict[TaskGraph, ScheduleResult] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def build(
@@ -93,22 +105,42 @@ class WorkloadContext:
         seed: int = 0,
         frequency_map: Optional[dict] = None,
     ) -> "WorkloadContext":
-        """Profile the board and decompose the workload once."""
-        curves = calibrate_curves(board, seed=seed)
-        communication = measure_communication(board, seed=seed)
-        fine_graph = decompose(profile, board, curves.eta, communication)
-        coarse_graph = TaskGraph.coarse(profile.codec_name, profile.step_ids)
-        return cls(
-            board=board,
-            profile=profile,
-            latency_constraint_us_per_byte=latency_constraint_us_per_byte,
-            curves=curves,
-            communication=communication,
-            fine_graph=fine_graph,
-            coarse_graph=coarse_graph,
-            seed=seed,
-            frequency_map=frequency_map,
-        )
+        """Profile the board and decompose the workload, memoized
+        process-wide on exactly these inputs (the board by its
+        :meth:`~BoardSpec.key`, the profile by its fingerprint). Contexts
+        and their :meth:`plan` results are shared: never mutate them."""
+        frequencies = None if frequency_map is None else dict(frequency_map)
+        key = (board.key(), profile.fingerprint(), latency_constraint_us_per_byte,
+               seed, None if frequencies is None else tuple(sorted(frequencies.items())))
+
+        def fresh() -> "WorkloadContext":
+            curves = calibrate_curves(board, seed=seed)
+            communication = measure_communication(board, seed=seed)
+            return cls(
+                board=board,
+                profile=profile,
+                latency_constraint_us_per_byte=latency_constraint_us_per_byte,
+                curves=curves,
+                communication=communication,
+                fine_graph=decompose(profile, board, curves.eta, communication),
+                coarse_graph=TaskGraph.coarse(profile.codec_name, profile.step_ids),
+                seed=seed,
+                frequency_map=frequencies,
+            )
+
+        return lru_lookup(_CONTEXTS, key, _CONTEXTS_MAX, fresh)
+
+    def plan(self, graph: TaskGraph) -> ScheduleResult:
+        """``Scheduler(self.cost_model(graph)).schedule(best_effort=True)``,
+        searched once per (context, graph). A hit returns the shared
+        result, whose ``search_stats`` are those of the search that
+        produced it. Models with options, or that their caller mutates,
+        are searched by that caller."""
+        result = self._plans.get(graph)
+        if result is None:
+            result = Scheduler(self.cost_model(graph)).schedule(best_effort=True)
+            self._plans[graph] = result
+        return result
 
     def cost_model(
         self, graph: TaskGraph, **options
@@ -138,6 +170,25 @@ class MechanismOutcome:
     description: str = ""
     #: SearchStats of the plan search (None for search-free mechanisms)
     search_stats: Optional[object] = None
+
+    @classmethod
+    def searched(
+        cls, mechanism: str, graph: TaskGraph, result: ScheduleResult,
+        context_switches_per_kb: float,
+    ) -> "MechanismOutcome":
+        """The outcome of a model-guided mechanism: its searched plan."""
+        return cls(
+            mechanism=mechanism,
+            graph=graph,
+            plan=result.plan,
+            dynamics=MechanismDynamics(
+                context_switches_per_kb=context_switches_per_kb
+            ),
+            scheduled_feasible=result.feasible,
+            estimate=result.estimate,
+            description=result.plan.describe(),
+            search_stats=result.search_stats,
+        )
 
 
 class Mechanism(abc.ABC):
@@ -186,26 +237,16 @@ class CStreamMechanism(Mechanism):
     name = "CStream"
 
     def prepare(self, context: WorkloadContext) -> MechanismOutcome:
-        candidates = []
-        for graph in (context.fine_graph, context.coarse_graph):
-            model = context.cost_model(graph)
-            result = Scheduler(model).schedule(best_effort=True)
-            candidates.append((graph, result))
+        candidates = [
+            (graph, context.plan(graph))
+            for graph in (context.fine_graph, context.coarse_graph)
+        ]
         feasible = [c for c in candidates if c[1].feasible]
         pool = feasible if feasible else candidates
         graph, result = min(
             pool, key=lambda c: c[1].estimate.energy_uj_per_byte
         )
-        return MechanismOutcome(
-            mechanism=self.name,
-            graph=graph,
-            plan=result.plan,
-            dynamics=MechanismDynamics(context_switches_per_kb=0.01),
-            scheduled_feasible=result.feasible,
-            estimate=result.estimate,
-            description=result.plan.describe(),
-            search_stats=result.search_stats,
-        )
+        return MechanismOutcome.searched(self.name, graph, result, 0.01)
 
 
 class CoarseGrainedMechanism(Mechanism):
@@ -214,17 +255,9 @@ class CoarseGrainedMechanism(Mechanism):
     name = "CS"
 
     def prepare(self, context: WorkloadContext) -> MechanismOutcome:
-        model = context.cost_model(context.coarse_graph)
-        result = Scheduler(model).schedule(best_effort=True)
-        return MechanismOutcome(
-            mechanism=self.name,
-            graph=context.coarse_graph,
-            plan=result.plan,
-            dynamics=MechanismDynamics(context_switches_per_kb=0.05),
-            scheduled_feasible=result.feasible,
-            estimate=result.estimate,
-            description=result.plan.describe(),
-            search_stats=result.search_stats,
+        graph = context.coarse_graph
+        return MechanismOutcome.searched(
+            self.name, graph, context.plan(graph), 0.05
         )
 
 
@@ -249,40 +282,38 @@ class RoundRobinMechanism(Mechanism):
         )
 
 
-class BigOnlyMechanism(Mechanism):
+class _RandomPlacementMechanism(Mechanism):
+    """Fine-grained tasks, each repetition placed randomly on the board's
+    ``pool`` core ids (a :class:`BoardSpec` attribute name)."""
+
+    pool = "core_ids"
+    description = "random placement on all cores"
+
+    def prepare(self, context: WorkloadContext) -> MechanismOutcome:
+        graph = context.fine_graph
+        return MechanismOutcome(
+            mechanism=self.name,
+            graph=graph,
+            plan=_random_plan_provider(graph, getattr(context.board, self.pool)),
+            dynamics=MechanismDynamics(context_switches_per_kb=0.05),
+            description=self.description,
+        )
+
+
+class BigOnlyMechanism(_RandomPlacementMechanism):
     """BO: fine-grained tasks randomly on the big cores only."""
 
     name = "BO"
-
-    def prepare(self, context: WorkloadContext) -> MechanismOutcome:
-        provider = _random_plan_provider(
-            context.fine_graph, context.board.big_core_ids
-        )
-        return MechanismOutcome(
-            mechanism=self.name,
-            graph=context.fine_graph,
-            plan=provider,
-            dynamics=MechanismDynamics(context_switches_per_kb=0.05),
-            description="random placement on big cores",
-        )
+    pool = "big_core_ids"
+    description = "random placement on big cores"
 
 
-class LittleOnlyMechanism(Mechanism):
+class LittleOnlyMechanism(_RandomPlacementMechanism):
     """LO: fine-grained tasks randomly on the little cores only."""
 
     name = "LO"
-
-    def prepare(self, context: WorkloadContext) -> MechanismOutcome:
-        provider = _random_plan_provider(
-            context.fine_graph, context.board.little_core_ids
-        )
-        return MechanismOutcome(
-            mechanism=self.name,
-            graph=context.fine_graph,
-            plan=provider,
-            dynamics=MechanismDynamics(context_switches_per_kb=0.05),
-            description="random placement on little cores",
-        )
+    pool = "little_core_ids"
+    description = "random placement on little cores"
 
 
 class OSMechanism(Mechanism):
@@ -348,22 +379,10 @@ class SimpleAblation(Mechanism):
         )
 
 
-class DecompositionAblation(Mechanism):
+class DecompositionAblation(_RandomPlacementMechanism):
     """``+decom.``: fine-grained tasks, randomly placed on any core."""
 
     name = "+decom."
-
-    def prepare(self, context: WorkloadContext) -> MechanismOutcome:
-        provider = _random_plan_provider(
-            context.fine_graph, context.board.core_ids
-        )
-        return MechanismOutcome(
-            mechanism=self.name,
-            graph=context.fine_graph,
-            plan=provider,
-            dynamics=MechanismDynamics(context_switches_per_kb=0.05),
-            description="random placement on all cores",
-        )
 
 
 class AsymmetricComputationAblation(Mechanism):
@@ -377,15 +396,8 @@ class AsymmetricComputationAblation(Mechanism):
             context.fine_graph, communication_aware=False
         )
         result = Scheduler(model).schedule(best_effort=True)
-        return MechanismOutcome(
-            mechanism=self.name,
-            graph=context.fine_graph,
-            plan=result.plan,
-            dynamics=MechanismDynamics(context_switches_per_kb=0.01),
-            scheduled_feasible=result.feasible,
-            estimate=result.estimate,
-            description=result.plan.describe(),
-            search_stats=result.search_stats,
+        return MechanismOutcome.searched(
+            self.name, context.fine_graph, result, 0.01
         )
 
 

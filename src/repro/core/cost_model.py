@@ -25,6 +25,7 @@ for any pair"; see DESIGN.md).
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -38,6 +39,7 @@ from repro.core.profiler import (
 from repro.core.roofline import FittedPiecewise, fit_piecewise
 from repro.core.task import TaskGraph
 from repro.errors import ConfigurationError
+from repro.memo import lru_lookup
 from repro.simcore.boards import BoardSpec
 from repro.simcore.hardware import CoreType, replication_factor
 from repro.simcore.interconnect import Path
@@ -59,38 +61,32 @@ class CalibratedCurves:
     zeta: Dict[CoreType, FittedPiecewise]
 
 
-#: process-wide memo of fitted curves. The dry-run calibration depends
-#: only on (board, noise, seed) — every field that shapes it is in the
-#: board's repr — yet each workload context used to re-profile and
-#: re-fit the same curves from scratch, which dominated cold-start cost.
-#: Nothing mutates a :class:`CalibratedCurves` after construction
-#: (frozen dataclass of frozen fits), so sharing one instance across
-#: contexts/harnesses is safe.
-_CURVE_CACHE: Dict[Tuple[str, float, int], CalibratedCurves] = {}
+#: process-wide memo of fitted curves: the dry-run calibration depends
+#: only on (board, noise, seed), and nothing mutates a
+#: :class:`CalibratedCurves` (frozen dataclass of frozen fits).
+_CURVE_CACHE_MAX = 64
+_CURVE_CACHE: "OrderedDict[Tuple, CalibratedCurves]" = OrderedDict()
 
 
 def calibrate_curves(
     board: BoardSpec, noise: float = 0.01, seed: int = 0
 ) -> CalibratedCurves:
     """Profile one core of each type and fit Eq 5's piecewise curves."""
-    key = (repr(board), noise, seed)
-    cached = _CURVE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    eta: Dict[CoreType, FittedPiecewise] = {}
-    zeta: Dict[CoreType, FittedPiecewise] = {}
-    for core_type in CoreType:
-        cores = board.cores_of_type(core_type)
-        if not cores:
-            continue
-        samples = profile_roofline(cores[0], noise=noise, seed=seed)
-        eta[core_type] = fit_piecewise(samples.kappas, samples.eta_values)
-        zeta[core_type] = fit_piecewise(samples.kappas, samples.zeta_values)
-    if len(_CURVE_CACHE) >= 64:  # bound the memo on exotic board sweeps
-        _CURVE_CACHE.clear()
-    result = CalibratedCurves(eta=eta, zeta=zeta)
-    _CURVE_CACHE[key] = result
-    return result
+
+    def calibrate() -> CalibratedCurves:
+        eta: Dict[CoreType, FittedPiecewise] = {}
+        zeta: Dict[CoreType, FittedPiecewise] = {}
+        for core_type in CoreType:
+            cores = board.cores_of_type(core_type)
+            if not cores:
+                continue
+            samples = profile_roofline(cores[0], noise=noise, seed=seed)
+            eta[core_type] = fit_piecewise(samples.kappas, samples.eta_values)
+            zeta[core_type] = fit_piecewise(samples.kappas, samples.zeta_values)
+        return CalibratedCurves(eta=eta, zeta=zeta)
+
+    key = (board.key(), noise, seed)
+    return lru_lookup(_CURVE_CACHE, key, _CURVE_CACHE_MAX, calibrate)
 
 
 class _CostTables:

@@ -63,8 +63,6 @@ class CStream:
         self.profile_batches = profile_batches
         self.seed = seed
         self._profile: Optional[WorkloadProfile] = None
-        self._context: Optional[WorkloadContext] = None
-        self._schedule: Optional[ScheduleResult] = None
 
     # -- workflow phases -----------------------------------------------------
 
@@ -81,23 +79,19 @@ class CStream:
         return self._profile
 
     def context(self) -> WorkloadContext:
-        """Board calibration + fine-grained decomposition (cached)."""
-        if self._context is None:
-            self._context = WorkloadContext.build(
-                self.board,
-                self.profile(),
-                self.latency_constraint,
-                seed=self.seed,
-            )
-        return self._context
+        """Board calibration + fine-grained decomposition (memoized)."""
+        return WorkloadContext.build(
+            self.board, self.profile(), self.latency_constraint, seed=self.seed
+        )
 
     def plan(self, best_effort: bool = False) -> ScheduleResult:
-        """Asymmetry-aware scheduling of the decomposed tasks (cached)."""
-        if self._schedule is None:
-            context = self.context()
-            model = context.cost_model(context.fine_graph)
-            self._schedule = Scheduler(model).schedule(best_effort=best_effort)
-        return self._schedule
+        """Asymmetry-aware scheduling of the decomposed tasks; raises
+        :class:`~repro.errors.InfeasiblePlanError` when no plan meets the
+        constraint, unless ``best_effort`` (then memoized on the context)."""
+        context = self.context()
+        if best_effort:
+            return context.plan(context.fine_graph)
+        return Scheduler(context.cost_model(context.fine_graph)).schedule()
 
     def run(
         self,

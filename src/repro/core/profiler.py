@@ -29,6 +29,7 @@ from repro.compression.stats import BatchStatistics, analyze_batch
 from repro.datasets.base import Dataset
 from repro.datasets.loaders import get_dataset
 from repro.errors import ProfilingError
+from repro.memo import lru_lookup
 from repro.simcore.boards import BoardSpec
 from repro.simcore.hardware import CoreSpec
 from repro.simcore.interconnect import Path
@@ -94,10 +95,20 @@ class WorkloadProfile:
         the fingerprint lets both sides assert that a transported
         profile is the one that was measured. ``repr`` is deterministic
         here: every field is a plain scalar, tuple, or dict built in
-        step order.
+        step order. Computed once per profile and never pickled, so a
+        transported profile is re-digested on arrival.
         """
-        digest = hashlib.sha256(repr(self).encode("utf-8"))
-        return digest.hexdigest()[:16]
+        fingerprint = self.__dict__.get("_fingerprint")
+        if fingerprint is None:
+            digest = hashlib.sha256(repr(self).encode("utf-8"))
+            fingerprint = digest.hexdigest()[:16]
+            object.__setattr__(self, "_fingerprint", fingerprint)
+        return fingerprint
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_fingerprint", None)
+        return state
 
 
 def profile_workload(
@@ -185,17 +196,14 @@ def profile_named(
     key = (codec, tuple(sorted(dict(codec_options).items())),
            dataset, tuple(sorted(dict(dataset_options).items())),
            batch_size, batches, seed, warmup_batches)
-    profile = _NAMED_PROFILES.pop(key, None)
-    if profile is None:
-        profile = profile_workload(
+    return lru_lookup(
+        _NAMED_PROFILES, key, _NAMED_PROFILES_MAX,
+        lambda: profile_workload(
             get_codec(codec, **dict(codec_options)),
             get_dataset(dataset, **dict(dataset_options)),
             batch_size, batches, seed, warmup_batches,
-        )
-        if len(_NAMED_PROFILES) >= _NAMED_PROFILES_MAX:
-            _NAMED_PROFILES.popitem(last=False)
-    _NAMED_PROFILES[key] = profile
-    return profile
+        ),
+    )
 
 
 @dataclass(frozen=True)
@@ -277,10 +285,10 @@ class CommunicationTable:
 
 
 #: process-wide memo, same contract as the curve cache in
-#: :mod:`repro.core.cost_model`: the measurement depends only on
-#: (board, noise, seed) and nothing mutates a returned table, so every
-#: workload context on the same board shares one instance.
-_COMMUNICATION_CACHE: Dict[Tuple[str, float, int], "CommunicationTable"] = {}
+#: :mod:`repro.core.cost_model`: the table depends only on (board,
+#: noise, seed), and nothing mutates it.
+_COMMUNICATION_CACHE_MAX = 64
+_COMMUNICATION_CACHE: "OrderedDict[Tuple, CommunicationTable]" = OrderedDict()
 
 
 def measure_communication(
@@ -292,25 +300,22 @@ def measure_communication(
     pinning a producer thread on one core and a consumer on the other;
     with symmetric cores this reduces to one measurement per path class.
     """
-    cache_key = (repr(board), noise, seed)
-    cached = _COMMUNICATION_CACHE.get(cache_key)
-    if cached is not None:
-        return cached
-    rng = np.random.default_rng(seed)
-    unit: Dict[Path, float] = {}
-    overhead: Dict[Path, float] = {}
-    energy: Dict[Path, float] = {}
-    for path in (Path.C0, Path.C1, Path.C2):
-        cost = board.interconnect.costs[path]
-        unit[path] = cost.unit_cost_us_per_byte * float(rng.normal(1.0, noise))
-        overhead[path] = cost.message_overhead_us * float(rng.normal(1.0, noise))
-        energy[path] = cost.message_energy_uj * float(rng.normal(1.0, noise))
-    if len(_COMMUNICATION_CACHE) >= 64:
-        _COMMUNICATION_CACHE.clear()
-    table = CommunicationTable(
-        unit_cost_us_per_byte=unit,
-        message_overhead_us=overhead,
-        message_energy_uj=energy,
-    )
-    _COMMUNICATION_CACHE[cache_key] = table
-    return table
+
+    def measure() -> CommunicationTable:
+        rng = np.random.default_rng(seed)
+        unit: Dict[Path, float] = {}
+        overhead: Dict[Path, float] = {}
+        energy: Dict[Path, float] = {}
+        for path in (Path.C0, Path.C1, Path.C2):
+            cost = board.interconnect.costs[path]
+            unit[path] = cost.unit_cost_us_per_byte * float(rng.normal(1.0, noise))
+            overhead[path] = cost.message_overhead_us * float(rng.normal(1.0, noise))
+            energy[path] = cost.message_energy_uj * float(rng.normal(1.0, noise))
+        return CommunicationTable(
+            unit_cost_us_per_byte=unit,
+            message_overhead_us=overhead,
+            message_energy_uj=energy,
+        )
+
+    key = (board.key(), noise, seed)
+    return lru_lookup(_COMMUNICATION_CACHE, key, _COMMUNICATION_CACHE_MAX, measure)

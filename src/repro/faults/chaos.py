@@ -27,7 +27,6 @@ from typing import List, Optional, Tuple
 
 from repro.control.controller import ControllerConfig, SessionController
 from repro.control.session import finalize_session_health, summarize_session
-from repro.core.scheduler import Scheduler
 from repro.errors import ConfigurationError
 from repro.obs.health import SessionHealth
 from repro.obs.residuals import TelemetryCollector
@@ -267,12 +266,9 @@ def run_chaos_session(
 
     # The static plan is scheduled under the paper's constraint; the
     # session's own L_set is that plan's modeled latency plus margin.
-    static_model = context.cost_model(context.fine_graph)
-    static_plan = (
-        Scheduler(static_model).schedule(best_effort=True).estimate.plan
-    )
-    estimate = static_model.evaluate(static_plan)
-    l_set = estimate.latency_us_per_byte * spec.latency_margin
+    static = context.plan(context.fine_graph)
+    static_plan = static.plan
+    l_set = static.estimate.latency_us_per_byte * spec.latency_margin
     victim = _pick_victim(static_plan, harness.board)
     fault_plan = build_fault_plan(spec, victim)
 

@@ -166,7 +166,7 @@ class Gateway:
             raise ConfigurationError(
                 "shared FleetScheduler was built for another seed"
             )
-        #: placement cache; arms of one scenario may share it, since its
+        #: plan lookups; arms of one scenario may share it, since its
         #: contexts and plans depend only on (workload, board kind, seed)
         self.scheduler = scheduler
         self.backoff = replace(config.backoff, seed=seed)

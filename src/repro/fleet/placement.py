@@ -11,17 +11,17 @@ little cores), and ``migration_cost`` prices the resulting delta with
 the destination's communication table, exactly the machinery the
 single-board control loop uses at window boundaries.
 
-Boards of one kind share calibration, so contexts, models and schedule
-results are cached per (tenant, kind) — a 6-board fleet prices like a
-3-kind fleet. The cached values depend only on (tenant workload, board
-kind, seed), so one :class:`FleetScheduler` is shared by all arms of a
-scenario (:func:`repro.fleet.scenario.run_fleet_scenario`): each
-(tenant, kind) plan is searched once per scenario, not once per arm.
+Every plan is a pure function of its planning problem, so nothing here
+caches: :meth:`WorkloadContext.build` memoizes each (tenant profile,
+board kind, L_set, seed) context process-wide and
+:meth:`WorkloadContext.plan` each context's best-effort plan. Boards of
+one kind share one key, so a 6-board fleet prices like a 3-kind fleet,
+and the arms of a scenario, and scenarios over the same catalogue,
+search each (tenant, kind) plan once per process.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
@@ -34,6 +34,7 @@ from repro.core.plan import (
     migration_cost,
 )
 from repro.core.scheduler import Scheduler
+from repro.core.task import TaskGraph
 from repro.errors import ConfigurationError
 from repro.fleet.registry import BoardHandle
 from repro.fleet.tenants import TenantWorkload
@@ -57,9 +58,6 @@ class Placement:
     #: per-core busy time this tenant adds per gateway window, µs
     busy_us_by_core: Tuple[Tuple[int, float], ...]
 
-    def busy_map(self) -> Dict[int, float]:
-        return dict(self.busy_us_by_core)
-
 
 def cross_board_routing(
     source: BoardSpec, destination: BoardSpec
@@ -82,7 +80,7 @@ def cross_board_routing(
 
 
 class FleetScheduler:
-    """Builds, caches and re-places per-tenant plans across the fleet."""
+    """Looks up and re-places per-tenant plans across the fleet."""
 
     def __init__(
         self,
@@ -96,44 +94,23 @@ class FleetScheduler:
         self.boards = boards
         self.seed = seed
         self._reference = rk3399()
-        #: tenant_id -> canonical (reference-board) fine graph
-        self._graphs: Dict[int, object] = {}
-        #: (tenant_id, kind) -> WorkloadContext
-        self._contexts: Dict[Tuple[int, str], WorkloadContext] = {}
-        #: (tenant_id, kind) -> ScheduleResult of the canonical graph
-        self._schedules: Dict[Tuple[int, str], object] = {}
-        # Arms run on worker threads may share one scheduler: each cache
-        # fill is check-then-act, and every caller must get the same
-        # object (a plan's graph is its tenant's one canonical graph).
-        self._lock = threading.RLock()
 
-    # -- cached per-(tenant, kind) artifacts ---------------------------------
+    # -- per-(tenant, kind) planning problems --------------------------------
 
-    def canonical_graph(self, tenant_id: int):
-        with self._lock:
-            if tenant_id not in self._graphs:
-                workload = self.workloads[tenant_id]
-                context = WorkloadContext.build(
-                    self._reference,
-                    workload.profile,
-                    workload.l_set_us_per_byte,
-                    seed=self.seed,
-                )
-                self._graphs[tenant_id] = context.fine_graph
-            return self._graphs[tenant_id]
+    def _context(self, tenant_id: int, board: BoardSpec) -> WorkloadContext:
+        workload = self.workloads[tenant_id]
+        return WorkloadContext.build(
+            board, workload.profile, workload.l_set_us_per_byte,
+            seed=self.seed,
+        )
+
+    def canonical_graph(self, tenant_id: int) -> TaskGraph:
+        """The tenant's fine graph on the reference board: one stage
+        indexing, hence one portable plan shape, on every board kind."""
+        return self._context(tenant_id, self._reference).fine_graph
 
     def context(self, tenant_id: int, board: BoardHandle) -> WorkloadContext:
-        key = (tenant_id, board.kind)
-        with self._lock:
-            if key not in self._contexts:
-                workload = self.workloads[tenant_id]
-                self._contexts[key] = WorkloadContext.build(
-                    board.spec,
-                    workload.profile,
-                    workload.l_set_us_per_byte,
-                    seed=self.seed,
-                )
-            return self._contexts[key]
+        return self._context(tenant_id, board.spec)
 
     def model(self, tenant_id: int, board: BoardHandle) -> CostModel:
         """A fresh cost model for this tenant's canonical graph on this
@@ -145,14 +122,10 @@ class FleetScheduler:
     def plan_estimate(
         self, tenant_id: int, board: BoardHandle
     ) -> PlanEstimate:
-        key = (tenant_id, board.kind)
-        with self._lock:
-            if key not in self._schedules:
-                model = self.model(tenant_id, board)
-                self._schedules[key] = Scheduler(model).schedule(
-                    best_effort=True
-                )
-            return self._schedules[key].estimate
+        """The tenant's shared best-effort plan on this board kind."""
+        return self.context(tenant_id, board).plan(
+            self.canonical_graph(tenant_id)
+        ).estimate
 
     def busy_us_by_core(
         self, estimate: PlanEstimate, window_bytes: int

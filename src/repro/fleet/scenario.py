@@ -14,9 +14,10 @@ sequence under three gateway configurations —
   dead board's breaker opens.
 
 All three arms share the catalogue, the SLOs, the fault plan and one
-:class:`~repro.fleet.placement.FleetScheduler` (so each (tenant, board
-kind) plan is searched once per scenario, not once per arm); every
-difference in the summaries is the robustness machinery itself.
+:class:`~repro.fleet.placement.FleetScheduler`, and each (tenant, board
+kind) plan is searched once per process, not once per arm or scenario
+(:meth:`~repro.core.baselines.WorkloadContext.plan`); every difference
+in the summaries is the robustness machinery itself.
 """
 
 from __future__ import annotations
@@ -149,8 +150,8 @@ def run_fleet_arm(
     boards=None,
     scheduler: Optional[FleetScheduler] = None,
 ) -> FleetHealth:
-    """One arm end to end; catalogue, fleet and placement cache
-    reusable across arms."""
+    """One arm end to end; catalogue, fleet and scheduler reusable
+    across arms."""
     if boards is None:
         boards = build_fleet(spec.boards)
     if workloads is None:
@@ -178,7 +179,7 @@ def run_fleet_arm(
 
 def run_fleet_scenario(spec: FleetScenarioSpec) -> FleetComparison:
     """All three arms over one catalogue, fleet, fault plan and
-    placement cache (each (tenant, board kind) is searched once)."""
+    scheduler."""
     boards = build_fleet(spec.boards)
     workloads = build_tenant_workloads(
         build_tenant_catalog(spec.tenants, seed=spec.seed),

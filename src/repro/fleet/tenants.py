@@ -21,7 +21,6 @@ from typing import Tuple
 
 from repro.core.baselines import WorkloadContext
 from repro.core.profiler import WorkloadProfile, profile_named
-from repro.core.scheduler import Scheduler
 from repro.errors import ConfigurationError
 from repro.simcore.boards import rk3399
 
@@ -180,9 +179,9 @@ def build_tenant_workloads(
         context = WorkloadContext.build(
             reference, profile, _BOOTSTRAP_L_SET, seed=seed
         )
-        model = context.cost_model(context.fine_graph)
-        result = Scheduler(model).schedule(best_effort=True)
-        reference_latency = result.estimate.latency_us_per_byte
+        reference_latency = context.plan(
+            context.fine_graph
+        ).estimate.latency_us_per_byte
         workloads.append(
             TenantWorkload(
                 spec=spec,

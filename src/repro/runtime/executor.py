@@ -61,6 +61,7 @@ from repro.faults.model import (
     InterconnectDegradation,
     corruption_schedule,
 )
+from repro.memo import lru_lookup
 from repro.numerics import mean, ordered_sum
 from repro.obs.trace import TraceRecorder, set_active_recorder
 from repro.runtime.metrics import BatchMetrics, RepetitionResult, RunResult
@@ -95,13 +96,9 @@ _SEED_STATES: "OrderedDict[int, dict]" = OrderedDict()
 def _seed_state(seed: int) -> dict:
     """``np.random.default_rng(seed).bit_generator.state``, memoized
     process-wide (least recently used evicted; callers only read it)."""
-    state = _SEED_STATES.pop(seed, None)
-    if state is None:
-        state = np.random.PCG64(seed).state
-        if len(_SEED_STATES) >= _SEED_STATES_MAX:
-            _SEED_STATES.popitem(last=False)
-    _SEED_STATES[seed] = state
-    return state
+    return lru_lookup(
+        _SEED_STATES, seed, _SEED_STATES_MAX, lambda: np.random.PCG64(seed).state
+    )
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,20 @@ class BoardSpec:
         object.__setattr__(self, "cluster_by_id", cluster_by_id)
         object.__setattr__(self, "core_cluster", core_cluster)
 
+    def key(self) -> str:
+        """The board's ``repr`` (it covers every field that shapes the
+        simulation), computed once per board and never pickled."""
+        key = self.__dict__.get("_key")
+        if key is None:
+            key = repr(self)
+            object.__setattr__(self, "_key", key)
+        return key
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_key", None)
+        return state
+
     # -- convenience accessors -------------------------------------------
 
     @property

