@@ -47,6 +47,8 @@ def bench_adaptive_drift(boards=("rk3399", "jetson_tx2_like")):
         harness = Harness(board=board, cache=None)
         per_board[board_name] = {}
         for scenario in BENCH_DRIFT_SCENARIOS:
+            # L_set left unset: each board's session default
+            # (repro.control.session.ADAPT_L_SET)
             spec = SessionSpec(
                 scenario=scenario,
                 controller=ControllerConfig(horizon_windows=4),

@@ -1,96 +1,58 @@
 """Adapting to a drifting stream with PID feedback regulation (§V-D).
 
 A tcomp32 pipeline is planned for narrow sensor values; mid-stream the
-values' dynamic range jumps (a sensor fault, say), the old plan starts
-violating the latency constraint, and the feedback regulator
-recalibrates the cost model with the incremental PID of Eq 8 and
-replans.
+values' dynamic range jumps (a sensor fault, say) and the old plan
+starts violating the latency constraint. The session controller runs
+the incremental PID of Eq 8 as its drift detector: the PID recalibrates
+the cost model against the measured latency, and once its calibration
+converges the controller replans and migrates the pipeline.
 
 Run:  python examples/adaptive_stream.py
 """
 
-import numpy as np
+from repro.bench.harness import Harness
+from repro.control import ControllerConfig, SessionSpec, run_adaptive_session
 
-from repro.compression import get_codec
-from repro.core.adaptive import FeedbackRegulator
-from repro.core.baselines import WorkloadContext
-from repro.core.profiler import profile_workload
-from repro.datasets import MicroDataset
-from repro.runtime.executor import ExecutionConfig, PipelineExecutor
-from repro.simcore.boards import rk3399
-
-BATCH_BYTES = 65536
 LATENCY_CONSTRAINT = 20.0
-CHANGE_AT_BATCH = 5
-TOTAL_BATCHES = 14
+TOTAL_BATCHES = 15
 
 
 def main() -> None:
-    board = rk3399()
-    codec = get_codec("tcomp32")
-
-    # Profile the initial (narrow-range) stream and plan for it.
-    low_profile = profile_workload(
-        codec, MicroDataset(dynamic_range=500), BATCH_BYTES, batches=6
+    spec = SessionSpec(
+        scenario="phase-shift",
+        batches=TOTAL_BATCHES,
+        latency_constraint=LATENCY_CONSTRAINT,
+        controller=ControllerConfig(drift_detector="pid"),
     )
-    context = WorkloadContext.build(board, low_profile, LATENCY_CONSTRAINT)
-    regulator = FeedbackRegulator(context.cost_model(context.fine_graph))
-    print(f"initial plan: {regulator.plan.describe()}")
-    print(f"predicted latency: "
-          f"{regulator.estimate.latency_us_per_byte:.2f} µs/byte "
-          f"(constraint {LATENCY_CONSTRAINT})\n")
+    comparison = run_adaptive_session(Harness(cache=None), spec)
+    static, adaptive = comparison.static, comparison.adaptive
+    print(f"initial plan: {adaptive.plan_descriptions[0]}")
+    print(f"range {spec.low_range} -> {spec.high_range} at batch "
+          f"{TOTAL_BATCHES // 3}, L_set {LATENCY_CONSTRAINT} µs/byte, "
+          f"{spec.window_batches}-batch windows\n")
 
-    # Build the drifting stream: the range jumps 500 -> 50000.
-    high_profile = profile_workload(
-        get_codec("tcomp32"),
-        MicroDataset(dynamic_range=50_000),
-        BATCH_BYTES,
-        batches=TOTAL_BATCHES - CHANGE_AT_BATCH,
-        seed=1,
-    )
-    stream = (
-        list(low_profile.per_batch_step_costs)[:CHANGE_AT_BATCH]
-        + list(high_profile.per_batch_step_costs)
-    )[:TOTAL_BATCHES]
-
-    executor = PipelineExecutor(
-        board,
-        ExecutionConfig(
-            latency_constraint_us_per_byte=LATENCY_CONSTRAINT,
-            repetitions=1,
-            batches_per_repetition=3,
-            warmup_batches=2,
-        ),
-    )
-    rng = np.random.default_rng(0)
-
-    print(f"{'batch':>5s} {'measured':>10s} {'estimated':>10s} "
-          f"{'state':>12s}")
-    for index, costs in enumerate(stream):
-        metrics = executor.run_single(
-            regulator.plan, [costs] * 3, BATCH_BYTES, rng
-        )
-        measured = metrics[-1].latency_us_per_byte
-        event = regulator.observe(index, measured)
-        if event.replanned:
-            state = "replanned!"
-        elif event.calibrating:
-            state = "calibrating"
-        elif metrics[-1].violated:
-            state = "VIOLATED"
-        else:
-            state = "ok"
+    print(f"{'batch':>5s} {'static':>10s} {'regulated':>10s}")
+    for before, after in zip(static.batches, adaptive.batches):
+        # A window's first batch pays the full pipeline traversal after
+        # the drain barrier, in both runs alike.
+        boundary = before.batch_index % spec.window_batches == 0
         print(
-            f"{index:5d} {measured:8.2f} µs "
-            f"{event.estimated_latency:8.2f} µs {state:>12s}"
+            f"{before.batch_index:5d} "
+            f"{before.latency_us_per_byte:7.2f} µs "
+            f"{after.latency_us_per_byte:7.2f} µs"
+            f"{'  (window boundary)' if boundary else ''}"
+            f"{'  VIOLATED' if after.violated and not boundary else ''}"
         )
 
-    print(f"\nfinal plan: {regulator.plan.describe()}")
+    for event in comparison.controller_events:
+        verdict = "adopted" if event.adopted else "kept the incumbent"
+        print(f"\nwindow {event.window_index}: replanned, {verdict} "
+              f"({event.reason})")
+    print(f"final plan: {adaptive.final_plan_description}")
     print(
-        "the regulator detected the drift, spent a few batches "
-        "calibrating the model's latency scale "
-        f"(now {regulator.events[-1].latency_scale:.2f}x) and moved the "
-        "pipeline onto a plan that meets the constraint again."
+        "the PID detected the drift, spent a few batches calibrating the "
+        "model's latency scale, and the controller moved the pipeline "
+        "onto a plan that meets the constraint again."
     )
 
 

@@ -8,8 +8,9 @@ experiments quantify them:
 * ``abl_fusion`` — the fusion rule (§IV-B) vs never fusing and vs the
   fully fused (coarse) pipeline.
 * ``abl_regulator`` — PID feedback (Eq 8) vs the statistics-aware
-  controller the paper sketches as future work: batches-to-readapt and
-  energy during the transient after a workload jump.
+  controller the paper sketches as future work, each as the session
+  controller's drift detector: batches-to-readapt and energy during
+  the transient after a workload jump.
 * ``abl_boards`` — the same workloads planned on the rk3399 vs a
   Jetson-TX2-class board (future-work hardware).
 """
@@ -18,16 +19,19 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-import numpy as np
-
 from repro.bench.experiments import ExperimentResult
 from repro.bench.harness import Harness, WorkloadSpec, default_harness
-from repro.core.adaptive import FeedbackRegulator
+from repro.control import (
+    ControllerConfig,
+    SessionController,
+    SessionSpec,
+    run_adaptive_session,
+)
+from repro.control.session import steady_batches
 from repro.core.baselines import CStreamMechanism, MechanismOutcome
-from repro.core.profiler import profile_named
 from repro.core.scheduler import Scheduler
-from repro.core.statistics_regulator import StatisticsAwareRegulator
 from repro.core.task import Task, TaskGraph
+from repro.faults.model import DvfsThrottle, FaultPlan
 from repro.runtime.executor import (
     ExecutionConfig,
     MechanismDynamics,
@@ -156,107 +160,101 @@ def abl_fusion(
     )
 
 
+def _arm_outcome(result, events, window_batches: int, after: int) -> dict:
+    """One session arm judged on its steady batches (each window's first
+    batch pays the drain barrier in every arm alike): which violate
+    L_set, the first batch at or after ``after`` from which none does
+    (``None``: never recovers), the adopted replans as (window, reason)
+    and the summed energy from ``after`` on."""
+    steady = steady_batches(result.batches, window_batches)
+    recovery = None
+    for batch in steady:
+        if batch.violated:
+            recovery = None
+        elif recovery is None and batch.batch_index >= after:
+            recovery = batch.batch_index
+    return {
+        "violations": [b.batch_index for b in steady if b.violated],
+        "recovery": recovery,
+        "adoptions": [
+            (event.window_index, event.reason)
+            for event in events
+            if event.adopted
+        ],
+        "transient_energy": sum(
+            b.energy_uj_per_byte for b in steady if b.batch_index >= after
+        ),
+        "steady_latency": {
+            b.batch_index: b.latency_us_per_byte for b in steady
+        },
+    }
+
+
+def _outcome_row(label: str, outcome: dict) -> tuple:
+    return (
+        label,
+        len(outcome["violations"]),
+        "never" if outcome["recovery"] is None else outcome["recovery"],
+        outcome["adoptions"][0][0] if outcome["adoptions"] else "-",
+    )
+
+
 def abl_regulator(
     harness: Optional[Harness] = None,
     latency_constraint: float = 20.0,
     batches: int = 12,
-    change_at: int = 4,
 ) -> ExperimentResult:
-    """PID (Eq 8) vs statistics-aware regulation after a range jump."""
-    harness = harness or default_harness()
-    batch_size = WorkloadSpec.of("tcomp32", "micro").batch_size
-    spec = WorkloadSpec.of(
-        "tcomp32",
-        "micro",
-        dataset_options={"dynamic_range": 500},
-        latency_constraint=latency_constraint,
-    )
-    context = harness.context(spec)
-    low_profile = harness.profile(spec)
-    high_profile = profile_named(
-        "tcomp32",
-        "micro",
-        batch_size,
-        batches=batches - change_at,
-        seed=harness.seed + 1,
-        dataset_options={"dynamic_range": 50_000},
-    )
-    stream = (
-        list(low_profile.per_batch_step_costs)[:change_at]
-        + list(high_profile.per_batch_step_costs)
-    )[:batches]
+    """PID (Eq 8) vs statistics-aware drift detection after a range jump
+    (the ``phase-shift`` drift: 500 -> 50 000 at batch ``batches // 3``).
 
-    executor = PipelineExecutor(
-        harness.board,
-        ExecutionConfig(
-            latency_constraint_us_per_byte=latency_constraint,
-            repetitions=1,
-            batches_per_repetition=3,
-            warmup_batches=2,
-            seed=harness.seed,
-        ),
+    Each detector drives the same session controller; the static plan
+    is the no-regulation reference. Only steady batches count: every
+    window's first batch pays the drain barrier in every arm."""
+    change_at = batches // 3
+    comparisons = {
+        detector: run_adaptive_session(
+            harness,
+            SessionSpec(
+                scenario="phase-shift",
+                batches=batches,
+                latency_constraint=latency_constraint,
+                controller=ControllerConfig(drift_detector=detector),
+            ),
+        )
+        for detector in ("pid", "statistics")
+    }
+    pid, stats = comparisons["pid"], comparisons["statistics"]
+    arms = (
+        ("static", "static plan", pid.static, ()),
+        ("pid", "PID (Eq 8)", pid.adaptive, pid.controller_events),
+        ("statistics", "statistics-aware", stats.adaptive,
+         stats.controller_events),
     )
-
-    def run(kind: str):
-        model = context.cost_model(context.fine_graph)
-        if kind == "pid":
-            regulator = FeedbackRegulator(model)
-        else:
-            regulator = StatisticsAwareRegulator(model)
-        rng = np.random.default_rng(harness.seed)
-        trace = []
-        for index, costs in enumerate(stream):
-            metrics = executor.run_single(
-                regulator.plan, [costs] * 3, batch_size, rng
-            )
-            measurement = metrics[-1]
-            if kind == "pid":
-                regulator.observe(index, measurement.latency_us_per_byte)
-            else:
-                regulator.observe(index, costs)
-            trace.append(measurement)
-        violations = [m.batch_index for m in trace if m.violated]
-        recovery = None
-        for m in trace[change_at:]:
-            if not m.violated:
-                recovery = m.batch_index
-                break
-        return trace, violations, recovery
-
     rows = []
     extras = {}
-    for kind, label in (("pid", "PID (Eq 8)"), ("stats", "statistics-aware")):
-        trace, violations, recovery = run(kind)
-        transient_energy = sum(
-            m.energy_uj_per_byte for m in trace[change_at:]
+    for key, label, result, events in arms:
+        outcome = _arm_outcome(
+            result, events, pid.spec.window_batches, change_at
         )
-        extras[kind] = {
-            "violations": violations,
-            "recovery_batch": recovery,
-            "transient_energy": transient_energy,
-        }
+        extras[key] = outcome
         rows.append(
-            (
-                label,
-                len(violations),
-                recovery if recovery is not None else "never",
-                f"{transient_energy:.3f}",
-            )
+            _outcome_row(label, outcome)
+            + (f"{outcome['transient_energy']:.3f}",)
         )
     return ExperimentResult(
         experiment_id="abl_regulator",
         title=(
             "regulator ablation: response to a dynamic-range jump at "
-            f"batch {change_at} (tcomp32-Micro)"
+            f"batch {change_at} (tcomp32-Micro, session controller)"
         ),
         headers=(
-            "controller", "violated batches", "recovered at",
-            "post-jump energy (µJ/B summed)",
+            "drift detector", "violated steady batches", "recovered at",
+            "adopted at window", "post-jump energy (µJ/B summed, steady)",
         ),
         rows=rows,
-        note="the statistics-aware controller replans off the first "
-        "drifted batch's counters; the PID needs Eq 8's three "
-        "observations (the trade-off §V-D predicts)",
+        note="the statistics-aware detector fires on the first drifted "
+        "batch's counters; the PID needs Eq 8's three observations, so "
+        "its replan lands a window later (the trade-off §V-D predicts)",
         extras=extras,
     )
 
@@ -319,10 +317,11 @@ def abl_thermal(
 ) -> ExperimentResult:
     """Failure injection: a thermal cap hits the big cluster mid-stream.
 
-    An IoT device in the sun throttles; the plan that used the big core
+    An IoT device in the sun throttles; the plan that used a big core
     for the encode stage starts violating the constraint. A static plan
-    stays broken; the PID-regulated CStream detects the drift (it cannot
-    know *why* the stage slowed) and replans onto the healthy cores.
+    stays broken; the session controller reads the capped frequencies
+    off the heartbeat at the next window boundary and its failover
+    replan moves the pipeline onto plans priced at the capped clocks.
     """
     harness = harness or default_harness()
     board = harness.board
@@ -331,76 +330,66 @@ def abl_thermal(
     )
     context = harness.context(spec)
     profile = harness.profile(spec)
-    stream = (list(profile.per_batch_step_costs) * batches)[:batches]
+    per_batch = profile.per_batch_step_costs
+    stream = [per_batch[index % len(per_batch)] for index in range(batches)]
     batch_bytes = profile.batch_size_bytes
-
-    capped_map = {
-        core_id: capped_mhz for core_id in board.big_core_ids
-    }
-    from repro.simcore.dvfs import StaticGovernor
-
+    plan = context.plan(context.fine_graph).plan
+    window_batches = 3
     executor = PipelineExecutor(
         board,
         ExecutionConfig(
             latency_constraint_us_per_byte=latency_constraint,
             repetitions=1,
-            batches_per_repetition=3,
+            batches_per_repetition=batches,
             warmup_batches=2,
             seed=harness.seed,
+            fault_plan=FaultPlan(events=tuple(
+                DvfsThrottle(
+                    core_id=core_id,
+                    at_batch=throttle_at,
+                    frequency_mhz=capped_mhz,
+                )
+                for core_id in board.big_core_ids
+            )),
         ),
     )
 
-    def run(regulated: bool):
-        model = context.cost_model(context.fine_graph)
-        regulator = FeedbackRegulator(model)
-        rng = np.random.default_rng(harness.seed)
-        trace = []
-        for index, costs in enumerate(stream):
-            throttled = index >= throttle_at
-            governor = StaticGovernor(
-                board, capped_map if throttled else None
-            )
-            metrics = executor.run_single(
-                regulator.plan, [costs] * 3, batch_bytes, rng,
-                governor=governor,
-            )
-            measurement = metrics[-1]
-            if regulated:
-                regulator.observe(index, measurement.latency_us_per_byte)
-            trace.append((index, measurement.violated))
-        return trace
-
     rows = []
     extras = {}
-    for label, regulated in (("static plan", False), ("PID-regulated", True)):
-        trace = run(regulated)
-        violations = [index for index, violated in trace if violated]
-        recovery = next(
-            (
-                index
-                for index, violated in trace[throttle_at:]
-                if not violated
-            ),
-            None,
-        )
-        extras[label] = {"violations": violations, "recovery": recovery}
-        rows.append(
-            (
-                label,
-                len(violations),
-                recovery if recovery is not None else "never",
+    for label in ("static plan", "controller"):
+        controller = None
+        if label == "controller":
+            controller = SessionController(
+                context.cost_model(context.fine_graph),
+                stream,
+                batch_bytes,
+                plan=plan,
             )
+        result = executor.run_session(
+            plan, stream, batch_bytes,
+            window_batches=window_batches, controller=controller,
+        )
+        events = () if controller is None else tuple(controller.events)
+        outcome = _arm_outcome(result, events, window_batches, throttle_at)
+        extras[label] = outcome
+        rows.append(
+            _outcome_row(label, outcome) + (result.final_plan_description,)
         )
     return ExperimentResult(
         experiment_id="abl_thermal",
         title=(
             f"thermal-throttling injection: big cores capped to "
-            f"{capped_mhz:.0f} MHz after batch {throttle_at} (tcomp32-Rovio)"
+            f"{capped_mhz:.0f} MHz after batch {throttle_at} "
+            f"(tcomp32-Rovio, L_set={latency_constraint})"
         ),
-        headers=("variant", "violated batches", "recovered at"),
+        headers=(
+            "variant", "violated steady batches", "recovered at",
+            "adopted at window", "final plan",
+        ),
         rows=rows,
-        note="the regulator attributes the slowdown to the model's "
-        "latency scale and replans away from the throttled cluster — "
-        "failure recovery without a thermal sensor",
+        note="the heartbeat reports the capped big cores at the next "
+        "window boundary; the controller's failover replan prices the "
+        "capped clocks and moves the work off the throttled cluster "
+        "(sensor-free recovery is abl_regulator's drift detection)",
         extras=extras,
     )

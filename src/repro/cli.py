@@ -80,10 +80,6 @@ __all__ = ["main"]
 
 _BOARDS = {"rk3399": rk3399, "jetson": jetson_tx2_like}
 
-#: ``cstream adapt`` default L_set per board when --latency-constraint
-#: is not given — chosen so the drift scenarios bind on each board
-_ADAPT_DEFAULT_L_SET = {"rk3399": 20.0, "jetson": 8.0}
-
 #: representative cells for ``cstream trace <experiment>`` — the
 #: (codec, dataset) whose fig7/8-style measurements the figure leans on
 _EXPERIMENT_CELLS = {
@@ -566,21 +562,16 @@ def _command_adapt(args) -> int:
 
     board = _BOARDS[args.board]()
     harness = Harness(board=board)
-    latency_constraint = args.latency_constraint
-    if latency_constraint is None:
-        # The jetson's bigger cores clear rk3399's 20 µs/byte SLO even
-        # statically; 8 µs/byte keeps the drift scenarios binding there.
-        latency_constraint = _ADAPT_DEFAULT_L_SET[args.board]
     spec = SessionSpec(
         codec=args.codec,
         scenario=args.scenario,
         batches=args.batches,
         window_batches=args.window,
-        latency_constraint=latency_constraint,
+        latency_constraint=args.latency_constraint,
         low_range=args.low_range,
         high_range=args.high_range,
         controller=ControllerConfig(horizon_windows=args.horizon),
-    )
+    ).for_board(board)
     recorder = TraceRecorder() if args.out is not None else None
     telemetry = args.telemetry or args.health_out is not None
     comparison = run_adaptive_session(

@@ -2,10 +2,9 @@
 
 The paper schedules once per workload; this package closes the loop the
 way §V-D's future-work paragraph sketches. A
-:class:`~repro.control.controller.SessionController` watches per-window
-workload statistics (through the
-:class:`~repro.core.statistics_regulator.StatisticsAwareRegulator` in
-detect-only mode), replans incrementally with a warm-started
+:class:`~repro.control.controller.SessionController` detects drift with
+one of §V-D's regulators (the statistics watcher by default, or Eq 8's
+PID), replans incrementally with a warm-started
 branch-and-bound when the stream drifts, and only migrates to the new
 plan when the modeled energy savings over a configurable horizon exceed
 the modeled cost of moving replica state between cores.

@@ -12,7 +12,7 @@ failover   capped frequencies enter the model;    always
            scheduler rebuilt over the survivors;
            incumbent remapped onto the
            executor's emergency routes
-drift      regulator recalibrates                 ``incumbent-optimal``,
+drift      detector recalibrates                  ``incumbent-optimal``,
            ``latency_scale``; incumbent as is     ``constraint-rescue``,
                                                   ``amortized-saving`` or
                                                   ``migration-too-costly``
@@ -26,10 +26,14 @@ diagnosis  degraded path re-priced, or retry      whenever the placement
   amortization argument applies. The incumbent is patched with
   :meth:`~repro.simcore.boards.BoardSpec.fallback_core`, the rule the
   executor routes with, so it describes what the pipeline already does.
-- **Drift** comes from a
-  :class:`~repro.core.statistics_regulator.StatisticsAwareRegulator` in
-  detect-only mode, which owns the hysteresis and the one-step
-  recalibration (``latency_scale[stage] *= observed / baseline``). A
+- **Drift** comes from the detector ``ControllerConfig.drift_detector``
+  picks; neither searches. The default
+  :class:`~repro.core.statistics_regulator.StatisticsAwareRegulator`
+  watches every batch's per-stage instruction counts and recalibrates
+  in one step (``latency_scale[stage] *= observed / baseline``); the
+  paper's Eq 8 :class:`~repro.core.adaptive.FeedbackRegulator` (``pid``)
+  steps ``latency_scale`` from the steady batches' latency error against
+  the plan in force and fires once its calibration converges. A
   candidate that rescues a violated ``L_set`` is adopted outright;
   otherwise its modeled saving over ``horizon_windows`` windows must
   exceed the migration cost by ``min_saving_ratio``.
@@ -57,9 +61,10 @@ telemetry, when collected — and the pre-built per-batch step costs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence
+from typing import List, Literal, Mapping, Optional, Sequence
 
 from repro.compression.base import StepCost
+from repro.core.adaptive import FeedbackRegulator
 from repro.core.cost_model import CostModel
 from repro.core.plan import SchedulingPlan, migration_cost
 from repro.core.scheduler import Scheduler
@@ -83,8 +88,11 @@ __all__ = [
 class ControllerConfig:
     """Knobs of the online control loop."""
 
+    #: the drift trigger's detector: the statistics watcher or Eq 8's PID
+    drift_detector: Literal["statistics", "pid"] = "statistics"
     #: relative per-stage work shift that counts as drift (the
-    #: regulator's trigger; 15 % is above batch noise, below real jumps)
+    #: statistics detector's trigger; 15 % is above batch noise, below
+    #: real jumps)
     trigger_threshold: float = 0.15
     #: EWMA factor on observed statistics (0 = trust each batch)
     smoothing: float = 0.3
@@ -104,6 +112,10 @@ class ControllerConfig:
     diagnosis_scale_cap: float = 8.0
 
     def __post_init__(self) -> None:
+        if self.drift_detector not in ("statistics", "pid"):
+            raise ConfigurationError(
+                f"unknown drift detector {self.drift_detector!r}"
+            )
         if self.horizon_windows < 1:
             raise ConfigurationError("horizon must span at least one window")
         if self.min_saving_ratio <= 0.0:
@@ -161,19 +173,20 @@ class SessionController:
         self.config = config
         # One scheduler for the whole session: its energy-floor cache
         # and warm-start bounds are what make replans incremental. A
-        # handed-in plan is only evaluated, never searched for, so with
-        # ``plan=`` the floor cache fills on the first replan instead.
+        # handed-in plan is never searched for, so with ``plan=`` the
+        # floor cache fills on the first replan instead.
         self.scheduler = Scheduler(model)
-        self.regulator = StatisticsAwareRegulator(
-            model,
-            trigger_threshold=config.trigger_threshold,
-            smoothing=config.smoothing,
-            estimate=None if plan is None else model.evaluate(plan),
-            auto_replan=False,
-            scheduler=self.scheduler,
-        )
+        if config.drift_detector == "pid":
+            self.regulator = FeedbackRegulator(model)
+        else:
+            self.regulator = StatisticsAwareRegulator(
+                model,
+                trigger_threshold=config.trigger_threshold,
+                smoothing=config.smoothing,
+            )
         self.plan: SchedulingPlan = (
-            plan if plan is not None else self.regulator.plan
+            plan if plan is not None
+            else self.scheduler.schedule(best_effort=True).plan
         )
         self.events: List[ControlEvent] = []
         self.failovers: List[FailoverEvent] = []
@@ -213,15 +226,7 @@ class SessionController:
             health = self.ingest_telemetry(
                 observation.telemetry, observation.latencies_us_per_byte
             )
-        drifted = False
-        for batch_index in range(
-            observation.batch_start,
-            observation.batch_start + observation.batch_count,
-        ):
-            event = self.regulator.observe(
-                batch_index, self.per_batch_step_costs[batch_index]
-            )
-            drifted = drifted or event.drifted
+        drifted = self._detect_drift(observation)
         # Hardware degradation outranks workload drift: a dead or newly
         # throttled core forces an immediate failover replan.
         new_failed = tuple(
@@ -277,8 +282,7 @@ class SessionController:
         pipeline traversal, which the model's steady-state estimate
         deliberately excludes.
         """
-        latencies = tuple(latencies_us_per_byte)
-        steady = latencies[1:] if len(latencies) > 1 else latencies
+        steady = _steady(latencies_us_per_byte)
         measured = ordered_sum(steady) / len(steady)
         estimate = self.model.evaluate(self.plan)
         residual = self.ledger.observe(
@@ -359,6 +363,29 @@ class SessionController:
 
     # -- internals -----------------------------------------------------------
 
+    def _detect_drift(self, observation: WindowObservation) -> bool:
+        """Feed the window to the drift detector; ``True`` when it
+        recalibrated the model. The PID sees the steady batches' latency
+        against the plan in force, the statistics watcher every batch's
+        step costs."""
+        end = observation.batch_start + observation.batch_count
+        if self.config.drift_detector == "pid":
+            steady = _steady(observation.latencies_us_per_byte)
+            events = [
+                self.regulator.observe(batch_index, latency, self.plan)
+                for batch_index, latency in zip(
+                    range(end - len(steady), end), steady
+                )
+            ]
+        else:
+            events = [
+                self.regulator.observe(
+                    batch_index, self.per_batch_step_costs[batch_index]
+                )
+                for batch_index in range(observation.batch_start, end)
+            ]
+        return any(event.drifted for event in events)
+
     def _apply_degradation(
         self, new_failed: Sequence[int], new_throttled: Sequence
     ) -> None:
@@ -378,15 +405,14 @@ class SessionController:
             self.model.frequency_map = fmap
 
     def _rebuild_scheduler(self) -> None:
-        """A fresh scheduler over the surviving cores, shared with the
-        regulator so later drift replans search the same cores. The old
-        one's energy-floor cache predates the model edit."""
+        """A fresh scheduler over the surviving cores, so later drift
+        replans search the same cores. The old one's energy-floor cache
+        predates the model edit."""
         surviving = [
             c.core_id for c in self.model.board.cores
             if c.core_id not in self._failed_cores
         ]
         self.scheduler = Scheduler(self.model, allowed_cores=surviving)
-        self.regulator.scheduler = self.scheduler
 
     def _replan(
         self,
@@ -466,3 +492,11 @@ class SessionController:
             energy_uj_per_byte=candidate.energy_uj_per_byte,
             warm_start_hits=hits,
         )
+
+
+def _steady(latencies_us_per_byte: Sequence[float]) -> tuple:
+    """A window's steady batches: all but the first, which pays the full
+    pipeline traversal after the drain barrier (a one-batch window keeps
+    its only batch)."""
+    latencies = tuple(latencies_us_per_byte)
+    return latencies[1:] if len(latencies) > 1 else latencies

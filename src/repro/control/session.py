@@ -13,8 +13,8 @@ control loop itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Mapping, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from repro.compression.base import StepCost
 from repro.control.controller import ControllerConfig, SessionController
@@ -29,15 +29,28 @@ from repro.runtime.executor import (
     SessionResult,
     window_latencies,
 )
+from repro.runtime.metrics import BatchMetrics
 
 __all__ = [
+    "ADAPT_L_SET",
     "SessionSpec",
     "SessionComparison",
     "build_drift_stream",
     "finalize_session_health",
     "run_adaptive_session",
+    "steady_batches",
     "summarize_session",
 ]
+
+
+#: default L_set (µs/byte) of an adaptive session, by ``BoardSpec.name``
+#: (other boards get the paper's 20.0), chosen so the drift scenarios
+#: bind on each board: the Jetson-class SoC's bigger cores clear
+#: rk3399's 20 µs/byte even statically
+ADAPT_L_SET = {
+    "rk3399 (Radxa RockPi 4a)": 20.0,
+    "Jetson-TX2-like (4x A57 + 2x Denver2)": 8.0,
+}
 
 
 @dataclass(frozen=True)
@@ -49,7 +62,8 @@ class SessionSpec:
     batches: int = 18
     window_batches: int = 3
     warmup_batches: int = 2
-    latency_constraint: float = 20.0
+    #: L_set in µs/byte; ``None`` takes the board's :data:`ADAPT_L_SET`
+    latency_constraint: Optional[float] = None
     low_range: int = 500
     high_range: int = 50_000
     controller: ControllerConfig = ControllerConfig()
@@ -64,6 +78,14 @@ class SessionSpec:
             raise ConfigurationError("window must hold at least one batch")
         if self.warmup_batches >= self.batches:
             raise ConfigurationError("warmup must leave measurable batches")
+
+    def for_board(self, board) -> "SessionSpec":
+        """This spec with its L_set resolved against ``board``."""
+        if self.latency_constraint is not None:
+            return self
+        return replace(
+            self, latency_constraint=ADAPT_L_SET.get(board.name, 20.0)
+        )
 
 
 @dataclass(frozen=True)
@@ -113,6 +135,7 @@ def build_drift_stream(
     """
     from repro.bench.harness import WorkloadSpec
 
+    spec = spec.for_board(harness.board)
     workload = WorkloadSpec.of(
         spec.codec,
         "micro",
@@ -166,6 +189,15 @@ def finalize_session_health(
     return controller.session_health(label)
 
 
+def steady_batches(
+    batches: Sequence[BatchMetrics], window_batches: int
+) -> Tuple[BatchMetrics, ...]:
+    """The steady batches among ``batches``: all but each window's
+    first, which pays the full pipeline traversal after the drain
+    barrier in every arm alike."""
+    return tuple(b for b in batches if b.batch_index % window_batches != 0)
+
+
 def summarize_session(result: SessionResult, spec) -> Tuple[float, int, int]:
     """One arm's mean measured energy (µJ/byte), its violations and its
     steady-state violations (window-boundary batches excluded).
@@ -177,9 +209,7 @@ def summarize_session(result: SessionResult, spec) -> Tuple[float, int, int]:
     energy = sum(b.energy_uj_per_byte for b in measured) / len(measured)
     violations = sum(1 for b in measured if b.violated)
     steady = sum(
-        1
-        for b in measured
-        if b.violated and b.batch_index % spec.window_batches != 0
+        1 for b in steady_batches(measured, spec.window_batches) if b.violated
     )
     return energy, violations, steady
 
@@ -204,6 +234,7 @@ def run_adaptive_session(
         from repro.bench.harness import default_harness
 
         harness = default_harness()
+    spec = spec.for_board(harness.board)
     context, stream, batch_bytes = build_drift_stream(harness, spec)
 
     config = ExecutionConfig(

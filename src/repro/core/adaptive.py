@@ -6,9 +6,11 @@ compares measured against predicted compressing latency and, when the
 relative error exceeds a threshold, enters a calibration phase: an
 *incremental* PID controller (Eq 8 — not position PID, which suffers
 integral saturation) nudges the model's calibratable parameters
-(the computation-latency scale, and an energy-side κ scale) until the
-relative error is small, after which the scheduler replans from the
-refreshed model.
+(the computation-latency scale) until the relative error is small. The
+regulator only detects and recalibrates: it reports ``drifted`` when the
+calibration converges, and the session controller
+(:class:`~repro.control.controller.SessionController`) owns the replan
+that follows.
 
 The controller needs at least three observations (k, k-1, k-2 appear in
 Eq 8), which is why re-adaptation spans a few batches in Fig 9.
@@ -20,8 +22,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.core.cost_model import CostModel
-from repro.core.plan import PlanEstimate
-from repro.core.scheduler import Scheduler
+from repro.core.plan import SchedulingPlan
 from repro.errors import ConfigurationError
 
 __all__ = ["IncrementalPID", "FeedbackRegulator", "RegulationEvent"]
@@ -75,13 +76,15 @@ class RegulationEvent:
     estimated_latency: float
     relative_error: float
     calibrating: bool
-    replanned: bool
+    #: the calibration converged this observation: the model now tracks
+    #: the measurement and the plan in force should be reconsidered
+    drifted: bool
     latency_scale: float
 
 
 @dataclass
 class FeedbackRegulator:
-    """Monitors one running plan and recalibrates + replans on drift.
+    """Watches the running plan's latency and recalibrates on drift.
 
     Parameters mirror §V-D: ``error_threshold`` triggers calibration
     (and ends it once the error is small again); the PID gains default
@@ -91,7 +94,6 @@ class FeedbackRegulator:
     model: CostModel
     error_threshold: float = 0.1
     pid_gains: tuple = (0.1, 0.85, 0.05)
-    estimate: PlanEstimate = None
     events: List[RegulationEvent] = field(default_factory=list)
 
     def __post_init__(self) -> None:
@@ -100,14 +102,6 @@ class FeedbackRegulator:
         p, i, d = self.pid_gains
         self._pid = IncrementalPID(p, i, d)
         self._calibrating = False
-        if self.estimate is None:
-            self.estimate = Scheduler(self.model).schedule(
-                best_effort=True
-            ).estimate
-
-    @property
-    def plan(self):
-        return self.estimate.plan
 
     def _current_scale(self) -> float:
         scales = self.model.latency_scale
@@ -115,16 +109,16 @@ class FeedbackRegulator:
             return 1.0
         return sum(scales.values()) / len(scales)
 
-    def observe(self, batch_index: int, measured_latency: float) -> RegulationEvent:
-        """Compare one measurement against the model; calibrate/replan.
-
-        Returns the regulation event; ``self.plan`` reflects any replan.
-        """
-        estimated = self.estimate.latency_us_per_byte
+    def observe(
+        self, batch_index: int, measured_latency: float, plan: SchedulingPlan
+    ) -> RegulationEvent:
+        """Compare one measurement of ``plan`` (the plan in force) against
+        the model's estimate of it; calibrate on drift."""
+        estimated = self.model.evaluate(plan).latency_us_per_byte
         error = measured_latency - estimated
         relative_error = abs(error) / estimated if estimated > 0 else 0.0
 
-        replanned = False
+        drifted = False
         if not self._calibrating:
             if relative_error > self.error_threshold:
                 self._calibrating = True
@@ -135,21 +129,18 @@ class FeedbackRegulator:
             new_scale = max(self._current_scale() + delta, 1e-3)
             for stage in range(self.model.graph.stage_count):
                 self.model.latency_scale[stage] = new_scale
-            # Refresh the estimate of the *current* plan under the new
-            # model; once the model agrees with reality, replan.
-            self.estimate = self.model.evaluate(self.plan)
-            refreshed_error = abs(
-                measured_latency - self.estimate.latency_us_per_byte
-            ) / max(self.estimate.latency_us_per_byte, 1e-9)
+            # Re-evaluate the plan in force under the new model; once
+            # the model agrees with reality, the calibration is done.
+            refreshed = self.model.evaluate(plan).latency_us_per_byte
+            refreshed_error = abs(measured_latency - refreshed) / max(
+                refreshed, 1e-9
+            )
             if (
                 refreshed_error <= self.error_threshold
                 and self._pid.observations >= 3
             ):
                 self._calibrating = False
-                self.estimate = Scheduler(self.model).schedule(
-                    best_effort=True
-                ).estimate
-                replanned = True
+                drifted = True
 
         event = RegulationEvent(
             batch_index=batch_index,
@@ -157,7 +148,7 @@ class FeedbackRegulator:
             estimated_latency=estimated,
             relative_error=relative_error,
             calibrating=self._calibrating,
-            replanned=replanned,
+            drifted=drifted,
             latency_scale=self._current_scale(),
         )
         self.events.append(event)

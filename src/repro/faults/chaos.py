@@ -26,7 +26,11 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.control.controller import ControllerConfig, SessionController
-from repro.control.session import finalize_session_health, summarize_session
+from repro.control.session import (
+    finalize_session_health,
+    steady_batches,
+    summarize_session,
+)
 from repro.errors import ConfigurationError
 from repro.obs.health import SessionHealth
 from repro.obs.residuals import TelemetryCollector
@@ -213,19 +217,13 @@ def _recovery_us(
     if not result.fault_events:
         return None
     fault_ts = min(event.ts_us for event in result.fault_events)
+    steady = steady_batches(result.batches, window_batches)
     last_bad = max(
-        (
-            b.batch_index
-            for b in result.batches
-            if b.violated and b.batch_index % window_batches != 0
-        ),
-        default=-1,
+        (b.batch_index for b in steady if b.violated), default=-1
     )
-    for batch in result.batches:
+    for batch in steady:
         completed = result.completion_ts_us[batch.batch_index]
         if completed <= fault_ts or batch.batch_index <= last_bad:
-            continue
-        if batch.batch_index % window_batches == 0:
             continue
         return completed - fault_ts
     return None

@@ -39,7 +39,7 @@ windows and batch sizes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Literal, Mapping, Optional, Tuple
 
 import numpy as np

@@ -36,7 +36,7 @@ on each read, for tests and verifiers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = [

@@ -1099,21 +1099,19 @@ class PipelineExecutor:
         per_batch_step_costs: Sequence[Mapping[str, StepCost]],
         batch_bytes: int,
         rng: np.random.Generator,
-        governor: Optional[Governor] = None,
         dynamics: MechanismDynamics = MechanismDynamics(),
         shared_state_stages: Set[int] = frozenset(),
         repetition: int = 0,
     ) -> List[BatchMetrics]:
-        """One repetition with full control (used by the adaptive loop)."""
-        if governor is None:
-            governor = self._make_governor()
+        """One repetition of :meth:`run`: ``plan`` over every batch,
+        drawing from ``rng``, measured batch by batch."""
         run = _RepetitionRun(
             self,
             per_batch_step_costs,
             plan.graph,
             batch_bytes,
             rng,
-            governor,
+            self._make_governor(),
             dynamics,
             shared_state_stages,
             repetition=repetition,

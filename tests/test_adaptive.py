@@ -68,58 +68,63 @@ def regulator():
         get_codec("tcomp32"), get_dataset("rovio"), 8192, batches=4
     )
     context = WorkloadContext.build(rk3399(), profile, 26.0)
-    return FeedbackRegulator(context.cost_model(context.fine_graph))
+    plan = context.plan(context.fine_graph).plan
+    return FeedbackRegulator(context.cost_model(context.fine_graph)), plan
 
 
 class TestFeedbackRegulator:
-    def test_initial_plan_scheduled(self, regulator):
-        assert regulator.plan is not None
-        assert regulator.estimate.feasible
-
     def test_accurate_measurement_no_calibration(self, regulator):
-        estimated = regulator.estimate.latency_us_per_byte
-        event = regulator.observe(0, estimated * 1.02)
+        regulator, plan = regulator
+        estimated = regulator.model.evaluate(plan).latency_us_per_byte
+        event = regulator.observe(0, estimated * 1.02, plan)
         assert not event.calibrating
-        assert not event.replanned
+        assert not event.drifted
         assert event.latency_scale == 1.0
 
     def test_drift_triggers_calibration(self, regulator):
-        estimated = regulator.estimate.latency_us_per_byte
-        event = regulator.observe(0, estimated * 1.4)
+        regulator, plan = regulator
+        estimated = regulator.model.evaluate(plan).latency_us_per_byte
+        event = regulator.observe(0, estimated * 1.4, plan)
         assert event.calibrating
         assert event.latency_scale > 1.0
 
     def test_calibration_needs_three_observations(self, regulator):
-        """Eq 8 references e_k, e_{k-1}, e_{k-2}; replanning waits for
-        at least three controller steps."""
-        estimated = regulator.estimate.latency_us_per_byte
+        """Eq 8 references e_k, e_{k-1}, e_{k-2}; the drift report waits
+        for at least three controller steps."""
+        regulator, plan = regulator
+        estimated = regulator.model.evaluate(plan).latency_us_per_byte
         measured = estimated * 1.4
-        replan_batch = None
+        drift_batch = None
         for batch in range(8):
-            event = regulator.observe(batch, measured)
-            if event.replanned:
-                replan_batch = batch
+            event = regulator.observe(batch, measured, plan)
+            if event.drifted:
+                drift_batch = batch
                 break
-        assert replan_batch is not None
-        assert replan_batch >= 2
+        assert drift_batch is not None
+        assert drift_batch >= 2
 
     def test_model_converges_to_measurement(self, regulator):
-        estimated = regulator.estimate.latency_us_per_byte
+        regulator, plan = regulator
+        estimated = regulator.model.evaluate(plan).latency_us_per_byte
         measured = estimated * 1.4
         for batch in range(8):
-            event = regulator.observe(batch, measured)
-            if event.replanned:
+            event = regulator.observe(batch, measured, plan)
+            if event.drifted:
                 break
-        # After calibration the (pre-replan) model tracked the plant.
+        # Once calibration converged the model tracks the plant.
         assert regulator.model.latency_scale[0] == pytest.approx(1.4, rel=0.15)
+        refreshed = regulator.model.evaluate(plan).latency_us_per_byte
+        assert refreshed == pytest.approx(measured, rel=0.1)
 
     def test_events_recorded(self, regulator):
-        estimated = regulator.estimate.latency_us_per_byte
-        regulator.observe(0, estimated)
-        regulator.observe(1, estimated * 1.5)
+        regulator, plan = regulator
+        estimated = regulator.model.evaluate(plan).latency_us_per_byte
+        regulator.observe(0, estimated, plan)
+        regulator.observe(1, estimated * 1.5, plan)
         assert len(regulator.events) == 2
         assert regulator.events[1].relative_error > 0.4
 
     def test_invalid_threshold_rejected(self, regulator):
+        regulator, _ = regulator
         with pytest.raises(ConfigurationError):
             FeedbackRegulator(regulator.model, error_threshold=0.0)

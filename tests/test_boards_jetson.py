@@ -121,13 +121,12 @@ class TestAblationExperiments:
         from repro.bench.exp_ablations import abl_regulator
 
         result = abl_regulator(small_harness)
-        extras = result.extras
-        assert len(extras["stats"]["violations"]) <= len(
-            extras["pid"]["violations"]
-        )
-        assert extras["stats"]["transient_energy"] <= (
-            extras["pid"]["transient_energy"] * 1.001
-        )
+        pid = result.extras["pid"]
+        stats = result.extras["statistics"]
+        # Judged on steady batches (boundary batches pay the drain).
+        assert stats["adoptions"][0][0] < pid["adoptions"][0][0]
+        assert len(stats["violations"]) <= len(pid["violations"])
+        assert stats["transient_energy"] <= pid["transient_energy"] * 1.001
 
     def test_boards_ablation_covers_both(self):
         from repro.bench.exp_ablations import abl_boards

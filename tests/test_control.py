@@ -317,6 +317,10 @@ class TestControllerConfig:
         with pytest.raises(ConfigurationError):
             ControllerConfig(min_saving_ratio=0.0)
 
+    def test_unknown_drift_detector_rejected(self):
+        with pytest.raises(ConfigurationError):
+            ControllerConfig(drift_detector="kalman")
+
 
 class TestSessionSpec:
     def test_unknown_scenario_rejected(self):
@@ -326,6 +330,18 @@ class TestSessionSpec:
     def test_warmup_must_leave_batches(self):
         with pytest.raises(ConfigurationError):
             SessionSpec(batches=3, warmup_batches=3)
+
+    def test_default_latency_constraint_is_per_board(self):
+        from repro.control.session import ADAPT_L_SET
+        from repro.simcore.boards import jetson_tx2_like, rk3399
+
+        assert set(ADAPT_L_SET) == {rk3399().name, jetson_tx2_like().name}
+        assert SessionSpec().for_board(rk3399()).latency_constraint == 20.0
+        assert SessionSpec().for_board(
+            jetson_tx2_like()
+        ).latency_constraint == 8.0
+        explicit = SessionSpec(latency_constraint=11.0)
+        assert explicit.for_board(jetson_tx2_like()) is explicit
 
 
 @pytest.fixture(scope="module")

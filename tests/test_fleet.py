@@ -454,7 +454,6 @@ class TestPlanSearchBudget:
         )
         assert searches == []
         assert controller.plan == plan
-        assert controller.regulator.estimate == model.evaluate(plan)
 
     def test_schedulers_share_each_tenant_kind_search(self, monkeypatch):
         # two schedulers over one catalogue (two scenarios' worth) search

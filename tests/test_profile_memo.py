@@ -165,11 +165,12 @@ class TestCallSites:
             )
 
     @pytest.mark.parametrize(
-        "experiment, high_batches",
-        [(fig09_adaptivity, 15 - 5), (abl_regulator, 12 - 4)],
+        "experiment", [fig09_adaptivity, abl_regulator],
         ids=["fig9", "abl_regulator"],
     )
-    def test_high_range_profile(self, dry_runs, experiment, high_batches):
+    def test_high_range_profile(self, dry_runs, experiment):
+        """Both run phase-shift sessions: the high range is the second of
+        the drift stream's two profiles (see build_drift_stream)."""
         harness = small_harness()
         experiment(harness)
         batch_size = WorkloadSpec.of("tcomp32", "micro").batch_size
@@ -177,12 +178,12 @@ class TestCallSites:
             get_codec("tcomp32"),
             MicroDataset(dynamic_range=50_000),
             batch_size,
-            batches=high_batches,
-            seed=harness.seed + 1,
+            batches=3,
+            seed=harness.seed + 2,
         )
         assert_memoized(
-            dry_runs, direct, "tcomp32", batch_size, high_batches,
-            harness.seed + 1, 50_000,
+            dry_runs, direct, "tcomp32", batch_size, 3,
+            harness.seed + 2, 50_000,
         )
 
 

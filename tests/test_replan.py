@@ -2,10 +2,15 @@
 failover and diagnosis sessions, and the failover incumbent agreeing
 with the executor's emergency routes."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.bench.harness import Harness
 from repro.control import (
+    ControllerConfig,
     SessionController,
     SessionSpec,
     run_adaptive_session,
@@ -167,3 +172,67 @@ class TestFailoverIncumbentMatchesExecutor:
             assert len(failovers) == 1
             assert run.failed_cores[4] == 5
             assert run.route_core(4) == 0
+
+
+SRC = Path(repro.__file__).parent
+
+
+class TestOneSearchSite:
+    """The regulators detect and recalibrate; only the session
+    controller searches for a plan online."""
+
+    @pytest.mark.parametrize(
+        "module", ["core/adaptive.py", "core/statistics_regulator.py"]
+    )
+    def test_regulators_never_name_the_scheduler(self, module):
+        tree = ast.parse((SRC / module).read_text())
+        names = {
+            node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+        } | {
+            node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+        } | {
+            alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) for alias in node.names
+        }
+        assert "Scheduler" not in names
+        assert "schedule" not in names
+
+    def test_control_searches_only_in_the_session_controller(self):
+        owners = []
+        for path in sorted((SRC / "control").glob("*.py")):
+            tree = ast.parse(path.read_text())
+            for top in tree.body:
+                for node in ast.walk(top):
+                    if (
+                        isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "schedule"
+                    ):
+                        owner = top.name if isinstance(
+                            top, (ast.ClassDef, ast.FunctionDef)
+                        ) else None
+                        owners.append((path.name, owner))
+        assert owners
+        assert set(owners) == {("controller.py", "SessionController")}
+
+
+class TestPidDetector:
+    def test_fig9_session_adopts_through_constraint_rescue(self):
+        """The paper's Fig 9 step under the PID detector: Eq 8 needs
+        three steady observations, so the replan lands at window 2."""
+        comparison = run_adaptive_session(spec=SessionSpec(
+            scenario="phase-shift",
+            batches=15,
+            latency_constraint=20.0,
+            controller=ControllerConfig(drift_detector="pid"),
+        ))
+        adopted = [
+            (event.window_index, event.reason, event.drifted)
+            for event in comparison.controller_events
+            if event.adopted
+        ]
+        assert adopted == [(2, "constraint-rescue", True)]
+        assert comparison.adaptive_steady_violations < (
+            comparison.static_steady_violations
+        )

@@ -44,17 +44,13 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             StatisticsAwareRegulator(model, smoothing=1.0)
 
-    def test_initial_plan_feasible(self, setup):
-        regulator, _ = setup
-        assert regulator.estimate.feasible
-
 
 class TestObservation:
     def test_stable_stream_no_replan(self, setup):
         regulator, baseline = setup
         for batch in range(4):
             event = regulator.observe(batch, baseline)
-            assert not event.replanned
+            assert not event.drifted
             assert event.max_shift < 0.05
 
     def test_jump_triggers_single_step_replan(self, setup):
@@ -62,7 +58,7 @@ class TestObservation:
         regulator, baseline = setup
         regulator.observe(0, baseline)
         event = regulator.observe(1, scaled_costs(baseline, 1.6))
-        assert event.replanned
+        assert event.drifted
         assert event.max_shift > 0.15
 
     def test_model_scale_tracks_jump(self, setup):
@@ -77,15 +73,15 @@ class TestObservation:
         regulator, baseline = setup
         for batch, factor in enumerate((1.02, 0.97, 1.05, 0.99)):
             event = regulator.observe(batch, scaled_costs(baseline, factor))
-            assert not event.replanned
+            assert not event.drifted
 
     def test_rebaseline_after_replan(self, setup):
         """After adapting, the new level is normal — no repeat triggers."""
         regulator, baseline = setup
         high = scaled_costs(baseline, 1.6)
-        regulator.observe(0, high)   # replan
+        regulator.observe(0, high)   # drift
         events = [regulator.observe(batch, high) for batch in (1, 2, 3)]
-        assert sum(event.replanned for event in events) <= 1  # settling only
+        assert sum(event.drifted for event in events) <= 1  # settling only
 
     def test_events_recorded(self, setup):
         regulator, baseline = setup
@@ -96,63 +92,43 @@ class TestObservation:
 
 
 class TestDetectOnly:
-    """``auto_replan=False``: the control loop's drift detector.
+    """The regulator is the session controller's drift detector: it
+    flags drift and recalibrates the model in place, and the controller
+    owns the replan/migration decision."""
 
-    The session controller owns the replan/migration decision, so the
-    regulator only flags drift and recalibrates the model in place."""
-
-    def detect_only(self, context):
-        model = context.cost_model(context.fine_graph)
-        return StatisticsAwareRegulator(model, auto_replan=False), {
-            step: context.profile.mean_step_costs[step]
-            for step in context.profile.step_ids
-        }
-
-    def test_drift_flagged_without_replanning(self, tcomp32_rovio_context):
-        regulator, baseline = self.detect_only(tcomp32_rovio_context)
-        initial_plan = regulator.plan
-        regulator.observe(0, baseline)
-        event = regulator.observe(1, scaled_costs(baseline, 1.6))
-        assert event.drifted
-        assert not event.replanned
-        assert regulator.plan == initial_plan  # plan untouched
-
-    def test_stable_stream_not_flagged(self, tcomp32_rovio_context):
-        regulator, baseline = self.detect_only(tcomp32_rovio_context)
-        for batch in range(4):
-            event = regulator.observe(batch, baseline)
-            assert not event.drifted
-            assert not event.replanned
-
-    def test_model_recalibrated_on_drift(self, tcomp32_rovio_context):
-        """Recalibration is not gated on auto_replan: the warm-started
-        replan that follows must see the drifted latency scales."""
-        regulator, baseline = self.detect_only(tcomp32_rovio_context)
-        regulator.observe(0, baseline)
-        regulator.observe(1, scaled_costs(baseline, 1.6))
-        assert regulator.model.latency_scale[0] > 1.2
-
-    def test_shared_scheduler_is_used(self, tcomp32_rovio_context):
+    def test_drift_flagged_without_replanning(self, setup, monkeypatch):
         from repro.core.scheduler import Scheduler
 
-        context = tcomp32_rovio_context
-        model = context.cost_model(context.fine_graph)
-        scheduler = Scheduler(model)
-        regulator = StatisticsAwareRegulator(model, scheduler=scheduler)
-        assert regulator.scheduler is scheduler
-
-    def test_default_events_mark_drift_and_replan_together(self, setup):
+        searches = []
+        monkeypatch.setattr(
+            Scheduler, "schedule",
+            lambda self, *args, **kwargs: searches.append(self),
+        )
         regulator, baseline = setup
         regulator.observe(0, baseline)
         event = regulator.observe(1, scaled_costs(baseline, 1.6))
         assert event.drifted
-        assert event.replanned
+        assert searches == []
+
+    def test_stable_stream_not_flagged(self, setup):
+        regulator, baseline = setup
+        for batch in range(4):
+            event = regulator.observe(batch, baseline)
+            assert not event.drifted
+
+    def test_model_recalibrated_on_drift(self, setup):
+        """The controller's replan that follows must see the drifted
+        latency scales."""
+        regulator, baseline = setup
+        regulator.observe(0, baseline)
+        regulator.observe(1, scaled_costs(baseline, 1.6))
+        assert regulator.model.latency_scale[0] > 1.2
 
 
 class TestVersusPid:
     def test_faster_than_pid_on_a_jump(self, tcomp32_rovio_context):
-        """The §V-D trade-off, measured: the statistics watcher replans
-        within one observation; the PID needs at least three."""
+        """The §V-D trade-off, measured: the statistics watcher reports
+        drift within one observation; the PID needs at least three."""
         from repro.core.adaptive import FeedbackRegulator
 
         context = tcomp32_rovio_context
@@ -166,15 +142,16 @@ class TestVersusPid:
         stats_batches = 0
         for batch in range(6):
             stats_batches = batch
-            if stats.observe(batch, jumped).replanned:
+            if stats.observe(batch, jumped).drifted:
                 break
 
         pid = FeedbackRegulator(context.cost_model(context.fine_graph))
-        jumped_latency = pid.estimate.latency_us_per_byte * 1.6
+        plan = context.plan(context.fine_graph).plan
+        jumped_latency = pid.model.evaluate(plan).latency_us_per_byte * 1.6
         pid_batches = 0
         for batch in range(6):
             pid_batches = batch
-            if pid.observe(batch, jumped_latency).replanned:
+            if pid.observe(batch, jumped_latency, plan).drifted:
                 break
 
         assert stats_batches < pid_batches
