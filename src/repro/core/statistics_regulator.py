@@ -26,7 +26,7 @@ variation — hence the hysteresis (``trigger_threshold`` to act,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping
+from typing import Dict, List, Mapping, Tuple
 
 from repro.compression.base import StepCost
 from repro.core.cost_model import CostModel
@@ -76,6 +76,11 @@ class StatisticsAwareRegulator:
             raise ConfigurationError("smoothing must be in [0, 1)")
         self._baseline = self._stage_instructions_from_profile()
         self._smoothed: Dict[int, float] = dict(self._baseline)
+        #: ``id(mapping) -> (mapping, per-stage merged instructions)``;
+        #: the entry holds the mapping, so its id cannot be reused while
+        #: the entry lives. A stationary stream repeats one mapping
+        #: object, so each distinct batch is merged once.
+        self._stage_rows: Dict[int, Tuple[Mapping[str, StepCost], Tuple[float, ...]]] = {}
 
     def _stage_instructions_from_profile(self) -> Dict[int, float]:
         return {
@@ -86,10 +91,13 @@ class StatisticsAwareRegulator:
     def observe(
         self, batch_index: int, batch_step_costs: Mapping[str, StepCost]
     ) -> StatisticsEvent:
-        """Feed one batch's per-step costs; recalibrate on drift."""
+        """Feed one batch's per-step costs; recalibrate on drift.
+
+        A mapping is read once, on its first observation: the caller must
+        not mutate it afterwards.
+        """
         shifts: Dict[int, float] = {}
-        for stage, task in enumerate(self.model.graph.tasks):
-            observed = task.merged_cost(batch_step_costs).instructions
+        for stage, observed in enumerate(self._stage_row(batch_step_costs)):
             previous = self._smoothed[stage]
             smoothed = (
                 self.smoothing * previous + (1.0 - self.smoothing) * observed
@@ -116,3 +124,18 @@ class StatisticsAwareRegulator:
         )
         self.events.append(event)
         return event
+
+    def _stage_row(
+        self, batch_step_costs: Mapping[str, StepCost]
+    ) -> Tuple[float, ...]:
+        """Each stage's merged instructions for one batch mapping, in
+        stage order, computed once per mapping object."""
+        entry = self._stage_rows.get(id(batch_step_costs))
+        if entry is None:
+            row = tuple(
+                task.merged_cost(batch_step_costs).instructions
+                for task in self.model.graph.tasks
+            )
+            entry = (batch_step_costs, row)
+            self._stage_rows[id(batch_step_costs)] = entry
+        return entry[1]

@@ -51,18 +51,16 @@ class SensorDataset(Dataset):
     def _generate_tuples(self, tuple_count: int, rng: np.random.Generator) -> bytes:
         if tuple_count == 0:
             return b""
-        values = rng.integers(10_000, 60_000, size=self.station_count)
+        values = rng.integers(10_000, 60_000, size=self.station_count).tolist()
         steps = rng.integers(
             -self.value_walk_step, self.value_walk_step + 1, size=tuple_count
-        )
-        stations = rng.integers(0, self.station_count, size=tuple_count)
+        ).tolist()
+        stations = rng.integers(0, self.station_count, size=tuple_count).tolist()
         records = []
-        for i in range(tuple_count):
-            station = int(stations[i])
-            values[station] = int(
-                np.clip(values[station] + steps[i], 0, 99_999)
-            )
-            records.append(_RECORD_TEMPLATE % (station, values[station]))
+        for station, step in zip(stations, steps):
+            value = min(max(values[station] + step, 0), 99_999)
+            values[station] = value
+            records.append(_RECORD_TEMPLATE % (station, value))
         text = "".join(records)
         data = text.encode("ascii")
         if len(data) != tuple_count * _RECORD_BYTES:

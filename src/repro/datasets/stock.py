@@ -53,17 +53,19 @@ class StockDataset(Dataset):
         gaps = rng.integers(1, 8, size=tuple_count, dtype=np.uint32)
         keys = (np.cumsum(gaps, dtype=np.uint64) + (1 << 20)).astype(np.uint32)
         # Payloads: per-instrument price random walks, interleaved.
-        instruments = rng.integers(0, self.instrument_count, size=tuple_count)
+        instruments = rng.integers(
+            0, self.instrument_count, size=tuple_count
+        ).tolist()
         steps = rng.integers(
             -self.price_step, self.price_step + 1, size=tuple_count
-        )
-        prices = np.full(self.instrument_count, self.base_price, dtype=np.int64)
-        payloads = np.empty(tuple_count, dtype=np.uint32)
-        for i in range(tuple_count):
-            instrument = instruments[i]
-            prices[instrument] = max(1, prices[instrument] + steps[i])
-            payloads[i] = prices[instrument] & 0xFFFFFFFF
+        ).tolist()
+        prices = [self.base_price] * self.instrument_count
+        payloads = []
+        for instrument, step in zip(instruments, steps):
+            price = max(1, prices[instrument] + step)
+            prices[instrument] = price
+            payloads.append(price & 0xFFFFFFFF)
         tuples = np.empty(tuple_count * 2, dtype=np.uint32)
         tuples[0::2] = keys
-        tuples[1::2] = payloads
+        tuples[1::2] = np.array(payloads, dtype=np.uint32)
         return tuples.tobytes()

@@ -4,10 +4,10 @@ The gateway queues rejected admissions and shed tenants for re-try.
 Raw exponential backoff synchronizes retries into thundering herds, so
 each delay carries jitter — but the usual ``random()`` jitter would
 make runs irreproducible and parallel execution order-dependent. Here
-every delay is drawn from a generator keyed by
-``(seed, *key, attempt)``: the draw depends only on *who* is retrying
-and *which* attempt it is, never on when or in what order delays are
-computed. The same schedule therefore falls out under ``jobs=1`` and
+every delay's jitter is :func:`~repro.numerics.keyed_uniform` of
+``(seed, stream, *key, attempt)``: the draw depends only on *who* is
+retrying and *which* attempt it is, never on when or in what order
+delays are computed. The same schedule therefore falls out under ``jobs=1`` and
 ``jobs=2``, across reruns, and across scenario arms.
 
 Delays are measured in gateway windows (the fleet's only clock).
@@ -18,9 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-import numpy as np
-
 from repro.errors import ConfigurationError
+from repro.numerics import keyed_uniform
 
 __all__ = ["BackoffPolicy"]
 
@@ -63,10 +62,8 @@ class BackoffPolicy:
         raw = min(
             self.base_windows * self.factor ** attempt, self.cap_windows
         )
-        rng = np.random.default_rng(
-            [self.seed, _BACKOFF_STREAM, *key, attempt]
-        )
-        return raw * (1.0 + self.jitter * rng.random())
+        u = keyed_uniform(self.seed, _BACKOFF_STREAM, *key, attempt)
+        return raw * (1.0 + self.jitter * u)
 
     def schedule(
         self, key: Tuple[int, ...], attempts: int

@@ -26,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.control.controller import ControllerConfig, SessionController
 from repro.control.heartbeat import ExternalHeartbeat
 from repro.errors import ConfigurationError
@@ -43,7 +41,7 @@ from repro.fleet.breaker import BreakerConfig, CircuitBreaker
 from repro.fleet.placement import FleetScheduler, Placement
 from repro.fleet.registry import BoardHandle
 from repro.fleet.tenants import TenantWorkload
-from repro.numerics import ordered_sum
+from repro.numerics import keyed_uniform, ordered_sum
 from repro.obs.health import (
     FleetBoardHealth,
     FleetEvent,
@@ -184,6 +182,12 @@ class Gateway:
             )
             for w in workloads
         }
+        #: board -> {tenant id: tenant} of the tenants running there;
+        #: kept by :meth:`_install` and :meth:`_evict`, the only places a
+        #: tenant starts or stops running
+        self._running: Dict[int, Dict[int, _TenantState]] = {
+            b.board_index: {} for b in boards
+        }
         self.fault_plan = fault_plan if fault_plan is not None else FaultPlan()
         self.events: List[FleetEvent] = []
         self._windows: List[FleetWindowHealth] = []
@@ -241,12 +245,10 @@ class Gateway:
             self._consumed_transitions[board_index] = len(breaker.transitions)
 
     def _running_on(self, board_index: int) -> List[_TenantState]:
-        return [
-            self.tenants[tid]
-            for tid in sorted(self.tenants)
-            if self.tenants[tid].state == "running"
-            and self.tenants[tid].board_index == board_index
-        ]
+        """The board's running tenants in id order (a fresh list, so
+        callers may evict while iterating)."""
+        running = self._running[board_index]
+        return [running[tid] for tid in sorted(running)]
 
     def _board_busy_us(self, board_index: int) -> Dict[int, float]:
         busy: Dict[int, float] = {}
@@ -285,10 +287,8 @@ class Gateway:
         return ordered_sum(terms)
 
     def _noise(self, tenant_id: int, window: int) -> float:
-        rng = np.random.default_rng(
-            [self.seed, _NOISE_STREAM, tenant_id, window]
-        )
-        return self.config.noise * (2.0 * rng.random() - 1.0)
+        u = keyed_uniform(self.seed, _NOISE_STREAM, tenant_id, window)
+        return self.config.noise * (2.0 * u - 1.0)
 
     # -- placement lifecycle -------------------------------------------------
 
@@ -316,8 +316,12 @@ class Gateway:
         tenant.state = "running"
         tenant.ever_admitted = True
         tenant.throttle_seen = False
+        self._running[placement.board_index][tenant.tenant_id] = tenant
 
     def _evict(self, tenant: _TenantState, state: str) -> None:
+        # a stranded tenant left the index when it was stranded
+        if tenant.state == "running":
+            del self._running[tenant.board_index][tenant.tenant_id]
         tenant.state = state
         if state != "stranded":
             tenant.board_index = None

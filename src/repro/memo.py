@@ -10,6 +10,9 @@ __all__ = ["lru_lookup"]
 
 V = TypeVar("V")
 
+#: marks a miss, so a memoized ``None`` is a hit like any other value
+_MISSING = object()
+
 
 def lru_lookup(
     memo: "OrderedDict[Hashable, V]", key: Hashable, bound: int, compute: Callable[[], V]
@@ -17,8 +20,8 @@ def lru_lookup(
     """``memo[key]``, filled by ``compute()`` on a miss, keeping the
     ``bound`` most recently used entries. Values are shared: callers
     must not mutate them."""
-    value = memo.pop(key, None)
-    if value is None:
+    value = memo.pop(key, _MISSING)
+    if value is _MISSING:
         value = compute()
         if len(memo) >= bound:
             memo.popitem(last=False)

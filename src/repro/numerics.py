@@ -15,15 +15,27 @@ changes an existing result), but its call sites assert "this order is
 deliberate". The determinism linter (rule ``CSA005`` in
 :mod:`repro.analysis.lint`) flags bare ``sum()`` over energy/latency
 sequences in the simulation and scheduling packages and points here.
+
+:func:`keyed_uniform` is the keyed random draw of the fleet tier
+(measurement noise, backoff jitter): a uniform that is a pure function
+of ``(seed, stream, *ids)``, never of when or in what order it is drawn.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["mean", "ordered_sum"]
+from repro.memo import lru_lookup
+
+__all__ = ["keyed_uniform", "mean", "ordered_sum"]
+
+#: keyed draws kept by :func:`keyed_uniform`; one fleet seed draws a few
+#: hundred (tenant, window) and (tenant, attempt) keys
+_KEYED_UNIFORMS_MAX = 4096
+_KEYED_UNIFORMS: "OrderedDict[tuple, float]" = OrderedDict()
 
 
 def ordered_sum(values: Iterable[float], start: float = 0.0) -> float:
@@ -55,3 +67,20 @@ def mean(values: Sequence[float]) -> float:
     for value in values:
         total += value
     return total / count
+
+
+def keyed_uniform(seed: int, stream: int, *ids: int) -> float:
+    """``np.random.default_rng([seed, stream, *ids]).random()``, memoized
+    process-wide.
+
+    ``stream`` separates the draws of different consumers of one seed
+    and ``ids`` name the entity and occasion (say, tenant and window).
+    The memo keeps the :data:`_KEYED_UNIFORMS_MAX` most recently used
+    draws, so repeated runs over the same keys (the arms of one fleet
+    scenario) build each generator once.
+    """
+    key = (seed, stream, *ids)
+    return lru_lookup(
+        _KEYED_UNIFORMS, key, _KEYED_UNIFORMS_MAX,
+        lambda: np.random.default_rng(list(key)).random(),
+    )

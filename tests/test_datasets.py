@@ -1,5 +1,7 @@
 """Dataset generators reproduce their traces' statistical profiles."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -224,3 +226,60 @@ class TestMicro:
             MicroDataset(symbol_duplication=1.5)
         with pytest.raises(DatasetError):
             MicroDataset(vocabulary_duplication=-0.1)
+
+
+class TestGeneratorBytes:
+    """The random walks' output bytes are pinned, so a rewrite of a
+    generator's loop cannot move any profile built from it. Each digest
+    covers seeds 0-2 at sizes 0, 1 and 6144 tuples; the non-default
+    parameters make the clip to [0, 99999] and the price floor bind."""
+
+    PINNED = {
+        "sensor-default": (
+            SensorDataset(),
+            "09ba02f2d069c6851e3d5fdd73cd6e9d1a079493aefbbd808f6cca595754c95b",
+        ),
+        "sensor-clipped": (
+            SensorDataset(1, 40000),
+            "0a5465edad4e5eb1bb0c69fe4fe7d8e641b7e6b5785a3a6441e7a028a13aaf1f",
+        ),
+        "sensor-many-stations": (
+            SensorDataset(9999, 1),
+            "c1d2790f4a8a7bff6e280f1b2ece0f655a54f159446e3526218c1c6ae2afd9a2",
+        ),
+        "stock-default": (
+            StockDataset(),
+            "d4bfc19debb5a95f179c56d022ee7272fc58c92a871ad69ae0b7c5fd7f473544",
+        ),
+        "stock-price-floor": (
+            StockDataset(1, 10, 1000),
+            "a4e321aa272448bc900ed4251ebd1ef8990131a7f698055aee2846352342829d",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_generate_tuples_digest(self, case):
+        dataset, expected = self.PINNED[case]
+        digest = hashlib.sha256()
+        for seed in (0, 1, 2):
+            for size in (0, 1, 6144):
+                digest.update(
+                    dataset._generate_tuples(size, np.random.default_rng(seed))
+                )
+        assert digest.hexdigest() == expected
+
+    def test_walks_reach_their_bounds(self):
+        """The pinned non-default cases really exercise the clip and
+        the floor."""
+        text = SensorDataset(1, 40000)._generate_tuples(
+            6144, np.random.default_rng(0)
+        ).decode("ascii")
+        values = {int(text[i + 9:i + 14]) for i in range(0, len(text), 16)}
+        assert 0 in values and 99_999 in values
+        payloads = np.frombuffer(
+            StockDataset(1, 10, 1000)._generate_tuples(
+                6144, np.random.default_rng(0)
+            ),
+            dtype=np.uint32,
+        )[1::2]
+        assert payloads.min() == 1
