@@ -1,17 +1,16 @@
 """Static analysis for the CStream reproduction.
 
-Three complementary tools keep the simulator's determinism contract
+Two complementary tools keep the simulator's determinism contract
 honest:
 
-* :mod:`repro.analysis.lint` — an AST-based determinism linter
-  (``CSA001``-``CSA008``): wall clocks, unseeded RNGs, set-order
-  iteration, mutable defaults, unordered float accumulation, unguarded
-  trace hooks, environment reads and unsorted filesystem listings.
-* :mod:`repro.analysis.flow` (with :mod:`repro.analysis.callgraph`) —
-  a whole-program pass: determinism taint propagated over a
-  conservative project call graph (``DET001``-``DET005``) plus a
-  unit-consistency checker over the repo's ``*_us``/``*_mhz``/``*_mj``
-  naming conventions (``CSU001``-``CSU003``).
+* :mod:`repro.analysis.lint` — an AST-based determinism and unit linter
+  (``CSA001``-``CSA010``, ``CSU001``-``CSU003``): wall clocks, unseeded
+  RNGs, set-order iteration, mutable defaults, unordered float
+  accumulation, unguarded trace and telemetry hooks, environment reads,
+  unsorted filesystem listings, imports of driver packages, and unit
+  mismatches over the repo's ``*_us``/``*_mhz``/``*_uj`` naming
+  conventions. Every module outside the driver packages gets the strict
+  rules.
 * :mod:`repro.analysis.verify` — a plan/trace invariant verifier
   (``PLN001``-``PLN005``, ``TRC001``-``TRC007``): DAG acyclicity, step
   coverage, core-id validity, double-booking, L_set feasibility for
@@ -19,10 +18,9 @@ honest:
   time, monotone energy counters, non-overlapping spans and
   same-timestamp race hazards for exported trace streams.
 
-All are importable as libraries (``lint_source``/``analyze``/
-``build_graph``/``verify_plan``/``verify_trace_events``) and runnable
-as CLIs; ``cstream analyze`` fronts them all (the flow pass behind
-``--deep``).
+Both are importable as libraries (``lint_source``/``verify_plan``/
+``verify_trace_events``) and runnable as CLIs; ``cstream analyze``
+fronts both.
 
 Attribute access is lazy (PEP 562) so ``python -m repro.analysis.lint``
 does not re-import its own module through the package and the package
@@ -32,23 +30,15 @@ import stays free of side effects.
 from typing import Any
 
 _LINT_EXPORTS = frozenset({
-    "RULES", "LintFinding", "lint_source", "lint_file", "lint_paths",
-})
-_FLOW_EXPORTS = frozenset({
-    "FLOW_RULES", "FlowFinding", "FlowReport", "analyze", "parse_unit",
-    "format_unit",
-})
-_CALLGRAPH_EXPORTS = frozenset({
-    "CallGraph", "build_graph", "extract_module",
+    "RULES", "DRIVER_PACKAGES", "LintFinding", "lint_source", "lint_file",
+    "lint_paths", "parse_unit", "format_unit",
 })
 _VERIFY_EXPORTS = frozenset({
     "INVARIANTS", "VerifyFinding", "verify_plan", "verify_trace_events",
     "verify_chrome_payload", "iter_chrome_events", "iter_recorder_events",
 })
 
-__all__ = sorted(
-    _LINT_EXPORTS | _FLOW_EXPORTS | _CALLGRAPH_EXPORTS | _VERIFY_EXPORTS
-)
+__all__ = sorted(_LINT_EXPORTS | _VERIFY_EXPORTS)
 
 
 def __getattr__(name: str) -> Any:
@@ -56,14 +46,6 @@ def __getattr__(name: str) -> Any:
         from repro.analysis import lint
 
         return getattr(lint, name)
-    if name in _FLOW_EXPORTS:
-        from repro.analysis import flow
-
-        return getattr(flow, name)
-    if name in _CALLGRAPH_EXPORTS:
-        from repro.analysis import callgraph
-
-        return getattr(callgraph, name)
     if name in _VERIFY_EXPORTS:
         from repro.analysis import verify
 

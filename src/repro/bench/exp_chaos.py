@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.bench.experiments import ExperimentResult
-from repro.bench.harness import Harness, default_harness
+from repro.bench.harness import DEFAULT_BATCH_BYTES, Harness, default_harness
 from repro.faults.chaos import CHAOS_SCENARIOS, ChaosSpec, run_chaos_session
 from repro.simcore.boards import jetson_tx2_like, rk3399
 
@@ -73,6 +73,7 @@ def chaos_recovery(
                 board_harness,
                 ChaosSpec(
                     scenario=scenario,
+                    batch_bytes=DEFAULT_BATCH_BYTES,
                     batches=batches,
                     window_batches=window_batches,
                     fault_batch=fault_batch,

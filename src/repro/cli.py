@@ -48,8 +48,9 @@ Subcommands
     instead. ``--prom`` additionally writes a Prometheus-style text
     exposition in either mode.
 ``analyze``
-    Run the static-analysis suite: the determinism linter
-    (``repro.analysis.lint``, rules CSA001-CSA009) over source paths
+    Run the static-analysis suite: the determinism and unit linter
+    (``repro.analysis.lint``, rules CSA001-CSA010 and CSU001-CSU003)
+    over source paths
     and, optionally, the trace/health invariant verifier
     (``repro.analysis.verify``, TRC001-TRC007 and HLT001-HLT003) over
     exported artifacts.
@@ -306,8 +307,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     analyze = commands.add_parser(
         "analyze",
-        help="run the determinism linter (and optionally the trace "
-        "invariant verifier)",
+        help="run the determinism and unit linter (and optionally the "
+        "trace invariant verifier)",
     )
     analyze.add_argument(
         "paths", nargs="*",
@@ -323,13 +324,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="write the lint JSON report to FILE")
     analyze.add_argument("--strict", action="store_true",
                          help="fail on verifier warnings too")
-    analyze.add_argument("--deep", action="store_true",
-                         help="also run the whole-program determinism "
-                         "taint and unit-consistency pass "
-                         "(repro.analysis.flow)")
-    analyze.add_argument("--deep-report", default=None, metavar="FILE",
-                         help="write the flow JSON report to FILE "
-                         "(implies --deep)")
 
     commands.add_parser("boards", help="list simulated boards")
     return parser
@@ -859,20 +853,6 @@ def _command_analyze(args) -> int:
         if args.strict:
             verify_args.append("--strict")
         status = max(status, verify.main(verify_args))
-    if args.deep or args.deep_report:
-        from repro.analysis import flow
-
-        # The flow pass analyses one package root; honour an explicit
-        # directory argument, otherwise the installed package.
-        if len(paths) == 1 and os.path.isdir(paths[0]):
-            flow_args = [paths[0]]
-        else:
-            flow_args = [os.path.dirname(repro.__file__)]
-        if args.as_json:
-            flow_args.append("--json")
-        if args.deep_report:
-            flow_args += ["--report", args.deep_report]
-        status = max(status, flow.main(flow_args))
     return status
 
 

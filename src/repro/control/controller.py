@@ -283,10 +283,14 @@ class SessionController:
         deliberately excludes.
         """
         steady = _steady(latencies_us_per_byte)
-        measured = ordered_sum(steady) / len(steady)
+        measured_us_per_byte = ordered_sum(steady) / len(steady)
         estimate = self.model.evaluate(self.plan)
         residual = self.ledger.observe(
-            telemetry, measured, self.plan, estimate, self.model
+            telemetry,
+            measured_latency_us_per_byte=measured_us_per_byte,
+            plan=self.plan,
+            estimate=estimate,
+            model=self.model,
         )
         constraint = self.model.latency_constraint_us_per_byte
         violated = any(l > constraint for l in steady)

@@ -21,6 +21,7 @@ from repro.control.controller import ControllerConfig, SessionController
 from repro.core.profiler import profile_named
 from repro.datasets import DRIFT_KINDS, drift_schedule
 from repro.errors import ConfigurationError
+from repro.numerics import ordered_sum
 from repro.obs.health import SessionHealth
 from repro.obs.residuals import TelemetryCollector
 from repro.runtime.executor import (
@@ -33,6 +34,7 @@ from repro.runtime.metrics import BatchMetrics
 
 __all__ = [
     "ADAPT_L_SET",
+    "SESSION_BATCH_BYTES",
     "SessionSpec",
     "SessionComparison",
     "build_drift_stream",
@@ -51,6 +53,10 @@ ADAPT_L_SET = {
     "rk3399 (Radxa RockPi 4a)": 20.0,
     "Jetson-TX2-like (4x A57 + 2x Denver2)": 8.0,
 }
+
+#: batch size (bytes) of every session workload: the harness default,
+#: pinned here so that no environment variable can move a session result
+SESSION_BATCH_BYTES = 65536
 
 
 @dataclass(frozen=True)
@@ -133,7 +139,9 @@ def build_drift_stream(
     static plan is optimized for, exactly as a one-shot deployment
     would be.
     """
-    from repro.bench.harness import WorkloadSpec
+    # WorkloadSpec is the key type of the harness's profile cache; its
+    # default batch size comes from the environment, so pass it in.
+    from repro.bench.harness import WorkloadSpec  # csa: ignore[CSA010]
 
     spec = spec.for_board(harness.board)
     workload = WorkloadSpec.of(
@@ -141,6 +149,7 @@ def build_drift_stream(
         "micro",
         dataset_options={"dynamic_range": spec.low_range},
         latency_constraint=spec.latency_constraint,
+        batch_size=SESSION_BATCH_BYTES,
     )
     context = harness.context(workload)
     ranges = drift_schedule(
@@ -206,7 +215,7 @@ def summarize_session(result: SessionResult, spec) -> Tuple[float, int, int]:
     :class:`~repro.faults.chaos.ChaosSpec`: only its
     ``warmup_batches`` and ``window_batches`` are read."""
     measured = result.measured(spec.warmup_batches)
-    energy = sum(b.energy_uj_per_byte for b in measured) / len(measured)
+    energy = ordered_sum(b.energy_uj_per_byte for b in measured) / len(measured)
     violations = sum(1 for b in measured if b.violated)
     steady = sum(
         1 for b in steady_batches(measured, spec.window_batches) if b.violated
@@ -231,7 +240,10 @@ def run_adaptive_session(
     build.
     """
     if harness is None:
-        from repro.bench.harness import default_harness
+        # The process-wide harness: its board, seed and profile batch
+        # count are constants; the environment picks only its result
+        # cache directory, which serves byte-identical profiles.
+        from repro.bench.harness import default_harness  # csa: ignore[CSA010]
 
         harness = default_harness()
     spec = spec.for_board(harness.board)

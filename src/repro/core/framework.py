@@ -129,7 +129,7 @@ class CStream:
         return executor.run(
             outcome.plan,
             per_batch,
-            profile.batch_size_bytes,
+            batch_bytes=profile.batch_size_bytes,
             dynamics=outcome.dynamics,
         )
 

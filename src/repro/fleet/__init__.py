@@ -16,9 +16,9 @@ The whole tier is a deterministic simulation: board "measurements" are
 cost-model estimates perturbed by congestion, throttle factors and
 seeded noise keyed by (seed, tenant, window) — same seed, byte-identical
 :class:`~repro.obs.health.FleetHealth` report. The package sits in the
-linter's strict scope (CSA/CSU) and the gateway loop is a whole-program
-flow-analysis entry point, so wall clocks, unseeded RNG and environment
-reads are mechanically excluded.
+linter's strict scope (CSA/CSU), which also bars it from importing the
+driver packages, so wall clocks, unseeded RNG and environment reads are
+mechanically excluded.
 """
 
 from repro.fleet.admission import AdmissionConfig, AdmissionDecision

@@ -45,6 +45,7 @@ from typing import Dict, List, Literal, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.numerics import ordered_sum
 
 __all__ = [
     "WindowTelemetry",
@@ -437,7 +438,7 @@ class ResidualLedger:
             ))
             updates.append((key, measured))
 
-        measured_energy = sum(
+        measured_energy = ordered_sum(
             uj for _core, uj in telemetry.energy_uj
         ) / window_bytes
         predicted_energy_total = math.fsum(predicted_energy.values())

@@ -6,7 +6,7 @@ from repro.runtime.executor import (
     PipelineExecutor,
 )
 from repro.runtime.metrics import BatchMetrics, RepetitionResult, RunResult
-from repro.runtime.visualize import render_gantt, render_plan, render_power_trace
+from repro.runtime.visualize import render_gantt, render_plan
 
 __all__ = [
     "BatchMetrics",
@@ -17,5 +17,4 @@ __all__ = [
     "RunResult",
     "render_gantt",
     "render_plan",
-    "render_power_trace",
 ]

@@ -2,8 +2,7 @@
 
 Terminal-friendly views for debugging and the examples: a per-core
 occupancy chart of a plan estimate (who runs where, how close each core
-is to the latency budget) and a sparkline of the energy meter's power
-trace.
+is to the latency budget) and a Gantt chart of a traced run.
 """
 
 from __future__ import annotations
@@ -13,10 +12,9 @@ from typing import List
 from repro.core.plan import PlanEstimate
 from repro.simcore.boards import BoardSpec
 
-__all__ = ["render_plan", "render_power_trace", "render_gantt"]
+__all__ = ["render_plan", "render_gantt"]
 
 _BAR_WIDTH = 36
-_SPARK_LEVELS = " .:-=+*#%@"
 
 
 def render_plan(estimate: PlanEstimate, board: BoardSpec) -> str:
@@ -69,30 +67,6 @@ def render_plan(estimate: PlanEstimate, board: BoardSpec) -> str:
         f"E_est={estimate.energy_uj_per_byte:.3f} µJ/B"
     )
     return "\n".join(lines)
-
-
-def render_power_trace(samples, width: int = 72) -> str:
-    """Sparkline of (time, watts) samples from the energy meter.
-
-    Downsamples to ``width`` columns; each column's level is the mean
-    power in its window, scaled to the trace's maximum.
-    """
-    if not samples:
-        return "(no samples)"
-    powers = [power for _, power in samples]
-    peak = max(powers) or 1.0
-    bucket = max(1, len(powers) // width)
-    columns = []
-    for start in range(0, len(powers), bucket):
-        window = powers[start:start + bucket]
-        level = sum(window) / len(window) / peak
-        index = min(round(level * (len(_SPARK_LEVELS) - 1)), len(_SPARK_LEVELS) - 1)
-        columns.append(_SPARK_LEVELS[index])
-    duration = samples[-1][0]
-    return (
-        "".join(columns)
-        + f"\npeak {peak * 1000:.1f} mW over {duration / 1000:.1f} ms"
-    )
 
 
 def _spans_from_recorder(recorder) -> dict:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict
 
 from repro.errors import SimulationError
 from repro.numerics import ordered_sum
@@ -46,23 +46,12 @@ class EnergyMeter:
     given end time and adds static energy for the whole duration.
     """
 
-    def __init__(
-        self,
-        board: BoardSpec,
-        sampling_interval_us: float = 1000.0,
-        trace=None,
-        clock=None,
-    ) -> None:
-        if sampling_interval_us <= 0:
-            raise SimulationError("sampling interval must be positive")
+    def __init__(self, board: BoardSpec, trace=None, clock=None) -> None:
         self.board = board
-        self.sampling_interval_us = sampling_interval_us
         self.trace = trace
         self.clock = clock
         self._busy_uj: Dict[int, float] = defaultdict(float)
         self._overhead_uj = 0.0
-        self._intervals: List[Tuple[float, float, float]] = []  # start, end, W
-        self._finalized_window: float = None
 
     # -- recording ---------------------------------------------------------
 
@@ -74,7 +63,6 @@ class EnergyMeter:
             raise SimulationError("busy interval must have non-negative extent")
         energy = power_w * duration_us  # W × µs = µJ
         self._busy_uj[core_id] += energy
-        self._intervals.append((start_us, start_us + duration_us, power_w))
         if self.trace is not None:
             self.trace.energy_sample(
                 "busy", energy, start_us + duration_us
@@ -99,7 +87,6 @@ class EnergyMeter:
         """Close the window: add static power for ``window_us``."""
         if window_us < 0:
             raise SimulationError("measurement window must be non-negative")
-        self._finalized_window = window_us
         static_power = self.board.uncore_power_w + ordered_sum(
             core.static_power_w for core in self.board.cores
         )
@@ -112,23 +99,3 @@ class EnergyMeter:
     def busy_energy_by_core(self) -> Dict[int, float]:
         """µJ of busy energy attributed to each core so far."""
         return dict(self._busy_uj)
-
-    def power_trace(self, window_us: float) -> List[Tuple[float, float]]:
-        """Reconstruct (time, W) samples at the meter's sampling interval.
-
-        This is what the INA226 stream would look like: busy power of all
-        overlapping intervals plus the constant static floor.
-        """
-        static_power = self.board.uncore_power_w + ordered_sum(
-            core.static_power_w for core in self.board.cores
-        )
-        samples: List[Tuple[float, float]] = []
-        t = 0.0
-        while t <= window_us:
-            level = static_power
-            for start, end, power in self._intervals:
-                if start <= t < end:
-                    level += power
-            samples.append((t, level))
-            t += self.sampling_interval_us
-        return samples

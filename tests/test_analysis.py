@@ -1,8 +1,11 @@
-"""Tests for the determinism linter and the plan/trace verifier.
+"""Tests for the determinism and unit linter and the plan/trace verifier.
 
 Every lint rule gets a positive fixture (the rule fires), a suppressed
 fixture (``# csa: ignore[...]`` silences it) and a clean fixture (the
-compliant spelling passes). Every verifier invariant gets a seeded
+compliant spelling passes); multi-file fixtures are laid out as a
+throwaway ``repro`` tree so the strict scope is inferred from the path
+exactly as for the real package. Each defect of the linter's mutation
+study is a fixture too. Every verifier invariant gets a seeded
 violation. The suite also dogfoods both tools against the real tree: the
 linter must be clean on ``src/repro`` and the verifier must accept a
 real traced run.
@@ -10,13 +13,26 @@ real traced run.
 
 from __future__ import annotations
 
+import ast
+import io
 import json
 import os
+import textwrap
+import tokenize
 
 import pytest
 
 import repro
-from repro.analysis.lint import RULES, lint_paths, lint_source
+from repro.analysis import lint
+from repro.analysis.lint import (
+    DRIVER_PACKAGES,
+    RULES,
+    format_unit,
+    lint_paths,
+    lint_source,
+    parse_unit,
+    report_payload,
+)
 from repro.analysis.lint import main as lint_main
 from repro.analysis.verify import (
     INVARIANTS,
@@ -48,7 +64,7 @@ def lint_strict(source):
 
 
 def lint_lenient(source):
-    """Lint a snippet as if it lived in a lenient package."""
+    """Lint a snippet as if it lived in a driver package."""
     return lint_source(source, path="snippet.py", package="bench")
 
 
@@ -379,10 +395,902 @@ class TestCSA009UnguardedTelemetryHook:
         ) == []
 
 
+class TestCSA010DriverImport:
+    def test_from_import(self):
+        found = lint_strict("from repro.bench.harness import Harness\n")
+        assert codes(found) == ["CSA010"]
+
+    def test_plain_import(self):
+        found = lint_strict("import repro.cli\n")
+        assert codes(found) == ["CSA010"]
+
+    def test_package_import(self):
+        assert codes(lint_strict("from repro import bench\n")) == ["CSA010"]
+        assert codes(lint_strict("import repro.__main__\n")) == ["CSA010"]
+
+    def test_lazy_import(self):
+        found = lint_strict(
+            "def run():\n"
+            "    from repro.bench.harness import default_harness\n"
+            "    return default_harness()\n"
+        )
+        assert codes(found) == ["CSA010"]
+        assert found[0].line == 2
+
+    def test_relative_import(self):
+        found = lint_source(
+            "from ..bench import harness\n",
+            path=os.path.join("repro", "control", "session.py"),
+        )
+        assert codes(found) == ["CSA010"]
+
+    def test_driver_may_import_driver(self):
+        assert lint_lenient("from repro.bench.cache import ResultCache\n") == []
+
+    def test_non_driver_imports_clean(self):
+        assert lint_strict(
+            "from repro.core.scheduler import Scheduler\n"
+            "import repro.obs.trace\n"
+            "from repro import numerics\n"
+            "import benchmark\n"
+        ) == []
+
+    def test_suppressed(self):
+        assert lint_strict(
+            "from repro.bench.harness import WorkloadSpec"
+            "  # csa: ignore[CSA010]\n"
+        ) == []
+
+
+class TestStrictScope:
+    def test_driver_packages(self):
+        assert DRIVER_PACKAGES == {"bench", "cli", "__main__"}
+
+    def test_every_other_package_is_strict(self):
+        clock = "import time\nnow = time.time()\n"
+        for package in (
+            "simcore", "core", "runtime", "compression", "fleet", "control",
+            "faults", "obs", "datasets", "analysis", "numerics", "memo",
+            "errors", "",
+        ):
+            found = lint_source(clock, path="snippet.py", package=package)
+            assert codes(found) == ["CSA001"], package
+        for package in sorted(DRIVER_PACKAGES):
+            found = lint_source(clock, path="snippet.py", package=package)
+            assert found == [], package
+
+    def test_scope_inferred_from_path(self):
+        clock = "import time\nnow = time.time()\n"
+
+        def scoped(*parts):
+            return codes(lint_source(clock, path=os.path.join("repro", *parts)))
+
+        assert scoped("cli.py") == []
+        assert scoped("__main__.py") == []
+        assert scoped("bench", "harness.py") == []
+        assert scoped("numerics.py") == ["CSA001"]
+        assert scoped("control", "session.py") == ["CSA001"]
+        assert scoped("analysis", "lint.py") == ["CSA001"]
+
+
+def build_pkg(tmp_path, files):
+    """Materialise a throwaway ``repro`` tree; returns its root."""
+    root = tmp_path / "repro"
+    for relative, text in files.items():
+        path = root / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(text), encoding="utf-8")
+    return str(root)
+
+
+def lint_tree(root):
+    findings, _ = lint_paths([root])
+    return findings
+
+
+def where(findings, root):
+    """``(relative path, line, code)`` of each finding."""
+    return [
+        (os.path.relpath(f.path, root), f.line, f.code) for f in findings
+    ]
+
+
+#: a strict entry module that reaches a driver helper by import
+ENGINE_CALLING = """
+    from repro.bench.helper import helper_a
+
+
+    class Simulator:
+        def run(self, until=None):
+            return helper_a()
+"""
+
+ENGINE_PY = os.path.join("simcore", "engine.py")
+
+
+class TestSeededTwoHopRegression:
+    """A ``perf_counter()`` two call-hops away in driver code, reached
+    from the simulator by import: the import itself is the finding."""
+
+    FILES = {
+        "simcore/engine.py": ENGINE_CALLING,
+        "bench/helper.py": """
+            from repro.bench.deeper import helper_b
+
+
+            def helper_a():
+                return helper_b()
+        """,
+        "bench/deeper.py": """
+            import time
+
+
+            def helper_b():
+                return time.perf_counter()
+        """,
+    }
+
+    def test_driver_helpers_keep_their_clock(self, tmp_path):
+        root = build_pkg(tmp_path, self.FILES)
+        findings, _ = lint_paths([os.path.join(root, "bench")])
+        assert findings == []
+
+    def test_csa010_fires_at_the_engine_import(self, tmp_path):
+        root = build_pkg(tmp_path, self.FILES)
+        assert where(lint_tree(root), root) == [(ENGINE_PY, 2, "CSA010")]
+
+    def test_finding_names_the_driver_module(self, tmp_path):
+        root = build_pkg(tmp_path, self.FILES)
+        (finding,) = lint_tree(root)
+        assert "repro.bench.helper" in finding.message
+        assert finding.format().startswith(
+            f"{os.path.join(root, ENGINE_PY)}:2:1: CSA010"
+        )
+
+    def test_passed_in_driver_object_is_not_seen(self, tmp_path):
+        # The residual blind spot: strict code calling a method of a
+        # driver object it was handed (not imported). The runtime digest
+        # checks are what catch a value that leaks this way.
+        root = build_pkg(tmp_path, {
+            "simcore/engine.py": """
+                class Simulator:
+                    def run(self, probe):
+                        return probe.helper_a()
+            """,
+            "bench/helper.py": """
+                import time
+
+
+                class Probe:
+                    def helper_a(self):
+                        return time.perf_counter()
+            """,
+        })
+        assert lint_tree(root) == []
+
+
+class TestDriverReachability:
+    """What reaching a nondeterminism source from the simulator looks
+    like now: strict helpers are linted where the source is, driver
+    helpers are cut off at the strict module's import."""
+
+    def test_clock_behind_a_driver_import(self, tmp_path):
+        root = build_pkg(tmp_path, {
+            "simcore/engine.py": ENGINE_CALLING,
+            "bench/helper.py": """
+                import time
+
+
+                def helper_a():
+                    return time.time()
+            """,
+        })
+        assert where(lint_tree(root), root) == [(ENGINE_PY, 2, "CSA010")]
+
+    def test_suppressed_import(self, tmp_path):
+        root = build_pkg(tmp_path, {
+            "simcore/engine.py": """
+                # audited: the helper only formats a report
+                from repro.bench.helper import helper_a  # csa: ignore[CSA010]
+            """,
+            "bench/helper.py": """
+                def helper_a():
+                    return 1
+            """,
+        })
+        assert lint_tree(root) == []
+
+    def test_suppressed_clock_in_strict_helper(self, tmp_path):
+        root = build_pkg(tmp_path, {
+            "simcore/engine.py": """
+                from repro.core.helper import helper_a
+
+
+                class Simulator:
+                    def run(self, until=None):
+                        return helper_a()
+            """,
+            "core/helper.py": """
+                import time
+
+
+                def helper_a():
+                    return time.time()  # csa: ignore[CSA001]
+            """,
+        })
+        assert lint_tree(root) == []
+
+    def test_unimported_driver_clock_is_clean(self, tmp_path):
+        root = build_pkg(tmp_path, {
+            "simcore/engine.py": """
+                class Simulator:
+                    def run(self, until=None):
+                        return until
+            """,
+            "bench/helper.py": """
+                import time
+
+
+                def never_called():
+                    return time.time()
+            """,
+        })
+        assert lint_tree(root) == []
+
+    def test_rng_behind_a_driver_import(self, tmp_path):
+        root = build_pkg(tmp_path, {
+            "simcore/engine.py": ENGINE_CALLING,
+            "bench/helper.py": """
+                import random
+
+
+                def helper_a():
+                    return random.random()
+            """,
+        })
+        assert where(lint_tree(root), root) == [
+            (os.path.join("bench", "helper.py"), 6, "CSA002"),
+            (ENGINE_PY, 2, "CSA010"),
+        ]
+
+    @staticmethod
+    def strict_helper(tmp_path, body):
+        """A simulator calling ``helper_a`` of a strict ``datasets``
+        module with ``body``; returns the findings."""
+        root = build_pkg(tmp_path, {
+            "simcore/engine.py": """
+                from repro.datasets.helper import helper_a
+
+
+                class Simulator:
+                    def run(self, until=None):
+                        return helper_a()
+            """,
+            "datasets/helper.py": body,
+        })
+        return codes(lint_tree(root))
+
+    def test_suppressed_rng_in_strict_helper(self, tmp_path):
+        assert self.strict_helper(tmp_path, """
+            import random
+
+
+            def helper_a():
+                return random.random()  # csa: ignore[CSA002]
+        """) == []
+
+    def test_seeded_rng_in_strict_helper_is_clean(self, tmp_path):
+        assert self.strict_helper(tmp_path, """
+            import random
+
+
+            def helper_a():
+                return random.Random(42).random()
+        """) == []
+
+    def test_env_read_in_strict_helper(self, tmp_path):
+        assert self.strict_helper(tmp_path, """
+            import os
+
+
+            def helper_a():
+                return os.environ.get("REPRO_DEBUG")
+        """) == ["CSA007"]
+
+    def test_suppressed_env_read_in_strict_helper(self, tmp_path):
+        assert self.strict_helper(tmp_path, """
+            import os
+
+
+            def helper_a():
+                return os.environ.get("X")  # csa: ignore[CSA007]
+        """) == []
+
+    def test_explicit_argument_is_clean(self, tmp_path):
+        assert self.strict_helper(tmp_path, """
+            def helper_a(debug=False):
+                return debug
+        """) == []
+
+    def test_set_iteration_in_strict_helper(self, tmp_path):
+        assert self.strict_helper(tmp_path, """
+            def helper_a():
+                total = 0
+                for value in {1, 2, 3}:
+                    total += value
+                return total
+        """) == ["CSA003"]
+
+    def test_suppressed_set_iteration_in_strict_helper(self, tmp_path):
+        assert self.strict_helper(tmp_path, """
+            def helper_a():
+                total = 0
+                for value in {1, 2, 3}:  # csa: ignore[CSA003]
+                    total += value
+                return total
+        """) == []
+
+    def test_sorted_iteration_in_strict_helper_is_clean(self, tmp_path):
+        assert self.strict_helper(tmp_path, """
+            def helper_a():
+                total = 0
+                for value in sorted({1, 2, 3}):
+                    total += value
+                return total
+        """) == []
+
+    def test_clock_in_strict_method_flagged_where_it_is(self, tmp_path):
+        root = build_pkg(tmp_path, {
+            "simcore/engine.py": """
+                import time
+
+
+                class Ticker:
+                    def on_window(self):
+                        return time.perf_counter()
+
+
+                class Simulator:
+                    def run(self, controller):
+                        return controller.on_window()
+            """,
+        })
+        assert where(lint_tree(root), root) == [(ENGINE_PY, 7, "CSA001")]
+
+    def test_one_finding_per_import_however_many_calls(self, tmp_path):
+        root = build_pkg(tmp_path, {
+            "simcore/engine.py": """
+                from repro.bench.helper import helper_a
+
+
+                class Simulator:
+                    def run(self):
+                        helper_a()
+                        return self.tick()
+
+                    def tick(self):
+                        return helper_a()
+            """,
+            "bench/helper.py": """
+                import time
+
+
+                def helper_a():
+                    return time.time()
+            """,
+        })
+        assert where(lint_tree(root), root) == [(ENGINE_PY, 2, "CSA010")]
+
+
+# ---------------------------------------------------------------------------
+# unit consistency rules
+# ---------------------------------------------------------------------------
+
+
+def unit_codes(body, package="core"):
+    return codes(
+        lint_source(textwrap.dedent(body), path="units.py", package=package)
+    )
+
+
+class TestCSU001Addition:
+    def test_positive(self):
+        assert unit_codes("""
+            def mix(latency_us, energy_uj):
+                return latency_us + energy_uj
+        """) == ["CSU001"]
+
+    def test_same_unit_is_clean(self):
+        assert unit_codes("""
+            def total(first_us, second_us):
+                return first_us + second_us
+        """) == []
+
+    def test_dimensional_product_is_clean(self):
+        # µs × W = µJ — the algebra must simplify, not string-match.
+        assert unit_codes("""
+            def total(energy_uj, pause_us, power_w):
+                return energy_uj + pause_us * power_w
+        """) == []
+
+    def test_suppressed(self):
+        assert unit_codes("""
+            def mix(latency_us, energy_uj):
+                return latency_us + energy_uj  # csa: ignore[CSU001]
+        """) == []
+
+    def test_augmented_assignment(self):
+        assert unit_codes("""
+            def accumulate(total_us, energy_uj):
+                total_us += energy_uj
+                return total_us
+        """) == ["CSU001"]
+
+
+class TestCSU002Comparison:
+    def test_positive(self):
+        assert unit_codes("""
+            def over_budget(latency_us, budget_mj):
+                return latency_us > budget_mj
+        """) == ["CSU002"]
+
+    def test_scale_mismatch_of_same_dimension(self):
+        # µs vs ms are both time but different scales: still a bug.
+        assert unit_codes("""
+            def late(latency_us, deadline_ms):
+                return latency_us > deadline_ms
+        """) == ["CSU002"]
+
+    def test_same_unit_is_clean(self):
+        assert unit_codes("""
+            def late(latency_us, deadline_us):
+                return latency_us > deadline_us
+        """) == []
+
+    def test_suppressed(self):
+        assert unit_codes("""
+            def over(latency_us, budget_mj):
+                return latency_us > budget_mj  # csa: ignore[CSU002]
+        """) == []
+
+
+class TestCSU003Binding:
+    def test_assignment_positive(self):
+        assert unit_codes("""
+            def convert(latency_us):
+                latency_ms = latency_us
+                return latency_ms
+        """) == ["CSU003"]
+
+    def test_explicit_conversion_is_clean(self):
+        # Dividing by an unclassified literal is the conversion escape.
+        assert unit_codes("""
+            def convert(latency_us):
+                latency_ms = latency_us / 1000.0
+                return latency_ms
+        """) == []
+
+    def test_return_against_function_name(self):
+        assert unit_codes("""
+            def window_ms(span_us):
+                return span_us
+        """) == ["CSU003"]
+
+    def test_call_argument_binding(self):
+        assert unit_codes("""
+            def advance(step_us):
+                return step_us
+
+
+            def caller(window_ms):
+                return advance(window_ms)
+        """) == ["CSU003"]
+
+    def test_matching_argument_is_clean(self):
+        assert unit_codes("""
+            def advance(step_us):
+                return step_us
+
+
+            def caller(window_us):
+                return advance(window_us)
+        """) == []
+
+    def test_suppressed(self):
+        assert unit_codes("""
+            def convert(latency_us):
+                latency_ms = latency_us  # csa: ignore[CSU003]
+                return latency_ms
+        """) == []
+
+    def test_lenient_package_not_checked(self):
+        # The unit rules are strict-scope rules: drivers are exempt.
+        assert unit_codes("""
+            def convert(latency_us):
+                latency_ms = latency_us
+                return latency_ms
+        """, package="bench") == []
+
+    def test_cross_module_positional_binding(self, tmp_path):
+        root = build_pkg(tmp_path, {
+            "simcore/power.py": """
+                class EnergyMeter:
+                    def record_overhead(self, energy_uj):
+                        return energy_uj
+            """,
+            "runtime/metrics.py": """
+                def charge_stall(meter, stall_us):
+                    meter.record_overhead(stall_us)
+            """,
+        })
+        assert where(lint_tree(root), root) == [
+            (os.path.join("runtime", "metrics.py"), 3, "CSU003"),
+        ]
+
+    def test_keyword_binding(self):
+        # Checked by the parameter's own name: no def lookup needed.
+        assert unit_codes("""
+            def caller(ledger, window_ms):
+                return ledger.observe(measured_latency_us=window_ms)
+        """) == ["CSU003"]
+        assert unit_codes("""
+            def caller(ledger, window_us):
+                return ledger.observe(measured_latency_us=window_us)
+        """) == []
+
+    def test_ambiguous_name_left_unbound(self, tmp_path):
+        # Two project defs named `observe`: a call on an arbitrary
+        # receiver binds to neither, so its positional µs argument is
+        # not checked against either signature.
+        root = build_pkg(tmp_path, {
+            "obs/residuals.py": """
+                class ResidualLedger:
+                    def observe(self, telemetry, measured_uj):
+                        return measured_uj
+            """,
+            "core/adaptive.py": """
+                class FeedbackRegulator:
+                    def observe(self, batch_index, latency_uj):
+                        return latency_uj
+            """,
+            "control/controller.py": """
+                def on_window(ledger, telemetry, latency_us):
+                    return ledger.observe(telemetry, latency_us)
+            """,
+        })
+        assert lint_tree(root) == []
+
+    def test_same_module_def_first(self, tmp_path):
+        # `self._step_costs` binds to this module's own def even though
+        # another module defines the same name.
+        root = build_pkg(tmp_path, {
+            "compression/lz4.py": """
+                class LZ4:
+                    def compress(self, span_us):
+                        return self._step_costs(span_us)
+
+                    def _step_costs(self, input_bytes):
+                        return input_bytes
+            """,
+            "compression/tcomp32.py": """
+                class Tcomp32:
+                    def _step_costs(self, word_count):
+                        return word_count
+            """,
+        })
+        assert where(lint_tree(root), root) == [
+            (os.path.join("compression", "lz4.py"), 4, "CSU003"),
+        ]
+
+    def test_file_named_twice_is_linted_once(self, tmp_path):
+        # A directory plus a file inside it: the file's defs enter the
+        # index once (so `self._step_costs` still binds) and its finding
+        # is reported once.
+        root = build_pkg(tmp_path, {
+            "compression/lz4.py": """
+                class LZ4:
+                    def compress(self, span_us):
+                        return self._step_costs(span_us)
+
+                    def _step_costs(self, input_bytes):
+                        return input_bytes
+            """,
+        })
+        lz4 = os.path.join(root, "compression", "lz4.py")
+        findings, scanned = lint_paths([root, lz4])
+        assert scanned == 1
+        assert where(findings, root) == [
+            (os.path.join("compression", "lz4.py"), 4, "CSU003"),
+        ]
+
+
+class TestUnitAlgebra:
+    def test_atoms_and_stems(self):
+        assert parse_unit("latency_us") == parse_unit("pause_us")
+        assert parse_unit("latency_us") != parse_unit("latency_ms")
+        assert parse_unit("us") is None  # bare atom needs a stem
+        assert parse_unit("count") is None
+        assert parse_unit(None) is None
+
+    def test_plural_normalisation(self):
+        assert parse_unit("batch_bytes") == parse_unit("payload_byte")
+
+    def test_ratio_units(self):
+        ratio = parse_unit("cost_uj_per_byte")
+        assert ratio is not None
+        assert format_unit(ratio) == "uj/byte"
+
+    def test_time_times_power_is_energy(self):
+        us = parse_unit("pause_us")
+        watt = parse_unit("power_w")
+        assert lint._combine(us, watt, divide=False) == parse_unit("x_uj")
+
+    def test_frequency_is_inverse_time(self):
+        hz = parse_unit("clock_hz")
+        seconds = parse_unit("span_s")
+        # Hz × s fully cancels: dimensionless -> unclassified (None).
+        assert lint._combine(hz, seconds, divide=False) is None
+
+    def test_format_round_trip_for_every_atom(self):
+        for atom in lint._ATOMS:
+            unit = parse_unit(f"value_{atom}")
+            assert unit is not None
+            assert format_unit(unit) == atom
+
+
+#: the positional call sites of the strict modules where the retired
+#: call-graph pass bound a unit-bearing parameter: path below repro/,
+#: enclosing def (dotted, classes included), callee, the call's rank
+#: among that def's calls of the callee in source order, and its
+#: (parameter, unit) vector. Sites are named without line numbers so
+#: edits elsewhere in a file leave them valid. The two marked
+#: ``keyword`` resolved only through the call graph; they now pass their
+#: unit-bearing argument by keyword.
+UNIT_BINDING_SITES = os.path.join(
+    os.path.dirname(__file__), "unit_binding_sites.json"
+)
+
+
+def _calls_by_def(tree):
+    """(enclosing def, callee) -> [(call, enclosing classes)] in source
+    order."""
+    calls = {}
+
+    def visit(node, scope, classes):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + (child.name,), classes)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, scope + (child.name,), classes + [child.name])
+            else:
+                if isinstance(child, ast.Call):
+                    key = (".".join(scope), lint._callee_name(child))
+                    calls.setdefault(key, []).append((child, classes))
+                visit(child, scope, classes)
+
+    visit(tree, (), [])
+    for found in calls.values():
+        found.sort(key=lambda entry: (entry[0].lineno, entry[0].col_offset))
+    return calls
+
+
+class TestParentUnitBindings:
+    def test_index_binds_the_call_graph_vectors(self):
+        with open(UNIT_BINDING_SITES, encoding="utf-8") as handle:
+            sites = json.load(handle)
+        trees = {}
+        for directory, _dirs, names in sorted(os.walk(REPRO_ROOT)):
+            for name in sorted(names):
+                if name.endswith(".py"):
+                    path = os.path.join(directory, name)
+                    with open(path, encoding="utf-8") as handle:
+                        trees[path] = ast.parse(handle.read())
+        index = lint.build_def_index(sorted(trees.items()))
+        calls = {path: _calls_by_def(tree) for path, tree in trees.items()}
+        bound = unbound = 0
+        for site in sites:
+            path = os.path.join(REPRO_ROOT, site["path"])
+            call, classes = calls[path][site["def"], site["callee"]][
+                site["occurrence"]
+            ]
+            checker = lint._UnitChecker(lambda *args: None, path, index)
+            checker._classes = classes
+            target = checker.def_of(call)
+            if site["keyword"]:
+                assert target is None, site
+                unbound += 1
+                continue
+            vector = [
+                [param, None if unit is None else format_unit(unit)]
+                for param, unit in target.params
+            ]
+            assert vector == site["params"], site
+            bound += 1
+        assert (bound, unbound) == (87, 2)
+
+
+# ---------------------------------------------------------------------------
+# mutation study: one planted defect per rule, each caught by the linter
+# ---------------------------------------------------------------------------
+
+
+MUTANTS = {
+    "clock-feeds-latency": ("control", """
+        import time
+
+
+        def measured(steady):
+            return sum(steady) / len(steady) + time.time() % 1e-9
+    """, ["CSA001"]),
+    "unseeded-dataset-rng": ("datasets", """
+        import numpy as np
+
+
+        def generate(count):
+            rng = np.random.default_rng()
+            return rng.integers(0, 255, size=count)
+    """, ["CSA002"]),
+    "set-of-path-ids": ("obs", """
+        def paths(measured_by_path, predicted_comm):
+            return [path for path in set(measured_by_path) | set(predicted_comm)]
+    """, ["CSA003"]),
+    "bare-sum-of-energies": ("obs", """
+        def window_energy(telemetry, window_bytes):
+            return sum(uj for _core, uj in telemetry.energy_uj) / window_bytes
+    """, ["CSA005"]),
+    "env-sets-dataset-knob": ("datasets", """
+        import os
+
+
+        class Micro:
+            def __init__(self, dynamic_range=500):
+                self.dynamic_range = int(
+                    os.environ.get("REPRO_MICRO_RANGE", dynamic_range)
+                )
+    """, ["CSA007"]),
+    "unsorted-listdir": ("datasets", """
+        import os
+
+
+        def list_inputs(directory):
+            return [os.path.join(directory, n) for n in os.listdir(directory)]
+    """, ["CSA008"]),
+    "lazy-driver-clock-import": ("runtime", """
+        def run(seed, repetitions):
+            from repro.bench.hostclock import jitter_seed
+
+            return [seed + 7919 * r + jitter_seed() for r in range(repetitions)]
+    """, ["CSA010"]),
+}
+
+
+class TestMutationStudy:
+    @pytest.mark.parametrize("name", sorted(MUTANTS))
+    def test_planted_defect_is_caught(self, name):
+        package, body, expected = MUTANTS[name]
+        found = lint_source(
+            textwrap.dedent(body), path="mutant.py", package=package
+        )
+        assert codes(found) == expected
+
+
+# ---------------------------------------------------------------------------
+# exit codes: lint / verify / cstream analyze agree on 0/1/2
+# ---------------------------------------------------------------------------
+
+
+class TestExitCodeConvention:
+    def test_lint_clean_vs_findings_vs_usage(self, tmp_path, capsys):
+        clean = tmp_path / "clean.py"
+        clean.write_text("def f():\n    return 1\n")
+        dirty = tmp_path / "dirty.py"
+        dirty.write_text("import time\n\n\ndef f():\n    return time.time()\n")
+        base = ["--package", "simcore"]
+        assert lint_main([str(clean)] + base) == 0
+        assert lint_main([str(dirty)] + base) == 1
+        assert lint_main([str(dirty), "--json"] + base) == 1
+        assert lint_main([str(tmp_path / "missing.py")] + base) == 2
+        capsys.readouterr()
+
+    def test_lint_unwritable_report_is_usage_error(self, tmp_path, capsys):
+        clean = tmp_path / "clean.py"
+        clean.write_text("def f():\n    return 1\n")
+        target = str(tmp_path / "no-such-dir" / "report.json")
+        assert lint_main([str(clean), "--report", target]) == 2
+        capsys.readouterr()
+
+    def test_verify_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "not-json.json"
+        bad.write_text("{nope")
+        assert verify_main([str(bad)]) == 2
+        assert verify_main([str(tmp_path / "missing.json")]) == 2
+        capsys.readouterr()
+
+    def test_cstream_analyze_json_exits_one_on_findings(
+        self, tmp_path, capsys
+    ):
+        strict = tmp_path / "repro" / "simcore" / "engine.py"
+        strict.parent.mkdir(parents=True)
+        strict.write_text("import time\n\n\ndef f():\n    return time.time()\n")
+        status_plain = cli_main(["analyze", str(strict)])
+        status_json = cli_main(["analyze", str(strict), "--json"])
+        assert status_plain == status_json == 1
+        capsys.readouterr()
+
+    def test_cstream_analyze_flags_driver_import(self, tmp_path, capsys):
+        root = build_pkg(tmp_path, TestSeededTwoHopRegression.FILES)
+        report = tmp_path / "lint.json"
+        status = cli_main(["analyze", root, "--json", "--report", str(report)])
+        assert status == 1
+        payload = json.loads(report.read_text())
+        assert payload["counts"] == {"CSA010": 1}
+        capsys.readouterr()
+
+
+class TestReportAndCache:
+    def test_json_report_round_trip(self, tmp_path):
+        root = build_pkg(tmp_path, TestSeededTwoHopRegression.FILES)
+        findings, scanned = lint_paths([root])
+        payload = report_payload(findings, scanned)
+        restored = json.loads(json.dumps(payload))
+        assert restored == payload
+        assert restored["version"] == 1
+        assert restored["rules"] == RULES
+        assert restored["counts"] == {"CSA010": 1}
+        assert restored["files_scanned"] == 3
+        assert restored["findings"][0]["path"].endswith(ENGINE_PY)
+
+
+class TestDogfood:
+    def test_repo_is_lint_clean_from_the_cli(self, capsys):
+        assert lint_main([REPRO_ROOT]) == 0
+        assert "clean" in capsys.readouterr().out
+
+    def test_every_repo_suppression_is_justified(self):
+        # A suppression carries its reason as a comment right above it
+        # (up to three lines) or after the bracket on the same line.
+        for directory, _dirs, names in sorted(os.walk(REPRO_ROOT)):
+            for name in sorted(names):
+                if not name.endswith(".py"):
+                    continue
+                path = os.path.join(directory, name)
+                with open(path, encoding="utf-8") as handle:
+                    source = handle.read()
+                lines = source.splitlines()
+                for token in tokenize.generate_tokens(
+                    io.StringIO(source).readline
+                ):
+                    if token.type != tokenize.COMMENT or (
+                        "csa: ignore[" not in token.string
+                    ):
+                        continue
+                    number = token.start[0]
+                    above = lines[max(0, number - 4):number - 1]
+                    reason = any(
+                        text.strip().startswith("#") for text in above
+                    ) or token.string.split("]", 1)[1].strip()
+                    assert reason, f"{path}:{number} has no reason"
+
+    def test_real_tree_scope(self):
+        strict = {
+            lint._package_of(os.path.join(directory, name))
+            for directory, _dirs, names in os.walk(REPRO_ROOT)
+            for name in names if name.endswith(".py")
+        } - DRIVER_PACKAGES
+        # The simulator's public faces all live in strict packages.
+        assert {
+            "simcore", "core", "runtime", "compression", "fleet", "control",
+            "faults", "obs", "datasets", "analysis",
+        } <= strict
+        assert not strict & {"bench", "cli", "__main__"}
+
+
 class TestLinterMachinery:
-    def test_rule_table_has_nine_rules(self):
-        assert len(RULES) == 9
-        assert sorted(RULES) == [f"CSA00{i}" for i in range(1, 10)]
+    def test_rule_table_lists_every_rule(self):
+        assert sorted(RULES) == (
+            [f"CSA{i:03d}" for i in range(1, 11)]
+            + [f"CSU{i:03d}" for i in range(1, 4)]
+        )
 
     def test_multi_code_suppression(self):
         assert lint_strict(

@@ -343,6 +343,20 @@ class TestSessionSpec:
         explicit = SessionSpec(latency_constraint=11.0)
         assert explicit.for_board(jetson_tx2_like()) is explicit
 
+    def test_batch_size_is_pinned_not_environment_read(self, small_harness):
+        # Sessions pass their batch size in, so REPRO_BATCH_BYTES (the
+        # harness's import-time default) cannot move a session result.
+        from repro.control.session import (
+            SESSION_BATCH_BYTES,
+            build_drift_stream,
+        )
+
+        assert SESSION_BATCH_BYTES == 65536
+        _, _, batch_bytes = build_drift_stream(
+            small_harness, SessionSpec(scenario="phase-shift")
+        )
+        assert batch_bytes == SESSION_BATCH_BYTES
+
 
 @pytest.fixture(scope="module")
 def phase_shift():

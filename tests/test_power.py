@@ -1,4 +1,4 @@
-"""Energy meter: integration, breakdown, sampling trace."""
+"""Energy meter: integration, breakdown, trace energy samples."""
 
 import pytest
 
@@ -74,20 +74,20 @@ class TestFinalize:
         assert breakdown.static_uj == pytest.approx(expected)
 
 
-class TestPowerTrace:
-    def test_trace_length(self):
-        meter = EnergyMeter(rk3399(), sampling_interval_us=100.0)
-        trace = meter.power_trace(1000.0)
-        assert len(trace) == 11  # 0, 100, ..., 1000
+class TestTraceSamples:
+    def test_busy_interval_sampled_at_its_end(self):
+        from repro.obs.trace import TraceRecorder
 
-    def test_trace_shows_busy_interval(self):
-        meter = EnergyMeter(rk3399(), sampling_interval_us=10.0)
+        recorder = TraceRecorder()
+        meter = EnergyMeter(rk3399(), trace=recorder)
         meter.record_busy(0, 20.0, 30.0, 0.5)
-        trace = dict(meter.power_trace(100.0))
-        floor = trace[0.0]
-        assert trace[30.0] == pytest.approx(floor + 0.5)
-        assert trace[60.0] == pytest.approx(floor)
-
-    def test_invalid_sampling_interval(self):
-        with pytest.raises(SimulationError):
-            EnergyMeter(rk3399(), sampling_interval_us=0.0)
+        meter.record_busy(1, 60.0, 10.0, 0.25)
+        samples = [
+            (event.ts_us, dict(event.args)["value"])
+            for event in recorder.events
+            if event.name == "energy.busy"
+        ]
+        # The cumulative busy-energy counter steps at each interval's
+        # end: the time series a power trace would integrate to.
+        assert samples == [(50.0, pytest.approx(15.0)),
+                           (70.0, pytest.approx(17.5))]

@@ -1,10 +1,10 @@
-"""Plan and power-trace rendering."""
+"""Plan and Gantt rendering."""
 
 import pytest
 
 from repro.core.plan import SchedulingPlan
 from repro.core.scheduler import Scheduler
-from repro.runtime.visualize import render_plan, render_power_trace
+from repro.runtime.visualize import render_plan
 
 
 @pytest.fixture
@@ -47,39 +47,6 @@ class TestRenderPlan:
             line for line in text.splitlines() if line.startswith("core 4")
         )
         assert "t0" in core4_line and "t1" in core4_line
-
-
-class TestRenderPowerTrace:
-    def test_empty_trace(self):
-        assert render_power_trace([]) == "(no samples)"
-
-    def test_sparkline_length_bounded(self):
-        samples = [(float(t), 0.01) for t in range(1000)]
-        text = render_power_trace(samples, width=40)
-        sparkline = text.splitlines()[0]
-        assert len(sparkline) <= 41
-
-    def test_peak_reported(self):
-        samples = [(0.0, 0.005), (100.0, 0.025), (200.0, 0.01)]
-        text = render_power_trace(samples)
-        assert "25.0 mW" in text
-
-    def test_levels_track_power(self):
-        low = [(float(t), 0.001) for t in range(50)]
-        high = [(float(50 + t), 0.02) for t in range(50)]
-        text = render_power_trace(low + high, width=10)
-        sparkline = text.splitlines()[0]
-        # The second half must render denser glyphs than the first.
-        assert sparkline[:5].count("@") == 0
-        assert "@" in sparkline[5:]
-
-    def test_meter_trace_renders(self, board):
-        from repro.simcore.power import EnergyMeter
-
-        meter = EnergyMeter(board, sampling_interval_us=50.0)
-        meter.record_busy(0, 100.0, 200.0, 0.01)
-        text = render_power_trace(meter.power_trace(500.0))
-        assert "peak" in text
 
 
 class TestRenderGantt:
