@@ -11,16 +11,19 @@ honest:
   mismatches over the repo's ``*_us``/``*_mhz``/``*_uj`` naming
   conventions. Every module outside the driver packages gets the strict
   rules.
-* :mod:`repro.analysis.verify` — a plan/trace invariant verifier
-  (``PLN001``-``PLN005``, ``TRC001``-``TRC007``): DAG acyclicity, step
-  coverage, core-id validity, double-booking, L_set feasibility for
-  :class:`~repro.core.plan.SchedulingPlan` objects; monotone simulated
-  time, monotone energy counters, non-overlapping spans and
-  same-timestamp race hazards for exported trace streams.
+* :mod:`repro.analysis.verify` — the plan and artifact checker
+  (``PLN001``-``PLN006``, ``TRC001``-``TRC007``, ``HLT001``-``HLT003``,
+  ``FLT001``-``FLT005``): DAG acyclicity, step coverage, core-id
+  validity, double-booking, L_set feasibility and join coverage for
+  :class:`~repro.core.plan.SchedulingPlan` objects; the trace-event
+  schema, monotone simulated time, monotone energy counters,
+  non-overlapping spans and same-timestamp race hazards for trace
+  streams; the dataclass-derived schema and the arithmetic of session
+  and fleet health reports. It is the only checker of those artifacts.
 
 Both are importable as libraries (``lint_source``/``verify_plan``/
-``verify_trace_events``) and runnable as CLIs; ``cstream analyze``
-fronts both.
+``verify_trace_events``/``verify_health``/``verify_fleet_health``) and
+runnable as CLIs; ``cstream analyze`` fronts both.
 
 Attribute access is lazy (PEP 562) so ``python -m repro.analysis.lint``
 does not re-import its own module through the package and the package
@@ -35,7 +38,8 @@ _LINT_EXPORTS = frozenset({
 })
 _VERIFY_EXPORTS = frozenset({
     "INVARIANTS", "VerifyFinding", "verify_plan", "verify_trace_events",
-    "verify_chrome_payload", "iter_chrome_events", "iter_recorder_events",
+    "verify_chrome_payload", "verify_health", "verify_fleet_health",
+    "errors_only", "iter_chrome_events", "iter_recorder_events",
 })
 
 __all__ = sorted(_LINT_EXPORTS | _VERIFY_EXPORTS)

@@ -1,8 +1,10 @@
-"""Plan and trace invariant verifier (``python -m repro.analysis.verify``).
+"""Plan and artifact checker (``python -m repro.analysis.verify``).
 
 The static linter (:mod:`repro.analysis.lint`) keeps nondeterminism out
 of the *source*; this module checks the *artifacts* — scheduling plans
-before they are simulated, and exported trace streams after a run:
+before they are simulated, and the trace streams and health reports a
+run leaves behind. Each artifact's schema and its invariants are
+checked here and only here:
 
 ========  ==================================================================
 code      invariant
@@ -33,8 +35,14 @@ TRC004    same-timestamp counter updates with different values on one
           track are order-dependent pairs: swapping them changes the
           counter's value at that instant (simulation race hazard;
           warning, aggregated)
-TRC005    well-formed quantities: no negative timestamps/durations, and
-          integer pid/tid
+TRC005    the trace-event schema: every event has a known phase
+          (``X``/``i``/``C``/``M``), a non-empty name, integer pid/tid
+          and args that are an object; timeline events a non-negative
+          ``ts``, ``X`` spans a non-negative ``dur``, counters non-empty
+          numeric args, instants a ``t``/``p``/``g`` scope; metadata
+          events name a process or thread in ``args.name``. An exported
+          file is an object whose ``traceEvents`` array holds at least
+          one non-metadata event
 TRC006    a core emits no task service spans after its permanent-failure
           (``core-failure``) event — dead hardware does no work
 TRC007    every ``batch-retry`` event names a batch with a matching
@@ -46,8 +54,11 @@ HLT001    in a session health report, each window's attributed component
 HLT002    health attributions reference live components: the named
           (kind, key) appears in the window's component list, path keys
           are known interconnect classes, stage/core keys are indices
-HLT003    every quantity in a health report is finite — a NaN residual
-          means the ledger divided by an empty window
+HLT003    a health report (session, NDJSON window tail or fleet report)
+          matches the schema derived from its dataclasses
+          (:func:`repro.obs.health.schema_problems`), every float finite
+          — a NaN residual means the ledger divided by an empty window.
+          The other HLT and FLT invariants run only on a sound shape
 FLT001    in a fleet health report (schema v2), no tenant is recorded
           ``running`` on a board recorded dead in the same window
 FLT002    admission honesty: every ``admit`` event's tenant shows a
@@ -62,14 +73,15 @@ FLT005    backoff bounded: every queued retry delay is within the
 ========  ==================================================================
 
 Severity model: **error** findings make the CLI exit 1; **warning**
-findings are printed but only fail with ``--strict``. CI runs the
-verifier over every cell the smoke job traces.
+findings are printed but only fail with ``--strict``; an unreadable
+file exits 2. The CLI reads the artifact's kind from its content
+(:func:`repro.obs.health.read_artifact`), so one command checks every
+trace and health file CI uploads.
 
-Plans, cost models, traces and health reports are duck-typed (reports
-are checked as parsed JSON), so :mod:`repro.obs.check` reuses these
-checks as its invariant layer. Constants the invariants depend on are
-read from their owners: the breaker's legal edges, the gateway's
-default backoff policy and the interconnect path classes.
+Plans, cost models and traces are duck-typed; reports are checked as
+parsed JSON. Constants the invariants depend on are read from their
+owners: the breaker's legal edges, the gateway's default backoff policy
+and the interconnect path classes.
 """
 
 from __future__ import annotations
@@ -81,11 +93,26 @@ import numbers
 import re
 import sys
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.fleet.breaker import LEGAL_TRANSITIONS
 from repro.fleet.gateway import GatewayConfig
-from repro.obs.health import FLEET_HEALTH_SCHEMA_VERSION, read_report
+from repro.obs.health import (
+    FleetHealth,
+    SessionHealth,
+    WindowHealth,
+    read_artifact,
+    schema_problems,
+)
 from repro.simcore.interconnect import Path
 
 __all__ = [
@@ -96,6 +123,7 @@ __all__ = [
     "verify_chrome_payload",
     "verify_health",
     "verify_fleet_health",
+    "errors_only",
     "iter_chrome_events",
     "iter_recorder_events",
     "main",
@@ -113,14 +141,16 @@ INVARIANTS: Dict[str, str] = {
     "TRC002": "cumulative energy counters monotone per track",
     "TRC003": "X spans on one track never overlap",
     "TRC004": "no order-dependent same-timestamp counter pairs (warning)",
-    "TRC005": "non-negative ts/dur, integer pid/tid",
+    "TRC005": "every event matches the trace-event schema; the file "
+              "holds at least one timeline event",
     "TRC006": "no service spans on a core after its permanent failure",
     "TRC007": "every retried batch has a matching corruption event",
     "HLT001": "health components plus unattributed sum to the window "
               "residual",
     "HLT002": "health attributions reference live components (known "
               "path class, named component present in the window)",
-    "HLT003": "health report quantities are all finite",
+    "HLT003": "health report matches the dataclass-derived schema, "
+              "every float finite",
     "FLT001": "no tenant running on a dead board",
     "FLT002": "admitted implies modeled latency within l_set",
     "FLT003": "breaker transitions legal and replayable from the trace",
@@ -448,25 +478,27 @@ def verify_plan(
 def iter_chrome_events(payload: Any) -> Iterable[Dict[str, Any]]:
     """Normalized event dicts from a parsed Chrome trace-event object.
 
-    Metadata (``ph == "M"``) events are skipped — they carry no
-    timeline. Malformed entries are passed through with defaulted fields
-    so TRC005 can report them instead of crashing.
+    Fields keep their raw values (``None`` when absent; missing args
+    read as ``{}``) so TRC005 can report malformed entries instead of
+    crashing; an entry that is not an object reads as one with no
+    fields.
     """
     events = payload.get("traceEvents", []) if isinstance(payload, dict) else []
     for index, event in enumerate(events):
-        if not isinstance(event, dict) or event.get("ph") == "M":
-            continue
-        args = event.get("args")
+        if not isinstance(event, dict):
+            event = {}
+        args = event.get("args", {})
         yield {
             "index": index,
-            "name": event.get("name", ""),
-            "ph": event.get("ph", ""),
-            "ts": event.get("ts", 0),
-            "pid": event.get("pid", 0),
-            "tid": event.get("tid", 0),
-            "dur": event.get("dur", 0),
+            "name": event.get("name"),
+            "ph": event.get("ph"),
+            "ts": event.get("ts"),
+            "pid": event.get("pid"),
+            "tid": event.get("tid"),
+            "dur": event.get("dur"),
             "cat": event.get("cat", ""),
-            "args": dict(args) if isinstance(args, dict) else {},
+            "s": event.get("s"),
+            "args": dict(args) if isinstance(args, dict) else args,
         }
 
 
@@ -485,8 +517,59 @@ def iter_recorder_events(recorder: Any) -> Iterable[Dict[str, Any]]:
             "tid": event.tid,
             "dur": event.dur_us,
             "cat": event.category,
+            "s": None,
             "args": dict(event.args),
         }
+
+
+#: phases the exporter emits (the subset of the trace-event spec checked)
+_KNOWN_PHASES = ("X", "i", "C", "M")
+_METADATA_NAMES = ("process_name", "thread_name")
+_INSTANT_SCOPES = (None, "t", "p", "g")
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _event_problems(event: Dict[str, Any]) -> List[str]:
+    """TRC005: every way one normalized event departs from the
+    trace-event schema (empty = well-formed)."""
+    problems: List[str] = []
+    name = event["name"]
+    phase = event["ph"]
+    if not isinstance(name, str) or not name:
+        problems.append("missing or empty name")
+    if phase not in _KNOWN_PHASES:
+        problems.append(f"unknown phase {phase!r}")
+        return problems
+    if not all(
+        isinstance(event[key], int) and not isinstance(event[key], bool)
+        for key in ("pid", "tid")
+    ):
+        problems.append("non-integer pid/tid")
+    args = event["args"]
+    if not isinstance(args, dict):
+        problems.append("args is not an object")
+        args = {}
+    if phase == "M":
+        if name not in _METADATA_NAMES:
+            problems.append("metadata event is not process_name/thread_name")
+        if not isinstance(args.get("name"), str):
+            problems.append("metadata event without an args.name string")
+        return problems
+    if not _is_number(event["ts"]) or event["ts"] < 0:
+        problems.append("negative or non-numeric ts")
+    if phase == "X" and (not _is_number(event["dur"]) or event["dur"] < 0):
+        problems.append("complete event without a dur >= 0")
+    if phase == "C":
+        if not args:
+            problems.append("counter event without args")
+        elif not all(_is_number(value) for value in args.values()):
+            problems.append("counter event with a non-numeric value")
+    if phase == "i" and event["s"] not in _INSTANT_SCOPES:
+        problems.append("instant scope not one of t/p/g")
+    return problems
 
 
 def _is_energy_counter(event: Dict[str, Any]) -> bool:
@@ -498,9 +581,7 @@ def _is_energy_counter(event: Dict[str, Any]) -> bool:
 
 def _counter_value(event: Dict[str, Any]) -> Optional[float]:
     value = event["args"].get("value")
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return float(value)
-    return None
+    return float(value) if _is_number(value) else None
 
 
 def _track(event: Dict[str, Any]) -> Tuple[Any, Any]:
@@ -514,7 +595,9 @@ def verify_trace_events(
 
     ``events`` must be in *stream order* (the order the recorder emitted
     them / the order they appear in the exported file) — TRC001 and
-    TRC004 are statements about that order.
+    TRC004 are statements about that order. Events that break the
+    TRC005 schema are reported once per kind of problem and left out of
+    the other invariants; metadata events carry no timeline.
     """
     findings: List[VerifyFinding] = []
 
@@ -525,8 +608,9 @@ def verify_trace_events(
     hazard_count = 0
     hazard_example: Optional[str] = None
     previous: Optional[Dict[str, Any]] = None
-    malformed = 0
-    malformed_example: Optional[str] = None
+    #: TRC005 problem -> (event count, first offending event)
+    malformed: Dict[str, Tuple[int, str]] = {}
+    timeline = False
     # TRC006/TRC007 raw material
     core_failures: Dict[Tuple[Any, Any], float] = {}
     task_spans: List[Tuple[Any, Any, float, int]] = []
@@ -535,32 +619,22 @@ def verify_trace_events(
 
     for event in events:
         index = event["index"]
-        ts = event["ts"]
-        dur = event["dur"]
+        timeline = timeline or event["ph"] not in (None, "M")
 
-        # TRC005 — well-formed quantities
-        bad_ts = (
-            not isinstance(ts, numbers.Real) or isinstance(ts, bool) or ts < 0
-        )
-        bad_dur = (
-            not isinstance(dur, numbers.Real)
-            or isinstance(dur, bool)
-            or dur < 0
-        )
-        bad_track = any(
-            not isinstance(event[key], int) or isinstance(event[key], bool)
-            for key in ("pid", "tid")
-        )
-        if bad_ts or bad_dur or bad_track:
-            malformed += 1
-            if malformed_example is None:
-                what = "ts" if bad_ts else ("dur" if bad_dur else "pid/tid")
-                malformed_example = (
-                    f"traceEvents[{index}] {event['name']!r}: bad {what}"
+        # TRC005 — the event schema
+        problems = _event_problems(event)
+        if problems:
+            for problem in problems:
+                count, first = malformed.get(
+                    problem, (0, f"traceEvents[{index}] {event['name']!r}")
                 )
+                malformed[problem] = (count + 1, first)
             previous = event
             continue
-        ts = float(ts)
+        if event["ph"] == "M":
+            continue
+        ts = float(event["ts"])
+        dur = event["dur"]
         track = _track(event)
 
         # TRC001 — per-track monotone simulated time
@@ -640,16 +714,21 @@ def verify_trace_events(
                     )
         previous = event
 
-    if malformed:
+    for problem, (count, first) in malformed.items():
         findings.append(
             VerifyFinding(
                 code="TRC005",
                 severity=ERROR,
-                message=(
-                    f"{malformed} event(s) with negative or non-numeric "
-                    "ts/dur or non-integer pid/tid"
-                ),
-                location=malformed_example or "",
+                message=f"{count} event(s): {problem}",
+                location=f"first at {first}",
+            )
+        )
+    if not timeline:
+        findings.append(
+            VerifyFinding(
+                code="TRC005",
+                severity=ERROR,
+                message="no non-metadata events recorded",
             )
         )
     for track, (count, first) in sorted(ts_violations.items(), key=str):
@@ -740,7 +819,19 @@ def verify_trace_events(
 
 
 def verify_chrome_payload(payload: Any) -> List[VerifyFinding]:
-    """Trace invariants over a parsed Chrome trace-event object."""
+    """TRC001-TRC007 over a parsed Chrome trace-event object, which must
+    be an object whose ``traceEvents`` is an array (TRC005)."""
+    if not isinstance(payload, dict) or not isinstance(
+        payload.get("traceEvents"), list
+    ):
+        return [
+            VerifyFinding(
+                code="TRC005",
+                severity=ERROR,
+                message="expected an object whose 'traceEvents' is an array",
+                location="top level",
+            )
+        ]
     return verify_trace_events(iter_chrome_events(payload))
 
 
@@ -756,81 +847,50 @@ _RESIDUAL_EPSILON = 1e-6
 _KNOWN_PATHS = tuple(path.value for path in Path)
 
 
-def _health_number(value: Any) -> Optional[float]:
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return float(value)
-    return None
+def _index(key: str) -> Optional[int]:
+    """``key`` as a non-negative stage/core index, or None."""
+    try:
+        index = int(key)
+    except ValueError:
+        return None
+    return index if index >= 0 else None
+
+
+def _schema_findings(problems: List[str]) -> List[VerifyFinding]:
+    """HLT003 — one finding per departure from the report schema."""
+    return [
+        VerifyFinding(code="HLT003", severity=ERROR, message=problem)
+        for problem in problems
+    ]
 
 
 def verify_health(payload: Any) -> List[VerifyFinding]:
-    """Arithmetic invariants (HLT001-HLT003) of a parsed health report.
+    """HLT001-HLT003 of a parsed session report, or of an NDJSON tail
+    given as the list of its window records.
 
-    Expects the report to be schema-valid already
-    (:func:`repro.obs.check.validate_health` runs the schema layer);
-    here only the cross-field arithmetic is enforced, duck-typed over
-    the raw JSON.
+    The schema (HLT003) is checked first — a tail's records as the
+    ``windows`` of a report without header; the cross-field arithmetic
+    runs only on a sound shape.
     """
+    if isinstance(payload, list):
+        problems = schema_problems(
+            Tuple[WindowHealth, ...], payload, "windows"
+        )
+        windows = payload
+    else:
+        problems = schema_problems(SessionHealth, payload)
+        windows = [] if problems else payload["windows"]
+    if problems:
+        return _schema_findings(problems)
     findings: List[VerifyFinding] = []
-    if not isinstance(payload, dict):
-        return findings
-    windows = payload.get("windows")
-    if not isinstance(windows, list):
-        return findings
     for index, window in enumerate(windows):
-        if not isinstance(window, dict):
-            continue
         where = f"windows[{index}]"
-        # HLT003 — everything finite
-        numeric: List[Tuple[str, Any]] = [
-            (name, window.get(name))
-            for name in (
-                "measured_latency_us_per_byte",
-                "predicted_latency_us_per_byte",
-                "latency_residual_us_per_byte",
-                "measured_energy_uj_per_byte",
-                "predicted_energy_uj_per_byte",
-                "energy_residual_uj_per_byte",
-                "unattributed_us_per_byte",
-            )
-        ]
-        components = window.get("components")
-        components = components if isinstance(components, list) else []
-        for c_index, component in enumerate(components):
-            if isinstance(component, dict):
-                numeric.append((
-                    f"components[{c_index}].residual_us_per_byte",
-                    component.get("residual_us_per_byte"),
-                ))
-                numeric.append((
-                    f"components[{c_index}].score",
-                    component.get("score"),
-                ))
-        attribution = window.get("attribution")
-        if isinstance(attribution, dict):
-            for name in ("score", "residual_us_per_byte", "confidence"):
-                numeric.append((f"attribution.{name}",
-                                attribution.get(name)))
-        finite = True
-        for name, value in numeric:
-            parsed = _health_number(value)
-            if parsed is None or not math.isfinite(parsed):
-                finite = False
-                findings.append(
-                    VerifyFinding(
-                        code="HLT003",
-                        severity=ERROR,
-                        message=f"{name} is not a finite number",
-                        location=where,
-                    )
-                )
-        if not finite:
-            continue
+        components = window["components"]
         # HLT001 — components + unattributed == window residual
         residual = float(window["latency_residual_us_per_byte"])
         attributed = sum(
             float(component["residual_us_per_byte"])
             for component in components
-            if isinstance(component, dict)
         ) + float(window["unattributed_us_per_byte"])
         scale = max(abs(residual), abs(attributed), 1.0)
         if abs(residual - attributed) > _RESIDUAL_EPSILON * scale:
@@ -846,55 +906,50 @@ def verify_health(payload: Any) -> List[VerifyFinding]:
                 )
             )
         # HLT002 — the attribution names a component that exists
-        if isinstance(attribution, dict):
-            kind = attribution.get("kind")
-            key = attribution.get("key")
-            named = {
-                (component.get("kind"), component.get("key"))
-                for component in components
-                if isinstance(component, dict)
-            }
-            if (kind, key) not in named:
-                findings.append(
-                    VerifyFinding(
-                        code="HLT002",
-                        severity=ERROR,
-                        message=(
-                            f"attribution names {kind}:{key} but the "
-                            "window has no such component"
-                        ),
-                        location=where,
-                    )
+        attribution = window["attribution"]
+        if attribution is None:
+            continue
+        kind = attribution["kind"]
+        key = attribution["key"]
+        named = {
+            (component["kind"], component["key"]) for component in components
+        }
+        if (kind, key) not in named:
+            findings.append(
+                VerifyFinding(
+                    code="HLT002",
+                    severity=ERROR,
+                    message=(
+                        f"attribution names {kind}:{key} but the "
+                        "window has no such component"
+                    ),
+                    location=where,
                 )
-            if kind == "path" and key not in _KNOWN_PATHS:
-                findings.append(
-                    VerifyFinding(
-                        code="HLT002",
-                        severity=ERROR,
-                        message=(
-                            f"attribution names unknown interconnect "
-                            f"path {key!r}"
-                        ),
-                        location=where,
-                    )
+            )
+        if kind == "path" and key not in _KNOWN_PATHS:
+            findings.append(
+                VerifyFinding(
+                    code="HLT002",
+                    severity=ERROR,
+                    message=(
+                        f"attribution names unknown interconnect "
+                        f"path {key!r}"
+                    ),
+                    location=where,
                 )
-            if kind in ("retry", "core"):
-                try:
-                    parsed_key = int(key)
-                except (TypeError, ValueError):
-                    parsed_key = None
-                if parsed_key is None or parsed_key < 0:
-                    findings.append(
-                        VerifyFinding(
-                            code="HLT002",
-                            severity=ERROR,
-                            message=(
-                                f"attribution {kind} key {key!r} is not "
-                                "a non-negative index"
-                            ),
-                            location=where,
-                        )
-                    )
+            )
+        if kind in ("retry", "core") and _index(key) is None:
+            findings.append(
+                VerifyFinding(
+                    code="HLT002",
+                    severity=ERROR,
+                    message=(
+                        f"attribution {kind} key {key!r} is not "
+                        "a non-negative index"
+                    ),
+                    location=where,
+                )
+            )
     return findings
 
 
@@ -913,56 +968,45 @@ _RETRY_DELAY_PATTERN = re.compile(r"retry in ([0-9][0-9.]*) windows")
 
 
 def verify_fleet_health(payload: Any) -> List[VerifyFinding]:
-    """Fleet invariants (FLT001-FLT005) of a parsed v2 health report.
+    """HLT003 and FLT001-FLT005 of a parsed v2 fleet health report.
 
-    Duck-typed over the raw JSON like :func:`verify_health`; the report
-    is expected to be schema-valid already
-    (:func:`repro.obs.check.validate_health` handles that layer).
+    The schema (HLT003) is checked first; the fleet invariants run only
+    on a sound shape.
     """
+    problems = schema_problems(FleetHealth, payload)
+    if problems:
+        return _schema_findings(problems)
     findings: List[VerifyFinding] = []
-    if not isinstance(payload, dict):
-        return findings
-    windows = payload.get("windows")
-    events = payload.get("events")
-    windows = windows if isinstance(windows, list) else []
-    events = events if isinstance(events, list) else []
+    events = payload["events"]
 
     # indexed views of the window records
     tenants_by_window: Dict[int, Dict[int, dict]] = {}
     boards_by_window: Dict[int, Dict[int, dict]] = {}
-    for window in windows:
-        if not isinstance(window, dict):
-            continue
-        w_index = window.get("window_index")
-        if not isinstance(w_index, int):
-            continue
+    for window in payload["windows"]:
+        w_index = window["window_index"]
         tenants_by_window[w_index] = {
-            t["tenant_id"]: t
-            for t in window.get("tenants", [])
-            if isinstance(t, dict) and isinstance(t.get("tenant_id"), int)
+            t["tenant_id"]: t for t in window["tenants"]
         }
         boards_by_window[w_index] = {
-            b["board_index"]: b
-            for b in window.get("boards", [])
-            if isinstance(b, dict) and isinstance(b.get("board_index"), int)
+            b["board_index"]: b for b in window["boards"]
         }
 
     # FLT001 — no tenant running on a dead board
     for w_index in sorted(tenants_by_window):
-        boards = boards_by_window.get(w_index, {})
+        boards = boards_by_window[w_index]
         for tenant_id in sorted(tenants_by_window[w_index]):
             tenant = tenants_by_window[w_index][tenant_id]
-            if tenant.get("state") != "running":
+            if tenant["state"] != "running":
                 continue
-            board = boards.get(tenant.get("board_index"))
-            if board is not None and board.get("alive") is False:
+            board = boards.get(tenant["board_index"])
+            if board is not None and not board["alive"]:
                 findings.append(
                     VerifyFinding(
                         code="FLT001",
                         severity=ERROR,
                         message=(
                             f"tenant {tenant_id} is running on dead "
-                            f"board {tenant.get('board_index')}"
+                            f"board {tenant['board_index']}"
                         ),
                         location=f"windows[{w_index}]",
                     )
@@ -970,16 +1014,16 @@ def verify_fleet_health(payload: Any) -> List[VerifyFinding]:
 
     # FLT002 — admit events are honest about the SLO
     for event in events:
-        if not isinstance(event, dict) or event.get("kind") != "admit":
+        if event["kind"] != "admit":
             continue
-        w_index = event.get("window_index")
-        tenant_id = event.get("tenant_id")
+        w_index = event["window_index"]
+        tenant_id = event["tenant_id"]
         tenant = tenants_by_window.get(w_index, {}).get(tenant_id)
-        if tenant is None or tenant.get("state") != "running":
+        if tenant is None or tenant["state"] != "running":
             continue
-        modeled = _health_number(tenant.get("modeled_latency_us_per_byte"))
-        l_set = _health_number(tenant.get("l_set_us_per_byte"))
-        if modeled is None or l_set is None or modeled > l_set:
+        modeled = tenant["modeled_latency_us_per_byte"]
+        l_set = tenant["l_set_us_per_byte"]
+        if modeled > l_set:
             findings.append(
                 VerifyFinding(
                     code="FLT002",
@@ -989,7 +1033,7 @@ def verify_fleet_health(payload: Any) -> List[VerifyFinding]:
                         f"{w_index} with modeled latency {modeled} "
                         f"above its l_set {l_set}"
                     ),
-                    location=f"events[{event.get('sequence')}]",
+                    location=f"events[{event['sequence']}]",
                 )
             )
 
@@ -997,24 +1041,24 @@ def verify_fleet_health(payload: Any) -> List[VerifyFinding]:
     # per-window recorded states
     transitions_by_board: Dict[int, List[Tuple[int, str, str]]] = {}
     for event in events:
-        if not isinstance(event, dict) or event.get("kind") != "breaker":
+        if event["kind"] != "breaker":
             continue
-        board_index = event.get("board_index")
-        detail = str(event.get("detail", ""))
+        board_index = event["board_index"]
+        detail = event["detail"]
         edge = detail.split(" (")[0]
-        if "->" not in edge or not isinstance(board_index, int):
+        if "->" not in edge or board_index is None:
             findings.append(
                 VerifyFinding(
                     code="FLT003",
                     severity=ERROR,
                     message=f"malformed breaker event detail {detail!r}",
-                    location=f"events[{event.get('sequence')}]",
+                    location=f"events[{event['sequence']}]",
                 )
             )
             continue
         from_state, to_state = edge.split("->", 1)
         transitions_by_board.setdefault(board_index, []).append(
-            (event.get("window_index"), from_state, to_state)
+            (event["window_index"], from_state, to_state)
         )
     for board_index in sorted(transitions_by_board):
         state = "closed"
@@ -1060,16 +1104,16 @@ def verify_fleet_health(payload: Any) -> List[VerifyFinding]:
                 continue
             state = "closed"
             for t_window, _from, to_state in trace:
-                if isinstance(t_window, int) and t_window <= w_index:
+                if t_window <= w_index:
                     state = to_state
-            if board.get("breaker_state") != state:
+            if board["breaker_state"] != state:
                 findings.append(
                     VerifyFinding(
                         code="FLT003",
                         severity=ERROR,
                         message=(
                             f"board {board_index} records breaker state "
-                            f"{board.get('breaker_state')!r} in window "
+                            f"{board['breaker_state']!r} in window "
                             f"{w_index} but the transition trace "
                             f"replays to {state!r}"
                         ),
@@ -1079,24 +1123,20 @@ def verify_fleet_health(payload: Any) -> List[VerifyFinding]:
 
     # FLT004 — overload sheds evict the lowest priority first
     for event in events:
-        if not isinstance(event, dict) or event.get("kind") != "shed":
+        if event["kind"] != "shed" or not event["detail"].startswith(
+            "overload"
+        ):
             continue
-        if not str(event.get("detail", "")).startswith("overload"):
-            continue
-        w_index = event.get("window_index")
-        victim = tenants_by_window.get(w_index, {}).get(
-            event.get("tenant_id")
-        )
+        w_index = event["window_index"]
+        victim = tenants_by_window.get(w_index, {}).get(event["tenant_id"])
         if victim is None:
             continue
-        victim_priority = victim.get("priority")
-        for tenant_id in sorted(tenants_by_window.get(w_index, {})):
+        victim_priority = victim["priority"]
+        for tenant_id in sorted(tenants_by_window[w_index]):
             tenant = tenants_by_window[w_index][tenant_id]
             if (
-                tenant.get("state") == "running"
-                and tenant.get("board_index") == event.get("board_index")
-                and isinstance(tenant.get("priority"), int)
-                and isinstance(victim_priority, int)
+                tenant["state"] == "running"
+                and tenant["board_index"] == event["board_index"]
                 and tenant["priority"] < victim_priority
             ):
                 findings.append(
@@ -1104,36 +1144,37 @@ def verify_fleet_health(payload: Any) -> List[VerifyFinding]:
                         code="FLT004",
                         severity=ERROR,
                         message=(
-                            f"shed victim {event.get('tenant_id')} "
+                            f"shed victim {event['tenant_id']} "
                             f"(priority {victim_priority}) outranks "
                             f"still-running tenant {tenant_id} "
                             f"(priority {tenant['priority']}) on board "
-                            f"{event.get('board_index')}"
+                            f"{event['board_index']}"
                         ),
-                        location=f"events[{event.get('sequence')}]",
+                        location=f"events[{event['sequence']}]",
                     )
                 )
 
     # FLT005 — queued retry delays bounded by the backoff cap
     for event in events:
-        if not isinstance(event, dict):
+        if event["kind"] not in ("queue", "shed"):
             continue
-        if event.get("kind") not in ("queue", "shed"):
-            continue
-        match = _RETRY_DELAY_PATTERN.search(str(event.get("detail", "")))
+        match = _RETRY_DELAY_PATTERN.search(event["detail"])
         if match is None:
             continue
-        delay = float(match.group(1))
-        if delay > _FLEET_BACKOFF_CAP_WINDOWS + 1e-9:
+        try:
+            delay = float(match.group(1))
+        except ValueError:
+            delay = math.nan
+        if not delay <= _FLEET_BACKOFF_CAP_WINDOWS + 1e-9:
             findings.append(
                 VerifyFinding(
                     code="FLT005",
                     severity=ERROR,
                     message=(
-                        f"retry delay {delay} windows exceeds the "
-                        f"backoff cap {_FLEET_BACKOFF_CAP_WINDOWS}"
+                        f"retry delay {match.group(1)} windows is not "
+                        f"within the backoff cap {_FLEET_BACKOFF_CAP_WINDOWS}"
                     ),
-                    location=f"events[{event.get('sequence')}]",
+                    location=f"events[{event['sequence']}]",
                 )
             )
     return findings
@@ -1144,15 +1185,25 @@ def verify_fleet_health(payload: Any) -> List[VerifyFinding]:
 # ---------------------------------------------------------------------------
 
 
+#: artifact kind (:func:`repro.obs.health.read_artifact`) -> its checker
+_CHECKERS: Dict[str, Callable[[Any], List[VerifyFinding]]] = {
+    "trace": verify_chrome_payload,
+    "session": verify_health,
+    "tail": verify_health,
+    "fleet": verify_fleet_health,
+}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.verify",
         description=(
-            "trace-stream and health-report invariant verifier "
-            "(TRC001-TRC007, HLT001-HLT003, FLT001-FLT005)"
+            "trace and health-report checker: schema and invariants "
+            "(TRC001-TRC007, HLT001-HLT003, FLT001-FLT005); the kind of "
+            "each file is read from its content"
         ),
     )
-    parser.add_argument("traces", nargs="+", metavar="TRACE.json")
+    parser.add_argument("artifacts", nargs="+", metavar="FILE")
     parser.add_argument(
         "--strict", action="store_true",
         help="fail on warnings too, not only errors",
@@ -1165,27 +1216,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     all_findings: List[Tuple[str, VerifyFinding]] = []
     status = 0
-    for path in args.traces:
+    for path in args.artifacts:
         try:
-            payload = read_report(path)
+            kind, payload = read_artifact(path)
         except (OSError, json.JSONDecodeError) as error:
-            print(f"{path}: unreadable trace: {error}", file=sys.stderr)
+            print(f"{path}: unreadable: {error}", file=sys.stderr)
             status = 2
             continue
-        if isinstance(payload, list):
-            # An NDJSON tail of per-window health records (the format
-            # `cstream --health-out` streams): a session without header.
-            payload = {"windows": payload}
-        if (
-            isinstance(payload, dict)
-            and payload.get("schema_version") == FLEET_HEALTH_SCHEMA_VERSION
-        ):
-            checked = verify_fleet_health(payload)
-        elif isinstance(payload, dict) and "windows" in payload:
-            checked = verify_health(payload)
-        else:
-            checked = verify_chrome_payload(payload)
-        for finding in checked:
+        for finding in _CHECKERS[kind](payload):
             all_findings.append((path, finding))
 
     errors = sum(1 for _, f in all_findings if f.severity == ERROR)
@@ -1210,7 +1248,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for path, finding in all_findings:
             print(f"{path}: {finding.format()}")
         print(
-            f"checked {len(args.traces)} trace(s): "
+            f"checked {len(args.artifacts)} file(s): "
             f"{errors} error(s), {warnings} warning(s)"
         )
     if status == 0 and (errors or (args.strict and warnings)):

@@ -39,7 +39,7 @@ Subcommands
     runs the static / shed / shed-failover arms over the same tenant
     catalogue and fault plan; ``--health-out`` writes the fleet health
     report (schema v2) for ``cstream top`` and
-    ``python -m repro.obs.check --health``.
+    ``python -m repro.analysis.verify``.
 ``top``
     Live view over a session health NDJSON tail (or a full health
     JSON): per-window measured/predicted latency, residual, SLO state
@@ -51,9 +51,9 @@ Subcommands
     Run the static-analysis suite: the determinism and unit linter
     (``repro.analysis.lint``, rules CSA001-CSA010 and CSU001-CSU003)
     over source paths
-    and, optionally, the trace/health invariant verifier
-    (``repro.analysis.verify``, TRC001-TRC007 and HLT001-HLT003) over
-    exported artifacts.
+    and, optionally, the trace and health-report checker
+    (``repro.analysis.verify``: schema and invariants, TRC001-TRC007,
+    HLT001-HLT003 and FLT001-FLT005) over exported artifacts.
 ``boards``
     List the available simulated boards.
 """
@@ -308,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze = commands.add_parser(
         "analyze",
         help="run the determinism and unit linter (and optionally the "
-        "trace invariant verifier)",
+        "trace and health-report checker)",
     )
     analyze.add_argument(
         "paths", nargs="*",
@@ -317,7 +317,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument("--trace", action="append", default=[],
                          metavar="TRACE.json",
-                         help="also verify a trace file (repeatable)")
+                         help="also check a trace or health file "
+                         "(repeatable)")
     analyze.add_argument("--json", action="store_true", dest="as_json",
                          help="machine-readable output")
     analyze.add_argument("--report", default=None, metavar="FILE",
@@ -768,12 +769,11 @@ def _command_top(args) -> int:
     import time
 
     from repro.obs.health import (
-        FLEET_HEALTH_SCHEMA_VERSION,
         FleetHealth,
         SessionHealth,
         WindowHealth,
         from_record,
-        read_report,
+        read_artifact,
     )
     from repro.obs.live import (
         fleet_prometheus_text,
@@ -785,18 +785,15 @@ def _command_top(args) -> int:
     def _load():
         """(windows, session) from NDJSON tail or a full health JSON;
         windows is None for a fleet report."""
-        payload = read_report(args.health)
-        if isinstance(payload, list):
-            records = payload
-        elif payload.get("schema_version") == FLEET_HEALTH_SCHEMA_VERSION:
+        kind, payload = read_artifact(args.health)
+        if kind == "fleet":
             return None, from_record(FleetHealth, payload)
-        elif "windows" in payload:
+        if kind == "session":
             session = from_record(SessionHealth, payload)
             return list(session.windows), session
-        else:
-            # a one-line NDJSON tail parses as a single document
-            records = [payload]
-        windows = [from_record(WindowHealth, record) for record in records]
+        if kind == "trace":
+            raise ReproError(f"{args.health} is a trace, not a health report")
+        windows = [from_record(WindowHealth, record) for record in payload]
         session = SessionHealth(
             label=os.path.basename(args.health),
             board="unknown",

@@ -31,10 +31,10 @@ real hardware:
   controller consumes these as its ``reason="diagnosis"`` trigger.
 * :mod:`~repro.obs.live` — live telemetry export: NDJSON tail
   (``cstream top``) and Prometheus-style text exposition.
-* :mod:`~repro.obs.check` — the validator for the exported trace files
-  and health reports (used by CI on the traced smoke run and the chaos
-  and fleet health artifacts); the health schema it checks is derived
-  from the report dataclasses.
+
+Exported traces and health reports are checked — schema and invariants
+— by one tool, :mod:`repro.analysis.verify`; the health schema it
+checks is derived from the report dataclasses.
 """
 
 from repro.obs.trace import (
@@ -52,7 +52,7 @@ from repro.obs.residuals import (
     WindowTelemetry,
 )
 from repro.obs.health import Attribution, SessionHealth, WindowHealth
-from repro.obs.live import NdjsonTail, prometheus_text, read_ndjson, render_top
+from repro.obs.live import NdjsonTail, prometheus_text, render_top
 
 __all__ = [
     "Attribution",
@@ -69,7 +69,6 @@ __all__ = [
     "active_recorder",
     "chrome_trace",
     "prometheus_text",
-    "read_ndjson",
     "render_top",
     "set_active_recorder",
     "write_chrome_trace",

@@ -17,10 +17,11 @@ The frozen dataclasses below *are* the health schema. Everything else
 is derived from their field tables (names in declaration order, types
 from the annotations): the JSON codec (:func:`to_record`,
 :func:`from_record`, and the reports' ``to_json``/``from_json``) and
-the structural checker :func:`schema_problems` that
-:mod:`repro.obs.check` runs. :mod:`repro.obs.live` streams the reports;
-:mod:`repro.analysis.verify` enforces their invariants (HLT001-003 for
-v1, FLT001-005 for v2 — dispatched on ``schema_version``).
+the structural checker :func:`schema_problems`. :mod:`repro.obs.live`
+streams the reports; :func:`read_artifact` reads any of them (or a
+trace) back and names its kind; :mod:`repro.analysis.verify` checks
+them — the schema first (HLT003), then the invariants (HLT001-002 for
+v1, FLT001-005 for v2).
 """
 
 from __future__ import annotations
@@ -61,7 +62,8 @@ __all__ = [
     "to_record",
     "from_record",
     "schema_problems",
-    "read_report",
+    "ArtifactKind",
+    "read_artifact",
 ]
 
 HEALTH_SCHEMA_VERSION = 1
@@ -75,6 +77,8 @@ BreakerState = Literal["closed", "open", "half-open"]
 #: (board dead, no failover arm), "rejected" (final), or "pending"
 #: (not yet considered)
 TenantState = Literal["pending", "queued", "running", "stranded", "rejected"]
+#: what :func:`read_artifact` finds in a file
+ArtifactKind = Literal["trace", "session", "tail", "fleet"]
 EventKind = Literal[
     "admit", "reject", "queue", "retry", "shed", "failover", "breaker",
     "board-crash", "board-reboot", "board-throttle", "rpc-failure",
@@ -451,11 +455,16 @@ def _walk(hint: Any, value: Any, where: str, problems: List[str]) -> None:
         problems.append(f"{where}: must be {expected}, got {value!r}")
 
 
-def read_report(path: str) -> Any:
-    """Parse a trace or health file: one JSON document, or failing that
-    an NDJSON tail (one JSON object per line, blank lines skipped),
-    returned as the list of its records. Callers dispatch on the result:
-    a list is a window tail, ``schema_version`` 2 a fleet report.
+def read_artifact(path: str) -> Tuple[ArtifactKind, Any]:
+    """Parse a trace or health file and say which kind it is.
+
+    The file is one JSON document, or failing that an NDJSON tail (one
+    JSON object per line, blank lines skipped). The kind is read from
+    the content: a ``schema_version`` 2 document is a ``"fleet"``
+    report, one with ``windows`` a ``"session"`` report, and a
+    per-window record stream a ``"tail"`` — returned as the list of its
+    records, a one-line tail included. Anything else is a ``"trace"``
+    (checked as a Chrome trace-event object).
 
     Raises :class:`OSError` when the file is unreadable and
     :class:`json.JSONDecodeError` when it is neither form.
@@ -463,7 +472,7 @@ def read_report(path: str) -> Any:
     with open(path, "r", encoding="utf-8") as source:
         text = source.read()
     try:
-        return json.loads(text)
+        payload = json.loads(text)
     except json.JSONDecodeError as error:
         try:
             records = [
@@ -473,4 +482,14 @@ def read_report(path: str) -> Any:
             raise error from None
         if not records or not all(isinstance(r, dict) for r in records):
             raise error from None
-        return records
+        return "tail", records
+    if isinstance(payload, list):
+        return "tail", payload
+    if isinstance(payload, dict) and "traceEvents" not in payload:
+        if payload.get("schema_version") == FLEET_HEALTH_SCHEMA_VERSION:
+            return "fleet", payload
+        if "windows" in payload:
+            return "session", payload
+        if "window_index" in payload:
+            return "tail", [payload]
+    return "trace", payload

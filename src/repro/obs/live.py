@@ -5,8 +5,9 @@ Two export surfaces over the health stream of :mod:`repro.obs.health`:
 * :class:`NdjsonTail` — appends one JSON object per window to a file as
   the session runs; ``cstream top FILE`` tails it back into a terminal
   live view (:func:`render_top`). NDJSON is the exchange format: the
-  same lines round-trip into :class:`~repro.obs.health.WindowHealth`
-  via :func:`read_ndjson`.
+  same lines read back with :func:`repro.obs.health.read_artifact` and
+  round-trip into :class:`~repro.obs.health.WindowHealth` via
+  :func:`~repro.obs.health.from_record`.
 * :func:`prometheus_text` — renders the latest state of a session in
   the Prometheus text exposition format, for scraping off a file or
   one-shot endpoint.
@@ -19,19 +20,17 @@ zero-overhead-when-off contract.
 from __future__ import annotations
 
 import json
-from typing import IO, Iterable, List, Optional, Sequence
+from typing import IO, List, Optional, Sequence
 
 from repro.obs.health import (
     FleetHealth,
     SessionHealth,
     WindowHealth,
-    from_record,
     to_record,
 )
 
 __all__ = [
     "NdjsonTail",
-    "read_ndjson",
     "prometheus_text",
     "fleet_prometheus_text",
     "render_top",
@@ -54,19 +53,6 @@ class NdjsonTail:
     def emit_session(self, health: SessionHealth) -> None:
         for window in health.windows:
             self.emit(window)
-
-
-def read_ndjson(lines: Iterable[str]) -> List[WindowHealth]:
-    """Parse an NDJSON tail back into health records.
-
-    Blank lines are skipped so a partially written tail (or a trailing
-    newline) parses cleanly.
-    """
-    return [
-        from_record(WindowHealth, json.loads(line))
-        for line in lines
-        if line.strip()
-    ]
 
 
 def _prom_escape(value: str) -> str:

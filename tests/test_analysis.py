@@ -36,6 +36,7 @@ from repro.analysis.lint import (
 from repro.analysis.lint import main as lint_main
 from repro.analysis.verify import (
     INVARIANTS,
+    errors_only,
     iter_recorder_events,
     verify_chrome_payload,
     verify_health,
@@ -49,7 +50,6 @@ from repro.core.scheduler import Scheduler
 from repro.core.task import Task, TaskGraph
 from repro.errors import InvariantViolationError
 from repro.numerics import ordered_sum
-from repro.obs.check import validate_trace
 
 REPRO_ROOT = os.path.dirname(repro.__file__)
 
@@ -1630,6 +1630,69 @@ class TestTraceInvariants:
         found = verify_chrome_payload(payload(event(tid="core0")))
         assert codes(found) == ["TRC005"]
 
+    @pytest.mark.parametrize("bad, problem", [
+        ({"ph": "Q"}, "unknown phase 'Q'"),
+        ({"name": ""}, "missing or empty name"),
+        ({"ph": "C", "args": {}}, "counter event without args"),
+        ({"ph": "C", "args": {"value": "7"}}, "non-numeric value"),
+        ({"ph": "i", "s": "x"}, "instant scope"),
+        ({"ph": "X"}, "complete event without a dur"),
+        ({"args": [1]}, "args is not an object"),
+        ({"ph": "M", "name": "process_name", "args": {}}, "args.name"),
+        ({"ph": "M", "name": "gremlin", "args": {"name": "x"}},
+         "not process_name/thread_name"),
+    ])
+    def test_trc005_event_schema(self, bad, problem):
+        record = dict(event(ts=1.0), **bad)
+        found = verify_chrome_payload(payload(event(ts=0.0), record))
+        assert codes(found) == ["TRC005"]
+        assert problem in found[0].message
+        assert found[0].location == "first at traceEvents[1] " + repr(
+            record["name"]
+        )
+
+    def test_trc005_aggregates_per_problem(self):
+        found = verify_chrome_payload(payload(
+            event(ts=-1.0), event(ts=-2.0), event(name="x", ph="Q"), 7,
+        ))
+        # an entry that is not an object has no name and no phase
+        assert [f.message for f in found] == [
+            "2 event(s): negative or non-numeric ts",
+            "1 event(s): unknown phase 'Q'",
+            "1 event(s): missing or empty name",
+            "1 event(s): unknown phase None",
+        ]
+        assert found[0].location == "first at traceEvents[0] 'e'"
+        assert found[2].location == "first at traceEvents[3] None"
+
+    def test_trc005_top_level_shape(self):
+        for bad in ({}, [], {"traceEvents": {}}):
+            found = verify_chrome_payload(bad)
+            assert codes(found) == ["TRC005"]
+            assert found[0].location == "top level"
+
+    def test_trc005_needs_a_timeline_event(self):
+        metadata_only = payload({
+            "name": "process_name", "ph": "M", "pid": 0, "tid": 0,
+            "args": {"name": "rep 0"},
+        })
+        for trace in (payload(), metadata_only):
+            found = verify_chrome_payload(trace)
+            assert [f.message for f in found] == [
+                "no non-metadata events recorded"
+            ]
+
+    def test_trc005_applies_to_recorder_streams(self):
+        from repro.obs.trace import TraceRecorder
+
+        recorder = TraceRecorder()
+        recorder.span("compress", 1, 0.0, 10.0)
+        assert verify_trace_events(iter_recorder_events(recorder)) == []
+        recorder.span("stall", 2, -5.0, 1.0)
+        found = verify_trace_events(iter_recorder_events(recorder))
+        assert codes(found) == ["TRC005"]
+        assert "negative or non-numeric ts" in found[0].message
+
     def test_trc006_span_after_core_failure(self):
         found = verify_chrome_payload(payload(
             event(name="core-failure", ph="i", ts=5.0, tid=902,
@@ -1694,21 +1757,28 @@ class TestTraceInvariants:
         assert [f for f in found if f.severity == "error"] == []
 
 
-class TestObsCheckIntegration:
+def trace_errors(trace):
+    return [f.format() for f in errors_only(verify_chrome_payload(trace))]
+
+
+class TestTraceSchemaAndInvariants:
+    """One check covers the event schema (TRC005) and the stream
+    invariants; warnings do not fail it."""
+
     def test_schema_check_now_rejects_backwards_time(self):
-        problems = validate_trace(payload(
+        problems = trace_errors(payload(
             event(ts=5.0), event(ts=2.0),
         ))
         assert any("TRC001" in problem for problem in problems)
 
     def test_valid_trace_still_passes(self):
-        problems = validate_trace(payload(
+        problems = trace_errors(payload(
             event(ts=1.0), event(ts=2.0),
         ))
         assert problems == []
 
     def test_warnings_do_not_fail_schema_check(self):
-        problems = validate_trace(payload(
+        problems = trace_errors(payload(
             event(name="q", ph="C", ts=3.0, value=1),
             event(name="q", ph="C", ts=3.0, value=0),
         ))
@@ -1876,3 +1946,81 @@ class TestHealthInvariants:
         )))
         assert verify_main([str(bad)]) == 1
         assert "HLT001" in capsys.readouterr().out
+
+
+def fleet_payload(tenant_state="running"):
+    from repro.obs.health import (
+        FleetBoardHealth,
+        FleetHealth,
+        FleetTenantHealth,
+        FleetWindowHealth,
+        to_record,
+    )
+
+    board = FleetBoardHealth(
+        board_index=0, name="rk3399-0", kind="rk3399", alive=True,
+        breaker_state="closed", consecutive_failures=0, throttled_mhz=None,
+        max_core_load=0.5, tenants_running=1, rpc_failures=0,
+    )
+    tenant = FleetTenantHealth(
+        tenant_id=0, name="tenant-0", priority=1, state="running",
+        board_index=0, l_set_us_per_byte=30.0,
+        modeled_latency_us_per_byte=20.0, measured_latency_us_per_byte=21.0,
+        modeled_energy_uj_per_byte=0.4, violated=False,
+    )
+    report = to_record(FleetHealth(
+        label="fleet", arm="static", seed=0, board_count=1, tenant_count=1,
+        energy_budget_uj_per_window=1e6,
+        windows=(FleetWindowHealth(
+            window_index=0, boards=(board,), tenants=(tenant,),
+            violations=0, energy_uj=10.0,
+        ),),
+        events=(),
+    ))
+    report["windows"][0]["tenants"][0]["state"] = tenant_state
+    return report
+
+
+def _missing_field_session():
+    window = health_window()
+    del window["violated"]
+    return json.dumps(health_payload(window))
+
+
+#: (case, file text, codes the one checker must report) — each of these
+#: broken artifacts once passed the invariant-only verifier
+_BROKEN_ARTIFACTS = [
+    ("session-window-without-violated", _missing_field_session(),
+     ["HLT003"]),
+    ("trace-bad-phase-name-and-counter", json.dumps(payload(
+        event(ts=1.0, ph="Q"),
+        event(ts=2.0, name=""),
+        event(ts=3.0, name="q.s0", ph="C", value="7"),
+    )), ["TRC005", "TRC005", "TRC005"]),
+    ("trace-without-events", '{"traceEvents": []}', ["TRC005"]),
+    ("one-line-tail-with-hlt001", json.dumps(
+        health_window(unattributed_us_per_byte=2.0)) + "\n", ["HLT001"]),
+    ("fleet-tenant-in-unknown-state",
+     json.dumps(fleet_payload(tenant_state="zombie")), ["HLT003"]),
+]
+
+
+class TestOneArtifactChecker:
+    """The verifier checks each artifact's schema and its invariants;
+    ``cstream analyze --trace`` fronts the same check."""
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [case[1:] for case in _BROKEN_ARTIFACTS],
+        ids=[case[0] for case in _BROKEN_ARTIFACTS],
+    )
+    def test_broken_artifact_fails(self, tmp_path, capsys, text, expected):
+        artifact = tmp_path / "artifact.json"
+        artifact.write_text(text)
+        assert verify_main([str(artifact), "--json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert [f["code"] for f in report["findings"]] == expected
+        source = tmp_path / "clean.py"
+        source.write_text("x = 1\n")
+        assert cli_main(["analyze", str(source), "--trace", str(artifact)]) == 1
+        assert expected[0] in capsys.readouterr().out

@@ -341,10 +341,9 @@ class TestResidualDiagnosis:
         import json
 
         from repro.analysis.verify import verify_health
-        from repro.obs.check import validate_health
 
+        # schema (HLT003) and arithmetic (HLT001-002) in one check
         payload = json.loads(interconnect_run.health.to_json())
-        assert validate_health(payload) == []
         assert verify_health(payload) == []
 
     def test_heartbeat_scenarios_stay_heartbeat_driven(self, failure_run):

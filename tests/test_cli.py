@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
+from repro.analysis.verify import main as verify_main
 from repro.cli import main
-from repro.obs.check import main as check_main
 
 
 @pytest.fixture
@@ -190,7 +190,7 @@ class TestServe:
         health_path.write_text(
             json.dumps(json.loads(pretty), separators=(",", ":"))
         )
-        assert check_main(["--health", str(health_path)]) == 0
+        assert verify_main([str(health_path)]) == 0
         capsys.readouterr()
         assert main(["top", str(health_path)]) == 0
         assert capsys.readouterr().out == expected
@@ -230,6 +230,56 @@ class TestTopArguments:
             )
         assert exit_info.value.code == 2
         assert "--interval" in capsys.readouterr().err
+
+
+def _window(index):
+    return {
+        "window_index": index,
+        "measured_latency_us_per_byte": 24.0,
+        "predicted_latency_us_per_byte": 20.0,
+        "latency_residual_us_per_byte": 4.0,
+        "measured_energy_uj_per_byte": 0.4,
+        "predicted_energy_uj_per_byte": 0.35,
+        "energy_residual_uj_per_byte": 0.05,
+        "components": [{"kind": "path", "key": "c1",
+                        "residual_us_per_byte": 3.5, "score": 9.0}],
+        "unattributed_us_per_byte": 0.5,
+        "violated": True,
+        "anomalous": True,
+        "attribution": {"kind": "path", "key": "c1", "score": 9.0,
+                        "residual_us_per_byte": 3.5, "confidence": 1.0},
+    }
+
+
+class TestTopDispatch:
+    """``top`` reads the report's kind from its content, the way the
+    artifact checker does."""
+
+    def test_session_report_with_prometheus(self, tmp_path, capsys):
+        path = tmp_path / "session.json"
+        path.write_text(json.dumps({
+            "schema_version": 1, "label": "chaos:interconnect",
+            "board": "rk3399", "latency_constraint_us_per_byte": 33.0,
+            "windows": [_window(0), _window(1)],
+        }))
+        prom = tmp_path / "session.prom"
+        assert main(["top", str(path), "--prom", str(prom)]) == 0
+        assert "degraded link c1" in capsys.readouterr().out
+        assert 'cstream_windows_total{session="chaos:interconnect"} 2' in (
+            prom.read_text()
+        )
+
+    def test_one_line_tail(self, tmp_path, capsys):
+        path = tmp_path / "health.ndjson"
+        path.write_text(json.dumps(_window(3)) + "\n")
+        assert main(["top", str(path)]) == 0
+        assert "windows=1 violated=1" in capsys.readouterr().out
+
+    def test_trace_is_not_a_health_report(self, tmp_path, capsys):
+        path = tmp_path / "cell.trace.json"
+        path.write_text('{"traceEvents": []}')
+        assert main(["top", str(path)]) == 1
+        assert "is a trace, not a health report" in capsys.readouterr().err
 
 
 class TestAdaptDefaults:

@@ -3,8 +3,8 @@
 import json
 
 
+from repro.analysis.verify import errors_only, verify_chrome_payload
 from repro.cli import main
-from repro.obs.check import validate_trace
 
 
 class TestTraceCommand:
@@ -19,7 +19,7 @@ class TestTraceCommand:
         assert "context switches/MB" in output
         assert "occupancy" in output
         with open(out) as source:
-            assert validate_trace(json.load(source)) == []
+            assert errors_only(verify_chrome_payload(json.load(source))) == []
 
     def test_experiment_alias_and_gantt(self, tmp_path, capsys):
         out = tmp_path / "fig7.trace.json"

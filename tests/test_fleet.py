@@ -14,6 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.analysis.verify import main as verify_main
 from repro.analysis.verify import verify_fleet_health
 from repro.control.controller import SessionController
 from repro.core import baselines
@@ -35,7 +36,6 @@ from repro.fleet.scenario import (
     run_fleet_scenario,
 )
 from repro.fleet.tenants import build_tenant_catalog, build_tenant_workloads
-from repro.obs.check import validate_fleet_health, validate_health
 from repro.obs.health import FleetHealth
 
 
@@ -304,7 +304,7 @@ class TestHealthReport:
         )
         reports = [comparison_small.healths[arm] for arm in FLEET_ARMS]
         for health in reports + [throttled]:
-            assert validate_health(json.loads(health.to_json())) == []
+            assert verify_fleet_health(json.loads(health.to_json())) == []
             restored = FleetHealth.from_json(health.to_json())
             assert restored == health
             assert restored.schema_version == 2
@@ -325,7 +325,6 @@ class TestHealthReport:
         for arm in FLEET_ARMS:
             payload = json.loads(comparison_small.healths[arm].to_json())
             assert verify_fleet_health(payload) == []
-            assert validate_fleet_health(payload) == []
 
     def test_flt001_catches_a_planted_violation(self, comparison_small):
         payload = json.loads(
@@ -349,9 +348,12 @@ class TestHealthReport:
             if e["kind"] == "shed" and "retry in" in e["detail"]
         ]
         assert requeues, "the shed arm must requeue with backoff"
-        requeues[0]["detail"] = "board dead; requeued, retry in 99.0 windows"
-        findings = verify_fleet_health(payload)
-        assert any(f.code == "FLT005" for f in findings)
+        for delay in ("99.0", "1.2.3"):  # too long, and not a number
+            requeues[0]["detail"] = (
+                f"board dead; requeued, retry in {delay} windows"
+            )
+            findings = verify_fleet_health(payload)
+            assert any(f.code == "FLT005" for f in findings)
 
 
 #: (case, planted defect, text the rejection must carry — the path)
@@ -389,15 +391,23 @@ class TestFleetSchema:
         [case[1:] for case in _SCHEMA_DEFECTS],
         ids=[case[0] for case in _SCHEMA_DEFECTS],
     )
-    def test_planted_defect_rejected(self, comparison_small, plant, expected):
+    def test_planted_defect_rejected(
+        self, comparison_small, plant, expected, tmp_path, capsys
+    ):
         payload = json.loads(
             comparison_small.healths["shed-failover"].to_json()
         )
-        assert validate_fleet_health(payload) == []
+        assert verify_fleet_health(payload) == []
         plant(payload)
-        problems = validate_fleet_health(payload)
-        assert any(expected in problem for problem in problems), problems
-        assert validate_health(payload) == problems
+        findings = verify_fleet_health(payload)
+        assert {f.code for f in findings} == {"HLT003"}
+        assert any(expected in f.message for f in findings), findings
+        # the CLI reads the report's kind from its content
+        path = tmp_path / "fleet.health.json"
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert verify_main([str(path)]) == 1
+        assert expected in capsys.readouterr().out
 
 
 class TestPlanSearchBudget:

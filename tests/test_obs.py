@@ -1,7 +1,8 @@
 """Unit tests for the observability package (repro.obs).
 
-Recorder aggregation, Chrome trace export, the dependency-free schema
-checker, and the live telemetry exports.
+Recorder aggregation, Chrome trace export, the schema checks the
+artifact checker (repro.analysis.verify) makes on traces and health
+reports, and the live telemetry exports.
 """
 
 import inspect
@@ -18,7 +19,12 @@ from repro.obs import (
     set_active_recorder,
     write_chrome_trace,
 )
-from repro.obs.check import main as check_main, validate_health, validate_trace
+from repro.analysis.verify import (
+    errors_only,
+    verify_chrome_payload,
+    verify_health,
+)
+from repro.analysis.verify import main as verify_main
 from repro.obs.trace import TID_GOVERNOR, TID_OS_SCHED, TID_RUNTIME
 from repro.simcore.boards import rk3399
 
@@ -28,8 +34,8 @@ def small_recorder() -> TraceRecorder:
     recorder = TraceRecorder()
     recorder.begin_repetition(0)
     # Emission order follows simulated time per track, as the DES would
-    # produce it — repro.analysis.verify checks this (TRC001) via
-    # repro.obs.check on every exported trace.
+    # produce it — repro.analysis.verify checks this (TRC001) on every
+    # exported trace.
     recorder.span("compress", 1, 0.0, 100.0, batch=0)
     recorder.queue_depth("q.s1r0.p0", 3, 50.0)
     recorder.dvfs_transition(1, 1416.0, 1800.0, 60.0)
@@ -157,7 +163,7 @@ class TestChromeExport:
         write_chrome_trace(small_recorder(), path, board=rk3399())
         with open(path) as source:
             payload = json.load(source)
-        assert validate_trace(payload) == []
+        assert errors_only(verify_chrome_payload(payload)) == []
 
 
 def _instants(count: int) -> TraceRecorder:
@@ -280,20 +286,24 @@ class TestHookContract:
         assert event.pid == 3 and event.args == args
 
 
+def _trace_errors(payload):
+    return [f.format() for f in errors_only(verify_chrome_payload(payload))]
+
+
 class TestChecker:
     def test_accepts_good_trace(self):
-        assert validate_trace(chrome_trace(small_recorder())) == []
+        assert _trace_errors(chrome_trace(small_recorder())) == []
 
     def test_rejects_missing_events(self):
-        assert validate_trace({}) != []
-        assert validate_trace({"traceEvents": []}) != []
+        assert _trace_errors({}) != []
+        assert _trace_errors({"traceEvents": []}) != []
 
     def test_rejects_unknown_phase(self):
         payload = chrome_trace(small_recorder())
         payload["traceEvents"][0] = dict(
             payload["traceEvents"][0], ph="Z"
         )
-        assert any("phase" in p for p in validate_trace(payload))
+        assert any("phase" in p for p in _trace_errors(payload))
 
     def test_rejects_complete_event_without_duration(self):
         bad = {
@@ -301,16 +311,19 @@ class TestChecker:
                 {"name": "t", "ph": "X", "ts": 0, "pid": 0, "tid": 0}
             ]
         }
-        assert validate_trace(bad) != []
+        assert any("dur" in p for p in _trace_errors(bad))
 
     def test_cli_exit_codes(self, tmp_path, capsys):
         good = tmp_path / "good.json"
         write_chrome_trace(small_recorder(), good)
-        assert check_main([str(good)]) == 0
+        assert verify_main([str(good)]) == 0
         bad = tmp_path / "bad.json"
         bad.write_text('{"traceEvents": []}')
-        assert check_main([str(bad)]) == 1
-        assert check_main([]) == 2
+        assert verify_main([str(bad)]) == 1
+        assert verify_main([str(tmp_path / "absent.json")]) == 2
+        with pytest.raises(SystemExit) as usage:
+            verify_main([])
+        assert usage.value.code == 2
         capsys.readouterr()
 
 
@@ -351,52 +364,46 @@ def _session_payload(windows=None):
     }
 
 
+def _health_errors(payload):
+    return [f.format() for f in verify_health(payload)]
+
+
 class TestHealthSchema:
     def test_valid_session_passes(self):
-        from repro.obs.check import validate_health
-
-        assert validate_health(_session_payload()) == []
+        assert verify_health(_session_payload()) == []
 
     def test_missing_field_rejected(self):
-        from repro.obs.check import validate_health
-
         window = _window_record()
         del window["violated"]
-        findings = validate_health(_session_payload([window]))
+        findings = _health_errors(_session_payload([window]))
         assert any("violated" in f for f in findings)
 
     def test_extra_field_rejected(self):
-        from repro.obs.check import validate_health
-
-        findings = validate_health(
+        findings = _health_errors(
             _session_payload([_window_record(surprise=1)])
         )
         assert any("surprise" in f for f in findings)
 
     def test_non_finite_residual_rejected(self):
-        from repro.obs.check import validate_health
-
         bad = _window_record(latency_residual_us_per_byte=float("nan"))
-        findings = validate_health(_session_payload([bad]))
+        findings = _health_errors(_session_payload([bad]))
         assert findings
         assert any("finite" in f for f in findings)
 
     def test_unknown_component_kind_rejected(self):
-        from repro.obs.check import validate_health
-
         window = _window_record()
         window["components"][0]["kind"] = "gremlin"
-        findings = validate_health(_session_payload([window]))
+        findings = _health_errors(_session_payload([window]))
         assert any("gremlin" in f for f in findings)
 
     def test_cli_health_mode(self, tmp_path, capsys):
         good = tmp_path / "health.json"
         good.write_text(json.dumps(_session_payload()))
-        assert check_main(["--health", str(good)]) == 0
+        assert verify_main([str(good)]) == 0
         bad = tmp_path / "bad.json"
         payload = _session_payload([_window_record(surprise=1)])
         bad.write_text(json.dumps(payload))
-        assert check_main(["--health", str(bad)]) == 1
+        assert verify_main([str(bad)]) == 1
         capsys.readouterr()
 
     def test_cli_health_ndjson_lines(self, tmp_path, capsys):
@@ -405,7 +412,7 @@ class TestHealthSchema:
             json.dumps(_window_record(0)) + "\n"
             + json.dumps(_window_record(1)) + "\n"
         )
-        assert check_main(["--health", str(tail)]) == 0
+        assert verify_main([str(tail)]) == 0
         capsys.readouterr()
 
 
@@ -430,17 +437,20 @@ class TestHealthRoundTrip:
         # Optional attribution round-trips both set and null
         assert again.windows[0].attribution is not None
         assert again.windows[1].attribution is None
-        assert validate_health(json.loads(again.to_json())) == []
+        assert verify_health(json.loads(again.to_json())) == []
 
     def test_ndjson_round_trip(self, tmp_path):
-        import io
-
-        from repro.obs import NdjsonTail, read_ndjson
+        from repro.obs import NdjsonTail, WindowHealth
+        from repro.obs.health import from_record, read_artifact
 
         session = self._session()
-        buffer = io.StringIO()
-        NdjsonTail(buffer).emit_session(session)
-        windows = read_ndjson(buffer.getvalue().splitlines() + ["", "  "])
+        tail = tmp_path / "health.ndjson"
+        with open(tail, "w", encoding="utf-8") as stream:
+            NdjsonTail(stream).emit_session(session)
+            stream.write("\n  \n")  # blank lines are skipped
+        kind, records = read_artifact(str(tail))
+        assert kind == "tail"
+        windows = [from_record(WindowHealth, record) for record in records]
         assert tuple(windows) == session.windows
 
     def test_prometheus_text_exposes_session(self):

@@ -21,7 +21,6 @@ from repro.control.session import SessionSpec, run_adaptive_session
 from repro.faults.chaos import ChaosSpec, run_chaos_session
 from repro.faults.model import CoreFailure, CoreStall, DvfsThrottle, FaultPlan
 from repro.obs.export import chrome_trace, write_chrome_trace
-from repro.obs.check import validate_trace
 from repro.obs.trace import TraceRecorder
 from repro.simcore.boards import rk3399
 
@@ -153,7 +152,7 @@ class TestPaperShape:
         assert 0.0 < max(summary.occupancy().values()) <= 1.0
 
         payload = chrome_trace(recorder, board=make_harness().board)
-        assert validate_trace(payload) == []
+        assert errors_only(verify_chrome_payload(payload)) == []
 
     def test_cstream_scheduler_stats_surface_in_summary(self):
         result, _ = make_harness().run_traced(spec_of(), "CStream")
@@ -173,7 +172,7 @@ class TestHarnessTraceRouting:
         assert len(files) == 1
         assert "tcomp32-rovio-RR" in files[0].name
         with open(files[0]) as source:
-            assert validate_trace(json.load(source)) == []
+            assert errors_only(verify_chrome_payload(json.load(source))) == []
         # a second run hits the in-memory cache: no new file
         harness.run(spec_of(), "RR")
         assert len(list((tmp_path / "traces").glob("*.trace.json"))) == 1
