@@ -104,6 +104,7 @@ from typing import (
     Tuple,
 )
 
+from repro.errors import ArtifactError
 from repro.fleet.breaker import LEGAL_TRANSITIONS
 from repro.fleet.gateway import GatewayConfig
 from repro.obs.health import (
@@ -1219,7 +1220,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for path in args.artifacts:
         try:
             kind, payload = read_artifact(path)
-        except (OSError, json.JSONDecodeError) as error:
+        except (OSError, ArtifactError) as error:
             print(f"{path}: unreadable: {error}", file=sys.stderr)
             status = 2
             continue

@@ -21,8 +21,10 @@ from __future__ import annotations
 
 import abc
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
+
+from repro.errors import CompressionError
 
 __all__ = [
     "StepRole",
@@ -122,18 +124,56 @@ class StepCost:
         )
 
 
-@dataclass
 class CompressionResult:
-    """Everything a codec produced while compressing one batch."""
+    """Everything a codec produced while compressing one batch.
 
-    payload: bytes
-    input_size: int
-    step_costs: Dict[str, StepCost]
-    counters: Dict[str, float] = field(default_factory=dict)
+    ``output_size`` is the payload's length in bytes, which the codec
+    supplies. ``payload`` is passed either as the bytes themselves or as
+    a zero-argument packer that builds them on first read. A dry run
+    (§V-B profiling) reads the step costs and sizes only, so it never
+    packs a bit. Packed bytes that do not measure ``output_size`` raise
+    :class:`~repro.errors.CompressionError`.
+    """
+
+    def __init__(
+        self,
+        payload: Union[bytes, Callable[[], bytes]],
+        input_size: int,
+        step_costs: Dict[str, StepCost],
+        counters: Optional[Dict[str, float]] = None,
+        output_size: Optional[int] = None,
+    ) -> None:
+        if callable(payload):
+            if output_size is None:
+                raise CompressionError("a packed payload needs its output_size")
+            self._packer: Optional[Callable[[], bytes]] = payload
+            self._payload: Optional[bytes] = None
+        else:
+            self._packer, self._payload = None, payload
+            if output_size is None:
+                output_size = len(payload)
+            self._check(payload, output_size)
+        self.output_size = output_size
+        self.input_size = input_size
+        self.step_costs = step_costs
+        self.counters = {} if counters is None else counters
+
+    @staticmethod
+    def _check(payload: bytes, output_size: int) -> None:
+        if len(payload) != output_size:
+            raise CompressionError(
+                f"codec packed {len(payload)} bytes but reported "
+                f"{output_size}"
+            )
 
     @property
-    def output_size(self) -> int:
-        return len(self.payload)
+    def payload(self) -> bytes:
+        """The compressed bytes, packed on first read."""
+        if self._payload is None:
+            payload = self._packer()
+            self._check(payload, self.output_size)
+            self._payload, self._packer = payload, None
+        return self._payload
 
     @property
     def compression_ratio(self) -> float:

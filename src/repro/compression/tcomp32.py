@@ -28,7 +28,7 @@ import struct
 import numpy as np
 
 from repro.compression.base import CompressionResult, StatelessCompressor, StepCost
-from repro.compression.bitio import BitReader, BitWriter, pack_codes
+from repro.compression.bitio import BitReader, pack_codes
 from repro.errors import CompressionError, CorruptStreamError
 
 __all__ = ["Tcomp32"]
@@ -52,15 +52,8 @@ _S2_ACCESSES_PER_OUTPUT_BIT = 1.0 / 8.0
 _S1_DESCRIPTOR_BYTES = 5
 
 
-def _vectorized_encode(words: np.ndarray):
-    """Build all ``(n-1, value)`` codes in one numpy pass and pack them
-    with :func:`~repro.compression.bitio.pack_codes`. Returns
-    ``(packed bytes, total significant bits)`` — byte-identical to the
-    BitWriter reference path.
-    """
-    if words.size == 0:
-        return b"", 0
-    w = words.astype(np.uint64)
+def _significant_bits(w: np.ndarray) -> np.ndarray:
+    """``n = ceil(log2(number+1))`` of every word, one bit for zero."""
     bits = np.ones(w.size, dtype=np.uint64)
     nonzero = w > 0
     # float64 has 52 mantissa bits, so log2 of a 32-bit value is exact
@@ -68,61 +61,52 @@ def _vectorized_encode(words: np.ndarray):
     bits[nonzero] = np.floor(
         np.log2(w[nonzero].astype(np.float64))
     ).astype(np.uint64) + np.uint64(1)
-    widths = bits + np.uint64(_LENGTH_FIELD_BITS)
-    chunks = ((bits - np.uint64(1)) << bits) | w
-    return pack_codes(chunks, widths), int(bits.sum())
+    return bits
 
 
 class Tcomp32(StatelessCompressor):
     """Stateless 32-bit null-suppression stream compressor.
 
-    Two byte-identical encoder implementations are provided: a
-    vectorized numpy path (default — builds every word's
-    ``(5-bit length, n-bit value)`` code at once and packs them into
-    big-endian 64-bit words with
-    :func:`~repro.compression.bitio.pack_codes`) and a reference loop over
-    :class:`~repro.compression.bitio.BitWriter`. ``fast=False`` selects
-    the reference path; the test suite asserts their equivalence.
+    The encoder is vectorized: it finds every word's significant bits in
+    one numpy pass, which sizes the output exactly. The
+    ``(5-bit length, n-bit value)`` codes are built and packed with
+    :func:`~repro.compression.bitio.pack_codes` only when the payload is
+    read.
     """
 
     name = "tcomp32"
-
-    def __init__(self, fast: bool = True) -> None:
-        self.fast = fast
 
     def compress(self, data: bytes) -> CompressionResult:
         if len(data) % _WORD_BYTES:
             raise CompressionError(
                 f"tcomp32 requires input in 32-bit words, got {len(data)} bytes"
             )
-        words = np.frombuffer(data, dtype=np.uint32)
-        if self.fast:
-            body, total_significant_bits = _vectorized_encode(words)
-            payload = _HEADER.pack(len(words)) + body
-        else:
-            writer = BitWriter()
-            writer.write_bytes(_HEADER.pack(len(words)))
-            total_significant_bits = 0
-            for number in words.tolist():
-                n = 1 if number == 0 else number.bit_length()
-                total_significant_bits += n
-                writer.write(n - 1, _LENGTH_FIELD_BITS)
-                writer.write(number, n)
-            payload = writer.getvalue()
+        w = np.frombuffer(data, dtype=np.uint32).astype(np.uint64)
+        bits = _significant_bits(w)
+        total_significant_bits = int(bits.sum())
+        word_count = len(w)
+        output_size = _HEADER.size + (
+            total_significant_bits + _LENGTH_FIELD_BITS * word_count + 7
+        ) // 8
 
-        word_count = len(words)
+        def pack() -> bytes:
+            chunks = ((bits - np.uint64(1)) << bits) | w
+            widths = bits + np.uint64(_LENGTH_FIELD_BITS)
+            return _HEADER.pack(word_count) + pack_codes(chunks, widths)
+
         mean_bits = total_significant_bits / word_count if word_count else 0.0
         counters = {
             "words": float(word_count),
             "significant_bits": float(total_significant_bits),
             "mean_significant_bits": mean_bits,
         }
-        step_costs = self._step_costs(word_count, mean_bits, len(data), len(payload))
+        step_costs = self._step_costs(word_count, mean_bits, len(data), output_size)
         return CompressionResult(
-            payload=payload,
+            payload=pack,
             input_size=len(data),
             step_costs=step_costs,
             counters=counters,
+            output_size=output_size,
         )
 
     def decompress(self, payload: bytes) -> bytes:

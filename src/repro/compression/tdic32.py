@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.compression.base import CompressionResult, StatefulCompressor, StepCost
 from repro.errors import CompressionError, CorruptStreamError
-from repro.compression.bitio import BitReader, BitWriter, pack_codes
+from repro.compression.bitio import BitReader, pack_codes
 
 __all__ = ["Tdic32", "tdic32_hash"]
 
@@ -71,7 +71,8 @@ _DESCRIPTOR_BYTES = 5
 
 
 def tdic32_hash(number: int, index_bits: int) -> int:
-    """Deterministic multiplicative hash of a 32-bit word into a slot."""
+    """Deterministic multiplicative hash of a 32-bit word into a slot;
+    a ``uint64`` array of words hashes elementwise."""
     return ((number * _HASH_MULTIPLIER) & 0xFFFFFFFF) >> (32 - index_bits)
 
 
@@ -91,19 +92,13 @@ class Tdic32(StatefulCompressor):
 
     name = "tdic32"
 
-    def __init__(
-        self,
-        index_bits: int = 12,
-        shared_state: bool = False,
-        fast: bool = True,
-    ) -> None:
+    def __init__(self, index_bits: int = 12, shared_state: bool = False) -> None:
         if not 1 <= index_bits <= 30:
             raise CompressionError(
                 f"tdic32 index_bits must be in [1, 30], got {index_bits}"
             )
         self.index_bits = index_bits
         self.shared_state = shared_state
-        self.fast = fast
         self._table = np.full(1 << index_bits, -1, dtype=np.int64)
         # The decoder mirrors the encoder's state batch for batch, so a
         # decoder instance must consume the same batch sequence the
@@ -124,30 +119,31 @@ class Tdic32(StatefulCompressor):
             raise CompressionError(
                 f"tdic32 requires input in 32-bit words, got {len(data)} bytes"
             )
-        words = np.frombuffer(data, dtype=np.uint32)
-        if self.fast:
-            body, hits = self._vectorized_encode(words)
-            payload = _HEADER.pack(len(words)) + body
-        else:
-            writer = BitWriter()
-            writer.write_bytes(_HEADER.pack(len(words)))
-            table = self._table
-            index_bits = self.index_bits
-            hits = 0
-            for number in words.tolist():
-                slot = tdic32_hash(number, index_bits)
-                previous = table[slot]
-                table[slot] = number
-                if previous == number:
-                    hits += 1
-                    writer.write(1, 1)
-                    writer.write(slot, index_bits)
-                else:
-                    writer.write(0, 1)
-                    writer.write(number, _LITERAL_BITS)
-            payload = writer.getvalue()
+        w64 = np.frombuffer(data, dtype=np.uint32).astype(np.uint64)
+        index_bits = self.index_bits
+        slots = tdic32_hash(w64, index_bits)
+        hit_mask = self._update_dictionary(w64, slots)
+        word_count = len(w64)
+        hits = int(hit_mask.sum())
+        output_size = _HEADER.size + (
+            hits * (1 + index_bits)
+            + (word_count - hits) * (1 + _LITERAL_BITS)
+            + 7
+        ) // 8
 
-        word_count = len(words)
+        def pack() -> bytes:
+            widths = np.where(
+                hit_mask,
+                np.uint64(1 + index_bits),
+                np.uint64(1 + _LITERAL_BITS),
+            ).astype(np.uint64)
+            flag_payload = np.where(
+                hit_mask,
+                (np.uint64(1) << np.uint64(index_bits)) | slots,
+                w64,
+            ).astype(np.uint64)
+            return _HEADER.pack(word_count) + pack_codes(flag_payload, widths)
+
         hit_rate = hits / word_count if word_count else 0.0
         output_bits_per_word = (
             hit_rate * (1 + self.index_bits)
@@ -160,45 +156,44 @@ class Tdic32(StatefulCompressor):
             "output_bits_per_word": output_bits_per_word,
         }
         step_costs = self._step_costs(
-            word_count, hit_rate, output_bits_per_word, len(data), len(payload)
+            word_count, hit_rate, output_bits_per_word, len(data), output_size
         )
         return CompressionResult(
-            payload=payload,
+            payload=pack,
             input_size=len(data),
             step_costs=step_costs,
             counters=counters,
+            output_size=output_size,
         )
 
-    def _vectorized_encode(self, words: np.ndarray):
-        """One-pass dictionary resolution plus vectorized packing.
+    def _update_dictionary(
+        self, w64: np.ndarray, slots: np.ndarray
+    ) -> np.ndarray:
+        """Resolve every word against the table, then advance the table;
+        returns each word's hit flag.
 
         Hit/miss of every word is resolved without a sequential loop: a
         stable sort groups accesses by slot, so within a group each
         access sees the *previous group member's* word (original order
         is preserved by stability), and the first access per group sees
         the pre-batch table entry. The table then advances to each
-        group's last word. Byte-identical to the reference loop.
+        group's last word, as a word-by-word pass would leave it.
         """
-        if words.size == 0:
-            return b"", 0
-        index_bits = self.index_bits
+        count = w64.size
+        if count == 0:
+            return np.zeros(0, dtype=bool)
         table = self._table
-        w64 = words.astype(np.uint64)
-        slots = (
-            (w64 * np.uint64(_HASH_MULTIPLIER)) & np.uint64(0xFFFFFFFF)
-        ) >> np.uint64(32 - index_bits)
         slots = slots.astype(np.int64)
-        signed_words = words.astype(np.int64)
+        signed_words = w64.astype(np.int64)
 
         # A stable sort yields one permutation whatever the key width;
         # on a key of 16 bits or less numpy's stable sort is a radix sort.
         order = np.argsort(
-            slots.astype(np.min_scalar_type((1 << index_bits) - 1)),
+            slots.astype(np.min_scalar_type((1 << self.index_bits) - 1)),
             kind="stable",
         )
         sorted_slots = slots[order]
         sorted_words = signed_words[order]
-        count = words.size
         hits_sorted = np.zeros(count, dtype=bool)
         if count > 1:
             same_slot = sorted_slots[1:] == sorted_slots[:-1]
@@ -221,18 +216,7 @@ class Tdic32(StatefulCompressor):
 
         hits = np.empty(count, dtype=bool)
         hits[order] = hits_sorted
-
-        widths = np.where(
-            hits,
-            np.uint64(1 + index_bits),
-            np.uint64(1 + _LITERAL_BITS),
-        ).astype(np.uint64)
-        flag_payload = np.where(
-            hits,
-            (np.uint64(1) << np.uint64(index_bits)) | slots.astype(np.uint64),
-            w64,
-        ).astype(np.uint64)
-        return pack_codes(flag_payload, widths), int(hits.sum())
+        return hits
 
     def decompress(self, payload: bytes) -> bytes:
         if len(payload) < _HEADER.size:

@@ -206,11 +206,8 @@ class SessionController:
             stage: model.stage_output_bytes(stage) * config.state_bytes_scale
             for stage in range(model.graph.stage_count)
         }
-        board = model.board
         #: W == µJ/µs: prices the pipeline pause a migration causes
-        self._static_power_w = board.uncore_power_w + ordered_sum(
-            core.static_power_w for core in board.cores
-        )
+        self._static_power_w = model.board.static_power_w
 
     # -- executor callback ---------------------------------------------------
 

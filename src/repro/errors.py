@@ -53,3 +53,8 @@ class DatasetError(ReproError):
 
 class ConfigurationError(ReproError):
     """A component was configured with invalid or inconsistent options."""
+
+
+class ArtifactError(ReproError):
+    """A trace or health file is neither one JSON document nor an NDJSON
+    stream of records."""

@@ -44,6 +44,7 @@ from typing import (
     get_type_hints,
 )
 
+from repro.errors import ArtifactError
 from repro.obs.residuals import ComponentKind, WindowResidual
 
 __all__ = [
@@ -467,21 +468,23 @@ def read_artifact(path: str) -> Tuple[ArtifactKind, Any]:
     (checked as a Chrome trace-event object).
 
     Raises :class:`OSError` when the file is unreadable and
-    :class:`json.JSONDecodeError` when it is neither form.
+    :class:`~repro.errors.ArtifactError`, naming the path, when it is
+    neither form.
     """
     with open(path, "r", encoding="utf-8") as source:
         text = source.read()
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as error:
+        unreadable = ArtifactError(f"{path} is neither JSON nor NDJSON: {error}")
         try:
             records = [
                 json.loads(line) for line in text.splitlines() if line.strip()
             ]
         except json.JSONDecodeError:
-            raise error from None
+            raise unreadable from None
         if not records or not all(isinstance(r, dict) for r in records):
-            raise error from None
+            raise unreadable from None
         return "tail", records
     if isinstance(payload, list):
         return "tail", payload

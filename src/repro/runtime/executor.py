@@ -10,10 +10,10 @@ discrete-event simulation:
   interconnect (Eq 7) — one message per producer/consumer pair;
 * service times carry multiplicative lognormal noise (plus any
   mechanism-specific jitter, e.g. OS migration noise);
-* the energy meter integrates busy power (with replication and
-  shared-state-lock overheads), context switches, DVFS transitions,
-  idle/static power over the window and — when the pipeline's period
-  overruns ``L_set`` — an *overload buffering* penalty for the backlog
+* a batch's energy is its busy energy (with replication and
+  shared-state-lock overheads), an even share of the meter's switch and
+  DVFS overhead, static power over its period and — when the pipeline's
+  period overruns ``L_set`` — an *overload buffering* penalty for the backlog
   that accumulates upstream (see DESIGN.md).
 
 Measured compressing latency of a batch is the pipeline's steady-state
@@ -310,11 +310,8 @@ class _CoreServer:
 
     def _complete(self) -> None:
         _task, batch_index, duration, energy_uj, done = self._current
-        core_id = self.core.core_id
         mean_power = energy_uj / duration if duration > 0 else 0.0
-        energy = self.meter.record_busy(
-            core_id, self._start_us, duration, mean_power
-        )
+        energy = self.meter.record_busy(self._start_us, duration, mean_power)
         self.busy_us += duration
         energy_by_batch = self.energy_by_batch
         energy_by_batch[batch_index] = (
@@ -507,7 +504,7 @@ class _RepetitionRun:
         # finished repetition holds no reference cycle through it.
         simulator = self.simulator = Simulator(trace=self.trace)
         clock = lambda: simulator.now
-        self.meter = EnergyMeter(self.board, trace=self.trace, clock=clock)
+        self.meter = EnergyMeter(trace=self.trace, clock=clock)
         if self.trace is not None:
             governor.attach_trace(self.trace, clock)
         self.servers = {
@@ -1289,20 +1286,15 @@ class PipelineExecutor:
         self, run: _RepetitionRun, batch_bytes: int
     ) -> List[BatchMetrics]:
         config = self.config
-        board = self.board
         completions = run.completions
         batch_count = len(completions)
-        window_us = max(completions.values())
-        static_power = board.uncore_power_w + ordered_sum(
-            core.static_power_w for core in board.cores
-        )
+        static_power = self.board.static_power_w
 
         energy_by_batch: Dict[int, float] = {b: 0.0 for b in range(batch_count)}
         for server in run.servers.values():
             for batch_index, energy in server.energy_by_batch.items():
                 energy_by_batch[batch_index] += energy
-        overhead_total = run.meter.finalize(window_us).overhead_uj
-        overhead_share = overhead_total / batch_count
+        overhead_share = run.meter.overhead_uj / batch_count
 
         metrics: List[BatchMetrics] = []
         previous = 0.0

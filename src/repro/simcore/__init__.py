@@ -12,7 +12,7 @@ from repro.simcore.engine import Event, Process, Simulator, Store
 from repro.simcore.hardware import ClusterSpec, CoreSpec, CoreType, PiecewiseRoofline
 from repro.simcore.interconnect import InterconnectSpec, Path, PathCost, stream_probe
 from repro.simcore.os_sched import eas_place
-from repro.simcore.power import EnergyBreakdown, EnergyMeter
+from repro.simcore.power import EnergyMeter
 
 __all__ = [
     "BoardSpec",
@@ -20,7 +20,6 @@ __all__ = [
     "ConservativeGovernor",
     "CoreSpec",
     "CoreType",
-    "EnergyBreakdown",
     "EnergyMeter",
     "Event",
     "Governor",

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Collection, Dict, Mapping, Tuple
 
 from repro.errors import ConfigurationError
+from repro.numerics import ordered_sum
 from repro.simcore.hardware import ClusterSpec, CoreSpec, CoreType, PiecewiseRoofline
 from repro.simcore.interconnect import InterconnectSpec, Path, PathCost
 
@@ -84,6 +85,13 @@ class BoardSpec:
         return state
 
     # -- convenience accessors -------------------------------------------
+
+    @property
+    def static_power_w(self) -> float:
+        """Always-on power: uncore + DRAM plus every core's leakage."""
+        return self.uncore_power_w + ordered_sum(
+            core.static_power_w for core in self.cores
+        )
 
     @property
     def core_ids(self) -> Tuple[int, ...]:

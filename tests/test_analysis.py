@@ -1106,7 +1106,7 @@ class TestParentUnitBindings:
             ]
             assert vector == site["params"], site
             bound += 1
-        assert (bound, unbound) == (87, 2)
+        assert (bound, unbound) == (86, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -1814,6 +1814,12 @@ class TestVerifyCli:
         path = tmp_path / "nope.trace.json"
         assert verify_main([str(path)]) == 2
         capsys.readouterr()
+
+    def test_non_json_file_is_unreadable(self, tmp_path, capsys):
+        path = tmp_path / "junk.txt"
+        path.write_text("not json {\n")
+        assert verify_main([str(path)]) == 2
+        assert "neither JSON nor NDJSON" in capsys.readouterr().err
 
 
 class TestAnalyzeSubcommand:

@@ -281,6 +281,13 @@ class TestTopDispatch:
         assert main(["top", str(path)]) == 1
         assert "is a trace, not a health report" in capsys.readouterr().err
 
+    def test_non_json_file_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "junk.txt"
+        path.write_text("not json {\n")
+        assert main(["top", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+
 
 class TestAdaptDefaults:
     def test_jetson_gets_its_own_default_l_set(self, capsys):

@@ -1,11 +1,18 @@
 """Cross-codec contracts: every registered codec honours the same API."""
 
+import numpy as np
 import pytest
 
 from repro.compression import CODEC_NAMES, get_codec
-from repro.compression.base import StepCost, StepRole, validate_step_costs
+from repro.compression.base import (
+    CompressionResult,
+    StepCost,
+    StepRole,
+    validate_step_costs,
+)
+from repro.compression.bitio import pack_codes
 from repro.datasets import DATASET_NAMES, get_dataset
-from repro.errors import ConfigurationError
+from repro.errors import CompressionError, ConfigurationError
 
 
 #: The paper's chain-shaped algorithms; the DAG extras (unlz4, mltc)
@@ -128,6 +135,56 @@ class TestCostContract:
         result = codec.compress(rovio_data)
         assert result.total_instructions() > 0
         assert result.total_memory_accesses() > 0
+
+
+class TestOutputSize:
+    """Codecs report ``output_size`` without packing; the payload, built
+    on first read, measures exactly that and round-trips."""
+
+    @pytest.mark.parametrize("dataset_name", DATASET_NAMES)
+    def test_output_size_is_payload_length(self, codec, dataset_name):
+        rng = np.random.default_rng(sum(map(ord, codec.name + dataset_name)))
+        dataset = get_dataset(dataset_name)
+        decoder = get_codec(codec.name)
+        last = codec.step_ids()[-1]
+        for _ in range(3):
+            seed, size = rng.integers(0, 1 << 16), rng.integers(64, 20_000)
+            data = dataset.generate(int(size), seed=int(seed))
+            result = codec.compress(data)
+            if codec.name != "unlz4":  # its sink emits the decoded batch
+                assert result.step_costs[last].output_bytes == result.output_size
+            assert len(result.payload) == result.output_size
+            assert decoder.decompress(result.payload) == data
+
+    def test_profiling_packs_no_payload(self, monkeypatch):
+        from repro.compression import tcomp32, tdic32
+        from repro.core.profiler import profile_workload
+
+        packed = []
+
+        def counting_pack_codes(chunks, widths):
+            packed.append(len(chunks))
+            return pack_codes(chunks, widths)
+
+        monkeypatch.setattr(tcomp32, "pack_codes", counting_pack_codes)
+        monkeypatch.setattr(tdic32, "pack_codes", counting_pack_codes)
+        for name in ("tcomp32", "tdic32"):
+            profile_workload(
+                get_codec(name), get_dataset("micro"), 65536, batches=2
+            )
+        assert packed == []
+        # the counter does see a payload that someone reads
+        get_codec("tdic32").compress(bytes(64)).payload
+        assert packed == [16]
+
+    def test_packer_of_the_wrong_size_raises(self):
+        result = CompressionResult(
+            payload=lambda: b"abc", input_size=8, step_costs={},
+            output_size=4,
+        )
+        assert result.output_size == 4
+        with pytest.raises(CompressionError):
+            result.payload
 
 
 class TestStepCost:

@@ -453,6 +453,16 @@ class TestHealthRoundTrip:
         windows = [from_record(WindowHealth, record) for record in records]
         assert tuple(windows) == session.windows
 
+    @pytest.mark.parametrize("text", ["not json {\n", '{"a": 1}\n[2]\n'])
+    def test_unparseable_artifact_names_its_path(self, tmp_path, text):
+        from repro.errors import ArtifactError
+        from repro.obs.health import read_artifact
+
+        path = tmp_path / "junk.txt"
+        path.write_text(text)
+        with pytest.raises(ArtifactError, match="junk.txt"):
+            read_artifact(str(path))
+
     def test_prometheus_text_exposes_session(self):
         from repro.obs import prometheus_text
 

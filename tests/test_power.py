@@ -1,4 +1,5 @@
-"""Energy meter: integration, breakdown, trace energy samples."""
+"""Energy meter: busy pricing, overhead total, trace energy samples; the
+board's static power."""
 
 import pytest
 
@@ -9,69 +10,41 @@ from repro.simcore.power import EnergyMeter
 
 @pytest.fixture
 def meter():
-    return EnergyMeter(rk3399())
+    return EnergyMeter()
 
 
 class TestBusyRecording:
     def test_energy_is_power_times_time(self, meter):
-        energy = meter.record_busy(0, 0.0, 100.0, 0.02)
+        energy = meter.record_busy(0.0, 100.0, 0.02)
         assert energy == pytest.approx(2.0)  # W x µs = µJ
-
-    def test_accumulates_per_core(self, meter):
-        meter.record_busy(0, 0.0, 10.0, 1.0)
-        meter.record_busy(0, 10.0, 10.0, 1.0)
-        meter.record_busy(4, 0.0, 5.0, 2.0)
-        by_core = meter.busy_energy_by_core()
-        assert by_core[0] == pytest.approx(20.0)
-        assert by_core[4] == pytest.approx(10.0)
 
     def test_negative_duration_rejected(self, meter):
         with pytest.raises(SimulationError):
-            meter.record_busy(0, 0.0, -1.0, 1.0)
+            meter.record_busy(0.0, -1.0, 1.0)
 
     def test_negative_power_rejected(self, meter):
         with pytest.raises(SimulationError):
-            meter.record_busy(0, 0.0, 1.0, -1.0)
+            meter.record_busy(0.0, 1.0, -1.0)
 
 
 class TestOverhead:
     def test_overhead_accumulates(self, meter):
         meter.record_overhead(3.0)
         meter.record_overhead(4.0)
-        breakdown = meter.finalize(0.0)
-        assert breakdown.overhead_uj == pytest.approx(7.0)
+        assert meter.overhead_uj == pytest.approx(7.0)
 
     def test_negative_overhead_rejected(self, meter):
         with pytest.raises(SimulationError):
             meter.record_overhead(-1.0)
 
 
-class TestFinalize:
-    def test_static_energy_scales_with_window(self, meter):
-        short = EnergyMeter(rk3399()).finalize(1000.0)
-        long = EnergyMeter(rk3399()).finalize(2000.0)
-        assert long.static_uj == pytest.approx(2 * short.static_uj)
-
-    def test_total_is_sum_of_parts(self, meter):
-        meter.record_busy(0, 0.0, 10.0, 1.0)
-        meter.record_overhead(5.0)
-        breakdown = meter.finalize(100.0)
-        assert breakdown.total_uj == pytest.approx(
-            breakdown.busy_uj + breakdown.static_uj + breakdown.overhead_uj
-        )
-
-    def test_negative_window_rejected(self, meter):
-        with pytest.raises(SimulationError):
-            meter.finalize(-1.0)
-
+class TestStaticPower:
     def test_static_power_includes_uncore_and_cores(self):
         board = rk3399()
-        breakdown = EnergyMeter(board).finalize(1000.0)
-        expected = (
-            board.uncore_power_w
-            + sum(core.static_power_w for core in board.cores)
-        ) * 1000.0
-        assert breakdown.static_uj == pytest.approx(expected)
+        expected = board.uncore_power_w + sum(
+            core.static_power_w for core in board.cores
+        )
+        assert board.static_power_w == pytest.approx(expected)
 
 
 class TestTraceSamples:
@@ -79,9 +52,9 @@ class TestTraceSamples:
         from repro.obs.trace import TraceRecorder
 
         recorder = TraceRecorder()
-        meter = EnergyMeter(rk3399(), trace=recorder)
-        meter.record_busy(0, 20.0, 30.0, 0.5)
-        meter.record_busy(1, 60.0, 10.0, 0.25)
+        meter = EnergyMeter(trace=recorder)
+        meter.record_busy(20.0, 30.0, 0.5)
+        meter.record_busy(60.0, 10.0, 0.25)
         samples = [
             (event.ts_us, dict(event.args)["value"])
             for event in recorder.events
@@ -91,3 +64,15 @@ class TestTraceSamples:
         # end: the time series a power trace would integrate to.
         assert samples == [(50.0, pytest.approx(15.0)),
                            (70.0, pytest.approx(17.5))]
+
+    def test_counter_is_busy_plus_overhead(self):
+        from repro.obs.trace import TraceRecorder
+
+        recorder = TraceRecorder()
+        meter = EnergyMeter(trace=recorder, clock=lambda: 40.0)
+        meter.record_busy(0.0, 10.0, 1.0)
+        meter.record_overhead(5.0)
+        last = [e for e in recorder.events if e.name.startswith("energy.")][-1]
+        assert (last.name, last.ts_us) == ("energy.overhead", 40.0)
+        assert dict(last.args)["value"] == pytest.approx(15.0)
+        assert meter.overhead_uj == pytest.approx(5.0)

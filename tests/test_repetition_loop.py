@@ -131,7 +131,7 @@ class TestCalendarThunks:
     def server(self, switch_instructions=1000.0):
         simulator = Simulator()
         board = rk3399()
-        meter = EnergyMeter(board, clock=lambda: simulator.now)
+        meter = EnergyMeter(clock=lambda: simulator.now)
         core = board.cores[0]
         return simulator, _CoreServer(
             simulator, core, core.max_frequency_mhz, meter,

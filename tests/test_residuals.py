@@ -8,6 +8,9 @@ bit-exact determinism across ledger instances.
 """
 
 import math
+import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -223,3 +226,27 @@ def test_ledger_config_validation():
             WindowTelemetry(0, 0, 0, 1000, (), (), (), (), ()),
             1.0, _PLAN, _estimate(), _Model(),
         )
+
+
+def test_health_report_is_independent_of_the_hash_seed(tmp_path):
+    """The ledger walks the sets of path names it builds in sorted
+    order, so the health report does not follow ``PYTHONHASHSEED``. An
+    mltc interconnect session crosses three path classes."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    reports = []
+    for seed in ("0", "1"):
+        health = tmp_path / f"health-{seed}.ndjson"
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))
+        )
+        subprocess.run(
+            [sys.executable, "-m", "repro", "chaos", "--codec", "mltc",
+             "--scenario", "interconnect", "--batches", "12",
+             "--window", "3", "--fault-batch", "3",
+             "--health-out", str(health)],
+            env=env, check=True, capture_output=True,
+        )
+        reports.append(health.read_bytes())
+    assert b'"key": "c2"' in reports[0]
+    assert reports[0] == reports[1]

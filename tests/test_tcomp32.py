@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.compression import Tcomp32
 from repro.errors import CompressionError, CorruptStreamError
+from tests.codec_oracle import tcomp32_encode
 
 
 def words_to_bytes(values):
@@ -138,40 +139,38 @@ class TestCostModel:
 
 
 class TestFastPath:
-    """The vectorized encoder is byte-identical to the reference."""
+    """The vectorized encoder is byte-identical to the scalar oracle."""
 
     def test_rovio_batch_identical(self, rovio_data):
-        fast = Tcomp32(fast=True).compress(rovio_data)
-        reference = Tcomp32(fast=False).compress(rovio_data)
-        assert fast.payload == reference.payload
-        assert fast.counters == reference.counters
+        result = Tcomp32().compress(rovio_data)
+        payload, significant_bits = tcomp32_encode(rovio_data)
+        assert result.payload == payload
+        assert result.output_size == len(payload)
+        assert result.counters["significant_bits"] == significant_bits
 
     def test_edge_values_identical(self):
         data = words_to_bytes([0, 1, 2, 3, 0xFFFFFFFF, 1 << 31, (1 << 24) - 1])
-        assert Tcomp32(fast=True).compress(data).payload == (
-            Tcomp32(fast=False).compress(data).payload
-        )
+        assert Tcomp32().compress(data).payload == tcomp32_encode(data)[0]
 
     def test_power_of_two_boundaries_identical(self):
         values = []
         for exponent in range(32):
             values.extend([(1 << exponent) - 1, 1 << exponent])
         data = words_to_bytes([v & 0xFFFFFFFF for v in values])
-        assert Tcomp32(fast=True).compress(data).payload == (
-            Tcomp32(fast=False).compress(data).payload
-        )
+        assert Tcomp32().compress(data).payload == tcomp32_encode(data)[0]
 
     @given(st.lists(st.integers(0, 0xFFFFFFFF), max_size=400))
     @settings(max_examples=60, deadline=None)
     def test_arbitrary_words_identical(self, values):
         data = words_to_bytes(values)
-        assert Tcomp32(fast=True).compress(data).payload == (
-            Tcomp32(fast=False).compress(data).payload
-        )
+        result = Tcomp32().compress(data)
+        payload, _ = tcomp32_encode(data)
+        assert result.output_size == len(payload)
+        assert result.payload == payload
 
     def test_fast_round_trips(self, rng):
         data = rng.integers(0, 1 << 32, 20_000, dtype=np.uint32).tobytes()
-        codec = Tcomp32(fast=True)
+        codec = Tcomp32()
         assert codec.decompress(codec.compress(data).payload) == data
 
 

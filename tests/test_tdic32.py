@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.compression import Tdic32
 from repro.compression.tdic32 import tdic32_hash
 from repro.errors import CompressionError, CorruptStreamError
+from tests.codec_oracle import Tdic32Oracle
 
 
 def words_to_bytes(values):
@@ -175,50 +176,51 @@ class TestCostModel:
 
 
 class TestFastPath:
-    """The vectorized dictionary pass is byte-identical to the loop."""
+    """The vectorized dictionary pass is byte-identical to the scalar
+    oracle's word-by-word loop."""
 
     def test_rovio_identical(self, rovio_data):
-        fast = Tdic32(fast=True).compress(rovio_data)
-        reference = Tdic32(fast=False).compress(rovio_data)
-        assert fast.payload == reference.payload
-        assert fast.counters == reference.counters
+        result = Tdic32().compress(rovio_data)
+        payload, hits = Tdic32Oracle().compress(rovio_data)
+        assert result.payload == payload
+        assert result.output_size == len(payload)
+        assert result.counters["hits"] == hits
 
     def test_tables_identical_after_batch(self, rovio_data):
-        fast, reference = Tdic32(fast=True), Tdic32(fast=False)
-        fast.compress(rovio_data)
-        reference.compress(rovio_data)
-        assert np.array_equal(fast._table, reference._table)
+        codec, oracle = Tdic32(), Tdic32Oracle()
+        codec.compress(rovio_data)
+        oracle.compress(rovio_data)
+        assert np.array_equal(codec._table, oracle.table)
 
     def test_multi_batch_state_identical(self, rovio_data):
-        fast, reference = Tdic32(fast=True), Tdic32(fast=False)
+        codec, oracle = Tdic32(), Tdic32Oracle()
         for start in range(0, len(rovio_data), 2048):
             chunk = rovio_data[start:start + 2048]
-            assert fast.compress(chunk).payload == (
-                reference.compress(chunk).payload
-            )
+            assert codec.compress(chunk).payload == oracle.compress(chunk)[0]
 
     def test_slot_collisions_identical(self):
         """Tiny tables force heavy slot sharing — the sorted-group
         resolution must match the sequential semantics exactly."""
         data = words_to_bytes(list(range(200)) * 3)
-        fast = Tdic32(index_bits=2, fast=True).compress(data)
-        reference = Tdic32(index_bits=2, fast=False).compress(data)
-        assert fast.payload == reference.payload
+        result = Tdic32(index_bits=2).compress(data)
+        assert result.payload == Tdic32Oracle(index_bits=2).compress(data)[0]
 
     @given(st.lists(st.integers(0, 30), max_size=300))
     @settings(max_examples=40, deadline=None)
     def test_arbitrary_high_duplication_identical(self, values):
         data = words_to_bytes(values)
-        assert Tdic32(fast=True).compress(data).payload == (
-            Tdic32(fast=False).compress(data).payload
-        )
+        result = Tdic32().compress(data)
+        payload, hits = Tdic32Oracle().compress(data)
+        assert result.output_size == len(payload)
+        assert result.counters["hits"] == hits
+        assert result.payload == payload
 
     @given(st.lists(st.integers(0, 0xFFFFFFFF), max_size=300))
     @settings(max_examples=40, deadline=None)
     def test_arbitrary_words_identical(self, values):
         data = words_to_bytes(values)
-        assert Tdic32(fast=True).compress(data).payload == (
-            Tdic32(fast=False).compress(data).payload
+        assert Tdic32().compress(data).payload == (
+            Tdic32Oracle().compress(data)[0]
         )
 
     @pytest.mark.parametrize("index_bits", [2, 12, 16, 17, 24])
@@ -233,21 +235,17 @@ class TestFastPath:
         )
         batches = [rovio_data[:4096], repeats, rovio_data[4096:8192], repeats]
 
-        def encode(fast):
-            codec = Tdic32(index_bits=index_bits, fast=fast)
-            payloads = [codec.compress(batch).payload for batch in batches]
-            filled = np.flatnonzero(codec._table >= 0)
-            # keep only the filled slots: a 2**24-slot table is 128 MiB
-            return payloads, filled, codec._table[filled]
-
-        fast_payloads, fast_slots, fast_words = encode(True)
-        payloads, slots, words = encode(False)
-        assert fast_payloads == payloads
-        assert np.array_equal(fast_slots, slots)
-        assert np.array_equal(fast_words, words)
+        codec = Tdic32(index_bits=index_bits)
+        oracle = Tdic32Oracle(index_bits=index_bits)
+        for batch in batches:
+            assert codec.compress(batch).payload == oracle.compress(batch)[0]
+        # compare only the filled slots: a 2**24-slot table is 128 MiB
+        filled = np.flatnonzero(codec._table >= 0)
+        assert np.array_equal(filled, np.flatnonzero(oracle.table >= 0))
+        assert np.array_equal(codec._table[filled], oracle.table[filled])
 
     def test_fast_round_trips(self, rovio_data):
-        codec = Tdic32(fast=True)
+        codec = Tdic32()
         payload = codec.compress(rovio_data).payload
         assert Tdic32().decompress(payload) == rovio_data
 
