@@ -1221,7 +1221,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         try:
             kind, payload = read_artifact(path)
         except (OSError, ArtifactError) as error:
-            print(f"{path}: unreadable: {error}", file=sys.stderr)
+            # both errors name the path in their message; print it once
+            reason = (
+                error.reason if isinstance(error, ArtifactError)
+                else error.strerror or error
+            )
+            print(f"{path}: unreadable: {reason}", file=sys.stderr)
             status = 2
             continue
         for finding in _CHECKERS[kind](payload):

@@ -26,6 +26,7 @@ what Fig 12 of the paper studies.
 from __future__ import annotations
 
 import struct
+from typing import List, Tuple
 
 import numpy as _np
 
@@ -67,9 +68,9 @@ _S4_ACCESSES_PER_TOKEN = 0.3
 _DESCRIPTOR_BYTES_PER_PROBE = 5
 
 
-def _hash_all(data: bytes, limit: int, index_bits: int) -> list:
-    """Multiplicative hash of the 4 bytes at every position in
-    ``[0, limit)``.
+def _hash_all(data: bytes, limit: int, index_bits: int) -> Tuple[list, list]:
+    """The 4-byte little-endian word at every position in ``[0, limit)``
+    and its multiplicative hash: ``(hashes, words)``.
 
     Pure integer arithmetic in uint32: the multiplication wraps exactly
     like ``(word * 2654435761) & 0xFFFFFFFF``, and the shift keeps the
@@ -78,15 +79,23 @@ def _hash_all(data: bytes, limit: int, index_bits: int) -> list:
     :data:`_MATCH_SEARCH_MARGIN` tail.
     """
     if limit <= 0:
-        return []
+        return [], []
     raw = _np.frombuffer(data, dtype=_np.uint8)
     words = raw[0:limit].astype(_np.uint32)
     words |= raw[1:limit + 1].astype(_np.uint32) << _np.uint32(8)
     words |= raw[2:limit + 2].astype(_np.uint32) << _np.uint32(16)
     words |= raw[3:limit + 3].astype(_np.uint32) << _np.uint32(24)
-    words *= _np.uint32(2654435761)
-    words >>= _np.uint32(32 - index_bits)
-    return words.tolist()
+    hashes = words * _np.uint32(2654435761)
+    hashes >>= _np.uint32(32 - index_bits)
+    return hashes.tolist(), words.tolist()
+
+
+def _extension_bytes(length: int) -> int:
+    """Bytes of the LZ4 extended-length field of a 4-bit token field
+    that holds ``length``."""
+    if length < _TOKEN_MAX:
+        return 0
+    return (length - _TOKEN_MAX) // 255 + 1
 
 
 def _write_length(out: bytearray, length: int) -> None:
@@ -124,59 +133,71 @@ class Lz4(StatefulCompressor):
         self.max_search_length = max_search_length
 
     def compress(self, data: bytes) -> CompressionResult:
-        out = bytearray(_HEADER.pack(len(data)))
         n = len(data)
         table = [-1] * (1 << self.index_bits)
 
-        probes = 0
-        updates = 0
-        matches = 0
         matched_bytes = 0
-        tokens = 0
+        extension_bytes = 0
+        # (literal start, match position, offset, match length)
+        sequences: List[Tuple[int, int, int, int]] = []
 
         anchor = 0  # start of the pending literal run
         position = 0
         search_limit = n - _MATCH_SEARCH_MARGIN
-        hashes = _hash_all(data, search_limit, self.index_bits)
+        hashes, words = _hash_all(data, search_limit, self.index_bits)
         while position < search_limit:
             slot = hashes[position]
-            probes += 1
             candidate = table[slot]
             table[slot] = position
-            updates += 1
             if (
                 candidate >= 0
                 and position - candidate <= _MAX_OFFSET
-                and data[candidate:candidate + _MIN_MATCH]
-                == data[position:position + _MIN_MATCH]
+                and words[candidate] == words[position]
             ):
                 length = self._expand_match(data, candidate, position, search_limit)
-                self._emit_sequence(
-                    out, data, anchor, position, position - candidate, length
+                sequences.append(
+                    (anchor, position, position - candidate, length)
                 )
-                tokens += 1
-                matches += 1
+                extension_bytes += _extension_bytes(
+                    position - anchor
+                ) + _extension_bytes(length - _MIN_MATCH)
                 matched_bytes += length
                 position += length
                 anchor = position
             else:
                 position += 1
 
+        matches = len(sequences)
+        # one probe per literal position scanned and one per match
+        probes = position - matched_bytes + matches
         # Final all-literal sequence (always present, even if empty, so the
         # decoder can terminate on a literals-only token).
-        literal_length = n - anchor
-        token_literals = min(literal_length, _TOKEN_MAX)
-        out.append(token_literals << 4)
-        if literal_length >= _TOKEN_MAX:
-            _write_length(out, literal_length - _TOKEN_MAX)
-        out.extend(data[anchor:])
-        tokens += 1
+        tokens = matches + 1
+        output_size = (
+            _HEADER.size
+            + 3 * matches  # token and offset of each matched sequence
+            + 1  # token of the final sequence
+            + n - matched_bytes  # every literal
+            + _extension_bytes(n - anchor)
+            + extension_bytes
+        )
 
-        payload = bytes(out)
+        def pack() -> bytes:
+            out = bytearray(_HEADER.pack(n))
+            for sequence in sequences:
+                self._emit_sequence(out, data, *sequence)
+            literal_length = n - anchor
+            out.append(min(literal_length, _TOKEN_MAX) << 4)
+            if literal_length >= _TOKEN_MAX:
+                _write_length(out, literal_length - _TOKEN_MAX)
+            out.extend(data[anchor:])
+            return bytes(out)
+
         counters = {
             "input_bytes": float(n),
             "probes": float(probes),
-            "table_updates": float(updates),
+            # every probe overwrites its table slot
+            "table_updates": float(probes),
             "matches": float(matches),
             "matched_bytes": float(matched_bytes),
             "literal_bytes": float(n - matched_bytes),
@@ -184,13 +205,14 @@ class Lz4(StatefulCompressor):
             "matched_fraction": matched_bytes / n if n else 0.0,
         }
         step_costs = self._step_costs(
-            n, probes, updates, matches, matched_bytes, tokens, len(payload)
+            n, probes, probes, matches, matched_bytes, tokens, output_size
         )
         return CompressionResult(
-            payload=payload,
+            payload=pack,
             input_size=n,
             step_costs=step_costs,
             counters=counters,
+            output_size=output_size,
         )
 
     def _expand_match(

@@ -33,7 +33,9 @@ Step graph (``channels=2``)::
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
+
+import numpy as np
 
 from repro.compression.base import (
     CompressionResult,
@@ -42,7 +44,7 @@ from repro.compression.base import (
     StepSpec,
     StreamCompressor,
 )
-from repro.compression.bitio import BitReader, BitWriter, bits_required
+from repro.compression.bitio import BitReader, bits_required, pack_codes
 from repro.errors import CompressionError, CorruptStreamError
 
 __all__ = ["Mltc"]
@@ -55,6 +57,8 @@ _HEADER = struct.Struct("<IBHB")
 # samples, first value, segment count, residual width
 _CHANNEL_HEADER = struct.Struct("<IIIB")
 _SEGMENT = struct.Struct("<II")  # length, end anchor
+# float64 holds every integer below this exactly
+_EXACT_LIMIT = 1 << 53
 
 # --- calibrated virtual-cost constants (see DESIGN.md) ------------------
 # m0 split: word shuffle into channel buffers, read + write per byte.
@@ -72,21 +76,92 @@ _MZ_INSTRUCTIONS_PER_CHANNEL = 50.0
 _MZ_ACCESSES_PER_BYTE = 1.9
 
 
-def _predict(base: int, end: int, offset: int, length: int) -> int:
-    """Linear interpolation between two anchors, rounded to an int.
+def _interpolate(
+    base: np.ndarray, delta: np.ndarray, offset: np.ndarray,
+    length: np.ndarray,
+) -> np.ndarray:
+    """``round(base + delta * offset / length)`` of every entry, exactly
+    as Python computes it on ints.
 
-    Encoder and decoder both call this, so the reconstruction is exact
-    by construction regardless of the float rounding direction.
+    The int64 product is exact for segments shorter than 2**31 samples
+    (``|delta| < 2**32``). While ``|delta * offset| < 2**53`` it also
+    converts to float64 exactly, so numpy's division, addition and
+    round-half-even ``rint`` are the very float operations of Python's
+    expression. An entry at or past that bound (a segment longer than
+    2**21 samples with a full-range swing) is computed with Python ints
+    instead.
     """
-    return round(base + (end - base) * offset / length)
+    product = delta * offset
+    predictions = np.rint(base + product / length).astype(np.int64)
+    for index in np.flatnonzero(np.abs(product) >= _EXACT_LIMIT).tolist():
+        predictions[index] = round(
+            int(base[index])
+            + int(delta[index]) * int(offset[index]) / int(length[index])
+        )
+    return predictions
 
 
-def _zigzag(value: int) -> int:
-    return 2 * value if value >= 0 else -2 * value - 1
+def _reconstruct(
+    first: int, lengths: np.ndarray, ends: np.ndarray, count: int
+) -> np.ndarray:
+    """Per-sample predictions from the chained segment anchors.
+
+    Segment *k* starts at the previous segment's end anchor (the first
+    at ``first``) and interpolates linearly to ``ends[k]`` over
+    ``lengths[k]`` samples. Encoder and decoder both call this, so the
+    round trip is exact by construction.
+    """
+    if int(lengths.sum()) + 1 != count:
+        raise CorruptStreamError(
+            f"mltc segment lengths cover {int(lengths.sum()) + 1} samples, "
+            f"expected {count}"
+        )
+    bases = np.concatenate(([first], ends))[:-1]
+    starts = np.cumsum(lengths) - lengths
+    predictions = np.empty(count, dtype=np.int64)
+    predictions[0] = first
+    predictions[1:] = _interpolate(
+        np.repeat(bases, lengths),
+        np.repeat(ends - bases, lengths),
+        np.arange(1, count) - np.repeat(starts, lengths),
+        np.repeat(lengths, lengths),
+    )
+    return predictions
 
 
 def _unzigzag(value: int) -> int:
     return value // 2 if value % 2 == 0 else -(value // 2) - 1
+
+
+class _Channel(NamedTuple):
+    """One LTC-encoded channel, sized but not yet packed."""
+
+    samples: int
+    first: int
+    lengths: np.ndarray  # per segment
+    ends: np.ndarray  # per segment: its end anchor
+    codes: np.ndarray  # per sample: zig-zag residual
+    width: int
+    updates: int
+
+    @property
+    def size(self) -> int:
+        return (
+            _CHANNEL_HEADER.size
+            + _SEGMENT.size * len(self.lengths)
+            + (self.samples * self.width + 7) // 8
+        )
+
+    def pack(self) -> bytes:
+        segments = np.column_stack((self.lengths, self.ends)).astype("<u4")
+        widths = np.full(self.samples, self.width, dtype=np.uint64)
+        return (
+            _CHANNEL_HEADER.pack(
+                self.samples, self.first, len(self.lengths), self.width
+            )
+            + segments.tobytes()
+            + pack_codes(self.codes, widths)
+        )
 
 
 class Mltc(StreamCompressor):
@@ -101,6 +176,11 @@ class Mltc(StreamCompressor):
         LTC error-cone half-width (default 16). Larger values produce
         longer segments and wider residuals; the round-trip stays exact
         either way.
+
+    The encoder runs in numpy passes apart from the cone of segments
+    longer than one sample (see :meth:`_segments`), which sizes every
+    channel blob exactly; the blobs are packed only when the payload is
+    read.
     """
 
     name = "mltc"
@@ -111,9 +191,9 @@ class Mltc(StreamCompressor):
             raise CompressionError(
                 f"mltc channels must be in [1, 16], got {channels}"
             )
-        if epsilon < 0:
+        if not 0 <= epsilon <= 0xFFFF:
             raise CompressionError(
-                f"mltc epsilon must be non-negative, got {epsilon}"
+                f"mltc epsilon must be in [0, 65535], got {epsilon}"
             )
         self.channels = channels
         self.epsilon = epsilon
@@ -147,67 +227,118 @@ class Mltc(StreamCompressor):
     def compress(self, data: bytes) -> CompressionResult:
         word_count = len(data) // _WORD_BYTES
         tail = data[word_count * _WORD_BYTES:]
-        channel_values: List[List[int]] = [
-            [] for _ in range(self.channels)
+        words = np.frombuffer(data, dtype="<u4", count=word_count)
+        channels = [
+            self._encode_channel(words[index::self.channels])
+            for index in range(self.channels)
         ]
-        for index in range(word_count):
-            (value,) = _WORD.unpack_from(data, index * _WORD_BYTES)
-            channel_values[index % self.channels].append(value)
-
-        blobs: List[bytes] = []
-        updates_per_channel: List[int] = []
-        segments_per_channel: List[int] = []
-        for values in channel_values:
-            blob, updates, segments = self._encode_channel(values)
-            blobs.append(blob)
-            updates_per_channel.append(updates)
-            segments_per_channel.append(segments)
-
-        out = bytearray(
-            _HEADER.pack(len(data), self.channels, self.epsilon, len(tail))
+        output_size = (
+            _HEADER.size
+            + sum(_WORD.size + channel.size for channel in channels)
+            + len(tail)
         )
-        for blob in blobs:
-            out.extend(_WORD.pack(len(blob)))
-            out.extend(blob)
-        out.extend(tail)
-        payload = bytes(out)
 
+        def pack() -> bytes:
+            out = [
+                _HEADER.pack(len(data), self.channels, self.epsilon, len(tail))
+            ]
+            for channel in channels:
+                blob = channel.pack()
+                out += [_WORD.pack(len(blob)), blob]
+            out.append(tail)
+            return b"".join(out)
+
+        segments = sum(len(channel.lengths) for channel in channels)
         counters = {
             "input_bytes": float(len(data)),
             "words": float(word_count),
-            "segments": float(sum(segments_per_channel)),
-            "cone_updates": float(sum(updates_per_channel)),
+            "segments": float(segments),
+            "cone_updates": float(
+                sum(channel.updates for channel in channels)
+            ),
             "mean_segment_length": (
-                word_count / sum(segments_per_channel)
-                if sum(segments_per_channel) else 0.0
+                word_count / segments if segments else 0.0
             ),
         }
         step_costs = self._step_costs(
             input_bytes=len(data),
-            payload_bytes=len(payload),
-            channel_values=channel_values,
-            blobs=blobs,
-            updates_per_channel=updates_per_channel,
-            segments_per_channel=segments_per_channel,
+            payload_bytes=output_size,
+            samples_per_channel=[channel.samples for channel in channels],
+            blob_bytes_per_channel=[channel.size for channel in channels],
+            updates_per_channel=[channel.updates for channel in channels],
+            segments_per_channel=[
+                len(channel.lengths) for channel in channels
+            ],
         )
         return CompressionResult(
-            payload=payload,
+            payload=pack,
             input_size=len(data),
             step_costs=step_costs,
             counters=counters,
+            output_size=output_size,
         )
 
-    def _encode_channel(self, values: List[int]) -> Tuple[bytes, int, int]:
-        """LTC-encode one channel; returns (blob, cone updates, segments)."""
-        n = len(values)
+    def _encode_channel(self, words: np.ndarray) -> _Channel:
+        """LTC-encode one channel: its segments and zig-zag residuals."""
+        n = words.size
         if n == 0:
-            return _CHANNEL_HEADER.pack(0, 0, 0, 0), 0, 0
+            empty = np.zeros(0, dtype=np.int64)
+            return _Channel(0, 0, empty, empty, empty, 0, 0)
+        x = words.astype(np.int64)
+        lengths, ends, updates = self._segments(x)
+        residuals = x - _reconstruct(int(x[0]), lengths, ends, n)
+        codes = np.where(
+            residuals >= 0, 2 * residuals, -2 * residuals - 1
+        ).astype(np.uint64)
+        width = bits_required(int(codes.max()))
+        return _Channel(n, int(x[0]), lengths, ends, codes, width, updates)
+
+    def _segments(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int]:
+        """The LTC segments of one channel: (lengths, end anchors, cone
+        updates).
+
+        A segment that starts at ``p`` on anchor ``x[p]`` closes at
+        ``p + 2`` exactly when the cones of its first two samples do not
+        overlap: ``max(l1, l2) > min(h1, h2)``, with ``h1``/``l1`` =
+        ``x[p+1] ± ε - x[p]`` and ``h2``/``l2`` = ``(x[p+2] ± ε - x[p])/2``
+        — the float64 operations of the scalar cone. Such a segment has
+        length 1, end anchor ``x[p+1]`` (exact) and two cone updates, and
+        its successor again starts on its own value, so a run of such
+        starts is emitted in one slice. Every other start grows its cone
+        sample by sample.
+        """
+        n = x.size
         epsilon = self.epsilon
-        anchor = values[0]
-        segments: List[Tuple[int, int]] = []
+        ahead = x[2:] - x[:-2]
+        step = x[1:-1] - x[:-2]
+        closes = np.maximum(step - epsilon, (ahead - epsilon) / 2) > np.minimum(
+            step + epsilon, (ahead + epsilon) / 2
+        )
+        # unit_stop[p]: the first start at or after p whose segment is not
+        # a unit one (len(closes) if every later one is)
+        index = np.arange(closes.size)
+        unit_stop = np.minimum.accumulate(
+            np.where(closes, closes.size, index)[::-1]
+        )[::-1].tolist()
+        values = x.tolist()
+        lengths: List[int] = []
+        ends: List[int] = []
         updates = 0
+        anchor = values[0]
         start = 0
         while start < n - 1:
+            if (
+                start < len(unit_stop)
+                and unit_stop[start] > start
+                and anchor == values[start]
+            ):
+                stop = unit_stop[start]
+                lengths += [1] * (stop - start)
+                ends += values[start + 1:stop + 1]
+                updates += 2 * (stop - start)
+                anchor = values[stop]
+                start = stop
+                continue
             # Grow the error cone from (start, anchor) until it closes.
             upper = float("inf")
             lower = float("-inf")
@@ -228,48 +359,15 @@ class Mltc(StreamCompressor):
             length = end - start
             slope = (upper + lower) / 2.0
             end_anchor = round(anchor + slope * length)
-            end_anchor = min(max(end_anchor, 0), _WORD_MAX)
-            segments.append((length, end_anchor))
-            anchor = end_anchor
+            anchor = min(max(end_anchor, 0), _WORD_MAX)
+            lengths.append(length)
+            ends.append(anchor)
             start = end
-
-        # Residuals against the reconstruction the decoder will compute.
-        predictions = self._reconstruct(values[0], segments, n)
-        residuals = [value - predicted
-                     for value, predicted in zip(values, predictions)]
-        width = max(bits_required(_zigzag(r)) for r in residuals)
-        writer = BitWriter()
-        for residual in residuals:
-            writer.write(_zigzag(residual), width)
-        residual_bytes = writer.getvalue()
-
-        blob = bytearray(
-            _CHANNEL_HEADER.pack(n, values[0], len(segments), width)
+        return (
+            np.array(lengths, dtype=np.int64),
+            np.array(ends, dtype=np.int64),
+            updates,
         )
-        for length, end_anchor in segments:
-            blob.extend(_SEGMENT.pack(length, end_anchor))
-        blob.extend(residual_bytes)
-        return bytes(blob), updates, len(segments)
-
-    @staticmethod
-    def _reconstruct(
-        first: int, segments: List[Tuple[int, int]], count: int
-    ) -> List[int]:
-        """Per-sample predictions from the chained segment anchors."""
-        predictions = [first]
-        anchor = first
-        for length, end_anchor in segments:
-            for offset in range(1, length + 1):
-                predictions.append(
-                    _predict(anchor, end_anchor, offset, length)
-                )
-            anchor = end_anchor
-        if len(predictions) != count:
-            raise CorruptStreamError(
-                f"mltc segment lengths cover {len(predictions)} samples, "
-                f"expected {count}"
-            )
-        return predictions
 
     # --- decode ---------------------------------------------------------
 
@@ -324,20 +422,24 @@ class Mltc(StreamCompressor):
         count, first, segment_count, width = _CHANNEL_HEADER.unpack_from(blob)
         if count == 0:
             return []
-        position = _CHANNEL_HEADER.size
-        segments: List[Tuple[int, int]] = []
-        for _ in range(segment_count):
-            if position + _SEGMENT.size > len(blob):
-                raise CorruptStreamError("mltc blob truncated in segments")
-            segments.append(_SEGMENT.unpack_from(blob, position))
-            position += _SEGMENT.size
-        predictions = self._reconstruct(first, segments, count)
+        position = _CHANNEL_HEADER.size + _SEGMENT.size * segment_count
+        if position > len(blob):
+            raise CorruptStreamError("mltc blob truncated in segments")
+        # checked before the reconstruction allocates ``count`` samples
+        if width == 0 or count * width > 8 * (len(blob) - position):
+            raise CorruptStreamError("mltc blob truncated in residuals")
+        segments = np.frombuffer(
+            blob, dtype="<u4", count=2 * segment_count,
+            offset=_CHANNEL_HEADER.size,
+        ).astype(np.int64)
+        predictions = _reconstruct(
+            first, segments[0::2], segments[1::2], count
+        )
         reader = BitReader(blob[position:])
-        values = []
-        for predicted in predictions:
-            residual = _unzigzag(reader.read(width))
-            values.append(predicted + residual)
-        return values
+        return [
+            predicted + _unzigzag(reader.read(width))
+            for predicted in predictions.tolist()
+        ]
 
     # --- cost model -----------------------------------------------------
 
@@ -345,10 +447,10 @@ class Mltc(StreamCompressor):
         self,
         input_bytes: int,
         payload_bytes: int,
-        channel_values: List[List[int]],
-        blobs: List[bytes],
-        updates_per_channel: List[int],
-        segments_per_channel: List[int],
+        samples_per_channel: Sequence[int],
+        blob_bytes_per_channel: Sequence[int],
+        updates_per_channel: Sequence[int],
+        segments_per_channel: Sequence[int],
     ) -> Dict[str, StepCost]:
         costs: Dict[str, StepCost] = {
             "m0": StepCost(
@@ -359,8 +461,7 @@ class Mltc(StreamCompressor):
             )
         }
         for index in range(self.channels):
-            samples = len(channel_values[index])
-            channel_bytes = samples * _WORD_BYTES
+            samples = samples_per_channel[index]
             costs[f"c{index + 1}"] = StepCost(
                 instructions=(
                     _C_INSTRUCTIONS_PER_UPDATE * updates_per_channel[index]
@@ -372,17 +473,16 @@ class Mltc(StreamCompressor):
                     _C_ACCESSES_PER_SAMPLE * samples
                     + _C_ACCESSES_PER_SEGMENT * segments_per_channel[index]
                 ),
-                input_bytes=channel_bytes,
-                output_bytes=len(blobs[index]),
+                input_bytes=samples * _WORD_BYTES,
+                output_bytes=blob_bytes_per_channel[index],
             )
-        blob_bytes = sum(len(blob) for blob in blobs)
         costs["mz"] = StepCost(
             instructions=(
                 _MZ_INSTRUCTIONS_PER_BYTE * payload_bytes
                 + _MZ_INSTRUCTIONS_PER_CHANNEL * self.channels
             ),
             memory_accesses=_MZ_ACCESSES_PER_BYTE * payload_bytes,
-            input_bytes=blob_bytes,
+            input_bytes=sum(blob_bytes_per_channel),
             output_bytes=payload_bytes,
         )
         return costs

@@ -22,7 +22,8 @@ first and everything downstream is memory-bound), which exercises the
 scheduler's cluster assignment in the opposite direction.
 
 ``compress`` performs a real LZ4 block encode (via
-:class:`~repro.compression.lz4.Lz4`) so the round-trip contract holds,
+:class:`~repro.compression.lz4.Lz4`, whose bytes are built only when the
+payload is read) so the round-trip contract holds,
 but the reported step costs model the *decoder's* work on that payload:
 the encoder's sequence counters (tokens, matches, matched bytes) are
 exactly what the decoder will traverse. ``decompress`` is a real decode.
@@ -112,17 +113,18 @@ class UnLz4(StreamCompressor):
         counters = dict(encoded.counters)
         step_costs = self._step_costs(
             input_bytes=len(data),
-            compressed_bytes=len(encoded.payload),
+            compressed_bytes=encoded.output_size,
             tokens=int(counters["tokens"]),
             matches=int(counters["matches"]),
             matched_bytes=int(counters["matched_bytes"]),
             literal_bytes=int(counters["literal_bytes"]),
         )
         return CompressionResult(
-            payload=encoded.payload,
+            payload=lambda: encoded.payload,
             input_size=len(data),
             step_costs=step_costs,
             counters=counters,
+            output_size=encoded.output_size,
         )
 
     def decompress(self, payload: bytes) -> bytes:

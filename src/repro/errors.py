@@ -56,5 +56,11 @@ class ConfigurationError(ReproError):
 
 
 class ArtifactError(ReproError):
-    """A trace or health file is neither one JSON document nor an NDJSON
-    stream of records."""
+    """A trace or health file is not UTF-8 text, or neither one JSON
+    document nor an NDJSON stream of records.
+
+    The message names the file; :attr:`reason` is the rest of it."""
+
+    def __init__(self, path: str, reason: str):
+        super().__init__(f"{path}: {reason}")
+        self.reason = reason

@@ -469,14 +469,19 @@ def read_artifact(path: str) -> Tuple[ArtifactKind, Any]:
 
     Raises :class:`OSError` when the file is unreadable and
     :class:`~repro.errors.ArtifactError`, naming the path, when it is
-    neither form.
+    not UTF-8 text or neither form.
     """
     with open(path, "r", encoding="utf-8") as source:
-        text = source.read()
+        try:
+            text = source.read()
+        except UnicodeDecodeError as error:
+            raise ArtifactError(path, f"not UTF-8 text: {error}") from None
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as error:
-        unreadable = ArtifactError(f"{path} is neither JSON nor NDJSON: {error}")
+        unreadable = ArtifactError(
+            path, f"neither JSON nor NDJSON: {error}"
+        )
         try:
             records = [
                 json.loads(line) for line in text.splitlines() if line.strip()

@@ -1821,6 +1821,23 @@ class TestVerifyCli:
         assert verify_main([str(path)]) == 2
         assert "neither JSON nor NDJSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name,content",
+        [("junk.txt", b"not json {\n"), ("missing.json", None),
+         ("binary.dat", b"\xff\xfe\x00")],
+        ids=["not-json", "missing", "not-utf8"],
+    )
+    def test_unreadable_file_is_named_once(
+        self, tmp_path, capsys, name, content
+    ):
+        path = tmp_path / name
+        if content is not None:
+            path.write_bytes(content)
+        assert verify_main([str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{path}: unreadable: ")
+        assert err.count(name) == 1
+
 
 class TestAnalyzeSubcommand:
     def test_analyze_defaults_to_package_and_is_clean(self, capsys):

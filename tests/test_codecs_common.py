@@ -156,26 +156,99 @@ class TestOutputSize:
             assert len(result.payload) == result.output_size
             assert decoder.decompress(result.payload) == data
 
-    def test_profiling_packs_no_payload(self, monkeypatch):
-        from repro.compression import tcomp32, tdic32
-        from repro.core.profiler import profile_workload
+    @pytest.fixture
+    def packs(self, monkeypatch):
+        """Every packer a codec hands to :class:`CompressionResult`, and
+        how often each ran; a result built from eager bytes fails."""
+        runs = {}
+        init = CompressionResult.__init__
 
-        packed = []
+        def counting_init(self, payload, *args, **kwargs):
+            assert callable(payload), "a codec packed its payload eagerly"
+            key = len(runs)
+            runs[key] = 0
+
+            def packer():
+                runs[key] += 1
+                return payload()
+
+            init(self, packer, *args, **kwargs)
+
+        monkeypatch.setattr(CompressionResult, "__init__", counting_init)
+        return runs
+
+    @pytest.fixture
+    def packing_calls(self, monkeypatch):
+        """Calls of the routines that build payload bytes: ``pack_codes``
+        in tcomp32, tdic32 and mltc, and lz4's sequence emitter."""
+        from repro.compression import lz4, mltc, tcomp32, tdic32
+
+        calls = []
 
         def counting_pack_codes(chunks, widths):
-            packed.append(len(chunks))
+            calls.append("pack_codes")
             return pack_codes(chunks, widths)
 
-        monkeypatch.setattr(tcomp32, "pack_codes", counting_pack_codes)
-        monkeypatch.setattr(tdic32, "pack_codes", counting_pack_codes)
-        for name in ("tcomp32", "tdic32"):
-            profile_workload(
-                get_codec(name), get_dataset("micro"), 65536, batches=2
-            )
-        assert packed == []
-        # the counter does see a payload that someone reads
-        get_codec("tdic32").compress(bytes(64)).payload
-        assert packed == [16]
+        emit_sequence = lz4.Lz4._emit_sequence
+
+        def counting_emit_sequence(*args):
+            calls.append("_emit_sequence")
+            return emit_sequence(*args)
+
+        for module in (tcomp32, tdic32, mltc):
+            monkeypatch.setattr(module, "pack_codes", counting_pack_codes)
+        monkeypatch.setattr(
+            lz4.Lz4, "_emit_sequence", staticmethod(counting_emit_sequence)
+        )
+        return calls
+
+    def test_profiling_packs_no_payload(self, packs, packing_calls):
+        from repro.core.profiler import profile_workload
+
+        # session's 64 KiB micro batches and traced's 16 KiB sensor ones
+        for dataset_name, batch_bytes in (("micro", 65536), ("sensor", 16384)):
+            for name in CODEC_NAMES:
+                profile_workload(
+                    get_codec(name), get_dataset(dataset_name), batch_bytes,
+                    batches=2,
+                )
+        # one warm-up and two profiled batches per codec and workload;
+        # unlz4's results wrap lz4's
+        assert len(packs) >= 2 * 3 * len(CODEC_NAMES)
+        assert set(packs.values()) == {0}
+        assert packing_calls == []
+        # the counters do see a payload that someone reads
+        for name in CODEC_NAMES:
+            before = len(packing_calls)
+            get_codec(name).compress(bytes(64)).payload
+            assert len(packing_calls) > before, name
+
+    def test_reading_the_payload_packs_once(self, codec, packs, rovio_data):
+        result = codec.compress(rovio_data)
+        assert set(packs.values()) == {0}
+        first = result.payload
+        assert set(packs.values()) == {1}  # unlz4's packer runs lz4's
+        assert result.payload is first
+        assert set(packs.values()) == {1}
+
+    @pytest.mark.parametrize("name", ["mltc", "lz4", "unlz4"])
+    def test_codec_packer_of_the_wrong_size_raises(
+        self, name, monkeypatch, rovio_data
+    ):
+        from repro.compression import lz4, mltc
+
+        # mltc packs a byte too many; lz4 counts a byte more for every
+        # length field it sizes, so its output_size overshoots
+        monkeypatch.setattr(
+            mltc, "pack_codes", lambda *args: pack_codes(*args) + b"\0"
+        )
+        extension_bytes = lz4._extension_bytes
+        monkeypatch.setattr(
+            lz4, "_extension_bytes", lambda length: extension_bytes(length) + 1
+        )
+        result = get_codec(name).compress(rovio_data[:2048])
+        with pytest.raises(CompressionError):
+            result.payload
 
     def test_packer_of_the_wrong_size_raises(self):
         result = CompressionResult(

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.compression import Lz4
 from repro.errors import CompressionError, CorruptStreamError
+from tests.codec_oracle import lz4_encode
 
 
 @pytest.fixture
@@ -81,6 +82,64 @@ class TestRoundTrip:
         codec = Lz4()
         data = fragment * repeats
         assert codec.decompress(codec.compress(data).payload) == data
+
+
+def assert_matches_oracle(data, index_bits=12, max_search_length=None):
+    """Payload, output size, counters and step costs equal the eager
+    emitter's."""
+    codec = Lz4(index_bits=index_bits, max_search_length=max_search_length)
+    result = codec.compress(data)
+    payload, counters = lz4_encode(data, index_bits, max_search_length)
+    assert result.output_size == len(payload)
+    assert result.payload == payload
+    assert result.counters == counters
+    assert result.step_costs == codec._step_costs(
+        len(data), *(int(counters[key]) for key in (
+            "probes", "table_updates", "matches", "matched_bytes", "tokens"
+        )), len(payload),
+    )
+
+
+class TestOracle:
+    """Sizing the recorded sequences and packing them on first read
+    equals emitting each sequence as the parse finds it."""
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 3, 4, 12, 13, 16])
+    def test_short_inputs(self, size):
+        assert_matches_oracle(b"abcdabcdabcdabcd"[:size])
+
+    @pytest.mark.parametrize("index_bits", [1, 12, 24])
+    @pytest.mark.parametrize("max_search_length", [None, 4, 32])
+    def test_table_and_match_bounds(
+        self, index_bits, max_search_length, sensor_data
+    ):
+        assert_matches_oracle(sensor_data[:3000], index_bits, max_search_length)
+
+    @pytest.mark.parametrize("length", [14, 15, 16, 269, 270, 271, 600])
+    def test_extended_length_boundaries(self, length, rng):
+        """Literal runs and matches whose 4-bit token field saturates
+        at 15 and whose extension bytes roll over at 255."""
+        literals = rng.integers(0, 256, length, dtype=np.uint8).tobytes()
+        assert_matches_oracle(literals + b"\x07" * (length + 4) + literals)
+
+    @given(
+        st.binary(max_size=600),
+        st.sampled_from([1, 8, 12, 24]),
+        st.sampled_from([None, 4, 5, 64]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_arbitrary_bytes(self, data, index_bits, max_search_length):
+        assert_matches_oracle(data, index_bits, max_search_length)
+
+    @given(
+        st.lists(st.binary(min_size=1, max_size=24), min_size=1, max_size=6),
+        st.lists(st.integers(0, 5), max_size=120),
+        st.sampled_from([None, 4]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_repeated_fragments(self, fragments, picks, max_search_length):
+        data = b"".join(fragments[pick % len(fragments)] for pick in picks)
+        assert_matches_oracle(data, 12, max_search_length)
 
 
 class TestParameters:

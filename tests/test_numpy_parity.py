@@ -1,11 +1,12 @@
 """The table-driven and vectorized paths equal independent references.
 
 The cost model reads precomputed per-(stage, core) lookup tables and the
-lz4 encoder hashes every scan position in one uint32 numpy pass. These
-tests compare both against references that share none of that code —
-the curve-level oracle in ``tests/cost_oracle.py`` (fitted η/ζ curves
-and the measured communication table, one scalar call chain per
-replica) and a per-probe 4-byte hash — bit for bit, on randomized plans
+lz4 encoder reads and hashes the 4-byte word at every scan position in
+one uint32 numpy pass. These tests compare both against references that
+share none of that code — the curve-level oracle in
+``tests/cost_oracle.py`` (fitted η/ζ curves and the measured
+communication table, one scalar call chain per replica) and a per-probe
+4-byte read and hash — bit for bit, on randomized plans
 and randomized payloads, not just the curated fixtures.
 """
 
@@ -16,6 +17,7 @@ import pytest
 from repro.compression.lz4 import Lz4, _MATCH_SEARCH_MARGIN, _hash_all
 from repro.core.plan import SchedulingPlan
 from tests import cost_oracle
+from tests.codec_oracle import lz4_hash4
 
 
 @pytest.fixture(scope="module")
@@ -100,12 +102,6 @@ class TestCostModelParity:
                     )
 
 
-def _hash4(data: bytes, position: int, index_bits: int) -> int:
-    """Per-probe multiplicative hash of the 4 bytes at ``position``."""
-    word = int.from_bytes(data[position:position + 4], "little")
-    return ((word * 2654435761) & 0xFFFFFFFF) >> (32 - index_bits)
-
-
 class TestLz4Parity:
     def _payloads(self):
         rng = random.Random(13)
@@ -120,8 +116,13 @@ class TestLz4Parity:
         for data in self._payloads():
             limit = len(data) - _MATCH_SEARCH_MARGIN
             for codec in codecs:
-                assert _hash_all(data, limit, codec.index_bits) == [
-                    _hash4(data, position, codec.index_bits)
+                hashes, words = _hash_all(data, limit, codec.index_bits)
+                assert hashes == [
+                    lz4_hash4(data, position, codec.index_bits)
+                    for position in range(limit)
+                ]
+                assert words == [
+                    int.from_bytes(data[position:position + 4], "little")
                     for position in range(limit)
                 ]
                 assert codec.decompress(codec.compress(data).payload) == data
