@@ -301,7 +301,8 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument("--interval", type=_positive(float), default=1.0,
                      help="poll interval with --follow (seconds)")
     top.add_argument("--limit", type=_positive(int), default=12,
-                     help="windows shown (most recent first)")
+                     help="most recent windows shown, oldest first "
+                     "(for a fleet report: most recent events)")
     top.add_argument("--prom", default=None, metavar="FILE",
                      help="also write a Prometheus-style text exposition")
 
@@ -712,7 +713,7 @@ def _command_serve(args) -> int:
         run_fleet_scenario,
         summarize_arm,
     )
-    from repro.obs.live import render_fleet_top
+    from repro.obs.live import render_top
 
     spec = FleetScenarioSpec(
         boards=args.boards,
@@ -753,7 +754,7 @@ def _command_serve(args) -> int:
         health = run_fleet_arm(spec, args.arm)
         print(_summary_row(summarize_arm(health, spec)))
     if args.top:
-        print(render_fleet_top(health))
+        print(render_top(health, limit=8))
     if args.health_out is not None:
         with open(args.health_out, "w", encoding="utf-8") as stream:
             stream.write(health.to_json())
@@ -775,50 +776,31 @@ def _command_top(args) -> int:
         from_record,
         read_artifact,
     )
-    from repro.obs.live import (
-        fleet_prometheus_text,
-        prometheus_text,
-        render_fleet_top,
-        render_top,
-    )
+    from repro.obs.live import prometheus_text, render_top
 
     def _load():
-        """(windows, session) from NDJSON tail or a full health JSON;
-        windows is None for a fleet report."""
+        """The report in a full health JSON, or an NDJSON tail's windows
+        as a session labelled with the file name (no constraint)."""
         kind, payload = read_artifact(args.health)
         if kind == "fleet":
-            return None, from_record(FleetHealth, payload)
+            return from_record(FleetHealth, payload)
         if kind == "session":
-            session = from_record(SessionHealth, payload)
-            return list(session.windows), session
+            return from_record(SessionHealth, payload)
         if kind == "trace":
             raise ReproError(f"{args.health} is a trace, not a health report")
-        windows = [from_record(WindowHealth, record) for record in payload]
-        session = SessionHealth(
+        return SessionHealth(
             label=os.path.basename(args.health),
             board="unknown",
             latency_constraint_us_per_byte=0.0,
-            windows=tuple(windows),
+            windows=tuple(from_record(WindowHealth, r) for r in payload),
         )
-        return windows, session
 
     def _render_once() -> None:
-        windows, session = _load()
-        if windows is None:
-            print(render_fleet_top(session, limit=args.limit))
-            if args.prom is not None:
-                with open(args.prom, "w", encoding="utf-8") as stream:
-                    stream.write(fleet_prometheus_text(session))
-            return
-        constraint = (
-            session.latency_constraint_us_per_byte
-            if session.latency_constraint_us_per_byte > 0.0
-            else None
-        )
-        print(render_top(windows, constraint, limit=args.limit))
+        report = _load()
+        print(render_top(report, limit=args.limit))
         if args.prom is not None:
             with open(args.prom, "w", encoding="utf-8") as stream:
-                stream.write(prometheus_text(session))
+                stream.write(prometheus_text(report))
 
     if not args.follow:
         _render_once()

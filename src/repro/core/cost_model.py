@@ -367,67 +367,6 @@ class CostModel:
         """e of one replica, µJ per byte of batch (Eq 4)."""
         return self.replica_rows(stage_index, replicas)[1][core_id]
 
-    def communication_latency(
-        self,
-        stage_index: int,
-        core_id: int,
-        upstream_cores: Tuple[int, ...],
-        replicas: int,
-        producer_stage: Optional[int] = None,
-    ) -> float:
-        """l_comm of one replica from one producer stage, µs per byte (Eq 7).
-
-        The replica fetches its 1/replicas share of the producer stage's
-        forwarded bytes, drawn evenly from every producer replica; each
-        producer contributes one message (its ω) over its path.
-        ``producer_stage`` defaults to ``stage_index - 1`` (the chain
-        shape); DAG consumers call this once per predecessor stage and
-        sum — a join pays every producer's messages.
-        """
-        if producer_stage is None:
-            producer_stage = stage_index - 1
-        if producer_stage < 0 or not self.communication_aware:
-            return 0.0
-        tables = self._tables()
-        share = (
-            tables.output_bytes[producer_stage]
-            / replicas
-            / len(upstream_cores)
-        )
-        unit = tables.comm_unit
-        overhead = tables.comm_overhead
-        total_us = 0.0
-        for producer_core in upstream_cores:
-            total_us += share * unit[producer_core][core_id]
-            total_us += overhead[producer_core][core_id]
-        return total_us / self._batch_bytes
-
-    def communication_energy(
-        self,
-        stage_index: int,
-        core_id: int,
-        upstream_cores: Tuple[int, ...],
-        producer_stage: Optional[int] = None,
-    ) -> float:
-        """Per-message transfer energy of one replica, µJ per byte.
-
-        The paper's Eq 4 prices computation only; shipping a message
-        still draws interconnect/DRAM energy, which the dry-run
-        measurement exposes — pricing it keeps the scheduler honest
-        about uneconomical replication at small batch sizes (Fig 11).
-        Like :meth:`communication_latency`, one call prices one
-        producer stage (default: the chain upstream).
-        """
-        if producer_stage is None:
-            producer_stage = stage_index - 1
-        if producer_stage < 0 or not self.communication_aware:
-            return 0.0
-        energy = self._tables().comm_energy
-        total_uj = 0.0
-        for producer_core in upstream_cores:
-            total_uj += energy[producer_core][core_id]
-        return total_uj / self._batch_bytes
-
     # -- plan evaluation (Eqs 1-3) -------------------------------------------
 
     def _check_graph(self, graph: TaskGraph) -> None:

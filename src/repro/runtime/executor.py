@@ -87,6 +87,17 @@ _SWITCH_KAPPA = 50.0
 #: real cpufreq governors re-evaluate every ~10 ms; the executor decides
 #: per batch, so transition costs scale by the missed decision points
 GOVERNOR_SAMPLING_PERIOD_US = 10_000.0
+#: overrun (µs/byte) at which the overload penalty saturates — beyond it
+#: the ingest queue drops data — and the flat µJ/byte cost of spilling
+#: the backlog once a batch violates
+_OVERLOAD_PENALTY_CAP_US_PER_BYTE = 8.0
+_OVERLOAD_BASE_PENALTY = 0.08
+#: time and energy penalty per extra replica of a shared-state stage
+#: (lock traffic, Fig 5)
+_SHARED_STATE_LOCK_PENALTY = 0.165
+_SHARED_STATE_ENERGY_PENALTY = 0.10
+#: relative latency cost of one OS migration event
+_MIGRATION_LATENCY_FRACTION = 0.08
 
 #: bound of the repetition-seed memo; a grid's cells share their seeds
 _SEED_STATES_MAX = 1024
@@ -113,17 +124,10 @@ class ExecutionConfig:
     seed: int = 0
     governor: str = "default"
     frequency_map: Optional[Mapping[int, float]] = None
-    #: µJ/byte charged per µs/byte of period overrun (backlog buffering);
-    #: saturates at the cap — beyond it the ingest queue drops data
+    #: µJ/byte charged per µs/byte of period overrun (backlog buffering)
     overload_penalty: float = 0.10
-    overload_penalty_cap_us_per_byte: float = 8.0
-    #: flat µJ/byte cost of spilling the backlog once a batch violates
-    overload_base_penalty: float = 0.08
-    #: stages whose state is shared across replicas pay this per extra
-    #: replica on both time and energy (lock traffic, Fig 5)
+    #: shared-state stages pay the lock penalties per extra replica
     shared_state: bool = False
-    shared_state_lock_penalty: float = 0.165
-    shared_state_energy_penalty: float = 0.10
     #: injected fault schedule (see :mod:`repro.faults`)
     fault_plan: Optional[FaultPlan] = None
 
@@ -144,8 +148,6 @@ class MechanismDynamics:
     context_switches_per_kb: float = 0.001
     #: probability per batch that the OS migrates a task (latency spike)
     migration_rate_per_batch: float = 0.0
-    #: relative latency cost of one migration event
-    migration_latency_fraction: float = 0.08
     #: extra lognormal jitter on service times (scheduler interference)
     latency_jitter_sigma: float = 0.0
 
@@ -733,10 +735,8 @@ class _RepetitionRun:
             lock_factor = 1.0
             lock_energy_factor = 1.0
             if config.shared_state and stage_index in self.shared_state_stages:
-                lock_factor = 1.0 + config.shared_state_lock_penalty * (
-                    replicas - 1
-                )
-                lock_energy_factor = 1.0 + config.shared_state_energy_penalty * (
+                lock_factor = 1.0 + _SHARED_STATE_LOCK_PENALTY * (replicas - 1)
+                lock_energy_factor = 1.0 + _SHARED_STATE_ENERGY_PENALTY * (
                     replicas - 1
                 )
             inboxes = stage_inputs[stage_index][replica_index]
@@ -829,11 +829,9 @@ class _RepetitionRun:
                     duration *= 1.0 + self.reroute_penalty
                     energy_uj *= 1.0 + self.reroute_penalty
                 if has_migration and rng_random() < migration_rate:
-                    duration *= 1.0 + dynamics.migration_latency_fraction
+                    duration *= 1.0 + _MIGRATION_LATENCY_FRACTION
                     record_overhead(
-                        base_duration
-                        * dynamics.migration_latency_fraction
-                        * power
+                        base_duration * _MIGRATION_LATENCY_FRACTION * power
                     )
                     if trace is not None:
                         trace.migration(routed_core, simulator.now)
@@ -1312,11 +1310,10 @@ class PipelineExecutor:
             if violated and not warmup and config.overload_penalty > 0.0:
                 excess = min(
                     latency - config.latency_constraint_us_per_byte,
-                    config.overload_penalty_cap_us_per_byte,
+                    _OVERLOAD_PENALTY_CAP_US_PER_BYTE,
                 )
                 energy += (
-                    config.overload_base_penalty
-                    + config.overload_penalty * excess
+                    _OVERLOAD_BASE_PENALTY + config.overload_penalty * excess
                 ) * batch_bytes
             metrics.append(
                 BatchMetrics(

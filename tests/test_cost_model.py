@@ -114,30 +114,46 @@ class TestTaskEnergy:
 
 
 class TestCommunicationLatency:
+    """l_comm (Eq 7) as evaluate() prices it on two-stage plans."""
+
+    @staticmethod
+    def l_comm(model, producers, consumers):
+        """l_comm per replica, by stage, of plan (producers, consumers)."""
+        plan = SchedulingPlan(
+            graph=model.graph, assignments=(producers, consumers)
+        )
+        by_stage = ([], [])
+        for task in model.evaluate(plan).task_estimates:
+            by_stage[task.stage_index].append(task.l_comm_us_per_byte)
+        return by_stage
+
     def test_first_stage_free(self, model):
-        assert model.communication_latency(0, BIG, (), 1) == 0.0
+        first, second = self.l_comm(model, (BIG, 5), (LITTLE,))
+        assert first == [0.0, 0.0]
+        assert second[0] > 0.0
 
     def test_colocated_cluster_cheaper_than_cross(self, model):
-        same_cluster = model.communication_latency(1, 1, (LITTLE,), 1)
-        cross = model.communication_latency(1, 1, (BIG,), 1)
-        assert same_cluster < cross
+        _, same_cluster = self.l_comm(model, (LITTLE,), (1,))
+        _, cross = self.l_comm(model, (BIG,), (1,))
+        assert same_cluster[0] < cross[0]
 
     def test_c2_dearer_than_c1(self, model):
-        big_to_little = model.communication_latency(1, LITTLE, (BIG,), 1)
-        little_to_big = model.communication_latency(1, BIG, (LITTLE,), 1)
-        assert little_to_big > big_to_little
+        _, big_to_little = self.l_comm(model, (BIG,), (LITTLE,))
+        _, little_to_big = self.l_comm(model, (LITTLE,), (BIG,))
+        assert little_to_big[0] > big_to_little[0]
 
     def test_communication_blind_model_sees_zero(self, tcomp32_rovio_context):
         context = tcomp32_rovio_context
         blind = context.cost_model(
             context.fine_graph, communication_aware=False
         )
-        assert blind.communication_latency(1, LITTLE, (BIG,), 1) == 0.0
+        _, second = self.l_comm(blind, (BIG,), (LITTLE,))
+        assert second == [0.0]
 
     def test_more_consumers_less_volume_each(self, model):
-        one = model.communication_latency(1, LITTLE, (BIG,), 1)
-        two = model.communication_latency(1, LITTLE, (BIG,), 2)
-        assert two < one
+        _, one = self.l_comm(model, (BIG,), (LITTLE,))
+        _, two = self.l_comm(model, (BIG,), (LITTLE, 1))
+        assert two[0] < one[0]
 
 
 class TestEvaluate:

@@ -91,3 +91,19 @@ def check_exposition(text: str) -> None:
 )
 def test_golden_exposition_grammar(prom):
     check_exposition(_expected(prom))
+
+
+def test_label_line_feeds_are_escaped():
+    """A line feed in a label value (an NDJSON tail's file name, a
+    fleet label) is written ``\\n``: every sample stays on one line."""
+    import dataclasses
+
+    from repro.obs.health import FleetHealth, SessionHealth
+    from repro.obs.live import prometheus_text
+
+    session = SessionHealth.from_json(_expected("session.health.json"))
+    text = prometheus_text(dataclasses.replace(session, label="a\nb"))
+    check_exposition(text)
+    assert 'cstream_windows_total{session="a\\nb"} 5\n' in text
+    fleet = FleetHealth.from_json(_expected("fleet-crash.health.json"))
+    check_exposition(prometheus_text(dataclasses.replace(fleet, label="\n")))

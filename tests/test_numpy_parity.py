@@ -89,17 +89,6 @@ class TestCostModelParity:
                     assert model.task_energy(
                         stage, core, replicas
                     ) == cost_oracle.task_energy(model, stage, core, replicas)
-                    if stage == 0:
-                        continue
-                    upstream = tuple(cores[:replicas])
-                    assert (
-                        model.communication_latency(
-                            stage, core, upstream, replicas
-                        ),
-                        model.communication_energy(stage, core, upstream),
-                    ) == cost_oracle.communication(
-                        model, core, upstream, replicas, stage - 1
-                    )
 
 
 class TestLz4Parity:

@@ -475,7 +475,7 @@ class TestHealthRoundTrip:
         from repro.obs import render_top
 
         session = self._session()
-        text = render_top(session.windows, 33.0, limit=10)
+        text = render_top(session, limit=10)
         assert "degraded link c1" in text
         assert "VIOL" in text
         assert "windows=2 violated=1 anomalous=1" in text
