@@ -54,8 +54,9 @@ HLT001    in a session health report, each window's attributed component
 HLT002    health attributions reference live components: the named
           (kind, key) appears in the window's component list, path keys
           are known interconnect classes, stage/core keys are indices
-HLT003    a health report (session, NDJSON window tail or fleet report)
-          matches the schema derived from its dataclasses
+HLT003    a health report (session, NDJSON tail — its header line and
+          window lines — or fleet report) matches the schema derived
+          from its dataclasses
           (:func:`repro.obs.health.schema_problems`), every float finite
           — a NaN residual means the ledger divided by an empty window.
           The other HLT and FLT invariants run only on a sound shape
@@ -110,6 +111,8 @@ from repro.fleet.gateway import GatewayConfig
 from repro.obs.health import (
     FleetHealth,
     SessionHealth,
+    Tail,
+    TailHeader,
     WindowHealth,
     read_artifact,
     schema_problems,
@@ -866,18 +869,22 @@ def _schema_findings(problems: List[str]) -> List[VerifyFinding]:
 
 
 def verify_health(payload: Any) -> List[VerifyFinding]:
-    """HLT001-HLT003 of a parsed session report, or of an NDJSON tail
-    given as the list of its window records.
+    """HLT001-HLT003 of a parsed session report, or of an NDJSON
+    :class:`~repro.obs.health.Tail`.
 
-    The schema (HLT003) is checked first — a tail's records as the
-    ``windows`` of a report without header; the cross-field arithmetic
+    The schema (HLT003) is checked first — a tail's header, when it has
+    one, as a :class:`~repro.obs.health.TailHeader` and its window
+    records as the ``windows`` of a report; the cross-field arithmetic
     runs only on a sound shape.
     """
-    if isinstance(payload, list):
-        problems = schema_problems(
-            Tuple[WindowHealth, ...], payload, "windows"
+    if isinstance(payload, Tail):
+        problems = [] if payload.header is None else schema_problems(
+            TailHeader, payload.header, "header"
         )
-        windows = payload
+        problems += schema_problems(
+            Tuple[WindowHealth, ...], payload.windows, "windows"
+        )
+        windows = payload.windows
     else:
         problems = schema_problems(SessionHealth, payload)
         windows = [] if problems else payload["windows"]

@@ -772,6 +772,7 @@ def _command_top(args) -> int:
     from repro.obs.health import (
         FleetHealth,
         SessionHealth,
+        TailHeader,
         WindowHealth,
         from_record,
         read_artifact,
@@ -780,7 +781,8 @@ def _command_top(args) -> int:
 
     def _load():
         """The report in a full health JSON, or an NDJSON tail's windows
-        as a session labelled with the file name (no constraint)."""
+        as the session its header names (without a header: labelled
+        with the file name, no constraint)."""
         kind, payload = read_artifact(args.health)
         if kind == "fleet":
             return from_record(FleetHealth, payload)
@@ -788,11 +790,20 @@ def _command_top(args) -> int:
             return from_record(SessionHealth, payload)
         if kind == "trace":
             raise ReproError(f"{args.health} is a trace, not a health report")
+        header = (
+            TailHeader(os.path.basename(args.health), "unknown", 0.0)
+            if payload.header is None
+            else from_record(TailHeader, payload.header)
+        )
         return SessionHealth(
-            label=os.path.basename(args.health),
-            board="unknown",
-            latency_constraint_us_per_byte=0.0,
-            windows=tuple(from_record(WindowHealth, r) for r in payload),
+            label=header.label,
+            board=header.board,
+            latency_constraint_us_per_byte=(
+                header.latency_constraint_us_per_byte
+            ),
+            windows=tuple(
+                from_record(WindowHealth, r) for r in payload.windows
+            ),
         )
 
     def _render_once() -> None:

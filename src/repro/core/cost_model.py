@@ -33,7 +33,6 @@ from repro.core.plan import PlanEstimate, SchedulingPlan, TaskEstimate
 from repro.core.profiler import (
     CommunicationTable,
     WorkloadProfile,
-    measure_communication,
     profile_roofline,
 )
 from repro.core.roofline import FittedPiecewise, fit_piecewise
@@ -217,29 +216,6 @@ class CostModel:
             for task in self.graph.tasks
         )
         self._batch_bytes = self.profile.batch_size_bytes
-
-    # -- convenience -------------------------------------------------------
-
-    @classmethod
-    def calibrated(
-        cls,
-        board: BoardSpec,
-        graph: TaskGraph,
-        profile: WorkloadProfile,
-        latency_constraint_us_per_byte: float,
-        seed: int = 0,
-        **options,
-    ) -> "CostModel":
-        """Build a model by dry-run profiling the board (Fig 4 workflow)."""
-        return cls(
-            board=board,
-            graph=graph,
-            profile=profile,
-            curves=calibrate_curves(board, seed=seed),
-            communication=measure_communication(board, seed=seed),
-            latency_constraint_us_per_byte=latency_constraint_us_per_byte,
-            **options,
-        )
 
     def stage_kappa(self, stage_index: int) -> float:
         base = self._stage_costs[stage_index].operational_intensity

@@ -18,8 +18,10 @@ is derived from their field tables (names in declaration order, types
 from the annotations): the JSON codec (:func:`to_record`,
 :func:`from_record`, and the reports' ``to_json``/``from_json``) and
 the structural checker :func:`schema_problems`. :mod:`repro.obs.live`
-streams the reports; :func:`read_artifact` reads any of them (or a
-trace) back and names its kind; :mod:`repro.analysis.verify` checks
+streams the reports (a session as an NDJSON :class:`Tail`: a
+:class:`TailHeader` line, then one line per window);
+:func:`read_artifact` reads any of them (or a trace) back and names its
+kind; :mod:`repro.analysis.verify` checks
 them — the schema first (HLT003), then the invariants (HLT001-002 for
 v1, FLT001-005 for v2).
 """
@@ -54,6 +56,8 @@ __all__ = [
     "Component",
     "WindowHealth",
     "SessionHealth",
+    "TailHeader",
+    "Tail",
     "build_window_health",
     "FleetBoardHealth",
     "FleetTenantHealth",
@@ -211,6 +215,34 @@ class SessionHealth:
     @staticmethod
     def from_json(text: str) -> "SessionHealth":
         return from_record(SessionHealth, json.loads(text))
+
+    def header(self) -> "TailHeader":
+        return TailHeader(
+            label=self.label,
+            board=self.board,
+            latency_constraint_us_per_byte=self.latency_constraint_us_per_byte,
+        )
+
+
+@dataclass(frozen=True)
+class TailHeader:
+    """The first line of a session's NDJSON tail: the identity its
+    window lines leave out, so a reader of the tail alone can label the
+    session and judge its windows against ``L_set``."""
+
+    label: str
+    board: str
+    latency_constraint_us_per_byte: float
+
+
+class Tail(NamedTuple):
+    """An NDJSON tail as :func:`read_artifact` returns it (raw records).
+
+    ``header`` is None for a tail without its header line (one cut
+    from a longer stream, or written window by window)."""
+
+    header: Optional[dict]
+    windows: List[dict]
 
 
 # -- fleet health (schema v2) -------------------------------------------------
@@ -463,9 +495,11 @@ def read_artifact(path: str) -> Tuple[ArtifactKind, Any]:
     JSON object per line, blank lines skipped). The kind is read from
     the content: a ``schema_version`` 2 document is a ``"fleet"``
     report, one with ``windows`` a ``"session"`` report, and a
-    per-window record stream a ``"tail"`` — returned as the list of its
-    records, a one-line tail included. Anything else is a ``"trace"``
-    (checked as a Chrome trace-event object).
+    per-window record stream a ``"tail"`` — returned as a :class:`Tail`,
+    its header being the first record when that one carries
+    ``latency_constraint_us_per_byte`` (a header-only or one-line tail
+    included). Anything else is a ``"trace"`` (checked as a Chrome
+    trace-event object).
 
     Raises :class:`OSError` when the file is unreadable and
     :class:`~repro.errors.ArtifactError`, naming the path, when it is
@@ -490,14 +524,24 @@ def read_artifact(path: str) -> Tuple[ArtifactKind, Any]:
             raise unreadable from None
         if not records or not all(isinstance(r, dict) for r in records):
             raise unreadable from None
-        return "tail", records
+        return "tail", _tail(records)
     if isinstance(payload, list):
-        return "tail", payload
+        return "tail", _tail(payload)
     if isinstance(payload, dict) and "traceEvents" not in payload:
         if payload.get("schema_version") == FLEET_HEALTH_SCHEMA_VERSION:
             return "fleet", payload
         if "windows" in payload:
             return "session", payload
-        if "window_index" in payload:
-            return "tail", [payload]
+        if (
+            "window_index" in payload
+            or "latency_constraint_us_per_byte" in payload
+        ):
+            return "tail", _tail([payload])
     return "trace", payload
+
+
+def _tail(records: List[Any]) -> Tail:
+    first = records[0] if records else None
+    if isinstance(first, dict) and "latency_constraint_us_per_byte" in first:
+        return Tail(first, records[1:])
+    return Tail(None, records)

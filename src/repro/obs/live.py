@@ -2,10 +2,13 @@
 
 Three export surfaces over the health reports of :mod:`repro.obs.health`:
 
-* :class:`NdjsonTail` — appends one JSON object per window to a file as
-  the session runs; ``cstream top FILE`` tails it back. NDJSON is the
-  exchange format: the same lines read back with
-  :func:`repro.obs.health.read_artifact` and round-trip into
+* :class:`NdjsonTail` — appends one JSON object per line to a file: a
+  session's :class:`~repro.obs.health.TailHeader` (label, board and
+  ``L_set``) first, then one object per window as the session runs;
+  ``cstream top FILE`` tails it back, labelled and judged as the full
+  report would be. NDJSON is the exchange format: the same lines read
+  back with :func:`repro.obs.health.read_artifact` as a
+  :class:`~repro.obs.health.Tail` and round-trip into
   :class:`~repro.obs.health.WindowHealth` via
   :func:`~repro.obs.health.from_record`.
 * :func:`prometheus_text` — the latest state of a session or a fleet in
@@ -34,6 +37,7 @@ from typing import (
 from repro.obs.health import (
     FleetHealth,
     SessionHealth,
+    TailHeader,
     WindowHealth,
     to_record,
 )
@@ -48,18 +52,20 @@ Report = Union[SessionHealth, FleetHealth]
 
 
 class NdjsonTail:
-    """Append-only NDJSON writer for per-window health records."""
+    """Append-only NDJSON writer for a session's health records."""
 
     def __init__(self, stream: IO[str]) -> None:
         self._stream = stream
 
-    def emit(self, window: WindowHealth) -> None:
+    def emit(self, record: Union[TailHeader, WindowHealth]) -> None:
         self._stream.write(
-            json.dumps(to_record(window), sort_keys=True) + "\n"
+            json.dumps(to_record(record), sort_keys=True) + "\n"
         )
         self._stream.flush()
 
     def emit_session(self, health: SessionHealth) -> None:
+        """The header line, then one line per window."""
+        self.emit(health.header())
         for window in health.windows:
             self.emit(window)
 

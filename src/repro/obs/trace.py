@@ -29,9 +29,10 @@ one of the ``TID_*`` synthetic tracks for non-core actors.
 
 Events live in one row buffer: each hook appends a plain tuple in
 :class:`TraceEvent` field order, its ``args`` pairs already sorted by
-key. :func:`repro.obs.export.write_chrome_trace` streams those rows
-straight to JSON; :attr:`TraceRecorder.events` builds the dataclasses
-on each read, for tests and verifiers.
+key. :func:`repro.obs.export.write_chrome_trace` renders those rows
+straight to JSON text, without a dict per event;
+:attr:`TraceRecorder.events` builds the dataclasses on each read, for
+tests and verifiers.
 """
 
 from __future__ import annotations

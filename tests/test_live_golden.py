@@ -4,8 +4,9 @@
 and the dashboard (``*.top.txt``) and exposition (``*.prom``) that
 ``cstream top REPORT --prom FILE`` printed for them when the pins were
 captured. The reports cover a session with an attribution, a ``VIOL``
-and an ``edge`` window; an NDJSON tail (labelled with its file name,
-constraint 0); a session and a fleet with no windows (the fleet label
+and an ``edge`` window; the NDJSON tail ``cstream chaos --scenario
+interconnect --health-out`` wrote (labelled and judged by its header
+line); a session and a fleet with no windows (the fleet label
 carries ``"`` and ``\\`` to pin the label escaping); a ``board-throttle``
 fleet run with a throttled board, a half-open breaker and a queued
 tenant; and a ``board-crash-reboot`` run with a dead board.
@@ -37,6 +38,26 @@ CASES = [
     ("fleet-crash.health.json", 2, "fleet-crash.limit2.top.txt"),
     ("fleet-empty.health.json", None, "fleet-empty.top.txt"),
 ]
+
+def test_session_tail_renders_as_the_session(tmp_path, capsys):
+    """The session report written as an NDJSON tail (header line, then
+    one line per window) renders what the report does: the same slo
+    column, ``edge`` window included, and the same exposition."""
+    from repro.obs import NdjsonTail, SessionHealth
+
+    session = SessionHealth.from_json(_expected("session.health.json"))
+    tail = tmp_path / "session.health.ndjson"
+    with open(tail, "w", encoding="utf-8") as stream:
+        NdjsonTail(stream).emit_session(session)
+    prom = tmp_path / "out.prom"
+    assert main(["top", str(tail), "--prom", str(prom)]) == 0
+    dashboard = capsys.readouterr().out
+    assert [line[38:42] for line in dashboard.splitlines()[2:7]] == [
+        "VIOL", "edge", "  ok", "  ok", "VIOL"
+    ]
+    assert dashboard == _expected("session.top.txt")
+    assert prom.read_text(encoding="utf-8") == _expected("session.prom")
+
 
 _LABEL = r'[a-z_]+="(?:[^"\\\n]|\\[\\"n])*"'
 _SAMPLE = re.compile(

@@ -7,9 +7,12 @@ reports, and the live telemetry exports.
 
 import inspect
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import export
 from repro.obs import (
@@ -173,6 +176,76 @@ def _instants(count: int) -> TraceRecorder:
     return recorder
 
 
+#: values the renderer writes itself (ts, dur, a counter's value) must
+#: match json.dumps, whether it takes its fast path or falls back
+_NUMBERS = st.one_of(
+    st.sampled_from([
+        0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e22,
+        0, 1, 1.0, -1, 2**63, 2**64 + 1, -(2**63) - 1, True, False,
+        np.float64(1.0), np.float64(-0.0), np.float64(math.nan),
+        np.int64(1), np.int64(-7),
+    ]),
+    st.floats(),
+    st.integers(),
+)
+_TEXTS = st.one_of(
+    st.sampled_from(['"', "\\", '\\"q\\"', "\x00\x1f\n\t", "é", "☃", "\ud800",
+                     "\U0001f600", "compress"]),
+    st.text(max_size=6),
+)
+#: names and categories are str from every recorder hook; others (1,
+#: 1.0 and True are one dict key) must still render as json.dumps does
+_NAMES = st.one_of(_TEXTS, st.sampled_from([1, 1.0, True, 0.0, -0.0]))
+_ARG_VALUES = st.one_of(
+    _NUMBERS,
+    _TEXTS,
+    st.none(),
+    st.tuples(_NUMBERS, st.tuples(_NUMBERS, _TEXTS)),
+    st.tuples(),
+)
+_ARGS = st.lists(st.tuples(_TEXTS, _ARG_VALUES), max_size=3).map(tuple)
+_COUNTER_ARGS = st.one_of(
+    _NUMBERS.map(lambda value: (("value", value),)),
+    _ARGS,
+    st.tuples(st.tuples(st.just("extra"), _ARG_VALUES),
+              st.tuples(st.just("value"), _NUMBERS)),
+)
+_TIDS = st.one_of(
+    st.integers(0, 5), st.sampled_from([TID_RUNTIME, True, np.int64(2)])
+)
+
+
+@st.composite
+def _row(draw):
+    """One recorder row (TraceEvent field order) of any phase."""
+    phase = draw(st.sampled_from(["X", "i", "C", "M"]))
+    return (
+        draw(_NAMES), phase, draw(_NUMBERS), draw(_TIDS), draw(_TIDS),
+        draw(_NUMBERS), draw(_NAMES),
+        draw(_COUNTER_ARGS if phase == "C" else _ARGS),
+    )
+
+
+#: one row of each shape the renderer treats apart
+_MIXED_ROWS = [
+    ("compress", "X", 1.5, 0, 1, 0.0, "task", (("batch", 3),)),
+    ("compress", "X", 2.5, 0, 1, -0.0, "task", ()),
+    ("q.s1r0.p0", "C", 0.0, 0, TID_RUNTIME, 0.0, "queue", (("value", 2),)),
+    ("energy.busy", "C", -0.0, 0, TID_RUNTIME, 0.0, "energy",
+     (("value", -0.0),)),
+    ("energy.busy", "C", 3.0, 0, TID_RUNTIME, 0.0, "energy",
+     (("value", 0.0),)),
+    ("batch-complete", "i", 1e16, 1, TID_RUNTIME, 0.0, "pipeline",
+     (("batch", True),)),
+    ("fault-\"x\"", "i", math.nan, 1, 2, 0.0, "fault", ()),
+    ("context_switches", "C", 5e-324, 1, 2, 0.0, "os",
+     (("value", np.float64(2.5)),)),
+    ("context_switches", "C", 1.0, 1, 2, 0.0, "os", (("value", True),)),
+    ("q.s1r0.p0", "C", 1, 1, 2, 0.0, "queue", (("value", 1),)),
+    ("ctx-switch", "X", 1e22, 1, 2, math.inf, "task", (("pair", (1, (2,))),)),
+]
+
+
 class TestStreamedWriter:
     """``write_chrome_trace`` writes what ``json.dump`` of
     :func:`chrome_trace` would, whatever the chunking."""
@@ -196,7 +269,8 @@ class TestStreamedWriter:
             "process_name"
         ]
 
-    # one repetition on one track: two metadata records precede the rows
+    # one repetition on one track: two metadata records, then instants
+    # just short of one chunk
     @pytest.mark.parametrize(
         "rows", [export._CHUNK - 2, export._CHUNK - 1], ids=["one", "one+1"]
     )
@@ -205,6 +279,27 @@ class TestStreamedWriter:
         text = self._written(recorder, tmp_path)
         assert text == self._dumped(recorder)
         assert len(json.loads(text)["traceEvents"]) == rows + 2
+
+    @pytest.mark.parametrize("rows", [0, 511, 512, 513, 1025])
+    def test_row_chunks_of_mixed_rows(self, rows, tmp_path):
+        # the fixed rows again and again, so the float memo carries
+        # across chunks (0.0 and -0.0 on both sides of every boundary)
+        recorder = TraceRecorder()
+        recorder._rows = [
+            _MIXED_ROWS[index % len(_MIXED_ROWS)] for index in range(rows)
+        ]
+        text = self._written(recorder, tmp_path)
+        assert text == self._dumped(recorder)
+        events = json.loads(text)["traceEvents"]
+        assert sum(1 for event in events if event["ph"] != "M") == rows
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(_row(), max_size=24))
+    def test_rendered_rows_equal_json_dumps(self, rows, tmp_path_factory):
+        recorder = TraceRecorder()
+        recorder._rows = rows
+        written = self._written(recorder, tmp_path_factory.getbasetemp())
+        assert written == self._dumped(recorder)
 
     def test_small_recorder_with_board(self, tmp_path):
         recorder = small_recorder()
@@ -441,7 +536,7 @@ class TestHealthRoundTrip:
 
     def test_ndjson_round_trip(self, tmp_path):
         from repro.obs import NdjsonTail, WindowHealth
-        from repro.obs.health import from_record, read_artifact
+        from repro.obs.health import TailHeader, from_record, read_artifact
 
         session = self._session()
         tail = tmp_path / "health.ndjson"
@@ -450,8 +545,44 @@ class TestHealthRoundTrip:
             stream.write("\n  \n")  # blank lines are skipped
         kind, records = read_artifact(str(tail))
         assert kind == "tail"
-        windows = [from_record(WindowHealth, record) for record in records]
+        assert from_record(TailHeader, records.header) == session.header()
+        windows = [
+            from_record(WindowHealth, record) for record in records.windows
+        ]
         assert tuple(windows) == session.windows
+        assert verify_health(records) == []
+
+    def test_header_only_tail(self, tmp_path):
+        from repro.obs import NdjsonTail
+        from repro.obs.health import Tail, read_artifact
+
+        session = self._session()
+        empty = type(session)(
+            session.label, session.board,
+            session.latency_constraint_us_per_byte, (),
+        )
+        tail = tmp_path / "health.ndjson"
+        with open(tail, "w", encoding="utf-8") as stream:
+            NdjsonTail(stream).emit_session(empty)
+        kind, records = read_artifact(str(tail))
+        assert (kind, records) == ("tail", Tail(
+            {"board": session.board, "label": session.label,
+             "latency_constraint_us_per_byte":
+                 session.latency_constraint_us_per_byte},
+            [],
+        ))
+        assert verify_health(records) == []
+
+    def test_tail_header_schema_is_hlt003(self, tmp_path, capsys):
+        header = {"label": "s", "board": "b",
+                  "latency_constraint_us_per_byte": float("nan")}
+        tail = tmp_path / "health.ndjson"
+        tail.write_text(
+            json.dumps(header) + "\n" + json.dumps(_window_record(0)) + "\n"
+        )
+        assert verify_main([str(tail)]) == 1
+        out = capsys.readouterr().out
+        assert "HLT003" in out and "header.latency_constraint" in out
 
     @pytest.mark.parametrize("text", ["not json {\n", '{"a": 1}\n[2]\n'])
     def test_unparseable_artifact_names_its_path(self, tmp_path, text):
