@@ -64,6 +64,7 @@ import argparse
 import os
 import sys
 import time
+from typing import Tuple
 
 from repro.bench.harness import Harness, WorkloadSpec
 from repro.compression import CODEC_NAMES, get_codec
@@ -776,8 +777,18 @@ def _command_top(args) -> int:
         WindowHealth,
         from_record,
         read_artifact,
+        schema_problems,
     )
     from repro.obs.live import prometheus_text, render_top
+
+    def _checked(hint, record, where=""):
+        """``record`` rebuilt as ``hint``; a schema departure (HLT003)
+        is an error naming the first problem, not a traceback."""
+        problems = schema_problems(hint, record, where)
+        if problems:
+            more = f" (+{len(problems) - 1} more)" if len(problems) > 1 else ""
+            raise ReproError(f"{args.health}: {problems[0]}{more}")
+        return from_record(hint, record)
 
     def _load():
         """The report in a full health JSON, or an NDJSON tail's windows
@@ -785,15 +796,15 @@ def _command_top(args) -> int:
         with the file name, no constraint)."""
         kind, payload = read_artifact(args.health)
         if kind == "fleet":
-            return from_record(FleetHealth, payload)
+            return _checked(FleetHealth, payload)
         if kind == "session":
-            return from_record(SessionHealth, payload)
+            return _checked(SessionHealth, payload)
         if kind == "trace":
             raise ReproError(f"{args.health} is a trace, not a health report")
         header = (
             TailHeader(os.path.basename(args.health), "unknown", 0.0)
             if payload.header is None
-            else from_record(TailHeader, payload.header)
+            else _checked(TailHeader, payload.header, "header")
         )
         return SessionHealth(
             label=header.label,
@@ -801,8 +812,8 @@ def _command_top(args) -> int:
             latency_constraint_us_per_byte=(
                 header.latency_constraint_us_per_byte
             ),
-            windows=tuple(
-                from_record(WindowHealth, r) for r in payload.windows
+            windows=_checked(
+                Tuple[WindowHealth, ...], payload.windows, "windows"
             ),
         )
 

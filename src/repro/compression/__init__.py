@@ -28,7 +28,7 @@ from repro.compression.bitio import BitReader, BitWriter, bits_required
 from repro.compression.lz4 import Lz4
 from repro.compression.partitioned import PartitionedCodec
 from repro.compression.registry import codec_names, get_codec, register_codec
-from repro.compression.stats import BatchStatistics, analyze_batch, shannon_entropy
+from repro.compression.stats import BatchStatistics, analyze_batch
 from repro.compression.stream import CompressionSession, DecompressionSession
 from repro.compression.tcomp32 import Tcomp32
 from repro.compression.tdic32 import Tdic32
@@ -56,7 +56,6 @@ __all__ = [
     "codec_names",
     "get_codec",
     "register_codec",
-    "shannon_entropy",
 ]
 
 #: Names of all registered codecs at import time, the paper's three

@@ -13,28 +13,14 @@ dataset generators' self-checks.
 
 from __future__ import annotations
 
-import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["BatchStatistics", "analyze_batch", "shannon_entropy"]
+__all__ = ["BatchStatistics", "analyze_batch"]
 
 _SYMBOL_BYTES = 4
 _VOCABULARY_BYTES = 8
-
-
-def shannon_entropy(counts: Counter) -> float:
-    """Shannon entropy in bits of a discrete distribution given by counts."""
-    total = sum(counts.values())
-    if total == 0:
-        return 0.0
-    entropy = 0.0
-    for count in counts.values():
-        probability = count / total
-        entropy -= probability * math.log2(probability)
-    return entropy
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ from repro.core.baselines import (
 from repro.core.cost_model import CostModel, calibrate_curves
 from repro.core.decomposition import decompose
 from repro.core.framework import CStream
-from repro.core.pid_tuning import PsoResult, pso_tune_pid
 from repro.core.plan import PlanEstimate, SchedulingPlan, TaskEstimate
 from repro.core.profiler import (
     CommunicationTable,
@@ -36,7 +35,6 @@ __all__ = [
     "Mechanism",
     "MechanismOutcome",
     "PlanEstimate",
-    "PsoResult",
     "ScheduleResult",
     "Scheduler",
     "SchedulingPlan",
@@ -53,5 +51,4 @@ __all__ = [
     "measure_communication",
     "profile_roofline",
     "profile_workload",
-    "pso_tune_pid",
 ]

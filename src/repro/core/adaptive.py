@@ -25,16 +25,28 @@ from repro.core.cost_model import CostModel
 from repro.core.plan import SchedulingPlan
 from repro.errors import ConfigurationError
 
-__all__ = ["IncrementalPID", "FeedbackRegulator", "RegulationEvent"]
+__all__ = [
+    "IncrementalPID", "FeedbackRegulator", "RegulationEvent", "PID_GAINS",
+]
+
+#: Eq 8's (P, I, D) gains as the paper reports them from its PSO tuning
+#: (§VII-A); taken as given, not re-derived.
+PID_GAINS = (0.1, 0.85, 0.05)
 
 
 class IncrementalPID:
     """The incremental-form PID of Eq 8.
 
     ``delta = P·(e_k - e_{k-1}) + I·e_k + D·(e_k - 2·e_{k-1} + e_{k-2})``
+    with the paper's :data:`PID_GAINS` unless given.
     """
 
-    def __init__(self, p: float = 0.1, i: float = 0.85, d: float = 0.05) -> None:
+    def __init__(
+        self,
+        p: float = PID_GAINS[0],
+        i: float = PID_GAINS[1],
+        d: float = PID_GAINS[2],
+    ) -> None:
         self.p = p
         self.i = i
         self.d = d
@@ -87,20 +99,18 @@ class FeedbackRegulator:
     """Watches the running plan's latency and recalibrates on drift.
 
     Parameters mirror §V-D: ``error_threshold`` triggers calibration
-    (and ends it once the error is small again); the PID gains default
-    to the paper's PSO-tuned ``[0.1, 0.85, 0.05]``.
+    (and ends it once the error is small again); the PID runs with the
+    paper's :data:`PID_GAINS`.
     """
 
     model: CostModel
     error_threshold: float = 0.1
-    pid_gains: tuple = (0.1, 0.85, 0.05)
     events: List[RegulationEvent] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if not 0 < self.error_threshold < 1:
             raise ConfigurationError("error threshold must be in (0, 1)")
-        p, i, d = self.pid_gains
-        self._pid = IncrementalPID(p, i, d)
+        self._pid = IncrementalPID()
         self._calibrating = False
 
     def _current_scale(self) -> float:

@@ -50,25 +50,9 @@ class SchedulingPlan:
     def replicas(self, stage_index: int) -> int:
         return len(self.assignments[stage_index])
 
-    @property
-    def total_replicas(self) -> int:
-        return sum(len(cores) for cores in self.assignments)
-
     def cores_used(self) -> Tuple[int, ...]:
         used = sorted({core for cores in self.assignments for core in cores})
         return tuple(used)
-
-    def flat(self) -> Tuple[int, ...]:
-        """The paper's plan array: one core id per task replica, in
-        stage-major order."""
-        return tuple(core for cores in self.assignments for core in cores)
-
-    def tasks_per_core(self) -> Dict[int, int]:
-        counts: Dict[int, int] = {}
-        for cores in self.assignments:
-            for core in cores:
-                counts[core] = counts.get(core, 0) + 1
-        return counts
 
     def describe(self) -> str:
         """E.g. ``t0[s0+s1]@[4] -> t1[s2]@[0]`` for chains; DAG plans
@@ -173,9 +157,9 @@ class SchedulingPlan:
         DAG, as produced by
         :meth:`~repro.compression.base.StreamCompressor.step_dependencies`)
         replaces PLN001's linear step-order data edges — see
-        :func:`repro.analysis.verify.verify_plan`. Enabled for every
-        :meth:`~repro.core.scheduler.Scheduler.schedule` call when
-        ``REPRO_VALIDATE_PLANS=1`` (the test suite's default).
+        :func:`repro.analysis.verify.verify_plan`. Every plan
+        :meth:`~repro.core.scheduler.Scheduler.schedule` returns has
+        passed it.
         """
         # Imported lazily: repro.analysis.verify imports the fleet and
         # obs packages, which import this module.
@@ -294,13 +278,6 @@ class PlanDelta:
     @property
     def is_empty(self) -> bool:
         return not self.moves
-
-    @property
-    def moved_replicas(self) -> int:
-        return len(self.moves)
-
-    def stages_touched(self) -> Tuple[int, ...]:
-        return tuple(sorted({move.stage_index for move in self.moves}))
 
     def describe(self) -> str:
         if self.is_empty:

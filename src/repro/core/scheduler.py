@@ -32,7 +32,6 @@ core saturation.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -344,21 +343,11 @@ class Scheduler:
 
     # -- plan validation ------------------------------------------------------
 
-    def _validate_if_enabled(
-        self, plan: SchedulingPlan, expect_feasible: bool
-    ) -> None:
-        """Run the PLN invariants on a plan about to be returned.
-
-        Gated behind ``REPRO_VALIDATE_PLANS=1`` (tests set it by
-        default via ``conftest.py``) so production scheduling pays
-        nothing; when on, a structurally broken plan raises
+    def _validate(self, plan: SchedulingPlan, expect_feasible: bool) -> None:
+        """Run the PLN invariants on a plan about to be returned: a
+        structurally broken plan raises
         :class:`~repro.errors.InvariantViolationError` before any
-        simulation runs on it.
-        """
-        # The env read selects *whether to double-check*, never what the
-        # scheduler computes — results are identical either way.
-        if os.environ.get("REPRO_VALIDATE_PLANS") != "1":  # csa: ignore[CSA007]
-            return
+        simulation runs on it."""
         dependency_map = getattr(
             self.model.profile, "dependency_map", None
         )
@@ -488,7 +477,7 @@ class Scheduler:
         )
 
         if best_overall is not None:
-            self._validate_if_enabled(best_overall.plan, expect_feasible=True)
+            self._validate(best_overall.plan, expect_feasible=True)
             return ScheduleResult(
                 estimate=best_overall,
                 replica_counts=best_counts,
@@ -497,7 +486,7 @@ class Scheduler:
                 search_stats=stats,
             )
         if best_effort and fallback is not None:
-            self._validate_if_enabled(fallback.plan, expect_feasible=False)
+            self._validate(fallback.plan, expect_feasible=False)
             return ScheduleResult(
                 estimate=fallback,
                 replica_counts=tuple(

@@ -7,17 +7,17 @@ retries. After ``cooldown_windows`` the breaker lets one probe through
 (half-open); a successful probe closes it, a failed one re-opens it and
 restarts the cooldown.
 
-Every transition is recorded with its window and reason, and
-:func:`replay_transitions` re-validates a recorded sequence against the
-legal state machine — that is invariant FLT003, and it makes breaker
-traces in a :class:`~repro.obs.health.FleetHealth` report auditable
-after the fact.
+Every transition is recorded with its window and reason; invariant
+FLT003 (:func:`repro.analysis.verify.verify_fleet_health`) replays the
+recorded sequence in a :class:`~repro.obs.health.FleetHealth` report
+against the legal state machine, so breaker traces are auditable after
+the fact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List
 
 from repro.errors import ConfigurationError
 
@@ -27,7 +27,6 @@ __all__ = [
     "BreakerConfig",
     "BreakerTransition",
     "CircuitBreaker",
-    "replay_transitions",
 ]
 
 BREAKER_STATES = ("closed", "open", "half-open")
@@ -134,29 +133,3 @@ class CircuitBreaker:
             self.opened_at_window = window
             self._move(window, "open", "threshold")
 
-
-def replay_transitions(
-    transitions: Tuple[BreakerTransition, ...],
-    initial_state: str = "closed",
-) -> str:
-    """Re-run a recorded transition sequence; return the final state.
-
-    Raises :class:`~repro.errors.ConfigurationError` when the sequence
-    breaks the chain (a transition's ``from_state`` is not the current
-    state) or uses an illegal edge — the FLT003 check.
-    """
-    state = initial_state
-    for transition in transitions:
-        if transition.from_state != state:
-            raise ConfigurationError(
-                f"broken breaker trace: at {state!r} but transition "
-                f"departs from {transition.from_state!r} "
-                f"(window {transition.window_index})"
-            )
-        if (transition.from_state, transition.to_state) not in LEGAL_TRANSITIONS:
-            raise ConfigurationError(
-                f"illegal breaker transition {transition.from_state} -> "
-                f"{transition.to_state} (window {transition.window_index})"
-            )
-        state = transition.to_state
-    return state

@@ -7,13 +7,11 @@ The paper's two metrics (§VI-C):
 * **E_mes** — measured energy per byte (µJ/byte), including every system
   overhead (scheduling, context switches, DVFS transitions).
 
-Beyond the paper's means, :class:`RunResult` exposes tail percentiles
-(p50/p95/p99 of both latency and energy) — CLCV is a tail phenomenon,
-so the distribution matters, not just the mean — and, for traced runs,
-a :class:`~repro.obs.trace.TraceSummary` carrying the event-level
-counters. The summary is excluded from equality so a traced result
-still compares equal to its untraced twin (the determinism tests rely
-on this, as does the parallel-grid equality assertion).
+For traced runs, :class:`RunResult` also carries a
+:class:`~repro.obs.trace.TraceSummary` with the event-level counters.
+The summary is excluded from equality so a traced result still compares
+equal to its untraced twin (the determinism tests rely on this, as does
+the parallel-grid equality assertion).
 """
 
 from __future__ import annotations
@@ -66,8 +64,6 @@ class RunResult:
             return 0.0
         return sum(r.violated for r in self.repetitions) / len(self.repetitions)
 
-    # -- central tendency ----------------------------------------------------
-
     @property
     def mean_energy_uj_per_byte(self) -> float:
         return float(
@@ -78,55 +74,4 @@ class RunResult:
     def mean_latency_us_per_byte(self) -> float:
         return float(
             np.mean([r.latency_us_per_byte for r in self.repetitions])
-        )
-
-    # -- tails ---------------------------------------------------------------
-
-    def latency_percentile(self, percentile: float) -> float:
-        """Latency (µs/byte) at ``percentile`` over the repetitions."""
-        return float(
-            np.percentile(
-                [r.latency_us_per_byte for r in self.repetitions], percentile
-            )
-        )
-
-    def energy_percentile(self, percentile: float) -> float:
-        """Energy (µJ/byte) at ``percentile`` over the repetitions."""
-        return float(
-            np.percentile(
-                [r.energy_uj_per_byte for r in self.repetitions], percentile
-            )
-        )
-
-    @property
-    def p50_latency_us_per_byte(self) -> float:
-        return self.latency_percentile(50)
-
-    @property
-    def p95_latency_us_per_byte(self) -> float:
-        return self.latency_percentile(95)
-
-    @property
-    def p99_latency_us_per_byte(self) -> float:
-        return self.latency_percentile(99)
-
-    @property
-    def p50_energy_uj_per_byte(self) -> float:
-        return self.energy_percentile(50)
-
-    @property
-    def p95_energy_uj_per_byte(self) -> float:
-        return self.energy_percentile(95)
-
-    @property
-    def p99_energy_uj_per_byte(self) -> float:
-        return self.energy_percentile(99)
-
-    def summary(self) -> str:
-        return (
-            f"E={self.mean_energy_uj_per_byte:.3f} µJ/B, "
-            f"L={self.mean_latency_us_per_byte:.2f} µs/B "
-            f"(p95 {self.p95_latency_us_per_byte:.2f}, "
-            f"p99 {self.p99_latency_us_per_byte:.2f}), "
-            f"CLCV={self.clcv:.2f}"
         )

@@ -133,19 +133,6 @@ class BoardSpec:
             from_core, to_core, self.cluster_by_id, self.core_cluster
         )
 
-    def with_interconnect(self, interconnect: InterconnectSpec) -> "BoardSpec":
-        """Copy of this board with a different interconnect cost table."""
-        return BoardSpec(
-            name=self.name,
-            cores=self.cores,
-            clusters=self.clusters,
-            interconnect=interconnect,
-            uncore_power_w=self.uncore_power_w,
-            context_switch_instructions=self.context_switch_instructions,
-            replication_latency_overhead=self.replication_latency_overhead,
-            replication_energy_overhead=self.replication_energy_overhead,
-        )
-
 
 # --- rk3399 calibration -----------------------------------------------------
 

@@ -112,18 +112,6 @@ class InterconnectSpec:
             + cost.message_overhead_us
         )
 
-    def unit_cost(self, path: Path) -> float:
-        """µs per transferred byte over ``path`` (0 for LOCAL)."""
-        if path is Path.LOCAL:
-            return 0.0
-        return self.costs[path].unit_cost_us_per_byte
-
-    def message_overhead(self, path: Path) -> float:
-        """Per-message ω over ``path`` (0 for LOCAL)."""
-        if path is Path.LOCAL:
-            return 0.0
-        return self.costs[path].message_overhead_us
-
     def message_energy(self, path: Path) -> float:
         """Per-message transfer energy in µJ (0 for LOCAL)."""
         if path is Path.LOCAL:
@@ -154,17 +142,6 @@ class InterconnectSpec:
             raw_latency_ns=base.raw_latency_ns * factor,
             message_energy_uj=base.message_energy_uj * factor,
         )
-        return InterconnectSpec(costs=costs)
-
-    def symmetrized(self) -> "InterconnectSpec":
-        """A copy that prices both inter-cluster directions like ``c1``.
-
-        This is the *asymmetry-unaware* view used by the ``+asy-comp.``
-        ablation (§VII-D): it models asymmetric computation but treats
-        ``L_comm(j', j)`` as equal to ``L_comm(j, j')``.
-        """
-        costs: Dict[Path, PathCost] = dict(self.costs)
-        costs[Path.C2] = costs[Path.C1]
         return InterconnectSpec(costs=costs)
 
 

@@ -7,15 +7,8 @@ Expensive artifacts (board, profiles, contexts) are session-scoped.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
-
-# Every plan the scheduler hands out during tests is double-checked
-# against the PLN invariants (repro.analysis.verify); setdefault so a
-# developer can still opt out with REPRO_VALIDATE_PLANS=0.
-os.environ.setdefault("REPRO_VALIDATE_PLANS", "1")
 
 from repro.bench.harness import Harness, WorkloadSpec
 from repro.core.baselines import WorkloadContext

@@ -1511,11 +1511,11 @@ class TestPlanInvariants:
         assert [f for f in found if f.severity == "error"] == []
 
 
-class TestSchedulerValidationFlag:
+class TestSchedulerValidation:
     def _scheduler(self, context):
         return Scheduler(context.cost_model(context.fine_graph))
 
-    def test_validation_runs_when_enabled(
+    def test_every_returned_plan_is_validated(
         self, monkeypatch, tcomp32_rovio_context
     ):
         import repro.analysis.verify as verify_module
@@ -1528,23 +1528,8 @@ class TestSchedulerValidationFlag:
             return original(plan, **kwargs)
 
         monkeypatch.setattr(verify_module, "verify_plan", spy)
-        monkeypatch.setenv("REPRO_VALIDATE_PLANS", "1")
         self._scheduler(tcomp32_rovio_context).schedule(best_effort=True)
         assert len(calls) == 1
-
-    def test_validation_skipped_when_disabled(
-        self, monkeypatch, tcomp32_rovio_context
-    ):
-        import repro.analysis.verify as verify_module
-
-        calls = []
-        monkeypatch.setattr(
-            verify_module, "verify_plan",
-            lambda plan, **kwargs: calls.append(plan) or [],
-        )
-        monkeypatch.setenv("REPRO_VALIDATE_PLANS", "0")
-        self._scheduler(tcomp32_rovio_context).schedule(best_effort=True)
-        assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -110,7 +110,7 @@ class TestRandomizedMechanisms:
     def test_placements_vary_across_repetitions(self, context):
         outcome = LittleOnlyMechanism().prepare(context)
         plans = {
-            outcome.plan(r, np.random.default_rng(r)).flat()
+            outcome.plan(r, np.random.default_rng(r)).assignments
             for r in range(20)
         }
         assert len(plans) > 1
@@ -120,7 +120,7 @@ class TestOS:
     def test_worker_count_defaults_to_cores(self, context):
         outcome = OSMechanism().prepare(context)
         plan = outcome.plan(0, np.random.default_rng(0))
-        assert plan.total_replicas == len(context.board.cores)
+        assert sum(map(len, plan.assignments)) == len(context.board.cores)
 
     def test_heavy_context_switching(self, context):
         outcome = OSMechanism().prepare(context)
@@ -130,7 +130,7 @@ class TestOS:
     def test_custom_worker_count(self, context):
         outcome = OSMechanism(worker_count=3).prepare(context)
         plan = outcome.plan(0, np.random.default_rng(0))
-        assert plan.total_replicas == 3
+        assert sum(map(len, plan.assignments)) == 3
 
 
 class TestAblations:

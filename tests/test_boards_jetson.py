@@ -63,13 +63,14 @@ class TestMilderAsymmetry:
     def test_interconnect_cheaper_than_rk3399(self, jetson):
         rk = rk3399()
         for path in (Path.C0, Path.C1, Path.C2):
-            assert jetson.interconnect.unit_cost(path) <= (
-                rk.interconnect.unit_cost(path)
+            assert jetson.interconnect.costs[path].unit_cost_us_per_byte <= (
+                rk.interconnect.costs[path].unit_cost_us_per_byte
             )
 
     def test_direction_asymmetry_still_present(self, jetson):
-        assert jetson.interconnect.unit_cost(Path.C2) > (
-            jetson.interconnect.unit_cost(Path.C1)
+        costs = jetson.interconnect.costs
+        assert costs[Path.C2].unit_cost_us_per_byte > (
+            costs[Path.C1].unit_cost_us_per_byte
         )
 
 

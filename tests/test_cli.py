@@ -281,6 +281,25 @@ class TestTopDispatch:
         assert main(["top", str(path)]) == 1
         assert "is a trace, not a health report" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lines, missing", [
+        # a window record with only its index
+        ([{"window_index": 0}],
+         "windows[0]: missing field 'measured_latency_us_per_byte'"),
+        # a tail header without its board
+        ([{"label": "s", "latency_constraint_us_per_byte": 26.0},
+          _window(0)],
+         "header: missing field 'board'"),
+    ], ids=["bare-window", "header-without-board"])
+    def test_malformed_tail_is_one_error_line(
+        self, tmp_path, capsys, lines, missing
+    ):
+        path = tmp_path / "bad.ndjson"
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        assert main(["top", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {missing}")
+        assert err.count("\n") == 1
+
     def test_non_json_file_is_an_error(self, tmp_path, capsys):
         path = tmp_path / "junk.txt"
         path.write_text("not json {\n")

@@ -54,7 +54,7 @@ class TestPlanDiff:
         plan = plan_of(context, (BIG,), (LITTLE,))
         delta = plan.diff(plan_of(context, (BIG,), (LITTLE,)))
         assert delta.is_empty
-        assert delta.moved_replicas == 0
+        assert delta.moves == ()
         assert delta.describe() == "no-op"
 
     def test_single_move(self, context):
@@ -62,7 +62,6 @@ class TestPlanDiff:
         new = plan_of(context, (BIG2,), (LITTLE,))
         delta = old.diff(new)
         assert delta.moves == (ReplicaMove(0, BIG, BIG2),)
-        assert delta.stages_touched() == (0,)
         assert delta.describe() == f"s0:{BIG}->{BIG2}"
 
     def test_replica_order_is_irrelevant(self, context):
@@ -89,8 +88,7 @@ class TestPlanDiff:
         old = plan_of(context, (BIG,), (LITTLE,))
         new = plan_of(context, (LITTLE2,), (BIG2,))
         delta = old.diff(new)
-        assert delta.stages_touched() == (0, 1)
-        assert delta.moved_replicas == 2
+        assert [move.stage_index for move in delta.moves] == [0, 1]
 
     def test_cross_graph_diff_rejected(self, context):
         other_graph = TaskGraph(

@@ -155,17 +155,18 @@ class TestInterconnectDegraded:
     def test_scales_costs(self):
         spec = rk3399().interconnect
         worse = spec.degraded(Path.C1, 4.0)
-        assert worse.unit_cost(Path.C1) == pytest.approx(
-            4.0 * spec.unit_cost(Path.C1)
+        degraded, base = worse.costs[Path.C1], spec.costs[Path.C1]
+        assert degraded.unit_cost_us_per_byte == pytest.approx(
+            4.0 * base.unit_cost_us_per_byte
         )
-        assert worse.message_overhead(Path.C1) == pytest.approx(
-            4.0 * spec.message_overhead(Path.C1)
+        assert degraded.message_overhead_us == pytest.approx(
+            4.0 * base.message_overhead_us
         )
         assert worse.message_energy(Path.C1) == pytest.approx(
             4.0 * spec.message_energy(Path.C1)
         )
         # untouched paths stay identical
-        assert worse.unit_cost(Path.C0) == spec.unit_cost(Path.C0)
+        assert worse.costs[Path.C0] == spec.costs[Path.C0]
 
     def test_local_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -25,7 +25,6 @@ from repro.fleet.breaker import (
     LEGAL_TRANSITIONS,
     BreakerConfig,
     CircuitBreaker,
-    replay_transitions,
 )
 from repro.fleet.placement import FleetScheduler
 from repro.fleet.registry import BOARD_KINDS, build_fleet
@@ -128,19 +127,14 @@ class TestCircuitBreaker:
             breaker.record_failure(window)
         assert breaker.allows_traffic(3)  # cooldown elapsed: half-open
         breaker.record_success(3)
-        final = replay_transitions(tuple(breaker.transitions))
-        assert final == breaker.state == "closed"
+        state = "closed"
         for transition in breaker.transitions:
+            assert transition.from_state == state
             assert (
                 transition.from_state, transition.to_state
             ) in LEGAL_TRANSITIONS
-
-    def test_replay_rejects_broken_chain(self):
-        breaker = CircuitBreaker(board_index=0)
-        breaker.record_failure(0)
-        breaker.record_failure(1)  # closed -> open
-        with pytest.raises(ConfigurationError):
-            replay_transitions(tuple(breaker.transitions), "half-open")
+            state = transition.to_state
+        assert state == breaker.state == "closed"
 
     def test_success_resets_failure_count(self):
         breaker = CircuitBreaker(board_index=0)
@@ -340,6 +334,28 @@ class TestHealthReport:
         running[0]["board_index"] = dead[0]["board_index"]
         findings = verify_fleet_health(payload)
         assert any(f.code == "FLT001" for f in findings)
+
+    @pytest.mark.parametrize("edge, expected", [
+        # departs from a state the board is not in
+        ("half-open->open", "at 'closed' but transition departs from "
+                            "'half-open'"),
+        # an edge the state machine does not have
+        ("closed->half-open", "illegal breaker transition "
+                              "closed->half-open"),
+    ], ids=["broken-chain", "illegal-edge"])
+    def test_flt003_catches_a_planted_breaker_trace(
+        self, comparison_small, edge, expected
+    ):
+        payload = json.loads(
+            comparison_small.healths["shed-failover"].to_json()
+        )
+        first = next(e for e in payload["events"] if e["kind"] == "breaker")
+        assert first["detail"].startswith("closed->open")
+        first["detail"] = edge + first["detail"][len("closed->open"):]
+        findings = verify_fleet_health(payload)
+        assert any(
+            f.code == "FLT003" and expected in f.message for f in findings
+        ), findings
 
     def test_flt005_catches_an_oversized_retry(self, comparison_small):
         payload = json.loads(comparison_small.healths["shed"].to_json())

@@ -55,15 +55,3 @@ class TestRunResult:
             pytest.approx(20.0)
         )
 
-    def test_p99_latency(self):
-        repetitions = tuple(
-            make_repetition(i, float(i), 0.4, False) for i in range(100)
-        )
-        assert RunResult(repetitions).p99_latency_us_per_byte == (
-            pytest.approx(98.01)
-        )
-
-    def test_summary_contains_metrics(self):
-        result = RunResult((make_repetition(0, 21.5, 0.41, False),))
-        summary = result.summary()
-        assert "0.41" in summary and "21.5" in summary and "CLCV" in summary

@@ -138,7 +138,7 @@ class TestMeasureCommunication:
         table = measure_communication(board, noise=0.02, seed=0)
         for path in (Path.C0, Path.C1, Path.C2):
             assert table.unit_cost(path) == pytest.approx(
-                board.interconnect.unit_cost(path), rel=0.1
+                board.interconnect.costs[path].unit_cost_us_per_byte, rel=0.1
             )
 
     def test_preserves_asymmetry(self):

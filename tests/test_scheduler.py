@@ -306,9 +306,6 @@ class TestIncumbentOnlyEvaluation:
     def test_evaluate_count_equals_incumbent_changes(
         self, request, monkeypatch, fixture, constraint, warm
     ):
-        # plan validation re-evaluates the returned plan; count the
-        # search alone
-        monkeypatch.setenv("REPRO_VALIDATE_PLANS", "0")
         model = self._model(request, fixture, constraint)
         warm_start = (
             Scheduler(model).schedule(best_effort=True).plan if warm else None
@@ -319,6 +316,8 @@ class TestIncumbentOnlyEvaluation:
         real_search = scheduler.search
         real_score = model.score
         real_evaluate = model.evaluate
+        real_validate = scheduler._validate
+        validating = []
 
         def search(*args, **kwargs):
             searches.append([])
@@ -330,12 +329,23 @@ class TestIncumbentOnlyEvaluation:
             return result
 
         def evaluate(plan):
-            evaluations.append(plan)
+            # PLN validation re-evaluates the returned plan; count the
+            # search (and the warm incumbent) alone
+            if not validating:
+                evaluations.append(plan)
             return real_evaluate(plan)
+
+        def validate(plan, expect_feasible):
+            validating.append(plan)
+            try:
+                real_validate(plan, expect_feasible)
+            finally:
+                validating.clear()
 
         monkeypatch.setattr(scheduler, "search", search)
         monkeypatch.setattr(model, "score", score)
         monkeypatch.setattr(model, "evaluate", evaluate)
+        monkeypatch.setattr(scheduler, "_validate", validate)
         result = scheduler.schedule(best_effort=True, warm_start=warm_start)
 
         changes = sum(_incumbent_changes(leaves) for leaves in searches)

@@ -2,9 +2,9 @@
 
 The paper's board is one point in the design space; the scheduler's
 guarantees (optimal among enumerated plans, constraints honoured) must
-hold for any asymmetric topology. Boards are generated from random
-cache/µarch parameters via the memory model, so the rooflines are
-internally consistent rather than arbitrary curves.
+hold for any asymmetric topology. Each core type's η is drawn as a
+concave four-segment roofline of the paper's Eq 5 form, scaled so its
+roof is the core's issue bound.
 """
 
 import numpy as np
@@ -20,15 +20,37 @@ from repro.compression import get_codec
 from repro.datasets import get_dataset
 from repro.simcore.boards import BoardSpec, rk3399
 from repro.simcore.hardware import ClusterSpec, CoreSpec, CoreType, PiecewiseRoofline
-from repro.simcore.memory import CoreMicroarchitecture, derive_roofline
 
 
-def _roofline_from_fit(fit) -> PiecewiseRoofline:
+@st.composite
+def concave_shapes(draw) -> PiecewiseRoofline:
+    """A concave Eq 5 curve: rising segments with shrinking slopes,
+    joined end to end, then flat at the roof."""
+    first = draw(st.floats(min_value=10.0, max_value=60.0))
+    gaps = draw(st.tuples(st.floats(min_value=20.0, max_value=150.0),
+                          st.floats(min_value=50.0, max_value=300.0)))
+    breakpoints = (first, first + gaps[0], first + gaps[0] + gaps[1])
+    shrink = draw(st.tuples(st.floats(min_value=1.2, max_value=3.0),
+                            st.floats(min_value=1.2, max_value=3.0)))
+    slopes = (shrink[0] * shrink[1], shrink[1], 1.0)
+    intercepts = [draw(st.floats(min_value=0.0, max_value=20.0))]
+    for index in (1, 2):
+        joint = slopes[index - 1] * breakpoints[index - 1] + intercepts[-1]
+        intercepts.append(joint - slopes[index] * breakpoints[index - 1])
     return PiecewiseRoofline(
-        breakpoints=tuple(fit.boundaries[:-1]) or (fit.kappa_max,),
-        slopes=tuple(fit.slopes[:-1]) or (0.0,),
-        intercepts=tuple(fit.intercepts[:-1]) or (fit.roof,),
-        roof=max(fit.roof, 1e-3),
+        breakpoints=breakpoints,
+        slopes=slopes,
+        intercepts=tuple(intercepts),
+        roof=slopes[2] * breakpoints[2] + intercepts[2],
+    )
+
+
+def _scaled(curve: PiecewiseRoofline, factor: float, offset: float = 0.0):
+    return PiecewiseRoofline(
+        breakpoints=curve.breakpoints,
+        slopes=tuple(s * factor for s in curve.slopes),
+        intercepts=tuple(i * factor + offset for i in curve.intercepts),
+        roof=curve.roof * factor + offset,
     )
 
 
@@ -38,30 +60,17 @@ def make_board(
     little_mhz: float,
     big_mhz: float,
     big_speedup: float,
+    little_shape: PiecewiseRoofline,
+    big_shape: PiecewiseRoofline,
 ) -> BoardSpec:
-    """Build a consistent board from microarchitecture parameters."""
+    """Build a two-cluster board; each η roofs at its issue bound
+    (peak IPC × MHz, with the big core's IPC ``big_speedup`` higher)."""
     reference = rk3399()
-    little_uarch = CoreMicroarchitecture(
-        frequency_mhz=little_mhz, peak_ipc=2.0, in_order=True
-    )
-    big_uarch = CoreMicroarchitecture(
-        frequency_mhz=big_mhz, peak_ipc=2.0 * big_speedup, in_order=False
-    )
-    little_eta = _roofline_from_fit(derive_roofline(little_uarch))
-    big_eta = _roofline_from_fit(derive_roofline(big_uarch))
+    little_eta = _scaled(little_shape, 2.0 * little_mhz / little_shape.roof)
+    big_eta = _scaled(big_shape, 2.0 * big_speedup * big_mhz / big_shape.roof)
     # ζ scaled from η: little cores 2x more efficient per instruction.
-    little_zeta = PiecewiseRoofline(
-        breakpoints=little_eta.breakpoints,
-        slopes=tuple(s * 100 for s in little_eta.slopes),
-        intercepts=tuple(i * 100 + 50 for i in little_eta.intercepts),
-        roof=little_eta.roof * 100 + 50,
-    )
-    big_zeta = PiecewiseRoofline(
-        breakpoints=big_eta.breakpoints,
-        slopes=tuple(s * 50 for s in big_eta.slopes),
-        intercepts=tuple(i * 50 + 25 for i in big_eta.intercepts),
-        roof=big_eta.roof * 50 + 25,
-    )
+    little_zeta = _scaled(little_eta, 100, 50)
+    big_zeta = _scaled(big_eta, 50, 25)
     cores = []
     for core_id in range(little_count):
         cores.append(
@@ -132,6 +141,8 @@ boards = st.builds(
     little_mhz=st.sampled_from([800.0, 1200.0, 1600.0]),
     big_mhz=st.sampled_from([1400.0, 1800.0, 2200.0]),
     big_speedup=st.sampled_from([1.3, 1.8, 2.5]),
+    little_shape=concave_shapes(),
+    big_shape=concave_shapes(),
 )
 
 

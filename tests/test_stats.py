@@ -1,32 +1,36 @@
 """Batch statistics used by the cost model and generators."""
 
-from collections import Counter
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compression.stats import analyze_batch, shannon_entropy
+from repro.compression.stats import analyze_batch
+
+
+def _symbol_entropy(symbols):
+    data = np.array(symbols, dtype=np.uint32).tobytes()
+    return analyze_batch(data).symbol_entropy_bits
 
 
 class TestShannonEntropy:
+    """``symbol_entropy_bits`` is the Shannon entropy of the 32-bit symbols."""
+
     def test_empty(self):
-        assert shannon_entropy(Counter()) == 0.0
+        assert _symbol_entropy([]) == 0.0
 
     def test_single_symbol(self):
-        assert shannon_entropy(Counter({"a": 100})) == 0.0
+        assert _symbol_entropy([7] * 100) == 0.0
 
     def test_uniform_two(self):
-        assert shannon_entropy(Counter({"a": 5, "b": 5})) == pytest.approx(1.0)
+        assert _symbol_entropy([1, 2] * 5) == pytest.approx(1.0)
 
     def test_uniform_n(self):
-        counts = Counter({i: 1 for i in range(16)})
-        assert shannon_entropy(counts) == pytest.approx(4.0)
+        assert _symbol_entropy(range(16)) == pytest.approx(4.0)
 
     def test_skew_lowers_entropy(self):
-        uniform = shannon_entropy(Counter({"a": 50, "b": 50}))
-        skewed = shannon_entropy(Counter({"a": 99, "b": 1}))
+        uniform = _symbol_entropy([1] * 50 + [2] * 50)
+        skewed = _symbol_entropy([1] * 99 + [2])
         assert skewed < uniform
 
 

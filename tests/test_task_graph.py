@@ -94,13 +94,6 @@ class TestTaskGraph:
 
 
 class TestSchedulingPlan:
-    def test_flat_matches_paper_array(self):
-        plan = SchedulingPlan(
-            graph=make_graph(), assignments=((4,), (0, 1))
-        )
-        assert plan.flat() == (4, 0, 1)
-        assert plan.total_replicas == 3
-
     def test_replicas_per_stage(self):
         plan = SchedulingPlan(graph=make_graph(), assignments=((4,), (0, 1)))
         assert plan.replicas(0) == 1
@@ -109,10 +102,6 @@ class TestSchedulingPlan:
     def test_cores_used_sorted_unique(self):
         plan = SchedulingPlan(graph=make_graph(), assignments=((4,), (0, 4)))
         assert plan.cores_used() == (0, 4)
-
-    def test_tasks_per_core(self):
-        plan = SchedulingPlan(graph=make_graph(), assignments=((4,), (4, 0)))
-        assert plan.tasks_per_core() == {4: 2, 0: 1}
 
     def test_wrong_stage_count_rejected(self):
         with pytest.raises(ConfigurationError):

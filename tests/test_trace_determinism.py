@@ -190,28 +190,6 @@ class TestHarnessTraceRouting:
         assert served == plain
 
 
-class TestPercentiles:
-    """Satellite: tail percentiles on RunResult."""
-
-    def test_percentiles_bracket_the_mean(self):
-        result = make_harness(repetitions=8).run(spec_of(), "CStream")
-        p50 = result.p50_latency_us_per_byte
-        p95 = result.p95_latency_us_per_byte
-        p99 = result.p99_latency_us_per_byte
-        assert p50 <= p95 <= p99
-        assert p99 <= max(
-            r.latency_us_per_byte for r in result.repetitions
-        ) + 1e-9
-        assert result.p50_energy_uj_per_byte <= result.p99_energy_uj_per_byte
-        assert "p95" in result.summary() and "p99" in result.summary()
-
-    def test_single_repetition_percentiles_collapse(self):
-        result = make_harness(repetitions=1).run(spec_of(), "RR")
-        only = result.repetitions[0].latency_us_per_byte
-        assert result.p50_latency_us_per_byte == pytest.approx(only)
-        assert result.p99_latency_us_per_byte == pytest.approx(only)
-
-
 def _golden_cell():
     """The golden suite's traced cell (tests/test_golden_identity.py)."""
     harness = Harness(
