@@ -439,8 +439,8 @@ class CostModel:
         :class:`PlanEstimate`.
 
         The plan search scores every leaf this way and evaluates only
-        the incumbents. ``graph``, when given, is checked against the
-        model's graph exactly as :meth:`evaluate` checks a plan's.
+        its final incumbents. ``graph``, when given, is checked against
+        the model's graph exactly as :meth:`evaluate` checks a plan's.
         """
         if graph is not None:
             self._check_graph(graph)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.errors import ProfilingError
 
@@ -61,48 +62,42 @@ class FittedPiecewise:
                 return max(slope * kappa + intercept, 1e-9)
         return max(self.roof, 1e-9)
 
-    def values(self, kappas: Sequence[float]) -> Tuple[float, ...]:
-        return tuple(self.value(k) for k in kappas)
-
 
 def _line_fit_errors(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """err[i, j] = SSE of the least-squares line through points i..j.
 
-    Row-vectorized, bit-identical to the incremental scalar version it
-    replaced: ``np.add.accumulate`` is a *sequential* left fold
-    (``out[k] = out[k-1] + in[k]``, no pairwise tree), so every running
-    moment equals the scalar ``s += term`` accumulation exactly, and the
-    per-cell slope/intercept/SSE formulas keep the same parenthesization.
-    Degenerate cells (single point, vertical run) divide by a dummy 1.0
-    and are masked to the scalar branch's 0.0.
+    Row ``i`` of the index-shifted moment matrix holds samples
+    ``i, i+1, ...``, so one ``np.add.accumulate`` along the rows yields
+    every run's moments. Accumulate is a *sequential* left fold
+    (``out[k] = out[k-1] + in[k]``, no pairwise tree), so each moment
+    equals the scalar ``s += term`` accumulation exactly. Degenerate
+    cells (single point, vertical run) divide by a dummy 1.0 and are
+    masked to 0.0.
     """
     n = len(x)
-    err = np.zeros((n, n))
-    xx = x * x
-    xy = x * y
-    yy = y * y
-    for i in range(n):
-        sx = np.add.accumulate(x[i:])
-        sy = np.add.accumulate(y[i:])
-        sxx = np.add.accumulate(xx[i:])
-        sxy = np.add.accumulate(xy[i:])
-        syy = np.add.accumulate(yy[i:])
-        count = np.arange(1, n - i + 1, dtype=float)
-        denominator = count * sxx - sx * sx
-        degenerate = (count < 2) | (np.abs(denominator) < 1e-12)
-        safe = np.where(degenerate, 1.0, denominator)
-        slope = (count * sxy - sx * sy) / safe
-        intercept = (sy - slope * sx) / count
-        sse = (
-            syy
-            - 2 * slope * sxy
-            - 2 * intercept * sy
-            + slope * slope * sxx
-            + 2 * slope * intercept * sx
-            + count * intercept * intercept
-        )
-        err[i, i:] = np.where(degenerate, 0.0, np.maximum(sse, 0.0))
-    return err
+    moments = np.zeros((5, 2 * n))  # zero past the last sample
+    moments[:, :n] = (x, y, x * x, x * y, y * y)
+    shifted = sliding_window_view(moments, n, axis=1)[:, :n]
+    sx, sy, sxx, sxy, syy = np.add.accumulate(shifted, axis=2)
+    count = np.arange(1, n + 1, dtype=float)
+    denominator = count * sxx - sx * sx
+    degenerate = (count < 2) | (np.abs(denominator) < 1e-12)
+    safe = np.where(degenerate, 1.0, denominator)
+    slope = (count * sxy - sx * sy) / safe
+    intercept = (sy - slope * sx) / count
+    sse = (
+        syy
+        - 2 * slope * sxy
+        - 2 * intercept * sy
+        + slope * slope * sxx
+        + 2 * slope * intercept * sx
+        + count * intercept * intercept
+    )
+    # Read as rows of 2n - 1, row i of the (n, 2n) buffer moves right
+    # by i: err[i, j] is run i..j, and j < i lands in the zero padding.
+    padded = np.zeros((n, 2 * n))
+    padded[:, :n] = np.where(degenerate, 0.0, np.maximum(sse, 0.0))
+    return padded.ravel()[:n * (2 * n - 1)].reshape(n, 2 * n - 1)[:, :n]
 
 
 def _line_params(x: np.ndarray, y: np.ndarray) -> Tuple[float, float]:
@@ -145,16 +140,16 @@ def fit_piecewise(
     dp = np.full((segments, n), infinity)
     choice = np.zeros((segments, n), dtype=int)
     dp[0, :] = err[0, :]
+    ends_before_start = np.tri(n, k=-1, dtype=bool)
     for s in range(1, segments):
-        # Vectorized split search. np.argmin returns the *first* minimum,
-        # matching the scalar loop's strict-< update rule, so tie-breaks
-        # (and therefore the reconstructed boundaries) are unchanged.
-        prev = dp[s - 1]
-        for j in range(s, n):
-            candidates = prev[s - 1:j] + err[s:j + 1, j]
-            best_index = int(np.argmin(candidates))
-            dp[s, j] = candidates[best_index]
-            choice[s, j] = s + best_index
+        # candidates[i - s, j - s] = dp[s-1, i-1] + err[i, j], last segment
+        # i..j (i > j masked). argmin keeps the *first* minimum, the lowest
+        # i: a strict-< scan's tie rule, so the boundaries are unchanged.
+        candidates = dp[s - 1, s - 1:n - 1, None] + err[s:, s:]
+        candidates[ends_before_start[s:, s:]] = infinity
+        best_index = np.argmin(candidates, axis=0)
+        dp[s, s:] = candidates[best_index, np.arange(n - s)]
+        choice[s, s:] = s + best_index
 
     # Reconstruct segment starts.
     starts = []

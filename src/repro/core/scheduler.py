@@ -51,8 +51,8 @@ class SearchStats:
     ``nodes_expanded`` counts per-stage split branches the depth-first
     walk actually descended into; ``branches_pruned`` counts branches
     cut by the energy-floor / latency bound; ``plans_evaluated`` counts
-    complete plans scored (:meth:`CostModel.score`; only the incumbents
-    among them get a full :meth:`CostModel.evaluate`); ``scaling_rounds``
+    complete plans scored (:meth:`CostModel.score`; only each search's
+    final incumbents are evaluated); ``scaling_rounds``
     counts iterative-scaling restarts; ``wall_clock_s`` is real time.
     """
 
@@ -222,9 +222,9 @@ class Scheduler:
         preserved.
 
         Every complete plan is scored with :meth:`CostModel.score`
-        (``(L_est, E_est, feasible)``, no estimate objects); a
-        :class:`PlanEstimate` is built with :meth:`CostModel.evaluate`
-        only for a plan that becomes the new fastest or best incumbent.
+        (``(L_est, E_est, feasible)``), and once the walk is over
+        :meth:`CostModel.evaluate` builds a :class:`PlanEstimate` for
+        each distinct final incumbent only (best and fastest).
         The walk and the energy floors read each stage's per-core
         l_comp/e rows (:meth:`CostModel.replica_rows`) once per search.
 
@@ -259,12 +259,9 @@ class Scheduler:
             for stage_index, replicas in enumerate(replica_counts)
         ]
         score = self.model.score
-        evaluate = self.model.evaluate
-        # Incumbents as scalars for the hot comparisons; the estimates
-        # are built only when a leaf replaces one of them.
-        best: Optional[PlanEstimate] = None         # best feasible
+        best: Optional[Tuple[Tuple[int, ...], ...]] = None  # best feasible
         best_energy = best_latency = 0.0
-        fastest: Optional[PlanEstimate] = None      # min latency
+        fastest: Optional[Tuple[Tuple[int, ...], ...]] = None  # min latency
         fastest_latency = 0.0
         counters = {
             "expanded": 0,      # branches descended into
@@ -277,21 +274,14 @@ class Scheduler:
             nonlocal best, best_energy, best_latency, fastest, fastest_latency
             latency, energy, feasible = score(assignments)
             counters["evaluated"] += 1
-            new_fastest = fastest is None or latency < fastest_latency
-            new_best = feasible and (
+            if fastest is None or latency < fastest_latency:
+                fastest, fastest_latency = tuple(assignments), latency
+            if feasible and (
                 best is None
                 or energy < best_energy
                 or (energy == best_energy and latency < best_latency)
-            )
-            if not (new_fastest or new_best):
-                return
-            estimate = evaluate(
-                SchedulingPlan(graph=graph, assignments=tuple(assignments))
-            )
-            if new_fastest:
-                fastest, fastest_latency = estimate, latency
-            if new_best:
-                best, best_energy, best_latency = estimate, energy, latency
+            ):
+                best, best_energy, best_latency = tuple(assignments), energy, latency
 
         def walk(
             stage_index: int,
@@ -339,7 +329,11 @@ class Scheduler:
 
         walk(0, [], {}, 0.0)
         self.last_search_counters = counters
-        return best, fastest, counters["evaluated"]
+        estimates = {
+            plan: self.model.evaluate(SchedulingPlan(graph, plan))
+            for plan in dict.fromkeys((best, fastest)) if plan is not None
+        }
+        return estimates.get(best), estimates.get(fastest), counters["evaluated"]
 
     # -- plan validation ------------------------------------------------------
 

@@ -123,6 +123,7 @@ class _TenantState:
     throttle_seen: bool = False
     #: plan in force when the tenant last ran — the failover warm start
     last_plan: Optional[object] = None
+    priced: Optional[Tuple] = None  # (inputs, L_est, E_est) of the last score
     # per-window scratch, rewritten every window
     measured_us_per_byte: float = 0.0
     modeled_us_per_byte: float = 0.0
@@ -316,6 +317,7 @@ class Gateway:
         tenant.state = "running"
         tenant.ever_admitted = True
         tenant.throttle_seen = False
+        tenant.priced = None
         self._running[placement.board_index][tenant.tenant_id] = tenant
 
     def _evict(self, tenant: _TenantState, state: str) -> None:
@@ -343,6 +345,18 @@ class Gateway:
         tenant.attempts += 1
         tenant.next_attempt_window = window + delay
         return delay
+
+    def _price(self, tenant: _TenantState) -> Tuple[float, float]:
+        """``(L_est, E_est)`` of the tenant's plan, re-scored only when the
+        plan, the κ/frequency stamp, the latency calibration or the
+        communication table (replaced on path degradation) has changed."""
+        plan, model = tenant.controller.plan, tenant.controller.model
+        inputs = (plan, model.table_stamp(), model.communication,
+                  tuple(sorted(model.latency_scale.items())))
+        if tenant.priced is None or tenant.priced[0] != inputs:
+            latency, energy, _ = model.score(plan.assignments, plan.graph)
+            tenant.priced = (inputs, latency, energy)
+        return tenant.priced[1], tenant.priced[2]
 
     # -- window phases -------------------------------------------------------
 
@@ -506,10 +520,7 @@ class Gateway:
                     else:
                         self._evict(tenant, "stranded")
                     continue
-                plan = tenant.controller.plan
-                modeled, energy, _ = tenant.controller.model.score(
-                    plan.assignments, plan.graph
-                )
+                modeled, energy = self._price(tenant)
                 # until the tenant's controller has seen the DVFS signal
                 # its model prices nominal frequencies; the physical cap
                 # applies regardless

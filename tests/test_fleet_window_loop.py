@@ -1,10 +1,12 @@
 """The fleet window loop does only per-window work, byte-identically.
 
-Three memos sit on the gateway's per-window path: the statistics
+Four memos sit on the gateway's per-window path: the statistics
 watcher merges each distinct batch mapping once, the keyed uniform
 draws (measurement noise, backoff jitter) build each seeded generator
-once per process, and the gateway indexes running tenants per board.
-Each is checked here against the unmemoized computation it replaces.
+once per process, the gateway indexes running tenants per board, and
+the RPC phase re-scores a tenant's plan only when the plan or a model
+input changed. Each is checked here against the unmemoized computation
+it replaces.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import pytest
 from repro import memo, numerics
 from repro.compression.base import StepCost
 from repro.control.session import SessionSpec, build_drift_stream
+from repro.core.cost_model import CostModel
 from repro.core.statistics_regulator import StatisticsAwareRegulator
 from repro.core.task import Task
 from repro.faults.fleet import FLEET_SCENARIOS
@@ -32,6 +35,7 @@ from repro.fleet.scenario import (
 )
 from repro.fleet.tenants import build_tenant_catalog, build_tenant_workloads
 from repro.numerics import keyed_uniform
+from repro.simcore.interconnect import Path
 
 
 def _scaled(costs, factor):
@@ -279,3 +283,132 @@ class TestArmOrder:
         forward = run_fleet_scenario(spec)
         for arm in FLEET_ARMS:
             assert forward.healths[arm].to_json() == reversed_json[arm]
+
+
+# -- (d) change-driven RPC pricing ---------------------------------------------
+
+
+def _always_score(gateway, tenant):
+    """The pricing the helper replaces: score every tenant-window."""
+    plan = tenant.controller.plan
+    modeled, energy, _ = tenant.controller.model.score(
+        plan.assignments, plan.graph
+    )
+    return modeled, energy
+
+
+class TestChangeDrivenPricing:
+    @pytest.mark.parametrize("size", [(3, 6, 6), (12, 24, 24)])
+    @pytest.mark.parametrize("scenario", FLEET_SCENARIOS)
+    def test_reports_equal_always_scoring(self, monkeypatch, size, scenario):
+        boards, tenants, windows = size
+        spec = FleetScenarioSpec(
+            boards=boards, tenants=tenants, windows=windows,
+            scenario=scenario,
+        )
+        priced = run_fleet_scenario(spec)
+        monkeypatch.setattr(Gateway, "_price", _always_score)
+        scored = run_fleet_scenario(spec)
+        for arm in FLEET_ARMS:
+            assert priced.healths[arm].to_json() == scored.healths[arm].to_json()
+
+    # Board 0 is throttled at window 3; the mutations below hit another
+    # board's tenant at the end of window 5.
+    SPEC = FleetScenarioSpec(
+        boards=3, tenants=6, windows=10, scenario="board-throttle",
+    )
+    MUTATED_AFTER = 5
+
+    @staticmethod
+    def _adopt(tenant):
+        plan = tenant.controller.plan
+        cores = tenant.controller.model.board.core_ids
+        first = plan.assignments[0][0]
+        other = next(core for core in cores if core != first)
+        tenant.controller.plan = plan.remap_cores({first: other})
+
+    @staticmethod
+    def _recalibrate(tenant):
+        scales = tenant.controller.model.latency_scale
+        scales[0] = scales.get(0, 1.0) * 1.25
+
+    @staticmethod
+    def _cap_frequency(tenant):
+        # what the controller does on a throttle signal, without the
+        # failover replan that usually also swaps the plan
+        model = tenant.controller.model
+        model.frequency_map = {core: 408.0 for core in model.board.core_ids}
+
+    @staticmethod
+    def _degrade(tenant):
+        tenant.controller.model.apply_path_degradation(Path.C0, 2.0)
+
+    def _run(self, monkeypatch, mutate=None):
+        """Static arm of SPEC. Returns ``(scored, expected)``: the
+        (window, tenant id) of every RPC-phase score, and the ones a
+        re-score is due in — each install window, the window after the
+        throttle for board 0's tenants, and the window after the
+        mutation for the mutated tenant."""
+        window_of_phase = []
+        pricing = []
+        scored = set()
+        expected = set()
+        real_rpc = Gateway._rpc_phase
+        real_price = Gateway._price
+        real_score = CostModel.score
+        real_install = Gateway._install
+        real_record = Gateway._record_window
+
+        def rpc_phase(gateway, window, traffic_ok):
+            window_of_phase.append(window)
+            real_rpc(gateway, window, traffic_ok)
+
+        def price(gateway, tenant):
+            pricing.append(tenant.tenant_id)
+            try:
+                return real_price(gateway, tenant)
+            finally:
+                pricing.pop()
+
+        def score(model, *args, **kwargs):
+            if pricing:
+                scored.add((window_of_phase[-1], pricing[-1]))
+            return real_score(model, *args, **kwargs)
+
+        def install(gateway, tenant, placement, window):
+            expected.add((window, tenant.tenant_id))
+            real_install(gateway, tenant, placement, window)
+
+        def record(gateway, window):
+            real_record(gateway, window)
+            if window == self.SPEC.at_window:
+                expected.update(
+                    (window + 1, t.tenant_id) for t in gateway._running_on(0)
+                )
+            if window == self.MUTATED_AFTER and mutate is not None:
+                tenant = next(
+                    gateway._running_on(b)[0]
+                    for b in sorted(gateway.boards)
+                    if b != self.SPEC.fault_board and gateway._running_on(b)
+                )
+                mutate(tenant)
+                expected.add((window + 1, tenant.tenant_id))
+
+        monkeypatch.setattr(Gateway, "_rpc_phase", rpc_phase)
+        monkeypatch.setattr(Gateway, "_price", price)
+        monkeypatch.setattr(CostModel, "score", score)
+        monkeypatch.setattr(Gateway, "_install", install)
+        monkeypatch.setattr(Gateway, "_record_window", record)
+        run_fleet_arm(self.SPEC, "static")
+        return scored, expected
+
+    @pytest.mark.parametrize(
+        "mutation",
+        [None, "_adopt", "_recalibrate", "_cap_frequency", "_degrade"],
+    )
+    def test_rescored_exactly_after_a_change(self, monkeypatch, mutation):
+        mutate = None if mutation is None else getattr(self, mutation)
+        scored, expected = self._run(monkeypatch, mutate)
+        # the throttle reaches a running tenant, so its model moved
+        assert any(w == self.SPEC.at_window + 1 for w, _ in expected)
+        assert scored == expected

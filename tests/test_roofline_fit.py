@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.roofline import fit_piecewise
+from repro.core.profiler import profile_roofline
+from repro.core.roofline import _line_fit_errors, fit_piecewise
 from repro.errors import ProfilingError
-from repro.simcore.boards import rk3399
+from repro.simcore.boards import jetson_tx2_like, rk3399
 from repro.simcore.hardware import CoreType
+from tests import roofline_oracle
 
 
 class TestExactRecovery:
@@ -116,3 +118,73 @@ class TestProperties:
         y = [0.5 * k + 2 for k in x]
         fit = fit_piecewise(x, y, segments=segments)
         assert fit.value(12.0) == pytest.approx(8.0, rel=0.01)
+
+
+def _assert_matches_oracle(kappas, values, segments=4):
+    """Whole-matrix fit == row-at-a-time oracle, bit for bit."""
+    order = np.argsort(np.asarray(kappas, dtype=float))
+    x = np.asarray(kappas, dtype=float)[order]
+    y = np.asarray(values, dtype=float)[order]
+    assert (
+        _line_fit_errors(x, y).tobytes()
+        == roofline_oracle.line_fit_errors(x, y).tobytes()
+    )
+    # repr round-trips every float and tells -0.0 from 0.0
+    assert repr(fit_piecewise(kappas, values, segments)) == repr(
+        roofline_oracle.fit_piecewise(kappas, values, segments)
+    )
+
+
+class TestMatchesRowOracle:
+    @pytest.mark.parametrize("board", [rk3399, jetson_tx2_like])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_calibration_samples(self, board, seed):
+        spec = board()
+        for core_type in CoreType:
+            cores = spec.cores_of_type(core_type)
+            if not cores:
+                continue
+            samples = profile_roofline(cores[0], noise=0.01, seed=seed)
+            _assert_matches_oracle(samples.kappas, samples.eta_values)
+            _assert_matches_oracle(samples.kappas, samples.zeta_values)
+
+    @given(
+        st.lists(
+            st.tuples(
+                # few distinct κ, so duplicates (vertical runs) are common
+                st.sampled_from([1.0, 2.0, 2.5, 7.0, 30.0, 64.0, 300.0]),
+                st.floats(min_value=0.1, max_value=100),
+            ),
+            min_size=2,
+            max_size=12,
+        ),
+        st.integers(min_value=1, max_value=5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_duplicate_kappas_unsorted(self, points, segments):
+        _assert_matches_oracle(
+            [p[0] for p in points], [p[1] for p in points], segments
+        )
+
+    @given(
+        st.lists(
+            st.floats(min_value=0.5, max_value=500),
+            min_size=2,
+            max_size=12,
+        ),
+        st.floats(min_value=0.1, max_value=100),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_constant_values(self, kappas, value):
+        _assert_matches_oracle(kappas, [value] * len(kappas))
+
+    def test_tie_resolves_to_first_minimum(self):
+        """Splitting 0,1,2,1,0 before point 2 or before point 3 both
+        fit exactly; the earlier split wins."""
+        x = [0.0, 1.0, 2.0, 3.0, 4.0]
+        y = [0.0, 1.0, 2.0, 1.0, 0.0]
+        err = _line_fit_errors(np.array(x), np.array(y))
+        assert err[0, 1] + err[2, 4] == err[0, 2] + err[3, 4] == 0.0
+        fit = fit_piecewise(x, y, segments=2)
+        assert fit.boundaries == (1.0, 4.0)
+        _assert_matches_oracle(x, y, segments=2)

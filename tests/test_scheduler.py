@@ -266,26 +266,9 @@ def unlz4_context():
     return WorkloadContext.build(rk3399(), profile, 8.0)
 
 
-def _incumbent_changes(leaves):
-    """Leaves that replaced the fastest or the best feasible incumbent,
-    replaying :meth:`Scheduler.search`'s comparisons and tie rules."""
-    changes = 0
-    fastest = None
-    best = None
-    for latency, energy, feasible in leaves:
-        new_fastest = fastest is None or latency < fastest
-        new_best = feasible and (best is None or (energy, latency) < best)
-        if new_fastest:
-            fastest = latency
-        if new_best:
-            best = (energy, latency)
-        changes += new_fastest or new_best
-    return changes
-
-
 class TestIncumbentOnlyEvaluation:
     """The search scores every leaf and builds a PlanEstimate only for
-    the leaves that become an incumbent."""
+    its final incumbents."""
 
     CASES = [
         ("context", 8.0),
@@ -303,7 +286,7 @@ class TestIncumbentOnlyEvaluation:
 
     @pytest.mark.parametrize("fixture,constraint", CASES)
     @pytest.mark.parametrize("warm", [False, True])
-    def test_evaluate_count_equals_incumbent_changes(
+    def test_evaluates_only_final_incumbents(
         self, request, monkeypatch, fixture, constraint, warm
     ):
         model = self._model(request, fixture, constraint)
@@ -320,19 +303,26 @@ class TestIncumbentOnlyEvaluation:
         validating = []
 
         def search(*args, **kwargs):
-            searches.append([])
-            return real_search(*args, **kwargs)
+            searches.append({"leaves": 0, "evaluated": []})
+            best, fastest, scored = real_search(*args, **kwargs)
+            searches[-1]["returned"] = [
+                estimate.plan
+                for estimate in (best, fastest)
+                if estimate is not None
+            ]
+            return best, fastest, scored
 
         def score(assignments, graph=None):
-            result = real_score(assignments, graph)
-            searches[-1].append(result)
-            return result
+            searches[-1]["leaves"] += 1
+            return real_score(assignments, graph)
 
         def evaluate(plan):
             # PLN validation re-evaluates the returned plan; count the
             # search (and the warm incumbent) alone
             if not validating:
                 evaluations.append(plan)
+                if searches:
+                    searches[-1]["evaluated"].append(plan)
             return real_evaluate(plan)
 
         def validate(plan, expect_feasible):
@@ -348,13 +338,18 @@ class TestIncumbentOnlyEvaluation:
         monkeypatch.setattr(scheduler, "_validate", validate)
         result = scheduler.schedule(best_effort=True, warm_start=warm_start)
 
-        changes = sum(_incumbent_changes(leaves) for leaves in searches)
-        leaves = sum(len(leaves) for leaves in searches)
-        assert len(evaluations) == changes + (1 if warm else 0)
+        for walk in searches:
+            distinct = set(walk["returned"])
+            # one estimate per distinct final incumbent, and only those
+            assert len(walk["evaluated"]) == len(distinct)
+            assert set(walk["evaluated"]) == distinct
+        in_searches = sum(len(walk["evaluated"]) for walk in searches)
+        assert len(evaluations) == in_searches + (1 if warm else 0)
+        leaves = sum(walk["leaves"] for walk in searches)
         assert leaves == result.search_stats.plans_evaluated
         if not warm:
-            # a warm start shrinks the walk to few leaves, nearly all of
-            # them incumbents; a cold search scores far more than it keeps
+            # a warm start shrinks the walk to few leaves; a cold search
+            # scores far more than it keeps
             assert 2 * len(evaluations) < leaves
 
     @pytest.mark.parametrize("fixture,constraint", CASES)
