@@ -286,9 +286,12 @@ class TestIncumbentOnlyEvaluation:
 
     @pytest.mark.parametrize("fixture,constraint", CASES)
     @pytest.mark.parametrize("warm", [False, True])
-    def test_evaluates_only_final_incumbents(
+    def test_evaluate_count_equals_incumbent_changes(
         self, request, monkeypatch, fixture, constraint, warm
     ):
+        """The evaluate count equals the incumbent changes that survive
+        the walk: one PlanEstimate per distinct final incumbent, plus the
+        warm incumbent's, and none for a leaf that was later beaten."""
         model = self._model(request, fixture, constraint)
         warm_start = (
             Scheduler(model).schedule(best_effort=True).plan if warm else None
