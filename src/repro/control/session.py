@@ -8,11 +8,14 @@ session twice — once with the static one-shot plan all the way through
 :class:`~repro.control.controller.SessionController` — and compare
 energy and constraint violations batch for batch. Both sessions share
 the window structure, so the only difference between them is the
-control loop itself.
+control loop itself. The static arm goes through
+:func:`run_static_session`, which simulates each distinct
+controller-less session once per process (chaos baselines share it).
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import List, Mapping, Optional, Sequence, Tuple
 
@@ -21,6 +24,7 @@ from repro.control.controller import ControllerConfig, SessionController
 from repro.core.profiler import profile_named
 from repro.datasets import DRIFT_KINDS, drift_schedule
 from repro.errors import ConfigurationError
+from repro.memo import lru_lookup
 from repro.numerics import ordered_sum
 from repro.obs.health import SessionHealth
 from repro.obs.residuals import TelemetryCollector
@@ -40,6 +44,7 @@ __all__ = [
     "build_drift_stream",
     "finalize_session_health",
     "run_adaptive_session",
+    "run_static_session",
     "steady_batches",
     "summarize_session",
 ]
@@ -57,6 +62,15 @@ ADAPT_L_SET = {
 #: batch size (bytes) of every session workload: the harness default,
 #: pinned here so that no environment variable can move a session result
 SESSION_BATCH_BYTES = 65536
+
+#: rows of each drift profile the stream cycles through: batch ``i`` of
+#: a dynamic range reads row ``i % DRIFT_PROFILE_CYCLE`` of its profile
+DRIFT_PROFILE_CYCLE = 3
+
+#: bound of the :func:`run_static_session` memo (a ``SessionResult``
+#: pickles to about 1.4 KB)
+_STATIC_SESSIONS_MAX = 64
+_STATIC_SESSIONS: "OrderedDict[Tuple, SessionResult]" = OrderedDict()
 
 
 @dataclass(frozen=True)
@@ -155,20 +169,28 @@ def build_drift_stream(
     ranges = drift_schedule(
         spec.scenario, spec.batches, low=spec.low_range, high=spec.high_range
     )
+    # Each range is profiled only up to the last row the stream reads
+    # of it; the Micro generator draws the same leading batches for a
+    # shorter profile, so the rows are those of a full-cycle profile.
+    rows_read = {}
+    for batch_index, value in enumerate(ranges):
+        rows_read[value] = max(
+            rows_read.get(value, 0), batch_index % DRIFT_PROFILE_CYCLE + 1
+        )
     profiles = {}
-    for index, value in enumerate(sorted(set(ranges))):
+    for index, value in enumerate(sorted(rows_read)):
         profiles[value] = profile_named(
             spec.codec,
             "micro",
             workload.batch_size,
-            batches=3,
+            batches=rows_read[value],
             seed=harness.seed + 1 + index,
             dataset_options={"dynamic_range": value},
         )
-    stream: List[Mapping[str, StepCost]] = []
-    for batch_index, value in enumerate(ranges):
-        per_batch = profiles[value].per_batch_step_costs
-        stream.append(per_batch[batch_index % len(per_batch)])
+    stream: List[Mapping[str, StepCost]] = [
+        profiles[value].per_batch_step_costs[batch_index % DRIFT_PROFILE_CYCLE]
+        for batch_index, value in enumerate(ranges)
+    ]
     return context, stream, workload.batch_size
 
 
@@ -223,6 +245,42 @@ def summarize_session(result: SessionResult, spec) -> Tuple[float, int, int]:
     return energy, violations, steady
 
 
+def run_static_session(
+    board,
+    config: ExecutionConfig,
+    plan,
+    stream: Sequence[Mapping[str, StepCost]],
+    batch_bytes: int,
+    window_batches: int,
+) -> SessionResult:
+    """``plan`` run over ``stream`` window by window with no controller,
+    no trace and no telemetry, memoized process-wide.
+
+    The key is every input by value: the board's
+    :meth:`~repro.simcore.boards.BoardSpec.key`, the whole ``config``,
+    the plan, each stream row as sorted ``(step_id, StepCost)`` pairs,
+    the batch size and the window size. Such a session is a pure
+    function of them, so a hit is the result a fresh run would return.
+    The :data:`_STATIC_SESSIONS_MAX` most recently used results are
+    kept and shared (``SessionResult`` is frozen).
+    """
+    key = (
+        board.key(),
+        config,
+        plan,
+        tuple(tuple(sorted(row.items())) for row in stream),
+        batch_bytes,
+        window_batches,
+    )
+    return lru_lookup(
+        _STATIC_SESSIONS, key, _STATIC_SESSIONS_MAX,
+        lambda: PipelineExecutor(board, config).run_session(
+            plan, stream, batch_bytes,
+            window_batches=window_batches, controller=None,
+        ),
+    )
+
+
 def run_adaptive_session(
     harness=None,
     spec: SessionSpec = SessionSpec(),
@@ -259,12 +317,9 @@ def run_adaptive_session(
 
     # Static arm: the one-shot plan for the profiled (pre-drift) regime.
     static_plan = context.plan(context.fine_graph).plan
-    static_result = PipelineExecutor(harness.board, config).run_session(
-        static_plan,
-        stream,
-        batch_bytes,
-        window_batches=spec.window_batches,
-        controller=None,
+    static_result = run_static_session(
+        harness.board, config, static_plan, stream, batch_bytes,
+        spec.window_batches,
     )
 
     # Adaptive arm: same initial plan, same windows, live controller.

@@ -29,6 +29,7 @@ from repro.control.controller import ControllerConfig, SessionController
 from repro.control.session import (
     SESSION_BATCH_BYTES,
     finalize_session_health,
+    run_static_session,
     steady_batches,
     summarize_session,
 )
@@ -305,7 +306,12 @@ def run_chaos_session(
             controller=controller,
         )
 
-    baseline_result = _run(_config(False), None)
+    # The fault-free baseline reads no scenario field, so every
+    # scenario of one stream shares one simulation of it.
+    baseline_result = run_static_session(
+        harness.board, _config(False), static_plan, stream, batch_bytes,
+        spec.window_batches,
+    )
     static_result = _run(_config(True), None)
 
     # The controller's model carries the *session's* constraint, not the

@@ -56,8 +56,9 @@ class FleetScenarioSpec:
     windows: int = 12
     #: a :data:`repro.faults.fleet.FLEET_SCENARIOS` name
     scenario: str = "board-crash"
-    #: board the fault hits — board 0 hosts the first admissions (ties
-    #: in placement go to the lower index), so it always has victims
+    #: board the fault hits. Placement decides whether it has victims:
+    #: at the default 3x6 fleet board 0 runs a tenant when the fault
+    #: fires, but in a larger fleet (12x24) no tenant may ever run there
     fault_board: int = 0
     at_window: int = 3
     seed: int = 0

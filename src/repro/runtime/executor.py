@@ -485,7 +485,8 @@ class _RepetitionRun:
         # function of (graph, step costs), both of which every
         # repetition of one measurement shares — so the merged rows are
         # memoized on the executor (identity-keyed; the rows are never
-        # mutated) instead of being rebuilt 60 times per cell.
+        # mutated) instead of being rebuilt 60 times per cell. A stream
+        # cycles a few profiled rows, so each distinct row is merged once.
         memo = executor._stage_costs_memo
         if (
             memo is not None
@@ -494,10 +495,11 @@ class _RepetitionRun:
         ):
             self.stage_costs: List[List[StepCost]] = memo[2]
         else:
-            self.stage_costs = [
-                [task.merged_cost(costs) for task in graph.tasks]
-                for costs in per_batch_step_costs
-            ]
+            merged: Dict[int, List[StepCost]] = {}
+            for costs in per_batch_step_costs:
+                if id(costs) not in merged:
+                    merged[id(costs)] = [task.merged_cost(costs) for task in graph.tasks]
+            self.stage_costs = [merged[id(costs)] for costs in per_batch_step_costs]
             executor._stage_costs_memo = (
                 graph, per_batch_step_costs, self.stage_costs
             )
