@@ -26,12 +26,14 @@ what Fig 12 of the paper studies.
 from __future__ import annotations
 
 import struct
-from typing import List, Tuple
+from collections import OrderedDict
+from typing import List, NamedTuple, Tuple
 
 import numpy as _np
 
 from repro.compression.base import CompressionResult, StatefulCompressor, StepCost
 from repro.errors import CompressionError, CorruptStreamError
+from repro.memo import lru_lookup
 
 __all__ = ["Lz4"]
 
@@ -66,6 +68,22 @@ _S4_ACCESSES_PER_OUTPUT_BYTE = 1.5
 _S4_ACCESSES_PER_TOKEN = 0.3
 # (position, slot) descriptors flowing between the pipeline steps
 _DESCRIPTOR_BYTES_PER_PROBE = 5
+
+
+class _ParseSizes(NamedTuple):
+    """What a dry run reads of one block's greedy parse."""
+
+    probes: int
+    matches: int
+    matched_bytes: int
+    output_size: int
+
+
+#: bound of the parse memo; lz4's and unlz4's dry runs of a grid's
+#: datasets parse the same fifteen batches
+_PARSES_MAX = 32
+#: (index_bits, max_search_length, block bytes) -> :class:`_ParseSizes`
+_PARSES: "OrderedDict[tuple, _ParseSizes]" = OrderedDict()
 
 
 def _hash_all(data: bytes, limit: int, index_bits: int) -> Tuple[list, list]:
@@ -133,12 +151,72 @@ class Lz4(StatefulCompressor):
         self.max_search_length = max_search_length
 
     def compress(self, data: bytes) -> CompressionResult:
+        """One block. The parse's sizes are memoized process-wide on
+        (``index_bits``, ``max_search_length``, the block bytes), the
+        inputs it reads, so unlz4's dry run of a block lz4 just parsed
+        parses nothing; reading the payload of a hit parses again."""
+        data = bytes(data)
+        n = len(data)
+        parsed = []  # this call's sequences, when it ran the parse
+
+        def parse() -> _ParseSizes:
+            sequences, anchor, sizes = self._parse(data)
+            parsed.append((sequences, anchor))
+            return sizes
+
+        probes, matches, matched_bytes, output_size = lru_lookup(
+            _PARSES, (self.index_bits, self.max_search_length, data),
+            _PARSES_MAX, parse,
+        )
+        # Final all-literal sequence (always present, even if empty, so the
+        # decoder can terminate on a literals-only token).
+        tokens = matches + 1
+
+        def pack() -> bytes:
+            sequences, anchor = parsed[0] if parsed else self._parse(data)[:2]
+            out = bytearray(_HEADER.pack(n))
+            for sequence in sequences:
+                self._emit_sequence(out, data, *sequence)
+            literal_length = n - anchor
+            out.append(min(literal_length, _TOKEN_MAX) << 4)
+            if literal_length >= _TOKEN_MAX:
+                _write_length(out, literal_length - _TOKEN_MAX)
+            out.extend(data[anchor:])
+            return bytes(out)
+
+        counters = {
+            "input_bytes": float(n),
+            "probes": float(probes),
+            # every probe overwrites its table slot
+            "table_updates": float(probes),
+            "matches": float(matches),
+            "matched_bytes": float(matched_bytes),
+            "literal_bytes": float(n - matched_bytes),
+            "tokens": float(tokens),
+            "matched_fraction": matched_bytes / n if n else 0.0,
+        }
+        step_costs = self._step_costs(
+            n, probes, probes, matches, matched_bytes, tokens, output_size
+        )
+        return CompressionResult(
+            payload=pack,
+            input_size=n,
+            step_costs=step_costs,
+            counters=counters,
+            output_size=output_size,
+        )
+
+    def _parse(
+        self, data: bytes
+    ) -> Tuple[List[Tuple[int, int, int, int]], int, _ParseSizes]:
+        """Greedy parse of one block: its sequences (literal start,
+        match position, offset, match length), the start of the final
+        literal run and the sizes a dry run reads."""
         n = len(data)
         table = [-1] * (1 << self.index_bits)
 
         matched_bytes = 0
         extension_bytes = 0
-        # (literal start, match position, offset, match length)
         sequences: List[Tuple[int, int, int, int]] = []
 
         anchor = 0  # start of the pending literal run
@@ -170,9 +248,6 @@ class Lz4(StatefulCompressor):
         matches = len(sequences)
         # one probe per literal position scanned and one per match
         probes = position - matched_bytes + matches
-        # Final all-literal sequence (always present, even if empty, so the
-        # decoder can terminate on a literals-only token).
-        tokens = matches + 1
         output_size = (
             _HEADER.size
             + 3 * matches  # token and offset of each matched sequence
@@ -181,38 +256,8 @@ class Lz4(StatefulCompressor):
             + _extension_bytes(n - anchor)
             + extension_bytes
         )
-
-        def pack() -> bytes:
-            out = bytearray(_HEADER.pack(n))
-            for sequence in sequences:
-                self._emit_sequence(out, data, *sequence)
-            literal_length = n - anchor
-            out.append(min(literal_length, _TOKEN_MAX) << 4)
-            if literal_length >= _TOKEN_MAX:
-                _write_length(out, literal_length - _TOKEN_MAX)
-            out.extend(data[anchor:])
-            return bytes(out)
-
-        counters = {
-            "input_bytes": float(n),
-            "probes": float(probes),
-            # every probe overwrites its table slot
-            "table_updates": float(probes),
-            "matches": float(matches),
-            "matched_bytes": float(matched_bytes),
-            "literal_bytes": float(n - matched_bytes),
-            "tokens": float(tokens),
-            "matched_fraction": matched_bytes / n if n else 0.0,
-        }
-        step_costs = self._step_costs(
-            n, probes, probes, matches, matched_bytes, tokens, output_size
-        )
-        return CompressionResult(
-            payload=pack,
-            input_size=n,
-            step_costs=step_costs,
-            counters=counters,
-            output_size=output_size,
+        return sequences, anchor, _ParseSizes(
+            probes, matches, matched_bytes, output_size
         )
 
     def _expand_match(

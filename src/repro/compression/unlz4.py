@@ -23,7 +23,8 @@ scheduler's cluster assignment in the opposite direction.
 
 ``compress`` performs a real LZ4 block encode (via
 :class:`~repro.compression.lz4.Lz4`, whose bytes are built only when the
-payload is read) so the round-trip contract holds,
+payload is read, and whose parse of a block lz4's own dry run already
+made is shared) so the round-trip contract holds,
 but the reported step costs model the *decoder's* work on that payload:
 the encoder's sequence counters (tokens, matches, matched bytes) are
 exactly what the decoder will traverse. ``decompress`` is a real decode.

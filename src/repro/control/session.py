@@ -257,16 +257,19 @@ def run_static_session(
     no trace and no telemetry, memoized process-wide.
 
     The key is every input by value: the board's
-    :meth:`~repro.simcore.boards.BoardSpec.key`, the whole ``config``,
+    :meth:`~repro.simcore.boards.BoardSpec.key`, the whole ``config``
+    (its ``frequency_map``, a dict, as sorted ``(core, MHz)`` pairs),
     the plan, each stream row as sorted ``(step_id, StepCost)`` pairs,
     the batch size and the window size. Such a session is a pure
     function of them, so a hit is the result a fresh run would return.
     The :data:`_STATIC_SESSIONS_MAX` most recently used results are
     kept and shared (``SessionResult`` is frozen).
     """
+    frequencies = config.frequency_map
     key = (
         board.key(),
-        config,
+        replace(config, frequency_map=None),
+        None if frequencies is None else tuple(sorted(frequencies.items())),
         plan,
         tuple(tuple(sorted(row.items())) for row in stream),
         batch_bytes,

@@ -67,7 +67,7 @@ from repro.obs.trace import TraceRecorder, set_active_recorder
 from repro.runtime.metrics import BatchMetrics, RepetitionResult, RunResult
 from repro.simcore.boards import BoardSpec
 from repro.simcore.dvfs import Governor, StaticGovernor, get_governor
-from repro.simcore.engine import Simulator, Store
+from repro.simcore.engine import Event, Simulator, Store
 from repro.simcore.hardware import replication_factor
 from repro.simcore.interconnect import Path
 from repro.simcore.power import EnergyMeter
@@ -229,7 +229,9 @@ class _CoreServer:
         energy_uj: float,
     ):
         """Queue ``duration_us`` of occupancy drawing ``energy_uj``."""
-        done = self.simulator.event(transient=True)
+        free = self.simulator._free
+        done = free.pop() if free else Event(self.simulator)
+        done.recyclable = True
         item = (task_name, batch_index, duration_us, energy_uj, done)
         if self._current is None:
             self._dispatch(item)
@@ -427,6 +429,62 @@ class SessionResult:
         return self.batches[warmup_batches:]
 
 
+class _PlanLayout:
+    """What one plan's pipeline looks like, built once per run.
+
+    Structure and replication terms depend on the plan alone, never on
+    a repetition, so an executor keeps one layout per (graph,
+    assignments, locked stages) and a repetition builds only its
+    stores, generators and completion state. A task is a tuple (stage,
+    replica, core, ``s{stage}r{replica}`` label, process name, replica
+    count, replication latency and energy factors, shared-state lock
+    latency and energy factors, is root, is last, routes); a route is
+    (consumer stage, its replica count, where this stage's replicas
+    start in its flattened inbox order). The values are the expressions
+    the task preamble used to evaluate per repetition, so every
+    simulated number is unchanged.
+    """
+
+    __slots__ = ("graph", "producer_counts", "tasks", "roots", "description")
+
+    def __init__(
+        self, plan: SchedulingPlan, board: BoardSpec, lock_stages: frozenset
+    ) -> None:
+        graph = self.graph = plan.graph
+        counts = [len(cores) for cores in plan.assignments]
+        producers = [graph.predecessors_of(s) for s in range(len(counts))]
+        self.producer_counts = [
+            sum(counts[p] for p in stages) if stages else 1
+            for stages in producers
+        ]
+        tasks = []
+        for stage, cores in enumerate(plan.assignments):
+            count = counts[stage]
+            # predecessors are ascending: the offset sums those before us
+            routes = tuple(
+                (consumer, counts[consumer],
+                 sum(counts[p] for p in producers[consumer] if p < stage))
+                for consumer in graph.successors_of(stage)
+            )
+            factors = (
+                replication_factor(board.replication_latency_overhead, count),
+                replication_factor(board.replication_energy_overhead, count),
+            ) + ((
+                1.0 + _SHARED_STATE_LOCK_PENALTY * (count - 1),
+                1.0 + _SHARED_STATE_ENERGY_PENALTY * (count - 1),
+            ) if stage in lock_stages else (1.0, 1.0))
+            for replica, core in enumerate(cores):
+                label = f"s{stage}r{replica}"
+                tasks.append((
+                    stage, replica, core, label, f"task-{label}", count,
+                    *factors, not producers[stage], stage == len(counts) - 1,
+                    routes,
+                ))
+        self.tasks = tasks
+        self.roots = graph.roots()
+        self.description = plan.describe()
+
+
 class _RepetitionRun:
     """One repetition's DES state: simulator, servers, meter, governor.
 
@@ -462,7 +520,8 @@ class _RepetitionRun:
         self.shared_state_stages = shared_state_stages
         self.batch_count = len(per_batch_step_costs)
         self.interconnect = self.board.interconnect
-        self.repetition = repetition
+        #: keeps the layouts, hop and switch prices across repetitions
+        self.executor = executor
 
         # Injected-fault state. Everything is pre-resolved here so the
         # fault-free path stays byte-identical: empty dicts make every
@@ -592,74 +651,56 @@ class _RepetitionRun:
 
     def _fire(self, event) -> None:
         """Apply one batch-boundary fault event to the live simulation."""
-        simulator = self.simulator
         servers = self.servers
-        now = simulator.now
-        batch = self.completed_batches
+        trace = self.trace
+        now = self.simulator.now
+        core_id = getattr(event, "core_id", -1)
         if isinstance(event, DvfsThrottle):
-            if event.core_id not in servers:
+            if core_id not in servers:
                 return
-            servers[event.core_id].frequency_mhz = min(
-                servers[event.core_id].frequency_mhz,
+            server = servers[core_id]
+            server.frequency_mhz = min(server.frequency_mhz, event.frequency_mhz)
+            self.fault_throttled[core_id] = min(
+                self.fault_throttled.get(core_id, float("inf")),
                 event.frequency_mhz,
             )
-            self.fault_throttled[event.core_id] = min(
-                self.fault_throttled.get(event.core_id, float("inf")),
-                event.frequency_mhz,
-            )
-            if self.trace is not None:
-                self.trace.fault(event.core_id, now, event.frequency_mhz)
-            self.fired_faults.append(FiredFault(
-                kind=event.kind, ts_us=now, batch=batch,
-                core_id=event.core_id,
-                detail=f"capped at {event.frequency_mhz:g} MHz",
-            ))
+            if trace is not None:
+                trace.fault(core_id, now, event.frequency_mhz)
+            detail = f"capped at {event.frequency_mhz:g} MHz"
         elif isinstance(event, CoreStall):
-            if event.core_id not in servers:
+            if core_id not in servers:
                 return
-            self.pending_stall[event.core_id] = (
-                self.pending_stall.get(event.core_id, 0.0) + event.stall_us
+            self.pending_stall[core_id] = (
+                self.pending_stall.get(core_id, 0.0) + event.stall_us
             )
-            if self.trace is not None:
-                self.trace.core_stall(event.core_id, now, event.stall_us)
-            self.fired_faults.append(FiredFault(
-                kind=event.kind, ts_us=now, batch=batch,
-                core_id=event.core_id,
-                detail=f"stalled {event.stall_us:g} us",
-            ))
+            if trace is not None:
+                trace.core_stall(core_id, now, event.stall_us)
+            detail = f"stalled {event.stall_us:g} us"
         elif isinstance(event, CoreFailure):
-            if event.core_id not in servers or event.core_id in self.failed_cores:
+            if core_id not in servers or core_id in self.failed_cores:
                 return
-            target = self.board.fallback_core(
-                event.core_id, self.failed_cores
-            )
-            self.failed_cores[event.core_id] = target
+            target = self.board.fallback_core(core_id, self.failed_cores)
+            self.failed_cores[core_id] = target
             self.reroute_penalty = max(
                 self.reroute_penalty, event.reroute_penalty
             )
-            servers[event.core_id].fail(
-                servers[target], 1.0 + event.reroute_penalty
-            )
-            if self.trace is not None:
-                self.trace.core_failure(event.core_id, target, now)
-            self.fired_faults.append(FiredFault(
-                kind=event.kind, ts_us=now, batch=batch,
-                core_id=event.core_id,
-                detail=f"failover to core {target}",
-            ))
+            servers[core_id].fail(servers[target], 1.0 + event.reroute_penalty)
+            if trace is not None:
+                trace.core_failure(core_id, target, now)
+            detail = f"failover to core {target}"
         elif isinstance(event, InterconnectDegradation):
-            path = Path(event.path)
             self.interconnect = self.interconnect.degraded(
-                path, event.factor
+                Path(event.path), event.factor
             )
-            if self.trace is not None:
-                self.trace.interconnect_degraded(
-                    event.path, now, event.factor
-                )
-            self.fired_faults.append(FiredFault(
-                kind=event.kind, ts_us=now, batch=batch,
-                detail=f"{event.path} slowed x{event.factor:g}",
-            ))
+            if trace is not None:
+                trace.interconnect_degraded(event.path, now, event.factor)
+            detail = f"{event.path} slowed x{event.factor:g}"
+        else:
+            return
+        self.fired_faults.append(FiredFault(
+            kind=event.kind, ts_us=now, batch=self.completed_batches,
+            core_id=core_id, detail=detail,
+        ))
 
     # -- plan spawning -------------------------------------------------------
 
@@ -673,21 +714,19 @@ class _RepetitionRun:
         ends after its last batch, so joining them all is the session
         path's in-flight draining barrier at a window boundary.
         """
-        config = self.config
         board = self.board
         trace = self.trace
         telemetry = self.telemetry
         simulator = self.simulator
         meter = self.meter
         servers = self.servers
-        rng = self.rng
-        dynamics = self.dynamics
         stage_costs = self.stage_costs
-        batch_bytes = self.batch_bytes
-        stage_locks = self.stage_locks
         completions = self.completions
         pending_stall = self.pending_stall
-        graph = plan.graph
+        executor = self.executor
+        layout = executor._layout(plan, self.shared_state_stages)
+        hops = executor._hops
+        switch_costs = executor._switch_costs
 
         # Message channels: one store per (producer, consumer) pair so a
         # fast producer cannot make a consumer start a batch before every
@@ -697,92 +736,50 @@ class _RepetitionRun:
         # producer's store in that fixed sequence, so fan-in arrival
         # order can never reorder simulated events. Root stages (no
         # predecessors) hold a single source-token store instead.
-        stage_inputs: List[List[List[Store]]] = []
-        for stage_index, cores in enumerate(plan.assignments):
-            producer_stages = graph.predecessors_of(stage_index)
-            producer_count = (
-                1
-                if not producer_stages
-                else sum(plan.replicas(p) for p in producer_stages)
-            )
-            stage_inputs.append(
+        stage_inputs: List[List[List[Store]]] = [
+            [
                 [
-                    [
-                        Store(
-                            simulator,
-                            capacity=1,
-                            name=(
-                                f"q.s{stage_index}r{replica}.p{producer}"
-                                if trace is not None
-                                else None
-                            ),
-                        )
-                        for producer in range(producer_count)
-                    ]
-                    for replica in range(len(cores))
+                    Store(simulator, capacity=1, name=(
+                        f"q.s{stage}r{replica}.p{producer}"
+                        if trace is not None else None
+                    ))
+                    for producer in range(producer_count)
                 ]
+                for replica in range(len(cores))
+            ]
+            for stage, (cores, producer_count) in enumerate(
+                zip(plan.assignments, layout.producer_counts)
             )
+        ]
         final_tokens: Dict[int, int] = {}
-        last_stage = graph.stage_count - 1
-        final_replicas = plan.replicas(last_stage)
+        final_replicas = len(plan.assignments[-1])
+        # Constant across every task's batch loop, so the per-batch body
+        # (the simulator's hottest Python) only computes what varies.
+        sigma = self.config.noise_sigma + self.dynamics.latency_jitter_sigma
+        draw_noise = sigma > 0
+        rng_lognormal = self.rng.lognormal
+        rng_random = self.rng.random
+        record_overhead = meter.record_overhead
+        migration_rate = self.dynamics.migration_rate_per_batch
+        has_migration = migration_rate > 0.0
+        kib_switches = self.dynamics.context_switches_per_kb
 
-        def task_process(stage_index: int, replica_index: int, core_id: int):
-            replicas = plan.replicas(stage_index)
-            lat_overhead = replication_factor(
-                board.replication_latency_overhead, replicas
-            )
-            energy_factor = replication_factor(
-                board.replication_energy_overhead, replicas
-            )
-            lock_factor = 1.0
-            lock_energy_factor = 1.0
-            if config.shared_state and stage_index in self.shared_state_stages:
-                lock_factor = 1.0 + _SHARED_STATE_LOCK_PENALTY * (replicas - 1)
-                lock_energy_factor = 1.0 + _SHARED_STATE_ENERGY_PENALTY * (
-                    replicas - 1
-                )
+        def task_process(task):
+            (
+                stage_index, replica_index, core_id, task_label, _name,
+                replicas, lat_overhead, energy_factor, lock_factor,
+                lock_energy_factor, is_root, is_last_stage, routes,
+            ) = task
             inboxes = stage_inputs[stage_index][replica_index]
-            # Everything below is constant across the task's batch loop —
-            # hoisted so the per-batch body (the simulator's hottest
-            # Python) only computes what actually varies. The hoisted
-            # floats are the same expressions evaluated once, so every
-            # simulated number is bit-identical.
-            sigma = config.noise_sigma + dynamics.latency_jitter_sigma
-            draw_noise = sigma > 0
-            rng_lognormal = rng.lognormal
-            rng_random = rng.random
-            record_overhead = meter.record_overhead
-            migration_rate = dynamics.migration_rate_per_batch
-            has_migration = migration_rate > 0.0
+            successor_routes = [
+                (stage_inputs[consumer], count, offset + replica_index)
+                for consumer, count, offset in routes
+            ]
             extra_switches = (
-                (batch_bytes / replicas) / 1024.0
-                * dynamics.context_switches_per_kb
+                (self.batch_bytes / replicas) / 1024.0 * kib_switches
             )
             has_switches = extra_switches > 0.0
-            task_label = f"s{stage_index}r{replica_index}"
-            lock = stage_locks.get(stage_index)
-            is_last_stage = stage_index == last_stage
-            is_root = not graph.predecessors_of(stage_index)
-            # One route per successor stage: its inbox table, its replica
-            # count, and where this stage's replicas sit in the consumer's
-            # flattened (predecessor stage asc, replica asc) inbox order.
-            # For a chain this is exactly one route with offset 0.
-            successor_routes = []
-            for consumer_stage in graph.successors_of(stage_index):
-                producer_offset = 0
-                for producer_stage in graph.predecessors_of(consumer_stage):
-                    if producer_stage == stage_index:
-                        break
-                    producer_offset += plan.replicas(producer_stage)
-                successor_routes.append((
-                    stage_inputs[consumer_stage],
-                    plan.replicas(consumer_stage),
-                    producer_offset,
-                ))
-            # switch_us and its overhead energy depend only on the routed
-            # core and its (governor-adjustable) frequency — memoized per
-            # (core, frequency) so the η/power lookups leave the loop.
-            switch_costs = {}
+            lock = self.stage_locks.get(stage_index)
             for batch_index in range(batch_start, batch_start + batch_count):
                 # Planned placement, resolved through the failure map. On
                 # a healthy run failed_cores is empty and this is the
@@ -791,6 +788,7 @@ class _RepetitionRun:
                 if self.failed_cores:
                     routed_core = self.route_core(core_id)
                 server = servers[routed_core]
+                core = server.core
                 if is_root:
                     yield inboxes[0].get(transient=True)  # source token
                 else:
@@ -800,27 +798,41 @@ class _RepetitionRun:
                     # cannot perturb the simulation.
                     comm_us = 0.0
                     for inbox in inboxes:
-                        token = yield inbox.get(transient=True)
-                        producer_core, transfer_bytes = token[1], token[2]
-                        path = board.path_between(producer_core, routed_core)
-                        hop_us = self.interconnect.transfer_latency_us(
-                            path, transfer_bytes
+                        _batch, producer_core, transfer_bytes = (
+                            yield inbox.get(transient=True)
                         )
-                        comm_us += hop_us
-                        record_overhead(
-                            self.interconnect.message_energy(path)
+                        # Each hop is priced once per run and interconnect:
+                        # the entry holds the interconnect, so its id is
+                        # not reused, and a degraded copy re-prices.
+                        interconnect = self.interconnect
+                        hop_key = (
+                            id(interconnect), producer_core, routed_core,
+                            transfer_bytes,
                         )
+                        hop = hops.get(hop_key)
+                        if hop is None:
+                            path = board.path_between(producer_core, routed_core)
+                            hop = hops[hop_key] = (
+                                interconnect.transfer_latency_us(
+                                    path, transfer_bytes
+                                ),
+                                interconnect.message_energy(path),
+                                path.value,
+                                interconnect,
+                            )
+                        comm_us += hop[0]
+                        record_overhead(hop[1])
                         if telemetry is not None:
-                            telemetry.comm(path.value, hop_us, batch_index)
+                            telemetry.comm(hop[2], hop[0], batch_index)
                     if comm_us > 0.0:
                         yield simulator.timeout(comm_us, transient=True)
                 cost = stage_costs[batch_index][stage_index]
                 kappa = cost.operational_intensity
-                instructions = cost.instructions / replicas
-                eta = server.core.eta_at(kappa, server.frequency_mhz)
-                power = server.core.busy_power_w(kappa, server.frequency_mhz)
+                frequency = server.frequency_mhz
+                eta = core.eta_at(kappa, frequency)
+                power = core.busy_power_w(kappa, frequency)
                 noise = float(rng_lognormal(0.0, sigma)) if draw_noise else 1.0
-                base_duration = instructions / eta * noise
+                base_duration = cost.instructions / replicas / eta * noise
                 duration = base_duration * lock_factor * lat_overhead
                 energy_uj = (
                     base_duration * power * energy_factor * lock_energy_factor
@@ -838,26 +850,22 @@ class _RepetitionRun:
                     if trace is not None:
                         trace.migration(routed_core, simulator.now)
                 if has_switches:
-                    switch_key = (routed_core, server.frequency_mhz)
-                    cached_switch = switch_costs.get(switch_key)
-                    if cached_switch is None:
+                    # The switches' time and overhead energy depend only
+                    # on their count and the routed core at its
+                    # (governor-adjustable) frequency: priced once per run.
+                    switch_key = (routed_core, frequency, extra_switches)
+                    switch = switch_costs.get(switch_key)
+                    if switch is None:
                         switch_us = (
-                            extra_switches
-                            * board.context_switch_instructions
-                            / server.core.eta_at(
-                                _SWITCH_KAPPA, server.frequency_mhz
-                            )
+                            extra_switches * board.context_switch_instructions
+                            / core.eta_at(_SWITCH_KAPPA, frequency)
                         )
-                        cached_switch = (
+                        switch = switch_costs[switch_key] = (
                             switch_us,
-                            switch_us
-                            * server.core.busy_power_w(
-                                _SWITCH_KAPPA, server.frequency_mhz
-                            ),
+                            switch_us * core.busy_power_w(_SWITCH_KAPPA, frequency),
                         )
-                        switch_costs[switch_key] = cached_switch
-                    duration += cached_switch[0]
-                    record_overhead(cached_switch[1])
+                    duration += switch[0]
+                    record_overhead(switch[1])
                     if trace is not None:
                         trace.context_switch(
                             routed_core, extra_switches, simulator.now
@@ -865,111 +873,80 @@ class _RepetitionRun:
                 duration += pending_stall.pop(routed_core, 0.0)
                 if lock is not None:
                     token = yield lock.get(transient=True)
-                yield server.submit(
-                    task_label,
-                    batch_index,
-                    duration,
-                    energy_uj,
-                )
+                yield server.submit(task_label, batch_index, duration, energy_uj)
                 if lock is not None:
                     yield lock.put(token, transient=True)
-                if is_last_stage:
-                    final_tokens[batch_index] = (
-                        final_tokens.get(batch_index, 0) + 1
-                    )
-                    if final_tokens[batch_index] == final_replicas:
-                        corrupt = self.corrupted.pop(batch_index, None)
-                        if corrupt is not None:
-                            # Decode verification caught a corrupt batch:
-                            # re-run the final stage after each capped
-                            # exponential backoff. The inflated completion
-                            # time is what violation accounting sees.
-                            if trace is not None:
-                                trace.batch_corrupted(
-                                    batch_index,
-                                    simulator.now,
-                                    corrupt.attempts,
-                                    exhausted=corrupt.exhausted,
-                                )
-                            self.fired_faults.append(FiredFault(
-                                kind="batch-corruption",
-                                ts_us=simulator.now,
-                                batch=batch_index,
-                                core_id=routed_core,
-                                detail=(
-                                    f"{corrupt.attempts} retries"
-                                    + (
-                                        " (exhausted)"
-                                        if corrupt.exhausted else ""
-                                    )
-                                ),
-                            ))
-                            for attempt, backoff in enumerate(
-                                corrupt.backoff_us
-                            ):
-                                if trace is not None:
-                                    trace.batch_retry(
-                                        batch_index,
-                                        attempt,
-                                        simulator.now,
-                                        backoff_us=backoff,
-                                    )
-                                yield simulator.timeout(
-                                    duration + backoff, transient=True
-                                )
-                                meter.record_overhead(energy_uj)
-                            if telemetry is not None:
-                                telemetry.retry(
-                                    batch_index,
-                                    stage_index,
-                                    ordered_sum(
-                                        duration + backoff
-                                        for backoff in corrupt.backoff_us
-                                    ),
-                                    corrupt.attempts,
-                                )
-                        completions[batch_index] = simulator.now
-                        if trace is not None:
-                            trace.batch_complete(batch_index, simulator.now)
-                        self.on_batch_complete()
-                else:
+                if not is_last_stage:
                     # Fan-out: the full batch output is broadcast to each
                     # successor stage, split evenly across its replicas —
                     # matching the cost model's per-edge share.
-                    for route in successor_routes:
-                        consumer_inboxes, consumer_count, producer_offset = (
-                            route
-                        )
+                    for consumer_inboxes, consumer_count, slot in successor_routes:
                         share = cost.output_bytes / replicas / consumer_count
-                        slot = producer_offset + replica_index
                         for consumer_index in range(consumer_count):
-                            inbox = consumer_inboxes[consumer_index][slot]
-                            yield inbox.put(
+                            yield consumer_inboxes[consumer_index][slot].put(
                                 (batch_index, routed_core, share),
                                 transient=True,
                             )
+                    continue
+                final_tokens[batch_index] = final_tokens.get(batch_index, 0) + 1
+                if final_tokens[batch_index] != final_replicas:
+                    continue
+                corrupt = self.corrupted.pop(batch_index, None)
+                if corrupt is not None:
+                    # Decode verification caught a corrupt batch: re-run
+                    # the final stage after each capped exponential
+                    # backoff. The inflated completion time is what
+                    # violation accounting sees.
+                    if trace is not None:
+                        trace.batch_corrupted(
+                            batch_index, simulator.now, corrupt.attempts,
+                            exhausted=corrupt.exhausted,
+                        )
+                    self.fired_faults.append(FiredFault(
+                        kind="batch-corruption", ts_us=simulator.now,
+                        batch=batch_index, core_id=routed_core,
+                        detail=f"{corrupt.attempts} retries"
+                        + (" (exhausted)" if corrupt.exhausted else ""),
+                    ))
+                    for attempt, backoff in enumerate(corrupt.backoff_us):
+                        if trace is not None:
+                            trace.batch_retry(
+                                batch_index, attempt, simulator.now,
+                                backoff_us=backoff,
+                            )
+                        yield simulator.timeout(
+                            duration + backoff, transient=True
+                        )
+                        meter.record_overhead(energy_uj)
+                    if telemetry is not None:
+                        telemetry.retry(
+                            batch_index,
+                            stage_index,
+                            ordered_sum(
+                                duration + backoff
+                                for backoff in corrupt.backoff_us
+                            ),
+                            corrupt.attempts,
+                        )
+                completions[batch_index] = simulator.now
+                if trace is not None:
+                    trace.batch_complete(batch_index, simulator.now)
+                self.on_batch_complete()
 
         def source_process():
-            root_stages = graph.roots()
+            root_inputs = [stage_inputs[stage] for stage in layout.roots]
             for batch_index in range(batch_start, batch_start + batch_count):
-                for root_stage in root_stages:
-                    for consumer_inboxes in stage_inputs[root_stage]:
+                for consumers in root_inputs:
+                    for consumer_inboxes in consumers:
                         yield consumer_inboxes[0].put(
                             (batch_index, -1, 0.0), transient=True
                         )
 
-        processes: List = []
-        for stage_index, cores in enumerate(plan.assignments):
-            for replica_index, core_id in enumerate(cores):
-                processes.append(
-                    simulator.process(
-                        task_process(stage_index, replica_index, core_id),
-                        name=f"task-s{stage_index}r{replica_index}",
-                    )
-                )
-        processes.append(
-            simulator.process(source_process(), name="source")
-        )
+        processes = [
+            simulator.process(task_process(task), name=task[4])
+            for task in layout.tasks
+        ]
+        processes.append(simulator.process(source_process(), name="source"))
         return processes
 
     def check_complete(self) -> None:
@@ -1006,10 +983,18 @@ class PipelineExecutor:
         #: (duck-typed); ``None`` keeps every hook site dormant so the
         #: run stays byte-identical to a pre-telemetry build
         self.telemetry = telemetry
+        self._static_power_w = board.static_power_w
         #: the last repetition's core servers, read by :attr:`last_trace`
         self._last_servers: Dict[int, _CoreServer] = {}
         #: (graph, per_batch_step_costs, merged rows) — see _RepetitionRun
         self._stage_costs_memo = None
+        #: (id(graph), assignments, lock stages) -> layout, which holds
+        #: the graph so its id stays taken
+        self._layouts: Dict[tuple, _PlanLayout] = {}
+        #: (id(interconnect), producer core, routed core, bytes) -> hop
+        #: price, (routed core, MHz, switch count) -> switch price
+        self._hops: Dict[tuple, tuple] = {}
+        self._switch_costs: Dict[tuple, tuple] = {}
 
     @property
     def last_trace(self) -> Dict[int, List]:
@@ -1036,7 +1021,6 @@ class PipelineExecutor:
         config = self.config
         bit_generator = np.random.PCG64(config.seed)
         rng = np.random.Generator(bit_generator)
-        fixed_description = None if callable(plan) else plan.describe()
         repetition_results = []
         if self.trace is not None:
             # Publish the recorder so instrumentation points that plan
@@ -1075,9 +1059,9 @@ class PipelineExecutor:
                         ),
                         violated=latency
                         > config.latency_constraint_us_per_byte,
-                        plan_description=(
-                            fixed_description or current_plan.describe()
-                        ),
+                        plan_description=self._layout(
+                            current_plan, shared_state_stages
+                        ).description,
                     )
                 )
         finally:
@@ -1117,6 +1101,22 @@ class PipelineExecutor:
         return self._finish(run, batch_bytes)
 
     # -- internals ------------------------------------------------------------
+
+    def _layout(
+        self, plan: SchedulingPlan, shared_state_stages: Set[int]
+    ) -> _PlanLayout:
+        """``plan``'s layout, built on its first use in this executor."""
+        lock_stages = (
+            frozenset(shared_state_stages)
+            if self.config.shared_state else frozenset()
+        )
+        key = (id(plan.graph), plan.assignments, lock_stages)
+        layout = self._layouts.get(key)
+        if layout is None:
+            layout = self._layouts[key] = _PlanLayout(
+                plan, self.board, lock_stages
+            )
+        return layout
 
     def _make_governor(self) -> Governor:
         if self.config.governor == "default":
@@ -1199,7 +1199,9 @@ class PipelineExecutor:
             def orchestrator():
                 current = plan
                 for window_index, (start, count) in enumerate(windows):
-                    plan_descriptions.append(current.describe())
+                    plan_descriptions.append(
+                        self._layout(current, shared_state_stages).description
+                    )
                     processes = run.spawn_plan(current, start, count)
                     # Draining barrier: every task has finished its last
                     # batch of this window before anything is reconfigured.
@@ -1286,11 +1288,13 @@ class PipelineExecutor:
         self, run: _RepetitionRun, batch_bytes: int
     ) -> List[BatchMetrics]:
         config = self.config
+        limit = config.latency_constraint_us_per_byte
+        penalized = config.overload_penalty > 0.0
         completions = run.completions
         batch_count = len(completions)
-        static_power = self.board.static_power_w
+        static_power = self._static_power_w
 
-        energy_by_batch: Dict[int, float] = {b: 0.0 for b in range(batch_count)}
+        energy_by_batch = [0.0] * batch_count
         for server in run.servers.values():
             for batch_index, energy in server.energy_by_batch.items():
                 energy_by_batch[batch_index] += energy
@@ -1299,30 +1303,26 @@ class PipelineExecutor:
         metrics: List[BatchMetrics] = []
         previous = 0.0
         for batch_index in range(batch_count):
-            period_us = completions[batch_index] - previous
-            previous = completions[batch_index]
+            completed = completions[batch_index]
+            period_us = completed - previous
+            previous = completed
             latency = period_us / batch_bytes
             energy = (
                 energy_by_batch[batch_index]
                 + static_power * period_us
                 + overhead_share
             )
-            violated = latency > config.latency_constraint_us_per_byte
-            warmup = batch_index < config.warmup_batches
-            if violated and not warmup and config.overload_penalty > 0.0:
-                excess = min(
-                    latency - config.latency_constraint_us_per_byte,
-                    _OVERLOAD_PENALTY_CAP_US_PER_BYTE,
-                )
+            violated = latency > limit
+            if (
+                violated
+                and penalized
+                and batch_index >= config.warmup_batches
+            ):
+                excess = min(latency - limit, _OVERLOAD_PENALTY_CAP_US_PER_BYTE)
                 energy += (
                     _OVERLOAD_BASE_PENALTY + config.overload_penalty * excess
                 ) * batch_bytes
             metrics.append(
-                BatchMetrics(
-                    batch_index=batch_index,
-                    latency_us_per_byte=latency,
-                    energy_uj_per_byte=energy / batch_bytes,
-                    violated=violated,
-                )
+                BatchMetrics(batch_index, latency, energy / batch_bytes, violated)
             )
         return metrics

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from operator import length_hint
 from types import MethodType
 from typing import Any, Callable, Generator, List, Optional
 
@@ -187,12 +188,7 @@ class Simulator:
 
     def _internal_event(self) -> Event:
         """A fresh (or recycled) event for engine-internal plumbing."""
-        free = self._free
-        if free:
-            event = free.pop()
-            event.recyclable = True
-            return event
-        event = Event(self)
+        event = self._free.pop() if self._free else Event(self)
         event.recyclable = True
         return event
 
@@ -207,8 +203,7 @@ class Simulator:
         """
         free = self._free
         event = free.pop() if free else Event(self)
-        if transient:
-            event.recyclable = True
+        event.recyclable = transient
         event.succeed(value, delay=delay)
         return event
 
@@ -220,8 +215,7 @@ class Simulator:
         """
         free = self._free
         event = free.pop() if free else Event(self)
-        if transient:
-            event.recyclable = True
+        event.recyclable = transient
         return event
 
     def process(self, generator: Generator, name: str = "process") -> Process:
@@ -289,22 +283,24 @@ class Simulator:
                 return self.now
             self.now = time
             # Events scheduled *while draining* at the same timestamp are
-            # appended to this same bucket and drained in this pass —
-            # exactly where the old heap's sequence numbers put them.
+            # appended to this same bucket, and the iterator drains them
+            # in this pass — where the old heap's sequence numbers did.
             bucket = buckets[time]
-            index = 0
+            entries = iter(bucket)
             try:
-                while index < len(bucket):
-                    event = bucket[index]
-                    index += 1
+                for event in entries:
                     if event.__class__ is MethodType:
                         event()
                         continue
                     event.triggered = True
-                    callbacks, event.callbacks = event.callbacks, []
+                    callbacks = event.callbacks
+                    if not event.recyclable:
+                        event.callbacks = []
                     for callback in callbacks:
                         callback(event)
                     if event.recyclable:
+                        # a triggered event gains no callbacks: keep the list
+                        callbacks.clear()
                         event.recyclable = False
                         event.queued = False
                         event.triggered = False
@@ -313,7 +309,7 @@ class Simulator:
             except BaseException:
                 # Leave the calendar resumable: drop what already fired,
                 # keep the rest of the bucket for a later run().
-                del bucket[:index]
+                del bucket[:len(bucket) - length_hint(entries)]
                 raise
             del buckets[time]
             heapq.heappop(times)
@@ -368,7 +364,9 @@ class Store:
             )
 
     def put(self, item: Any, transient: bool = False) -> Event:
-        event = self.simulator.event(transient=transient)
+        free = self.simulator._free
+        event = free.pop() if free else Event(self.simulator)
+        event.recyclable = transient
         if self.capacity is None or len(self._items) < self.capacity:
             self._items.append(item)
             event.succeed(None)
@@ -384,7 +382,9 @@ class Store:
         return event
 
     def get(self, transient: bool = False) -> Event:
-        event = self.simulator.event(transient=transient)
+        free = self.simulator._free
+        event = free.pop() if free else Event(self.simulator)
+        event.recyclable = transient
         self._getters.append(event)
         if self._items:
             self._dispatch()

@@ -1,6 +1,7 @@
 """lz4: LZ77-family block compression (Algorithm 5)."""
 
 import struct
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compression import Lz4
+from repro.compression import lz4 as lz4_module
+from repro.compression.unlz4 import UnLz4
 from repro.errors import CompressionError, CorruptStreamError
 from tests.codec_oracle import lz4_encode
 
@@ -140,6 +143,101 @@ class TestOracle:
     def test_repeated_fragments(self, fragments, picks, max_search_length):
         data = b"".join(fragments[pick % len(fragments)] for pick in picks)
         assert_matches_oracle(data, 12, max_search_length)
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """An empty parse memo; returns the list of blocks actually parsed."""
+    monkeypatch.setattr(lz4_module, "_PARSES", OrderedDict())
+    parsed = []
+    parse = Lz4._parse
+
+    def counting(self, data):
+        parsed.append(data)
+        return parse(self, data)
+
+    monkeypatch.setattr(Lz4, "_parse", counting)
+    return parsed
+
+
+def result_fields(result):
+    return (
+        result.step_costs, result.counters, result.output_size,
+        result.input_size, result.payload,
+    )
+
+
+class TestParseMemo:
+    """unlz4's dry run reuses the parse lz4's dry run of the same block
+    made; what either reports, and the bytes either packs, is what a
+    parse of its own would give."""
+
+    def test_unlz4_after_lz4_parses_once(self, parses, rovio_data):
+        lz4 = Lz4().compress(rovio_data)
+        unlz4 = UnLz4().compress(rovio_data)
+        assert len(parses) == 1
+        payload, counters = lz4_encode(rovio_data)
+        assert lz4.payload == payload
+        assert len(parses) == 1  # the parse that sized lz4 packs it
+        assert unlz4.counters == counters
+        assert unlz4.output_size == len(payload)
+        assert unlz4.payload == payload  # a hit parses again to pack
+        assert len(parses) == 2
+        assert UnLz4().decompress(unlz4.payload) == rovio_data
+
+    @pytest.mark.parametrize(
+        "dataset", ["rovio_data", "stock_data", "sensor_data"]
+    )
+    def test_hit_equals_fresh_parse(self, parses, dataset, request):
+        data = request.getfixturevalue(dataset)
+        fresh = {}
+        for codec in (Lz4, UnLz4):
+            lz4_module._PARSES.clear()
+            fresh[codec] = result_fields(codec().compress(data))
+        lz4_module._PARSES.clear()
+        Lz4().compress(data)
+        hits = {
+            codec: result_fields(codec().compress(data))
+            for codec in (Lz4, UnLz4)
+        }
+        assert hits == fresh
+        payload, counters = lz4_encode(data)
+        assert fresh[Lz4][1] == counters
+        assert fresh[UnLz4][4] == payload
+        assert fresh[UnLz4][0] == UnLz4()._step_costs(
+            len(data), len(payload), *(int(counters[key]) for key in (
+                "tokens", "matches", "matched_bytes", "literal_bytes",
+            )),
+        )
+
+    @pytest.mark.parametrize("variant", [
+        {"index_bits": 11},
+        {"max_search_length": 16},
+        {"flip": 1000},
+    ])
+    def test_other_inputs_miss(self, parses, variant, rovio_data):
+        Lz4().compress(rovio_data)
+        data = bytearray(rovio_data)
+        if "flip" in variant:
+            data[variant["flip"]] ^= 0x01
+        options = {k: v for k, v in variant.items() if k != "flip"}
+        result = Lz4(**options).compress(bytes(data))
+        assert len(parses) == 2
+        payload, counters = lz4_encode(bytes(data), **options)
+        assert result.counters == counters
+        assert result.payload == payload
+
+    def test_memo_is_bounded(self, parses, monkeypatch, rng):
+        monkeypatch.setattr(lz4_module, "_PARSES_MAX", 2)
+        blocks = [
+            rng.integers(0, 4, 256, dtype=np.uint8).tobytes()
+            for _ in range(3)
+        ]
+        for block in blocks:
+            Lz4().compress(block)
+        assert len(lz4_module._PARSES) == 2
+        Lz4().compress(blocks[0])
+        assert len(parses) == 4
 
 
 class TestParameters:

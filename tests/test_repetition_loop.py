@@ -1,15 +1,19 @@
 """The executor's repetition loop: calendar thunks, the static-governor
-feed skip, the repetition-seed memo, the exact small mean and the random
-placement draw.
+feed skip, the repetition-seed memo, the exact small mean, the random
+placement draw, the per-run plan layout and its hop-price memo.
 
 Every one of these removes host work and must change no simulated
 number. The golden suite pins CStream and OS under the default
 governor; the digests below pin the other mechanisms and the governor
-paths, computed before the loop was slimmed.
+paths, computed before the loop was slimmed, and the cells that read
+what the plan layout holds (an interconnect fault mid-run, a fork-join
+DAG with a replicated producer, shared-state locks, EAS placement),
+computed before the layout existed.
 """
 
 import gc
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,13 +21,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.harness import Harness, WorkloadSpec
-from repro.core.baselines import _random_plan_provider, get_mechanism
+from repro.core.baselines import (
+    MechanismOutcome,
+    _random_plan_provider,
+    get_mechanism,
+)
 from repro.core.plan import SchedulingPlan
+from repro.core.task import Task, TaskGraph
 from repro.errors import SimulationError
+from repro.faults.model import FaultPlan, InterconnectDegradation
 from repro.numerics import mean
 from repro.runtime import executor as executor_module
 from repro.runtime.executor import (
     ExecutionConfig,
+    MechanismDynamics,
     PipelineExecutor,
     _CoreServer,
     _seed_state,
@@ -74,6 +85,13 @@ CELLS = {
     "CStream-conservative": ("CStream", {"governor": "conservative"}),
     "CStream-ondemand": ("CStream", {"governor": "ondemand"}),
     "CStream-static-map": ("CStream", {"frequency_map": STATIC_MAP}),
+    "OS": ("OS", {}),
+    # the little cluster's c0 path slows x3 after batch 2 of every
+    # repetition: RR's tdic32 chain sits on cores 0-3, so every hop
+    # after the fault must be priced on the degraded interconnect
+    "RR-c0-degraded": ("RR", {"fault_plan": FaultPlan(
+        events=(InterconnectDegradation(at_batch=2, path="c0", factor=3.0),),
+    )}),
 }
 
 PINNED = {
@@ -105,10 +123,55 @@ PINNED = {
         "33265244852a99a9ff04af0c835906a8"
         "b0314ad823e93c05ee23b17c0d824eca"
     ),
+    "OS": (
+        "34101a54e821ae15796b4941a5b05a0c"
+        "5a7ce275d7167abc42a613b2f539c55d"
+    ),
+    "RR-c0-degraded": (
+        "814db9bf9fe7fe96def0cedb2814b5dc"
+        "da0df1a6822310ff480bb72b112edf15"
+    ),
+    "unlz4-fork-join": (
+        "0e4e7d3500929b0d64b33530a48e85b5"
+        "e23b814fb180824e7ef5f6872710c26d"
+    ),
+    "tdic32-shared-state": (
+        "838c2d5a95b6a0f227db6b6181c75d75"
+        "6f192e01789a9a7f464068fc85afe78a"
+    ),
 }
 
 
+def fixed_plan_run(codec, assignments, **run_kwargs):
+    """``assignments`` on ``codec``'s fine graph over rovio at 8 KiB."""
+    harness = small_harness()
+    spec = WorkloadSpec.of(codec, "rovio", batch_size=8192)
+    graph = harness.context(spec).fine_graph
+    outcome = MechanismOutcome(
+        mechanism="fixed",
+        graph=graph,
+        plan=SchedulingPlan(graph=graph, assignments=assignments),
+        dynamics=MechanismDynamics(context_switches_per_kb=0.05),
+    )
+    return harness.run_outcome(spec, outcome, **run_kwargs)
+
+
+#: unlz4's fine graph is t0[d0+d1] -> t1[d2], with the join t2[d3]
+#: reading both: t0 on both big cores puts t1's share at producer
+#: offset 2 of t2's four inboxes
+FORK_JOIN = ((4, 5), (0, 1), (2,))
+#: tdic32's state stage t1[s2] replicated on both big cores
+SHARED_STATE = ((0,), (4, 5), (1,), (2,))
+
+
 def pinned_run(cell):
+    if cell == "unlz4-fork-join":
+        return fixed_plan_run("unlz4", FORK_JOIN)
+    if cell == "tdic32-shared-state":
+        return fixed_plan_run(
+            "tdic32", SHARED_STATE,
+            shared_state=True, shared_state_stages=frozenset({1}),
+        )
     mechanism, overrides = CELLS[cell]
     spec = WorkloadSpec.of("tdic32", "rovio", batch_size=8192)
     return small_harness().run(spec, mechanism, **overrides)
@@ -125,6 +188,76 @@ class TestPinnedCells:
         for cell, digest in PINNED.items():
             if cell.startswith("CStream"):
                 assert digest != default, cell
+
+    def test_fault_and_lock_cells_bind(self):
+        # each pin reads the path it names: the degradation, the locks
+        assert PINNED["RR-c0-degraded"] != PINNED["RR"]
+        private = fixed_plan_run("tdic32", SHARED_STATE)
+        assert result_digest(private) != PINNED["tdic32-shared-state"]
+
+
+def chain_twin(graph):
+    """``graph``'s step groups as a plain chain (same stage count)."""
+    return TaskGraph(
+        codec_name=graph.codec_name,
+        tasks=tuple(
+            Task(task.name, task.step_ids, task.stage_index)
+            for task in graph.tasks
+        ),
+    )
+
+
+class TestPlanLayoutKey:
+    """One executor reuses each plan's layout across its repetitions;
+    a plan on another graph or with other assignments must get its own."""
+
+    def setup_method(self):
+        harness = small_harness()
+        spec = WorkloadSpec.of("unlz4", "rovio", batch_size=8192)
+        self.graph = harness.context(spec).fine_graph
+        self.costs = harness._window(harness.profile(spec), 5)
+        self.config = ExecutionConfig(
+            latency_constraint_us_per_byte=spec.latency_constraint,
+            repetitions=2,
+            batches_per_repetition=5,
+        )
+
+    def fresh(self, plan):
+        return PipelineExecutor(rk3399(), self.config).run(
+            plan, self.costs, 8192
+        )
+
+    def test_same_assignments_on_another_graph(self):
+        dag = SchedulingPlan(graph=self.graph, assignments=FORK_JOIN)
+        chain = SchedulingPlan(
+            graph=chain_twin(self.graph), assignments=FORK_JOIN
+        )
+        executor = PipelineExecutor(rk3399(), self.config)
+        first = executor.run(dag, self.costs, 8192)
+        second = executor.run(chain, self.costs, 8192)
+        assert first == self.fresh(dag)
+        assert second == self.fresh(chain)
+        assert first != second
+
+    def test_other_assignments_on_the_same_graph(self):
+        plans = [
+            SchedulingPlan(graph=self.graph, assignments=FORK_JOIN),
+            SchedulingPlan(graph=self.graph, assignments=((4,), (0,), (2,))),
+        ]
+        executor = PipelineExecutor(rk3399(), self.config)
+        runs = [executor.run(plan, self.costs, 8192) for plan in plans]
+        assert runs == [self.fresh(plan) for plan in plans]
+
+    def test_other_locked_stages(self):
+        config = replace(self.config, shared_state=True)
+        plan = SchedulingPlan(graph=self.graph, assignments=FORK_JOIN)
+        executor = PipelineExecutor(rk3399(), config)
+        runs = [
+            executor.run(plan, self.costs, 8192, shared_state_stages=stages)
+            for stages in (frozenset({0}), frozenset())
+        ]
+        assert runs[0] != runs[1]
+        assert runs[1] == self.fresh(plan)
 
 
 class TestCalendarThunks:

@@ -185,6 +185,30 @@ class TestKey:
         assert result == fresh
         assert result != base
 
+    def test_frequency_map_is_in_the_key(self, simulated, session_inputs):
+        def pinned(little_mhz, big_mhz):
+            frequency_map = {core: little_mhz for core in range(4)}
+            frequency_map.update({4: big_mhz, 5: big_mhz})
+            return dict(session_inputs, config=replace(
+                session_inputs["config"], frequency_map=frequency_map,
+            ))
+
+        slow, fast = pinned(600.0, 1200.0), pinned(1008.0, 1800.0)
+        first = run_static_session(**slow)
+        assert run_static_session(**pinned(600.0, 1200.0)) is first
+        assert len(simulated) == 1
+        second = run_static_session(**fast)
+        assert len(simulated) == 2
+        assert second != first
+        for inputs, result in ((slow, first), (fast, second)):
+            fresh = PipelineExecutor(
+                inputs["board"], inputs["config"]
+            ).run_session(
+                inputs["plan"], inputs["stream"], inputs["batch_bytes"],
+                window_batches=inputs["window_batches"], controller=None,
+            )
+            assert result == fresh
+
     def test_memo_is_bounded(self, simulated, session_inputs, monkeypatch):
         monkeypatch.setattr(session_module, "_STATIC_SESSIONS_MAX", 2)
 
