@@ -108,7 +108,6 @@ __all__ = [
     "build_def_index",
     "format_unit",
     "lint_source",
-    "lint_file",
     "lint_paths",
     "main",
     "parse_unit",
@@ -1090,11 +1089,6 @@ def lint_source(
     return _lint_tree(
         tree, source, path, package, build_def_index([(path, tree)])
     )
-
-
-def lint_file(path: str, package: Optional[str] = None) -> List[LintFinding]:
-    with open(path, "r", encoding="utf-8") as handle:
-        return lint_source(handle.read(), path=path, package=package)
 
 
 def _iter_python_files(paths: Sequence[str]) -> Iterable[str]:

@@ -129,7 +129,6 @@ __all__ = [
     "verify_fleet_health",
     "errors_only",
     "iter_chrome_events",
-    "iter_recorder_events",
     "main",
 ]
 
@@ -503,26 +502,6 @@ def iter_chrome_events(payload: Any) -> Iterable[Dict[str, Any]]:
             "cat": event.get("cat", ""),
             "s": event.get("s"),
             "args": dict(args) if isinstance(args, dict) else args,
-        }
-
-
-def iter_recorder_events(recorder: Any) -> Iterable[Dict[str, Any]]:
-    """Normalized event dicts straight from a live
-    :class:`repro.obs.trace.TraceRecorder` (duck-typed: anything with an
-    ``events`` list of ``TraceEvent``-shaped objects). A recorder builds
-    that list from its row buffer on every read, so it is read once."""
-    for index, event in enumerate(recorder.events):
-        yield {
-            "index": index,
-            "name": event.name,
-            "ph": event.phase,
-            "ts": event.ts_us,
-            "pid": event.pid,
-            "tid": event.tid,
-            "dur": event.dur_us,
-            "cat": event.category,
-            "s": None,
-            "args": dict(event.args),
         }
 
 

@@ -55,13 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "else serial)",
     )
     parser.add_argument(
-        "--chunk",
-        type=int,
-        default=None,
-        help="grid cells per worker task (default: auto, about four "
-        "task waves per worker)",
-    )
-    parser.add_argument(
         "--cache-dir",
         default=None,
         help="persistent result-cache directory (default: REPRO_CACHE_DIR, "
@@ -81,29 +74,23 @@ def _build_harness(args) -> "Harness | None":
     overlapping grids (fig7/fig8) and profiles are computed once.
 
     Returns None when none of ``--jobs``/``--cache-dir``/``--trace-dir``
-    was given: experiments then use the process-wide
+    was given, nor ``--repetitions`` for ``report`` (which runs every
+    experiment on this harness): experiments then use the process-wide
     :func:`default_harness` (which still honours ``REPRO_PARALLEL`` /
     ``REPRO_CACHE_DIR`` / ``REPRO_TRACE_DIR``).
     """
-    if (
-        args.jobs is None
-        and args.chunk is None
-        and args.cache_dir is None
-        and args.trace_dir is None
-    ):
-        return None
     kwargs = {}
     if args.jobs is not None:
         kwargs["jobs"] = args.jobs
-    if args.chunk is not None:
-        kwargs["chunk"] = args.chunk
+    if args.experiment == "report" and args.repetitions is not None:
+        kwargs["repetitions"] = args.repetitions
     if args.cache_dir is not None:
         from repro.bench.cache import ResultCache
 
         kwargs["cache"] = ResultCache(args.cache_dir)
     if args.trace_dir is not None:
         kwargs["trace_dir"] = args.trace_dir
-    return Harness(**kwargs)
+    return Harness(**kwargs) if kwargs else None
 
 
 def main(argv=None) -> int:
@@ -121,10 +108,7 @@ def main(argv=None) -> int:
     if args.experiment == "report":
         from repro.bench.report import generate_report
 
-        if harness is None:
-            generate_report(args.output)
-        else:
-            generate_report(args.output, harness=harness)
+        generate_report(args.output, harness=harness)
         print(f"report written to {args.output}")
         return 0
 

@@ -83,10 +83,6 @@ class CacheStats:
     def lookups(self) -> int:
         return self.hits + self.misses
 
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
 
 class ResultCache:
     """Directory-backed, content-addressed pickle store.
@@ -154,9 +150,6 @@ class ResultCache:
 
     def __contains__(self, payload: Any) -> bool:
         return self.path_for(self.key(payload)).exists()
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.directory.glob("*/*.pkl"))
 
 
 def default_cache() -> Optional[ResultCache]:

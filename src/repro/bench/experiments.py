@@ -56,8 +56,3 @@ class ExperimentResult:
             self.rows,
             note=self.note,
         )
-
-    def column(self, header: str) -> List:
-        """Extract one column by header name (test helper)."""
-        index = list(self.headers).index(header)
-        return [row[index] for row in self.rows]

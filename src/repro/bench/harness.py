@@ -35,7 +35,6 @@ from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.bench.cache import ResultCache, default_cache, stable_digest
-from repro.compression import get_codec
 from repro.core.baselines import (
     MechanismOutcome,
     WorkloadContext,
@@ -84,19 +83,6 @@ def _frozen(mapping: Optional[Mapping]) -> Tuple:
     return tuple((key, _freeze(mapping[key])) for key in sorted(mapping))
 
 
-def _normalize_fault_override(plan):
-    """Cache-key form of a ``fault_plan`` override: its content digest.
-
-    A faulted cell must never hit a fault-free cache entry (nor one
-    injected with a different plan), so keys carry a stable fingerprint
-    of the plan rather than the object identity. ``None`` passes
-    through so fault-free keys stay byte-identical to pre-fault harness
-    versions and warm caches remain valid."""
-    if plan is None:
-        return None
-    return ("fault-plan", plan.fingerprint())
-
-
 @dataclass(frozen=True)
 class WorkloadSpec:
     """One Algorithm-Dataset procedure (paper Definition 1)."""
@@ -129,9 +115,6 @@ class WorkloadSpec:
     def label(self) -> str:
         return f"{self.codec}-{self.dataset}"
 
-    def make_codec(self):
-        return get_codec(self.codec, **dict(self.codec_options))
-
     def make_dataset(self):
         return get_dataset(self.dataset, **dict(self.dataset_options))
 
@@ -158,7 +141,6 @@ class Harness:
         seed: int = 0,
         cache=_DEFAULT_CACHE,
         jobs: Optional[int] = None,
-        chunk: Optional[int] = None,
         trace_dir: Optional[str] = None,
     ) -> None:
         self.board = board if board is not None else rk3399()
@@ -172,8 +154,6 @@ class Harness:
         if jobs is None:
             jobs = int(os.environ.get("REPRO_PARALLEL", "1"))
         self.jobs = max(1, jobs)
-        #: default cells-per-worker-task of :meth:`grid` (None = auto)
-        self.chunk = chunk
         if trace_dir is None:
             trace_dir = os.environ.get(TRACE_DIR_ENV) or None
         self.trace_dir = trace_dir
@@ -210,16 +190,10 @@ class Harness:
         """Everything a measured cell depends on: board, workload spec,
         mechanism, repetition/batch counts, seed and executor overrides.
         Used both for the in-memory map and (digested, salted with the
-        cache version) for the persistent store. Fault overrides are
-        replaced by their plan fingerprint (see
-        :func:`_normalize_fault_override`)."""
-        if config_overrides and "fault_plan" in config_overrides:
-            config_overrides = dict(
-                config_overrides,
-                fault_plan=_normalize_fault_override(
-                    config_overrides["fault_plan"]
-                ),
-            )
+        cache version) for the persistent store. A ``fault_plan``
+        override is a frozen dataclass, so its ``repr`` in the digest
+        covers every event and the seed: a faulted cell never shares a
+        key with a fault-free or differently faulted one."""
         return (
             "run",
             self.board_fingerprint(),
@@ -231,12 +205,6 @@ class Harness:
             self.seed,
             _frozen(config_overrides),
         )
-
-    def clear_caches(self) -> None:
-        """Drop the in-memory caches (workers call this between grids to
-        bound memory; the persistent cache is unaffected)."""
-        self._profiles.clear()
-        self._runs.clear()
 
     # -- cached building blocks ---------------------------------------------
 
@@ -430,7 +398,6 @@ class Harness:
         specs: Sequence[WorkloadSpec],
         mechanisms: Sequence[str],
         jobs: Optional[int] = None,
-        chunk: Optional[int] = None,
         **config_overrides,
     ) -> Dict[Tuple[str, str], RunResult]:
         """Run a (workload × mechanism) grid, cached cell by cell.
@@ -439,19 +406,15 @@ class Harness:
         :mod:`repro.bench.parallel`); the default comes from the
         harness's ``jobs`` (i.e. ``REPRO_PARALLEL``, else serial), and
         requests past ``os.cpu_count()`` are clamped with a warning.
-        ``chunk`` groups that many cells into one worker task (default:
-        about four task waves per worker). Cell results are identical
-        either way — each cell is an independent, seeded DES run.
+        Cell results are identical either way — each cell is an
+        independent, seeded DES run.
         """
         jobs = self.jobs if jobs is None else max(1, jobs)
-        if chunk is None:
-            chunk = self.chunk
         if jobs > 1:
             from repro.bench.parallel import run_grid
 
             return run_grid(
-                self, specs, mechanisms, jobs=jobs, chunk=chunk,
-                **config_overrides
+                self, specs, mechanisms, jobs=jobs, **config_overrides
             )
         results = {}
         for spec in specs:

@@ -38,15 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.bench.harness import Harness, WorkloadSpec
 from repro.runtime.metrics import RunResult
 
-__all__ = ["run_grid", "default_jobs", "resolve_jobs", "PARALLEL_ENV"]
-
-#: Environment knob: default worker count of ``run_grid`` (1 = serial).
-PARALLEL_ENV = "REPRO_PARALLEL"
-
-
-def default_jobs() -> int:
-    """The env-configured default parallelism (serial when unset)."""
-    return max(1, int(os.environ.get(PARALLEL_ENV, "1")))
+__all__ = ["run_grid", "resolve_jobs"]
 
 
 def resolve_jobs(jobs: int) -> int:
@@ -93,6 +85,7 @@ def _worker_initialize(payload_bytes: bytes) -> None:
         seed=payload["seed"],
         cache=cache,
         jobs=1,  # workers never nest process pools
+        trace_dir=payload["trace_dir"],
     )
     for key, profile in payload["profiles"].items():
         if profile.fingerprint() != payload["fingerprints"][key]:
@@ -135,6 +128,7 @@ def _shipping_payload(harness: Harness, specs) -> bytes:
             "batches_per_repetition": harness.batches_per_repetition,
             "profile_batches": harness.profile_batches,
             "seed": harness.seed,
+            "trace_dir": harness.trace_dir,
             "cache_directory": (
                 str(harness.cache.directory)
                 if harness.cache is not None
@@ -158,18 +152,17 @@ def run_grid(
     specs: Sequence[WorkloadSpec],
     mechanisms: Sequence[str],
     jobs: Optional[int] = None,
-    chunk: Optional[int] = None,
     **config_overrides,
 ) -> Dict[Tuple[str, str], RunResult]:
     """Run a (workload × mechanism) grid, fanning misses out over
-    ``jobs`` worker processes in chunks of ``chunk`` cells.
+    ``jobs`` worker processes in chunks of cells.
 
     Drop-in equivalent of the serial :meth:`Harness.grid` loop: same
     return shape, same numbers, and every computed cell lands in the
     harness's caches. ``jobs`` is clamped to the machine's core count
-    (:func:`resolve_jobs`). ``chunk`` is the number of cells dispatched
-    per worker task; the default ``pending // (4 * jobs)`` keeps about
-    four waves of tasks per worker — large enough to amortize dispatch,
+    (:func:`resolve_jobs`). Each worker task runs ``pending // (4 *
+    jobs)`` cells (at least one), which keeps about four waves of tasks
+    per worker — large enough to amortize dispatch,
     small enough that one slow cell cannot idle the pool. On a
     single-core machine, or when the uncached remainder is too small to
     make a second worker task, the parent falls back to the plain
@@ -193,10 +186,7 @@ def run_grid(
             else:
                 pending.append((spec, mechanism))
 
-    if chunk is None:
-        chunk = max(1, len(pending) // (4 * jobs))
-    else:
-        chunk = max(1, chunk)
+    chunk = max(1, len(pending) // (4 * jobs))
     chunks = [
         pending[start:start + chunk]
         for start in range(0, len(pending), chunk)

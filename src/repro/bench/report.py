@@ -52,11 +52,7 @@ def generate_report(
     for experiment_id in ids:
         experiment = EXPERIMENTS[experiment_id]
         started = time.time()
-        try:
-            result = experiment(harness)
-        except TypeError:
-            # A few experiments build their own harness internally.
-            result = experiment()
+        result = experiment(harness)
         elapsed = time.time() - started
         sections.append(
             "\n".join(

@@ -180,28 +180,13 @@ def _build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--gantt", action="store_true",
                        help="print a Gantt chart of the traced run")
 
-    bench = commands.add_parser(
-        "bench", help="regenerate the paper's tables and figures"
+    # listed for ``cstream --help`` only: main() hands ``bench`` its raw
+    # arguments, which repro.bench's own parser reads
+    commands.add_parser(
+        "bench", add_help=False,
+        help="regenerate the paper's tables and figures "
+        "(the flags of python -m repro.bench)",
     )
-    bench.add_argument("experiment", nargs="?",
-                       help="experiment id, 'all', or 'report' "
-                       "(omit to list)")
-    bench.add_argument("--repetitions", type=int, default=None)
-    bench.add_argument("--jobs", type=int, default=None,
-                       help="worker processes for grid cells "
-                       "(default: REPRO_PARALLEL, else serial; "
-                       "clamped to the core count)")
-    bench.add_argument("--chunk", type=int, default=None,
-                       help="grid cells per worker task "
-                       "(default: auto)")
-    bench.add_argument("--cache-dir", default=None,
-                       help="persistent result cache "
-                       "(default: REPRO_CACHE_DIR, else none)")
-    bench.add_argument("--trace-dir", default=None,
-                       help="write a Chrome trace JSON per computed "
-                       "cell (default: REPRO_TRACE_DIR, else none)")
-    bench.add_argument("--output", default="results.md",
-                       help="report output path (only with 'report')")
 
     adapt = commands.add_parser(
         "adapt",
@@ -414,9 +399,12 @@ def _command_simulate(args) -> int:
           f"(L_set {args.latency_constraint})")
     print(f"  CLCV:    {result.clcv:.2f} over {args.repetitions} runs")
     if args.gantt:
+        from repro.obs.trace import TraceRecorder
+
         context = harness.context(spec)
         outcome = get_mechanism(args.mechanism).prepare(context)
         profile = harness.profile(spec)
+        recorder = TraceRecorder()
         executor = PipelineExecutor(
             board,
             ExecutionConfig(
@@ -424,6 +412,7 @@ def _command_simulate(args) -> int:
                 repetitions=1,
                 batches_per_repetition=5,
             ),
+            trace=recorder,
         )
         per_batch = (list(profile.per_batch_step_costs) * 5)[:5]
         executor.run(
@@ -433,7 +422,7 @@ def _command_simulate(args) -> int:
             dynamics=outcome.dynamics,
         )
         print()
-        print(render_gantt(executor.last_trace, board))
+        print(render_gantt(recorder, board))
     return 0
 
 
@@ -491,27 +480,6 @@ def _command_trace(args) -> int:
         print()
         print(render_gantt(recorder, board))
     return 0
-
-
-def _command_bench(args) -> int:
-    from repro.bench.__main__ import main as bench_main
-
-    argv = []
-    if args.experiment:
-        argv.append(args.experiment)
-    if args.repetitions is not None:
-        argv += ["--repetitions", str(args.repetitions)]
-    if args.jobs is not None:
-        argv += ["--jobs", str(args.jobs)]
-    if args.chunk is not None:
-        argv += ["--chunk", str(args.chunk)]
-    if args.cache_dir is not None:
-        argv += ["--cache-dir", args.cache_dir]
-    if args.trace_dir is not None:
-        argv += ["--trace-dir", args.trace_dir]
-    if args.output != "results.md":
-        argv += ["--output", args.output]
-    return bench_main(argv)
 
 
 def _print_health(health) -> None:
@@ -867,23 +835,28 @@ def _command_boards(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    handlers = {
-        "compress": _command_compress,
-        "decompress": _command_decompress,
-        "plan": _command_plan,
-        "simulate": _command_simulate,
-        "trace": _command_trace,
-        "bench": _command_bench,
-        "adapt": _command_adapt,
-        "chaos": _command_chaos,
-        "serve": _command_serve,
-        "top": _command_top,
-        "analyze": _command_analyze,
-        "boards": _command_boards,
-    }
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["bench"]:
+        from repro.bench.__main__ import main as bench_main
+
+        handler, args = bench_main, argv[1:]
+    else:
+        args = _build_parser().parse_args(argv)
+        handler = {
+            "compress": _command_compress,
+            "decompress": _command_decompress,
+            "plan": _command_plan,
+            "simulate": _command_simulate,
+            "trace": _command_trace,
+            "adapt": _command_adapt,
+            "chaos": _command_chaos,
+            "serve": _command_serve,
+            "top": _command_top,
+            "analyze": _command_analyze,
+            "boards": _command_boards,
+        }[args.command]
     try:
-        return handlers[args.command](args)
+        return handler(args)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1

@@ -65,9 +65,6 @@ class StepSpec:
     role: StepRole
     description: str
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{self.step_id}({self.role.value})"
-
 
 @dataclass(frozen=True)
 class StepCost:
@@ -97,15 +94,6 @@ class StepCost:
         if self.memory_accesses <= 0:
             return self.instructions
         return self.instructions / self.memory_accesses
-
-    def scaled(self, factor: float) -> "StepCost":
-        """Cost of processing ``factor`` times the data (κ-preserving)."""
-        return StepCost(
-            instructions=self.instructions * factor,
-            memory_accesses=self.memory_accesses * factor,
-            input_bytes=int(round(self.input_bytes * factor)),
-            output_bytes=int(round(self.output_bytes * factor)),
-        )
 
     @staticmethod
     def merged(costs: Sequence["StepCost"]) -> "StepCost":
@@ -182,12 +170,6 @@ class CompressionResult:
             return float("inf")
         return self.input_size / self.output_size
 
-    def total_instructions(self) -> float:
-        return sum(cost.instructions for cost in self.step_costs.values())
-
-    def total_memory_accesses(self) -> float:
-        return sum(cost.memory_accesses for cost in self.step_costs.values())
-
 
 class StreamCompressor(abc.ABC):
     """Interface every stream-compression algorithm implements.
@@ -239,10 +221,6 @@ class StreamCompressor(abc.ABC):
             for index, step_id in enumerate(ids)
         }
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        kind = "stateful" if self.stateful else "stateless"
-        return f"<{type(self).__name__} {self.name!r} ({kind})>"
-
 
 class StatelessCompressor(StreamCompressor):
     """Template for Algorithm 1: read (s0), encode (s1), write (s2)."""
@@ -275,16 +253,3 @@ class StatefulCompressor(StreamCompressor):
 
     def steps(self) -> Tuple[StepSpec, ...]:
         return self._STEPS
-
-
-def validate_step_costs(
-    compressor: StreamCompressor, costs: Mapping[str, StepCost]
-) -> None:
-    """Sanity-check that a cost mapping covers exactly the codec's steps."""
-    expected = set(compressor.step_ids())
-    actual = set(costs)
-    if expected != actual:
-        raise ValueError(
-            f"step cost mapping for {compressor.name} has steps {sorted(actual)}, "
-            f"expected {sorted(expected)}"
-        )

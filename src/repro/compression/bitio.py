@@ -55,15 +55,6 @@ class BitWriter:
         self._accumulator = 0
         self._bit_count = 0  # bits currently held in the accumulator
 
-    def __len__(self) -> int:
-        """Total number of bits written so far."""
-        return 8 * len(self._buffer) + self._bit_count
-
-    @property
-    def bit_length(self) -> int:
-        """Total number of bits written so far (alias of ``len``)."""
-        return len(self)
-
     def write(self, value: int, width: int) -> None:
         """Append the ``width`` low bits of ``value``.
 
@@ -146,18 +137,6 @@ class BitReader:
             self._position += take
             needed -= take
         return result
-
-    def read_bytes(self, count: int) -> bytes:
-        """Read ``count`` whole bytes."""
-        if self._position % 8 == 0:
-            start = self._position // 8
-            if start + count > len(self._data):
-                raise CorruptStreamError(
-                    f"attempted to read {count} bytes past end of stream"
-                )
-            self._position += 8 * count
-            return self._data[start:start + count]
-        return bytes(self.read(8) for _ in range(count))
 
     def align(self) -> None:
         """Skip forward to the next byte boundary."""

@@ -61,10 +61,6 @@ class PartitionedCodec:
         ]
         self.routing_bits = max(1, math.ceil(math.log2(shards))) if shards > 1 else 0
 
-    def reset(self) -> None:
-        for codec in self._codecs:
-            codec.reset()
-
     def shard_of(self, word: int) -> int:
         """Deterministic value-based shard routing."""
         if self.shards == 1:
@@ -135,8 +131,3 @@ class PartitionedCodec:
         except StopIteration:
             raise CorruptStreamError("shard ran out of words during reassembly")
         return words.tobytes()
-
-    def compression_ratio(self, data: bytes) -> float:
-        """Convenience: end-to-end ratio including routing overhead."""
-        payload = self.compress(data)
-        return len(data) / len(payload) if payload else float("inf")

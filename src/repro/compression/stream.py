@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import Iterable, Iterator, List
+from typing import List
 
 from repro.compression.base import StreamCompressor
 from repro.errors import CorruptStreamError
@@ -69,11 +69,6 @@ class CompressionSession:
         self._input_bytes += len(batch)
         self._output_bytes += len(frame)
         return frame
-
-    def write_stream(self, batches: Iterable[bytes]) -> Iterator[bytes]:
-        """Lazily frame a whole stream of batches."""
-        for batch in batches:
-            yield self.write_batch(batch)
 
 
 class DecompressionSession:

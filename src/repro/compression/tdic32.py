@@ -109,11 +109,6 @@ class Tdic32(StatefulCompressor):
         self._table.fill(-1)
         self._decoder_table.fill(-1)
 
-    @property
-    def state_entries(self) -> int:
-        """Number of populated dictionary slots (for tests/diagnostics)."""
-        return int((self._table >= 0).sum())
-
     def compress(self, data: bytes) -> CompressionResult:
         if len(data) % _WORD_BYTES:
             raise CompressionError(

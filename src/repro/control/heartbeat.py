@@ -74,8 +74,3 @@ class ExternalHeartbeat:
         if decision is not None:
             self.decisions.append(decision)
         return decision
-
-    @property
-    def plan(self):
-        """The controller's current plan (post any adopted replan)."""
-        return self.controller.plan

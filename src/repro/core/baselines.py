@@ -200,9 +200,6 @@ class Mechanism(abc.ABC):
     def prepare(self, context: WorkloadContext) -> MechanismOutcome:
         """Decide graph, plan and runtime dynamics for a workload."""
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<Mechanism {self.name}>"
-
 
 def _random_plan_provider(
     graph: TaskGraph, core_pool: Tuple[int, ...]

@@ -47,9 +47,6 @@ class SchedulingPlan:
             if not cores:
                 raise ConfigurationError(f"stage {stage} has no replicas")
 
-    def replicas(self, stage_index: int) -> int:
-        return len(self.assignments[stage_index])
-
     def cores_used(self) -> Tuple[int, ...]:
         used = sorted({core for cores in self.assignments for core in cores})
         return tuple(used)
@@ -184,8 +181,7 @@ class SchedulingPlan:
             details = "; ".join(finding.format() for finding in failing)
             raise InvariantViolationError(
                 f"plan {self.describe()} violates "
-                f"{len(failing)} invariant(s): {details}",
-                findings=failing,
+                f"{len(failing)} invariant(s): {details}"
             )
         return findings
 

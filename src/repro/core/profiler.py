@@ -70,10 +70,6 @@ class WorkloadProfile:
     #: keeps previously cached/pickled profiles loadable.
     step_dependencies: Optional[Dict[str, Tuple[str, ...]]] = None
 
-    @property
-    def batch_count(self) -> int:
-        return len(self.per_batch_step_costs)
-
     def dependency_map(self) -> Dict[str, Tuple[str, ...]]:
         """Step DAG with the chain fallback for legacy profiles."""
         declared = getattr(self, "step_dependencies", None)

@@ -41,15 +41,6 @@ class FittedPiecewise:
     kappa_max: float
     residual: float
 
-    @property
-    def segment_count(self) -> int:
-        return len(self.slopes)
-
-    @property
-    def roof(self) -> float:
-        """Value held above the last sampled κ."""
-        return self.slopes[-1] * self.kappa_max + self.intercepts[-1]
-
     def value(self, kappa: float) -> float:
         """Evaluate the fit at ``kappa`` (clamped outside the fit range)."""
         if kappa < 0:
@@ -60,7 +51,10 @@ class FittedPiecewise:
         ):
             if kappa <= boundary:
                 return max(slope * kappa + intercept, 1e-9)
-        return max(self.roof, 1e-9)
+        # the value held above the last boundary
+        return max(
+            self.slopes[-1] * self.kappa_max + self.intercepts[-1], 1e-9
+        )
 
 
 def _line_fit_errors(x: np.ndarray, y: np.ndarray) -> np.ndarray:

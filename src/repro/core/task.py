@@ -149,17 +149,6 @@ class TaskGraph:
         """True when every stage has the chain-default predecessors."""
         return all(task.is_chain_stage for task in self.tasks)
 
-    @property
-    def sink_index(self) -> int:
-        """The unique sink — always the last stage (see class docstring)."""
-        return len(self.tasks) - 1
-
-    def covered_steps(self) -> Tuple[str, ...]:
-        steps = []
-        for task in self.tasks:
-            steps.extend(task.step_ids)
-        return tuple(steps)
-
     def predecessors_of(self, stage_index: int) -> Tuple[int, ...]:
         """Stage indices feeding ``stage_index`` (ascending, possibly empty)."""
         return self.tasks[stage_index].predecessors
@@ -177,22 +166,6 @@ class TaskGraph:
         return tuple(
             task.stage_index for task in self.tasks if not task.predecessors
         )
-
-    def upstream_of(self, stage_index: int) -> Optional[Task]:
-        """The sole producer stage, or None for a root stage (which reads
-        the input stream directly — no communication, Eq 7). Multi-input
-        join stages have no *single* upstream; use
-        :meth:`predecessors_of` for the general shape."""
-        producers = self.predecessors_of(stage_index)
-        if not producers:
-            return None
-        if len(producers) > 1:
-            raise ConfigurationError(
-                f"codec {self.codec_name!r}: stage {stage_index} joins "
-                f"{len(producers)} producers; upstream_of is only defined "
-                "for chain-shaped stages (use predecessors_of)"
-            )
-        return self.tasks[producers[0]]
 
     @staticmethod
     def coarse(codec_name: str, step_ids: Tuple[str, ...]) -> "TaskGraph":

@@ -1,7 +1,6 @@
 """Workload datasets matching the paper's statistical profiles."""
 
 from repro.datasets.base import Dataset
-from repro.datasets.file import FileDataset
 from repro.datasets.loaders import DATASET_NAMES, get_dataset
 from repro.datasets.micro import DRIFT_KINDS, MicroDataset, drift_schedule
 from repro.datasets.rovio import RovioDataset
@@ -13,7 +12,6 @@ __all__ = [
     "DRIFT_KINDS",
     "Dataset",
     "drift_schedule",
-    "FileDataset",
     "MicroDataset",
     "RovioDataset",
     "SensorDataset",

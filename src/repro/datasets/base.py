@@ -68,6 +68,3 @@ class Dataset(abc.ABC):
         data = self.generate(usable * batch_count, seed=seed)
         for index in range(batch_count):
             yield data[index * usable:(index + 1) * usable]
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<Dataset {self.name!r} tuple_bytes={self.tuple_bytes}>"

@@ -29,14 +29,8 @@ class InfeasiblePlanError(SchedulingError):
 class InvariantViolationError(SchedulingError):
     """A scheduling plan (or trace stream) violated a structural
     invariant checked by :mod:`repro.analysis.verify` — e.g. a cyclic
-    dependency graph, an unknown core id, or missing codec steps.
-
-    Carries the underlying findings on :attr:`findings` so callers can
-    inspect which invariant codes fired."""
-
-    def __init__(self, message: str, findings=()):
-        super().__init__(message)
-        self.findings = tuple(findings)
+    dependency graph, an unknown core id, or missing codec steps. The
+    message lists every failing finding with its invariant code."""
 
 
 class SimulationError(ReproError):

@@ -47,7 +47,6 @@ both the runtime executor and the bench harness can depend on it.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -327,10 +326,6 @@ class FaultPlan:
                     f"not a fault event: {event!r}"
                 )
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.events
-
     def events_for(self, repetition: int) -> Tuple[FaultEvent, ...]:
         """The events active in ``repetition`` (None = every repetition).
 
@@ -393,13 +388,6 @@ class FaultPlan:
             event for event in self.events_for(repetition)
             if isinstance(event, BatchCorruption)
         )
-
-    def fingerprint(self) -> str:
-        """Stable digest for cache keys: a faulted cell must never
-        collide with a fault-free one (or with a differently-faulted
-        one). ``repr`` covers every field of every event plus the seed."""
-        payload = f"fault-plan:{self!r}".encode("utf-8")
-        return hashlib.sha256(payload).hexdigest()[:16]
 
 
 @dataclass(frozen=True)

@@ -64,16 +64,3 @@ class BackoffPolicy:
         )
         u = keyed_uniform(self.seed, _BACKOFF_STREAM, *key, attempt)
         return raw * (1.0 + self.jitter * u)
-
-    def schedule(
-        self, key: Tuple[int, ...], attempts: int
-    ) -> Tuple[float, ...]:
-        """The full retry schedule: ``attempts`` consecutive delays."""
-        return tuple(
-            self.delay_windows(key, attempt) for attempt in range(attempts)
-        )
-
-    @property
-    def max_delay_windows(self) -> float:
-        """Upper bound on any delay this policy can emit (FLT005)."""
-        return self.cap_windows * (1.0 + self.jitter)

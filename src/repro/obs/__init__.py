@@ -44,7 +44,7 @@ from repro.obs.trace import (
     active_recorder,
     set_active_recorder,
 )
-from repro.obs.export import chrome_trace, write_chrome_trace
+from repro.obs.export import write_chrome_trace
 from repro.obs.residuals import (
     LedgerConfig,
     ResidualLedger,
@@ -67,7 +67,6 @@ __all__ = [
     "WindowHealth",
     "WindowTelemetry",
     "active_recorder",
-    "chrome_trace",
     "prometheus_text",
     "render_top",
     "set_active_recorder",

@@ -16,18 +16,16 @@ Mapping choices:
   (``core 4 A72 (big)``); synthetic tracks (governor, OS scheduler,
   runtime) get names too.
 
-:func:`chrome_trace` builds the payload as dicts (one record per row of
-the recorder's buffer). :func:`write_chrome_trace` writes the bytes
-``json.dumps`` gives for it, but renders each row's text from cached
-pieces, with a per-file memo of float text, and builds a record dict
-only for a row holding a value it cannot render exactly (DESIGN.md,
-trace row buffer).
+:func:`write_chrome_trace` writes the bytes ``json.dumps`` gives for
+the payload, but builds no record dict per row of the recorder's
+buffer: it renders each row's text from cached pieces, with a per-file
+memo of float text (DESIGN.md, trace row buffer).
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Sequence, Tuple
 
 from repro.obs.trace import (
     TID_GOVERNOR,
@@ -36,7 +34,7 @@ from repro.obs.trace import (
     TraceRecorder,
 )
 
-__all__ = ["chrome_trace", "write_chrome_trace"]
+__all__ = ["write_chrome_trace"]
 
 _SYNTHETIC_TRACKS = {
     TID_GOVERNOR: "dvfs governor",
@@ -83,29 +81,6 @@ def _metadata(rows, board=None) -> Iterator[Dict[str, Any]]:
             }
 
 
-def _record(row: tuple) -> Dict[str, Any]:
-    """The ``traceEvents`` record of one row of the recorder's buffer."""
-    name, phase, ts_us, pid, tid, dur_us, category, args = row
-    record: Dict[str, Any] = {
-        "name": name,
-        "ph": phase,
-        "ts": ts_us,
-        "pid": pid,
-        "tid": tid,
-        "cat": category,
-    }
-    if phase == "X":
-        record["dur"] = dur_us
-    elif phase == "i":
-        record["s"] = "t"  # thread-scoped instant
-    if phase == "C":
-        # Counter events draw their series from args.
-        record["args"] = {"value": dict(args).get("value", 0)}
-    elif args:
-        record["args"] = dict(args)
-    return record
-
-
 def _prefixes(name, phase: str, category) -> Tuple[str, str]:
     """The fixed text of a row around its ``ts``/``pid``/``tid``: the
     head up to the ``ts`` value, and the ``cat`` field plus whatever
@@ -126,39 +101,41 @@ def _prefixes(name, phase: str, category) -> Tuple[str, str]:
 
 
 class _RowRenderer:
-    """Renders buffer rows as the text ``json.dumps(_record(row),
-    default=repr)`` would give, from cached text.
+    """Renders buffer rows as the text ``json.dumps(record,
+    default=repr)`` would give for the row's ``traceEvents`` record,
+    from cached text.
 
-    The ``name``/``ph``/``cat`` text is built once per distinct
+    The record's keys are ``name``, ``ph``, ``ts``, ``pid``, ``tid`` and
+    ``cat``, then ``dur`` for a span, ``"s": "t"`` for an instant, and
+    the args: a counter's are ``{"value": ...}`` alone (0 if it has
+    none), any other row's as recorded, omitted when empty. The
+    ``name``/``ph``/``cat`` text is built once per distinct
     ``(name, phase, category)``; an exact ``int`` is ``int.__repr__``;
     a finite exact ``float`` is ``float.__repr__``, memoized per file
     except zero (``0.0 == -0.0``, so one key would give both the same
-    text). A counter's args are inlined when they are one ``value``
-    pair; other args go through one ``json.dumps`` per row. A row with
-    a rendered value of any other type (``bool``, NaN or infinity,
-    numpy scalars, ...), or a counter with other args, goes through
-    :func:`_record` and ``json.dumps`` instead."""
+    text). A value of any other type (``bool``, NaN or infinity, numpy
+    scalars, ...) goes through ``json.dumps`` alone; so do a row's
+    non-counter args, once per row."""
 
     def __init__(self) -> None:
         self._prefixes: Dict[tuple, Tuple[str, str]] = {}
         self._floats: Dict[float, str] = {}
 
-    def _number(self, value) -> Optional[str]:
-        """The JSON text of an exact int or finite exact float, else
-        None."""
+    def _number(self, value) -> str:
+        """The JSON text of a rendered value."""
         kind = type(value)
         if kind is float:
             text = self._floats.get(value)
             if text is None:
                 if value - value != 0.0:  # NaN or infinity
-                    return None
+                    return _ENCODER.encode(value)
                 text = float.__repr__(value)
                 if value:
                     self._floats[value] = text
             return text
         if kind is int:
             return int.__repr__(value)
-        return None
+        return _ENCODER.encode(value)
 
     def render(self, rows: Sequence[tuple]) -> List[str]:
         prefixes = self._prefixes
@@ -189,19 +166,17 @@ class _RowRenderer:
             elif phase == "C":
                 if len(args) == 1 and args[0][0] == "value":
                     value = args[0][1]
-                    last = floats.get(value) if type(value) is float else None
-                    if last is None:
-                        last = number(value)
                 else:
-                    last = None
+                    value = dict(args).get("value", 0)
+                last = floats.get(value) if type(value) is float else None
+                if last is None:
+                    last = number(value)
             else:
                 last = ""
-            if (
-                ts is None or last is None
-                or type(pid) is not int or type(tid) is not int
-            ):
-                append(encode(_record(row)))
-                continue
+            if type(pid) is not int:
+                pid = encode(pid)
+            if type(tid) is not int:
+                tid = encode(tid)
             if phase == "C":
                 tail = "}}"
             elif args:
@@ -229,25 +204,15 @@ def _payload(recorder: TraceRecorder, events) -> Dict[str, Any]:
     }
 
 
-def chrome_trace(recorder: TraceRecorder, board=None) -> Dict[str, Any]:
-    """Render a recorder as a Chrome trace-event JSON object.
-
-    Arg values are as recorded; the file :func:`write_chrome_trace`
-    writes is this object through ``json.dumps(..., default=repr)``
-    (tuples become lists, values JSON cannot hold their ``repr``)."""
-    rows = recorder._rows
-    return _payload(recorder, [*_metadata(rows, board), *map(_record, rows)])
-
-
 def write_chrome_trace(recorder: TraceRecorder, path: str, board=None) -> str:
     """Write the recorder to ``path`` as Chrome trace JSON; returns path.
 
-    The bytes are those of ``json.dump(chrome_trace(...), default=repr)``,
-    but no record dict is built for a row: :class:`_RowRenderer` writes
-    its text from cached pieces (DESIGN.md, trace row buffer). Rows go
-    out in runs of :data:`_CHUNK` joined with ``", "``, after the
-    metadata records, so the text of the whole event list is never
-    held at once."""
+    The bytes are those of ``json.dump(payload, default=repr)`` for the
+    payload holding every row's record, but no record dict is built for
+    a row: :class:`_RowRenderer` writes its text from cached pieces
+    (DESIGN.md, trace row buffer). Rows go out in runs of
+    :data:`_CHUNK` joined with ``", "``, after the metadata records, so
+    the text of the whole event list is never held at once."""
     # the payload with an empty event list, cut where the events go
     head, tail = json.dumps(_payload(recorder, [])).split("[]", 1)
     rows = recorder._rows

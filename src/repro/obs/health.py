@@ -16,7 +16,7 @@ transitions, board faults) that makes the run replayable.
 The frozen dataclasses below *are* the health schema. Everything else
 is derived from their field tables (names in declaration order, types
 from the annotations): the JSON codec (:func:`to_record`,
-:func:`from_record`, and the reports' ``to_json``/``from_json``) and
+:func:`from_record`, and the reports' ``to_json``) and
 the structural checker :func:`schema_problems`. :mod:`repro.obs.live`
 streams the reports (a session as an NDJSON :class:`Tail`: a
 :class:`TailHeader` line, then one line per window);
@@ -212,10 +212,6 @@ class SessionHealth:
     def to_json(self) -> str:
         return json.dumps(to_record(self), indent=2, sort_keys=True)
 
-    @staticmethod
-    def from_json(text: str) -> "SessionHealth":
-        return from_record(SessionHealth, json.loads(text))
-
     def header(self) -> "TailHeader":
         return TailHeader(
             label=self.label,
@@ -357,10 +353,6 @@ class FleetHealth:
 
     def to_json(self) -> str:
         return json.dumps(to_record(self), indent=2, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "FleetHealth":
-        return from_record(FleetHealth, json.loads(text))
 
 
 # -- the schema, derived from the dataclasses ---------------------------------

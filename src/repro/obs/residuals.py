@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Literal, Mapping, Optional, Tuple
+from typing import Dict, List, Literal, Mapping, Tuple
 
 import numpy as np
 
@@ -269,12 +269,6 @@ class WindowResidual:
             self.measured_energy_uj_per_byte
             - self.predicted_energy_uj_per_byte
         )
-
-    def top_component(self) -> Optional[ResidualComponent]:
-        """The highest-scoring component (None when there are none)."""
-        if not self.components:
-            return None
-        return max(self.components, key=lambda c: c.score)
 
 
 @dataclass(frozen=True)

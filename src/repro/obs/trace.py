@@ -418,12 +418,6 @@ class TraceSummary:
         return self.context_switches / self.megabytes
 
     @property
-    def migrations_per_mb(self) -> float:
-        if self.bytes_processed == 0:
-            return 0.0
-        return self.migrations / self.megabytes
-
-    @property
     def queue_depth_highwater(self) -> int:
         return max((d for _, d in self.queue_highwater), default=0)
 

@@ -960,10 +960,6 @@ class _RepetitionRun:
 class PipelineExecutor:
     """Runs scheduling plans on a simulated board and measures them.
 
-    After a run, :attr:`last_trace` gives the final repetition's
-    execution trace: ``{core_id: [(task, batch, start_us, end_us), ...]}``
-    — the raw material for Gantt rendering and occupancy debugging.
-
     ``trace`` attaches a :class:`~repro.obs.trace.TraceRecorder`; the
     run then also emits structured events (see the module docstring) and
     the returned :class:`RunResult` carries a ``trace_summary``.
@@ -984,8 +980,6 @@ class PipelineExecutor:
         #: run stays byte-identical to a pre-telemetry build
         self.telemetry = telemetry
         self._static_power_w = board.static_power_w
-        #: the last repetition's core servers, read by :attr:`last_trace`
-        self._last_servers: Dict[int, _CoreServer] = {}
         #: (graph, per_batch_step_costs, merged rows) — see _RepetitionRun
         self._stage_costs_memo = None
         #: (id(graph), assignments, lock stages) -> layout, which holds
@@ -995,13 +989,6 @@ class PipelineExecutor:
         #: price, (routed core, MHz, switch count) -> switch price
         self._hops: Dict[tuple, tuple] = {}
         self._switch_costs: Dict[tuple, tuple] = {}
-
-    @property
-    def last_trace(self) -> Dict[int, List]:
-        return {
-            core_id: list(server.spans)
-            for core_id, server in self._last_servers.items()
-        }
 
     # -- public API ---------------------------------------------------------
 
@@ -1126,10 +1113,9 @@ class PipelineExecutor:
     def _finish(
         self, run: _RepetitionRun, batch_bytes: int
     ) -> List[BatchMetrics]:
-        """Run the simulation out, keep its trace and measure it."""
+        """Run the simulation out and measure it."""
         run.simulator.run()
         run.check_complete()
-        self._last_servers = run.servers
         if self.trace is not None:
             self.trace.end_repetition(
                 window_us=max(run.completions.values(), default=0.0),

@@ -69,48 +69,34 @@ def render_plan(estimate: PlanEstimate, board: BoardSpec) -> str:
     return "\n".join(lines)
 
 
-def _spans_from_recorder(recorder) -> dict:
-    """Convert a :class:`repro.obs.TraceRecorder` (or its event list)
-    into the legacy ``{core_id: [(task, batch, start, end), ...]}``
-    shape, keeping only the last repetition's task spans."""
-    events = getattr(recorder, "events", recorder)
-    tasks = [
-        event for event in events
-        if event.phase == "X" and event.category == "task"
-        and event.name != "ctx-switch"
-    ]
-    if not tasks:
-        return {}
-    last_rep = max(event.pid for event in tasks)
-    spans: dict = {}
-    for event in tasks:
-        if event.pid != last_rep:
-            continue
-        batch = dict(event.args).get("batch", 0)
-        spans.setdefault(event.tid, []).append(
-            (event.name, batch, event.ts_us, event.ts_us + event.dur_us)
-        )
-    return spans
-
-
 def render_gantt(
-    trace,
+    recorder,
     board: BoardSpec,
     width: int = 72,
 ) -> str:
-    """ASCII Gantt chart of a measured execution trace.
+    """ASCII Gantt chart of a traced run's final repetition.
 
-    ``trace`` is either :attr:`PipelineExecutor.last_trace`
-    (``{core_id: [(task, batch, start_us, end_us), ...]}``) or a
-    :class:`repro.obs.TraceRecorder` / list of its events, from which
-    the final repetition's task spans are drawn. Each core is one row;
-    busy spans print the digit of the batch they served (task
-    boundaries show as transitions), idle time prints ``.``.
+    ``recorder`` is the :class:`repro.obs.TraceRecorder` the run wrote
+    its events to; the task spans of its last repetition are drawn.
+    Each core is one row; busy spans print the digit of the batch they
+    served (task boundaries show as transitions), idle time prints ``.``.
     """
-    if not isinstance(trace, dict):
-        trace = _spans_from_recorder(trace)
+    tasks = [
+        event for event in recorder.events
+        if event.phase == "X" and event.category == "task"
+        and event.name != "ctx-switch"
+    ]
+    last_rep = max((event.pid for event in tasks), default=None)
+    trace: dict = {}
+    for event in tasks:
+        if event.pid == last_rep:
+            trace.setdefault(event.tid, []).append((
+                dict(event.args).get("batch", 0),
+                event.ts_us,
+                event.ts_us + event.dur_us,
+            ))
     end_time = max(
-        (span[3] for spans in trace.values() for span in spans),
+        (span[2] for spans in trace.values() for span in spans),
         default=0.0,
     )
     if end_time <= 0:
@@ -119,7 +105,7 @@ def render_gantt(
     lines: List[str] = []
     for core in board.cores:
         row = ["."] * width
-        for task_name, batch, start, end in trace.get(core.core_id, ()):
+        for batch, start, end in trace.get(core.core_id, ()):
             first = min(int(start * scale), width - 1)
             last = min(int(end * scale), width - 1)
             glyph = str(batch % 10)

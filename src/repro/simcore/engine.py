@@ -148,7 +148,7 @@ class Process(Event):
         if target.triggered:
             # The event already fired; resume on the next tick so that
             # event ordering stays deterministic.
-            immediate = simulator._internal_event()
+            immediate = simulator.event(transient=True)
             immediate.callbacks.append(self._resume)
             immediate.succeed(target.value)
         else:
@@ -185,12 +185,6 @@ class Simulator:
             heapq.heappush(self._times, at)
         else:
             bucket.append(entry)
-
-    def _internal_event(self) -> Event:
-        """A fresh (or recycled) event for engine-internal plumbing."""
-        event = self._free.pop() if self._free else Event(self)
-        event.recyclable = True
-        return event
 
     def timeout(self, delay: float, value: Any = None, transient: bool = False) -> Event:
         """An event that fires ``delay`` microseconds from now.
@@ -246,27 +240,20 @@ class Simulator:
         if not members:
             join.succeed([])
             return join
-        remaining = [len(members)]
+        pending = [member for member in members if not member.triggered]
+        # the already-fired members count as one deferred member
+        remaining = [len(pending) + (len(pending) < len(members))]
 
         def _on_fire(_event: Event) -> None:
             remaining[0] -= 1
             if remaining[0] == 0:
                 join.succeed([m.value for m in members])
 
-        already_fired = 0
-        for member in members:
-            if member.triggered:
-                already_fired += 1
-            else:
-                member.callbacks.append(_on_fire)
-
-        if already_fired:
-            def _count_already_fired(_event: Event) -> None:
-                remaining[0] -= already_fired - 1
-                _on_fire(_event)
-
-            deferred = self._internal_event()
-            deferred.callbacks.append(_count_already_fired)
+        for member in pending:
+            member.callbacks.append(_on_fire)
+        if len(pending) < len(members):
+            deferred = self.event(transient=True)
+            deferred.callbacks.append(_on_fire)
             deferred.succeed(None)
         return join
 
@@ -350,9 +337,6 @@ class Store:
         self._items = deque()
         self._getters = deque()
         self._putters = deque()  # (event, item) pairs waiting for room
-
-    def __len__(self) -> int:
-        return len(self._items)
 
     def _report_depth(self) -> None:
         trace = self.simulator.trace

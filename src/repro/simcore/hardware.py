@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Sequence, Tuple
+from typing import Tuple
 
 from repro.errors import ConfigurationError
 
@@ -101,10 +101,6 @@ class PiecewiseRoofline:
                 return max(slope * kappa + intercept, 1e-9)
         return self.roof
 
-    def sample(self, kappas: Sequence[float]) -> Tuple[float, ...]:
-        """Evaluate the curve at several κ values (profiling helper)."""
-        return tuple(self.value(k) for k in kappas)
-
 
 @dataclass(frozen=True)
 class CoreSpec:
@@ -164,11 +160,6 @@ class CoreSpec:
             self._eta_cache.clear()
         self._eta_cache[key] = result
         return result
-
-    def capacity(self, frequency_mhz: float = None) -> float:
-        """Maximum instructions per µs (the paper's C_j): the η roof."""
-        scale = self._frequency_fraction(frequency_mhz)
-        return self.eta.roof * scale ** FREQUENCY_EXPONENT_PERFORMANCE
 
     # -- energy -----------------------------------------------------------
 

@@ -42,7 +42,6 @@ class TestBitWriter:
     def test_empty_writer(self):
         writer = BitWriter()
         assert writer.getvalue() == b""
-        assert len(writer) == 0
 
     def test_single_byte(self):
         writer = BitWriter()
@@ -64,14 +63,14 @@ class TestBitWriter:
         writer = BitWriter()
         writer.write(1, 1)
         writer.write(0, 5)
-        assert writer.bit_length == 6
+        assert writer.getvalue() == b"\x80"
         writer.write(0x7F, 7)
-        assert writer.bit_length == 13
+        assert writer.getvalue() == b"\x83\xf8"
 
     def test_zero_width_write_is_noop(self):
         writer = BitWriter()
         writer.write(0, 0)
-        assert len(writer) == 0
+        assert writer.getvalue() == b""
 
     def test_value_too_wide_rejected(self):
         writer = BitWriter()
@@ -103,14 +102,15 @@ class TestBitWriter:
         writer = BitWriter()
         writer.write(1, 1)
         writer.align()
-        assert writer.bit_length == 8
         assert writer.getvalue() == b"\x80"
+        writer.write(1, 1)
+        assert writer.getvalue() == b"\x80\x80"
 
     def test_align_on_boundary_is_noop(self):
         writer = BitWriter()
         writer.write(0xFF, 8)
         writer.align()
-        assert writer.bit_length == 8
+        assert writer.getvalue() == b"\xff"
 
     def test_getvalue_does_not_mutate(self):
         writer = BitWriter()
@@ -152,21 +152,6 @@ class TestBitReader:
         reader = BitReader(b"")
         assert reader.read(0) == 0
 
-    def test_read_bytes_aligned_fast_path(self):
-        reader = BitReader(b"hello world")
-        assert reader.read_bytes(5) == b"hello"
-        assert reader.read_bytes(6) == b" world"
-
-    def test_read_bytes_unaligned(self):
-        reader = BitReader(b"\x0f\xf0")
-        reader.read(4)
-        assert reader.read_bytes(1) == b"\xff"
-
-    def test_read_bytes_past_end_raises(self):
-        reader = BitReader(b"ab")
-        with pytest.raises(CorruptStreamError):
-            reader.read_bytes(3)
-
     def test_align_skips_to_boundary(self):
         reader = BitReader(b"\xff\x42")
         reader.read(3)
@@ -204,7 +189,7 @@ class TestRoundTrip:
         writer = BitWriter()
         writer.write_bytes(payload)
         reader = BitReader(writer.getvalue())
-        assert reader.read_bytes(len(payload)) == payload
+        assert bytes(reader.read(8) for _ in payload) == payload
 
     @given(
         st.lists(

@@ -14,7 +14,7 @@ import re
 
 import pytest
 
-from repro.analysis.verify import iter_recorder_events, verify_trace_events
+from repro.analysis.verify import verify_trace_events
 from repro.bench.cache import ResultCache
 from repro.bench.harness import Harness, WorkloadSpec
 from repro.core.plan import SchedulingPlan
@@ -23,6 +23,7 @@ from repro.faults.model import CoreFailure, DvfsThrottle, FaultPlan
 from repro.obs.trace import TraceRecorder
 from repro.runtime.executor import ExecutionConfig, PipelineExecutor
 from repro.simcore.boards import rk3399
+from tests.trace_oracle import recorder_events
 
 TEST_BATCH = 8192
 
@@ -122,7 +123,7 @@ class TestCoreFailureRecovery:
     def test_trace_passes_invariants_including_trc006(self, failure_run):
         _, recorder = failure_run
         assert recorder.core_failures == 1
-        findings = verify_trace_events(iter_recorder_events(recorder))
+        findings = verify_trace_events(recorder_events(recorder))
         assert [f for f in findings if f.severity == "error"] == []
 
 
@@ -140,7 +141,7 @@ class TestCorruptionRetries:
 
     def test_trace_passes_invariants_including_trc007(self, corruption_run):
         _, recorder = corruption_run
-        findings = verify_trace_events(iter_recorder_events(recorder))
+        findings = verify_trace_events(recorder_events(recorder))
         assert [f for f in findings if f.severity == "error"] == []
 
     def test_corruption_inflates_latency_not_correctness(
@@ -181,8 +182,8 @@ class TestDeterminism:
             assert a.completion_ts_us == b.completion_ts_us
             assert a.fault_events == b.fault_events
             assert a.plan_descriptions == b.plan_descriptions
-        assert list(iter_recorder_events(first[1])) == list(
-            iter_recorder_events(second[1])
+        assert list(recorder_events(first[1])) == list(
+            recorder_events(second[1])
         )
 
     def test_fault_free_path_identical_to_empty_plan(

@@ -8,7 +8,6 @@ from repro.compression.base import (
     CompressionResult,
     StepCost,
     StepRole,
-    validate_step_costs,
 )
 from repro.compression.bitio import pack_codes
 from repro.datasets import DATASET_NAMES, get_dataset
@@ -96,7 +95,7 @@ class TestCostContract:
     def test_costs_cover_all_steps(self, codec, dataset_name):
         data = get_dataset(dataset_name).generate(4096, seed=3)
         result = codec.compress(data)
-        validate_step_costs(codec, result.step_costs)
+        assert set(result.step_costs) == set(codec.step_ids())
 
     def test_costs_non_negative(self, codec, rovio_data):
         result = codec.compress(rovio_data)
@@ -133,8 +132,9 @@ class TestCostContract:
 
     def test_total_instructions_positive(self, codec, rovio_data):
         result = codec.compress(rovio_data)
-        assert result.total_instructions() > 0
-        assert result.total_memory_accesses() > 0
+        costs = result.step_costs.values()
+        assert sum(cost.instructions for cost in costs) > 0
+        assert sum(cost.memory_accesses for cost in costs) > 0
 
 
 class TestOutputSize:
@@ -275,14 +275,6 @@ class TestStepCost:
         cost = StepCost(instructions=50, memory_accesses=0, input_bytes=1,
                         output_bytes=1)
         assert cost.operational_intensity == 50
-
-    def test_scaled_preserves_kappa(self):
-        cost = StepCost(instructions=100, memory_accesses=4, input_bytes=10,
-                        output_bytes=20)
-        half = cost.scaled(0.5)
-        assert half.instructions == 50
-        assert half.operational_intensity == cost.operational_intensity
-        assert half.input_bytes == 5
 
     def test_merged_sums_work(self):
         a = StepCost(instructions=10, memory_accesses=1, input_bytes=100,

@@ -430,13 +430,11 @@ class TestAdaptiveSession:
         assert trace.migration_pause_us > 0.0
 
     def test_trace_passes_invariants(self, phase_shift):
-        from repro.analysis.verify import (
-            iter_recorder_events,
-            verify_trace_events,
-        )
+        from repro.analysis.verify import verify_trace_events
+        from tests.trace_oracle import recorder_events
 
         _, trace = phase_shift
-        findings = verify_trace_events(iter_recorder_events(trace))
+        findings = verify_trace_events(recorder_events(trace))
         assert not [f for f in findings if f.severity == "error"]
 
     def test_session_is_deterministic(self, phase_shift):

@@ -88,7 +88,7 @@ class TestTaskGraphShape:
         graph = fork_join_graph()
         assert not graph.is_chain
         assert graph.roots() == (0,)
-        assert graph.sink_index == 3
+        assert graph.successors_of(3) == ()
         assert graph.predecessors_of(3) == (1, 2)
         assert graph.successors_of(0) == (1, 2)
 
@@ -167,9 +167,9 @@ class TestDagDecomposition:
     def test_decomposition_is_a_valid_dag(self, unlz4_context):
         graph = unlz4_context.fine_graph
         assert not graph.is_chain
-        assert set(graph.covered_steps()) == {"d0", "d1", "d2", "d3"}
-        sink_task = graph.tasks[graph.sink_index]
-        assert "d3" in sink_task.step_ids
+        steps = [step for task in graph.tasks for step in task.step_ids]
+        assert set(steps) == {"d0", "d1", "d2", "d3"}
+        assert "d3" in graph.tasks[-1].step_ids  # the sink is the last stage
 
     def test_joins_never_fuse_across_groups(self, unlz4_context):
         graph = unlz4_context.fine_graph
@@ -238,7 +238,8 @@ class TestDagExecution:
         assert run_once() == run_once()
 
     def test_traced_dag_run_passes_trace_invariants(self, board):
-        from repro.analysis.verify import iter_recorder_events, verify_trace_events
+        from repro.analysis.verify import verify_trace_events
+        from tests.trace_oracle import recorder_events
 
         harness = Harness(
             board=board, repetitions=1, batches_per_repetition=4,
@@ -249,7 +250,7 @@ class TestDagExecution:
             latency_constraint=RELAXED_CONSTRAINT,
         )
         result, recorder = harness.run_traced(spec, "CStream")
-        findings = verify_trace_events(iter_recorder_events(recorder))
+        findings = verify_trace_events(recorder_events(recorder))
         errors = [f for f in findings if f.severity == "error"]
         assert errors == []
         assert result.mean_latency_us_per_byte > 0.0

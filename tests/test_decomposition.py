@@ -44,7 +44,7 @@ class TestTcomp32Decomposition:
         graph = decompose_workload(
             "tcomp32", "stock", board, curves, communication
         )
-        assert graph.covered_steps() == ("s0", "s1", "s2")
+        assert tuple(step for task in graph.tasks for step in task.step_ids) == ("s0", "s1", "s2")
 
 
 class TestStatefulDecomposition:
@@ -65,7 +65,9 @@ class TestStatefulDecomposition:
             "tdic32", "rovio", board, curves, communication
         )
         assert graph.stage_count >= 3
-        assert graph.covered_steps() == ("s0", "s1", "s2", "s3", "s4")
+        assert tuple(step for task in graph.tasks for step in task.step_ids) == (
+            "s0", "s1", "s2", "s3", "s4"
+        )
 
     def test_stage_kappas_differ(self, board, curves, communication):
         """Decomposition's purpose: exposing distinct per-task κ."""

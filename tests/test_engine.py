@@ -206,10 +206,3 @@ class TestStore:
     def test_invalid_capacity(self):
         with pytest.raises(SimulationError):
             Store(Simulator(), capacity=0)
-
-    def test_len_reports_items(self):
-        sim = Simulator()
-        store = Store(sim)
-        store.put("a")
-        store.put("b")
-        assert len(store) == 2

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from repro.compression.base import StepCost
 from repro.core.plan import SchedulingPlan
 from repro.core.task import Task, TaskGraph
+from repro.obs.trace import TraceRecorder
 from repro.runtime.executor import ExecutionConfig, PipelineExecutor
 from repro.simcore.boards import rk3399
 
@@ -43,7 +44,9 @@ def synthetic_costs(instructions_0=400_000, instructions_1=300_000):
     }
 
 
-def run_plan(plan, costs=None, batches=5, noise=0.0, **config_overrides):
+def run_plan(
+    plan, costs=None, batches=5, noise=0.0, trace=None, **config_overrides
+):
     board = rk3399()
     options = {
         "latency_constraint_us_per_byte": 1e9,  # effectively unconstrained
@@ -54,7 +57,7 @@ def run_plan(plan, costs=None, batches=5, noise=0.0, **config_overrides):
         "overload_penalty": 0.0,
     }
     options.update(config_overrides)
-    executor = PipelineExecutor(board, ExecutionConfig(**options))
+    executor = PipelineExecutor(board, ExecutionConfig(**options), trace=trace)
     result = executor.run(
         plan, [costs or synthetic_costs()] * batches, BATCH_BYTES
     )
@@ -108,11 +111,19 @@ class TestInvariants:
     @settings(max_examples=20, deadline=None)
     def test_trace_spans_never_overlap_per_core(self, plan):
         """A core is a serial resource: its busy spans cannot overlap."""
-        _, executor = run_plan(plan)
-        for spans in executor.last_trace.values():
-            ordered = sorted(spans, key=lambda span: span[2])
+        recorder = TraceRecorder()
+        run_plan(plan, trace=recorder)
+        spans = {}
+        for event in recorder.events:
+            if event.category == "task" and event.name != "ctx-switch":
+                spans.setdefault(event.tid, []).append(
+                    (event.ts_us, event.ts_us + event.dur_us)
+                )
+        assert spans
+        for core_spans in spans.values():
+            ordered = sorted(core_spans)
             for earlier, later in zip(ordered, ordered[1:]):
-                assert later[2] >= earlier[3] - 1e-9
+                assert later[0] >= earlier[1] - 1e-9
 
     @given(plans)
     @settings(max_examples=20, deadline=None)

@@ -35,7 +35,7 @@ from repro.fleet.scenario import (
     run_fleet_scenario,
 )
 from repro.fleet.tenants import build_tenant_catalog, build_tenant_workloads
-from repro.obs.health import FleetHealth
+from repro.obs.health import FleetHealth, from_record
 
 
 @pytest.fixture(scope="module")
@@ -53,9 +53,10 @@ class TestBackoffDeterminism:
         first = BackoffPolicy(seed=7)
         second = BackoffPolicy(seed=7)
         for tenant_id in range(4):
-            assert first.schedule((tenant_id,), 6) == (
-                second.schedule((tenant_id,), 6)
-            )
+            for attempt in range(6):
+                assert first.delay_windows((tenant_id,), attempt) == (
+                    second.delay_windows((tenant_id,), attempt)
+                )
 
     def test_independent_of_computation_order(self):
         policy = BackoffPolicy(seed=3)
@@ -75,7 +76,7 @@ class TestBackoffDeterminism:
 
     def test_delays_grow_and_respect_cap(self):
         policy = BackoffPolicy()
-        schedule = policy.schedule((0,), 8)
+        schedule = [policy.delay_windows((0,), attempt) for attempt in range(8)]
         # pre-jitter growth is monotone until the cap; jitter is < 25%
         # so each delay stays within its attempt's envelope
         for attempt, delay in enumerate(schedule):
@@ -84,7 +85,7 @@ class TestBackoffDeterminism:
                 policy.cap_windows,
             )
             assert raw <= delay < raw * (1.0 + policy.jitter)
-            assert delay <= policy.max_delay_windows
+            assert delay <= policy.cap_windows * (1.0 + policy.jitter)
 
     def test_distinct_keys_get_distinct_jitter(self):
         policy = BackoffPolicy()
@@ -299,7 +300,7 @@ class TestHealthReport:
         reports = [comparison_small.healths[arm] for arm in FLEET_ARMS]
         for health in reports + [throttled]:
             assert verify_fleet_health(json.loads(health.to_json())) == []
-            restored = FleetHealth.from_json(health.to_json())
+            restored = from_record(FleetHealth, json.loads(health.to_json()))
             assert restored == health
             assert restored.schema_version == 2
         # the Optional fields round-trip both null and set

@@ -203,7 +203,9 @@ class TestKeyedUniform:
                     ).random())
                     for attempt in range(7)
                 )
-                assert policy.schedule(key, 7) == expected
+                assert tuple(
+                    policy.delay_windows(key, attempt) for attempt in range(7)
+                ) == expected
 
 
 class TestLruLookup:

@@ -55,12 +55,6 @@ class TestPiecewiseRoofline:
         curve = PiecewiseRoofline((10.0,), (-1.0,), (1.0,), roof=5.0)
         assert curve.value(9.0) > 0
 
-    def test_sample_matches_value(self, little):
-        kappas = (10.0, 50.0, 200.0)
-        assert little.eta.sample(kappas) == tuple(
-            little.eta.value(k) for k in kappas
-        )
-
 
 class TestAsymmetricComputation:
     """The asymmetric computation effect (paper §II-B)."""
@@ -81,9 +75,6 @@ class TestAsymmetricComputation:
     def test_big_eta_monotone(self, big):
         values = [big.eta.value(k) for k in range(5, 500, 5)]
         assert all(b >= a for a, b in zip(values, values[1:]))
-
-    def test_capacity_is_roof(self, big):
-        assert big.capacity() == big.eta.roof
 
     def test_big_core_advantage_grows_past_25(self, big, little):
         """Paper: above κ≈25 running on big cores becomes increasingly

@@ -18,6 +18,7 @@ is a change to what an operator sees or a scraper parses.
 
 from __future__ import annotations
 
+import json
 import re
 from pathlib import Path
 
@@ -45,7 +46,7 @@ def test_session_tail_renders_as_the_session(tmp_path, capsys):
     column, ``edge`` window included, and the same exposition."""
     from repro.obs import NdjsonTail, SessionHealth
 
-    session = SessionHealth.from_json(_expected("session.health.json"))
+    session = _report(SessionHealth, "session.health.json")
     tail = tmp_path / "session.health.ndjson"
     with open(tail, "w", encoding="utf-8") as stream:
         NdjsonTail(stream).emit_session(session)
@@ -67,6 +68,13 @@ _SAMPLE = re.compile(
 
 def _expected(name: str) -> str:
     return (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def _report(kind, name: str):
+    """The golden health report ``name`` rebuilt as ``kind``."""
+    from repro.obs.health import from_record
+
+    return from_record(kind, json.loads(_expected(name)))
 
 
 @pytest.mark.parametrize("report,limit,dashboard", CASES)
@@ -122,9 +130,9 @@ def test_label_line_feeds_are_escaped():
     from repro.obs.health import FleetHealth, SessionHealth
     from repro.obs.live import prometheus_text
 
-    session = SessionHealth.from_json(_expected("session.health.json"))
+    session = _report(SessionHealth, "session.health.json")
     text = prometheus_text(dataclasses.replace(session, label="a\nb"))
     check_exposition(text)
     assert 'cstream_windows_total{session="a\\nb"} 5\n' in text
-    fleet = FleetHealth.from_json(_expected("fleet-crash.health.json"))
+    fleet = _report(FleetHealth, "fleet-crash.health.json")
     check_exposition(prometheus_text(dataclasses.replace(fleet, label="\n")))

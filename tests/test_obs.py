@@ -18,7 +18,6 @@ from repro.obs import export
 from repro.obs import (
     TraceRecorder,
     active_recorder,
-    chrome_trace,
     set_active_recorder,
     write_chrome_trace,
 )
@@ -30,6 +29,7 @@ from repro.analysis.verify import (
 from repro.analysis.verify import main as verify_main
 from repro.obs.trace import TID_GOVERNOR, TID_OS_SCHED, TID_RUNTIME
 from repro.simcore.boards import rk3399
+from tests.trace_oracle import chrome_trace
 
 
 def small_recorder() -> TraceRecorder:
@@ -79,7 +79,7 @@ class TestTraceRecorder:
         # 2 batches x 512 KiB = 1 MiB processed
         assert summary.megabytes == pytest.approx(1.0)
         assert summary.context_switches_per_mb == pytest.approx(3.5)
-        assert summary.migrations_per_mb == pytest.approx(1.0)
+        assert summary.migrations == 1
         assert summary.queue_depth_highwater == 3
         assert summary.dvfs_transitions == 1
         assert summary.fault_injections == 1
@@ -94,7 +94,7 @@ class TestTraceRecorder:
     def test_empty_recorder_summary_is_all_zero(self):
         summary = TraceRecorder().summary()
         assert summary.context_switches_per_mb == 0.0
-        assert summary.migrations_per_mb == 0.0
+        assert summary.migrations == 0
         assert summary.queue_depth_highwater == 0
         assert summary.occupancy() == {}
 
@@ -514,18 +514,20 @@ class TestHealthSchema:
 class TestHealthRoundTrip:
     def _session(self):
         from repro.obs import SessionHealth
+        from repro.obs.health import from_record
 
-        return SessionHealth.from_json(json.dumps(_session_payload(
+        return from_record(SessionHealth, _session_payload(
             [_window_record(0),
              _window_record(1, anomalous=False, attribution=None,
                             violated=False)]
-        )))
+        ))
 
     def test_json_round_trip(self):
         from repro.obs import SessionHealth
+        from repro.obs.health import from_record
 
         session = self._session()
-        again = SessionHealth.from_json(session.to_json())
+        again = from_record(SessionHealth, json.loads(session.to_json()))
         assert again == session
         assert again.dominant().key == "c1"
         assert len(again.anomalous_windows()) == 1

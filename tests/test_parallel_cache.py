@@ -17,7 +17,7 @@ from repro.bench.cache import (
     stable_digest,
 )
 from repro.bench.harness import Harness, WorkloadSpec
-from repro.bench.parallel import default_jobs, resolve_jobs, run_grid
+from repro.bench.parallel import resolve_jobs, run_grid
 from repro.simcore.boards import jetson_tx2_like, rk3399
 
 TEST_BATCH = 4096
@@ -85,7 +85,7 @@ class TestResultCache:
         for index in range(5):
             cache.put(("key", index), index)
         assert not list(cache.directory.rglob("*.tmp"))
-        assert len(cache) == 5
+        assert len(list(cache.directory.glob("*/*.pkl"))) == 5
 
     def test_stats(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -95,7 +95,7 @@ class TestResultCache:
         assert (cache.stats.hits, cache.stats.misses, cache.stats.stores) == (
             1, 1, 1,
         )
-        assert cache.stats.hit_rate == 0.5
+        assert cache.stats.lookups == 2
 
     def test_stable_digest_is_process_independent(self):
         # Hard-coded expectation: the digest must never depend on
@@ -135,13 +135,6 @@ class TestHarnessKeys:
         assert harness.cached_run(spec, "RR") is not None
         harness.board = jetson_tx2_like()
         assert harness.cached_run(spec, "RR") is None
-
-    def test_clear_caches(self, spec):
-        harness = small_harness()
-        harness.run(spec, "RR")
-        assert harness._profiles and harness._runs
-        harness.clear_caches()
-        assert not (harness._profiles or harness._runs)
 
     def test_explicit_none_disables_persistent_cache(self, monkeypatch,
                                                      tmp_path):
@@ -197,10 +190,10 @@ class TestParallelGrid:
 
     def test_default_jobs_env_knob(self, monkeypatch):
         monkeypatch.delenv("REPRO_PARALLEL", raising=False)
-        assert default_jobs() == 1
+        assert Harness(repetitions=2).jobs == 1
         monkeypatch.setenv("REPRO_PARALLEL", "3")
-        assert default_jobs() == 3
         assert Harness(repetitions=2).jobs == 3
+        assert Harness(repetitions=2, jobs=2).jobs == 2
 
     def test_resolve_jobs_clamps_to_cpu_count(self, monkeypatch):
         monkeypatch.setattr("os.cpu_count", lambda: 2)

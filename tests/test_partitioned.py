@@ -102,14 +102,6 @@ class TestStateSemantics:
             ).output_size
         assert partitioned_bytes < private_bytes
 
-    def test_reset_clears_all_shards(self):
-        codec = PartitionedCodec(shards=2)
-        codec.compress(words_to_bytes([1, 2, 3, 4]))
-        codec.reset()
-        decoder = PartitionedCodec(shards=2)
-        batch = words_to_bytes([1, 2, 3, 4])
-        assert decoder.decompress(codec.compress(batch)) == batch
-
 
 class TestCorruption:
     def test_shard_count_mismatch(self, rovio_data):
@@ -125,13 +117,3 @@ class TestCorruption:
     def test_too_short_header(self):
         with pytest.raises(CorruptStreamError):
             PartitionedCodec(shards=2).decompress(b"\x00")
-
-
-class TestRatioAccounting:
-    def test_ratio_includes_routing_overhead(self, rovio_data):
-        """The convenience ratio is end-to-end: shard payloads plus the
-        routing stream plus framing."""
-        codec = PartitionedCodec(shards=6)
-        ratio = PartitionedCodec(shards=6).compression_ratio(rovio_data)
-        payload = codec.compress(rovio_data)
-        assert ratio == pytest.approx(len(rovio_data) / len(payload))

@@ -21,7 +21,7 @@ class TestProfileWorkload:
         )
         assert profile.codec_name == "tcomp32"
         assert profile.dataset_name == "rovio"
-        assert profile.batch_count == 3
+        assert len(profile.per_batch_step_costs) == 3
         assert profile.step_ids == ("s0", "s1", "s2")
         assert not profile.stateful
 

@@ -31,6 +31,7 @@ from repro.core.task import Task, TaskGraph
 from repro.errors import SimulationError
 from repro.faults.model import FaultPlan, InterconnectDegradation
 from repro.numerics import mean
+from repro.obs.trace import TraceRecorder
 from repro.runtime import executor as executor_module
 from repro.runtime.executor import (
     ExecutionConfig,
@@ -316,6 +317,8 @@ class TestSeedStates:
 
 class TestLastTrace:
     def test_last_trace_is_the_final_repetition(self):
+        """The last repetition a recorder holds, which ``render_gantt``
+        draws, is what ``run_single`` traces for that repetition."""
         board = rk3399()
         harness = small_harness()
         spec = WorkloadSpec.of("tcomp32", "rovio", batch_size=8192)
@@ -327,19 +330,30 @@ class TestLastTrace:
         config = ExecutionConfig(
             latency_constraint_us_per_byte=26.0, repetitions=2, seed=3
         )
-        executor = PipelineExecutor(board, config)
-        assert executor.last_trace == {}
-        executor.run(plan, costs, 8192)
-        trace = executor.last_trace
-        assert trace is not executor.last_trace
-        assert [span[0] for span in trace[4]] == ["s0r0"] * len(costs)
-        assert trace[1] == []
 
-        single = PipelineExecutor(board, config)
-        single.run_single(
+        def task_spans(recorder, repetition):
+            return [
+                (event.tid, event.name, event.ts_us, event.dur_us)
+                for event in recorder.events
+                if event.category == "task" and event.name != "ctx-switch"
+                and event.pid == repetition
+            ]
+
+        recorder = TraceRecorder()
+        PipelineExecutor(board, config, trace=recorder).run(plan, costs, 8192)
+        assert max(event.pid for event in recorder.events) == 1
+        trace = task_spans(recorder, 1)
+        assert [name for tid, name, _, _ in trace if tid == 4] == (
+            ["s0r0"] * len(costs)
+        )
+        assert [span for span in trace if span[0] == 1] == []
+
+        single_recorder = TraceRecorder()
+        single_recorder.begin_repetition(1)
+        PipelineExecutor(board, config, trace=single_recorder).run_single(
             plan, costs, 8192, np.random.default_rng(3 + 7919), repetition=1
         )
-        assert single.last_trace == trace
+        assert task_spans(single_recorder, 1) == trace
 
 
 class TestNoCyclicGarbage:

@@ -64,12 +64,12 @@ class TestEdgeCases:
 
     def test_two_points_fit_one_segment(self):
         fit = fit_piecewise([1.0, 2.0], [3.0, 5.0])
-        assert fit.segment_count == 1
+        assert len(fit.slopes) == 1
         assert fit.value(1.5) == pytest.approx(4.0)
 
     def test_segments_clamped_to_data(self):
         fit = fit_piecewise([1, 2, 3, 4], [1, 2, 3, 4], segments=4)
-        assert fit.segment_count <= 2
+        assert len(fit.slopes) <= 2
 
     def test_unsorted_input_handled(self):
         fit = fit_piecewise([3, 1, 2], [6, 2, 4], segments=1)

@@ -43,13 +43,6 @@ class TestRoundTrip:
         decoder.finish()
         assert decoded == originals
 
-    def test_write_stream_generator(self):
-        originals = batches(3)
-        encoder = CompressionSession(get_codec("tcomp32"))
-        frames = list(encoder.write_stream(iter(originals)))
-        assert len(frames) == 3
-        assert encoder.frames_written == 3
-
     @given(st.lists(st.binary(min_size=4, max_size=64).map(
         lambda b: b[: len(b) - len(b) % 4]), min_size=1, max_size=6))
     @settings(max_examples=25, deadline=None)

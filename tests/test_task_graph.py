@@ -55,12 +55,14 @@ class TestTaskGraph:
         assert make_graph().stage_count == 2
 
     def test_covered_steps_in_order(self):
-        assert make_graph().covered_steps() == ("s0", "s1", "s2")
+        graph = make_graph()
+        steps = tuple(step for task in graph.tasks for step in task.step_ids)
+        assert steps == ("s0", "s1", "s2")
 
     def test_upstream_of_first_stage_is_none(self):
         graph = make_graph()
-        assert graph.upstream_of(0) is None
-        assert graph.upstream_of(1).name == "t0"
+        assert graph.predecessors_of(0) == ()
+        assert graph.predecessors_of(1) == (0,)
 
     def test_misnumbered_stages_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -87,7 +89,7 @@ class TestTaskGraph:
         graph = TaskGraph.coarse("lz4", ("s0", "s1", "s2", "s3", "s4"))
         assert graph.stage_count == 1
         assert graph.tasks[0].name == "t_all"
-        assert graph.covered_steps() == ("s0", "s1", "s2", "s3", "s4")
+        assert graph.tasks[0].step_ids == ("s0", "s1", "s2", "s3", "s4")
 
     def test_describe(self):
         assert make_graph().describe() == "t0[s0+s1] -> t1[s2]"
@@ -96,8 +98,8 @@ class TestTaskGraph:
 class TestSchedulingPlan:
     def test_replicas_per_stage(self):
         plan = SchedulingPlan(graph=make_graph(), assignments=((4,), (0, 1)))
-        assert plan.replicas(0) == 1
-        assert plan.replicas(1) == 2
+        assert plan.describe() == "t0[s0+s1]@[4] -> t1[s2]@[0, 1]"
+
 
     def test_cores_used_sorted_unique(self):
         plan = SchedulingPlan(graph=make_graph(), assignments=((4,), (0, 4)))

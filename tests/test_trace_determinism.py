@@ -20,9 +20,10 @@ from repro.bench.harness import Harness, WorkloadSpec
 from repro.control.session import SessionSpec, run_adaptive_session
 from repro.faults.chaos import ChaosSpec, run_chaos_session
 from repro.faults.model import CoreFailure, CoreStall, DvfsThrottle, FaultPlan
-from repro.obs.export import chrome_trace, write_chrome_trace
+from repro.obs.export import write_chrome_trace
 from repro.obs.trace import TraceRecorder
 from repro.simcore.boards import rk3399
+from tests.trace_oracle import chrome_trace
 
 BATCH = 8192
 

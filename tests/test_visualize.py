@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.plan import SchedulingPlan
 from repro.core.scheduler import Scheduler
+from repro.obs.trace import TraceRecorder
 from repro.runtime.visualize import render_plan
 
 
@@ -51,13 +52,14 @@ class TestRenderPlan:
 
 class TestRenderGantt:
     @pytest.fixture
-    def trace(self, tcomp32_rovio_context, board):
+    def recorder(self, tcomp32_rovio_context, board):
         from repro.runtime.executor import ExecutionConfig, PipelineExecutor
         from repro.core.scheduler import Scheduler
 
         context = tcomp32_rovio_context
         model = context.cost_model(context.fine_graph)
         plan = Scheduler(model).schedule(best_effort=True).plan
+        recorder = TraceRecorder()
         executor = PipelineExecutor(
             board,
             ExecutionConfig(
@@ -65,36 +67,48 @@ class TestRenderGantt:
                 repetitions=1,
                 batches_per_repetition=4,
             ),
+            trace=recorder,
         )
         executor.run(
             plan,
             context.profile.per_batch_step_costs,
             context.profile.batch_size_bytes,
         )
-        return executor.last_trace
+        return recorder
+
+    @pytest.fixture
+    def trace(self, recorder):
+        """``{core: [(start, end), ...]}`` of the recorder's task spans."""
+        spans = {}
+        for event in recorder.events:
+            if event.category == "task" and event.name != "ctx-switch":
+                spans.setdefault(event.tid, []).append(
+                    (event.ts_us, event.ts_us + event.dur_us)
+                )
+        return spans
 
     def test_empty_trace(self, board):
         from repro.runtime.visualize import render_gantt
 
-        assert render_gantt({}, board) == "(empty trace)"
+        assert render_gantt(TraceRecorder(), board) == "(empty trace)"
 
-    def test_every_core_row(self, trace, board):
+    def test_every_core_row(self, recorder, board):
         from repro.runtime.visualize import render_gantt
 
-        text = render_gantt(trace, board)
+        text = render_gantt(recorder, board)
         for core in board.cores:
             assert f"core {core.core_id}" in text
 
-    def test_batches_visible(self, trace, board):
+    def test_batches_visible(self, recorder, board):
         from repro.runtime.visualize import render_gantt
 
-        text = render_gantt(trace, board)
+        text = render_gantt(recorder, board)
         for digit in "0123":
             assert digit in text
 
     def test_trace_spans_consistent(self, trace):
         for spans in trace.values():
-            for _, _, start, end in spans:
+            for start, end in spans:
                 assert end >= start >= 0.0
 
     def test_busy_cores_match_plan(self, trace):
