@@ -70,7 +70,7 @@ FLT003    breaker-state legality: each board's breaker transitions
 FLT004    shed-priority order: an overload shed's victim has the lowest
           priority among the tenants then running on that board
 FLT005    backoff bounded: every queued retry delay is within the
-          jittered cap of the default backoff policy
+          backoff's jittered cap
 ========  ==================================================================
 
 Severity model: **error** findings make the CLI exit 1; **warning**
@@ -81,8 +81,8 @@ trace and health file CI uploads.
 
 Plans, cost models and traces are duck-typed; reports are checked as
 parsed JSON. Constants the invariants depend on are read from their
-owners: the breaker's legal edges, the gateway's default backoff policy
-and the interconnect path classes.
+owners: the breaker's legal edges, the backoff's cap and jitter
+(:mod:`repro.fleet.backoff`) and the interconnect path classes.
 """
 
 from __future__ import annotations
@@ -106,8 +106,8 @@ from typing import (
 )
 
 from repro.errors import ArtifactError
+from repro.fleet.backoff import CAP_WINDOWS, JITTER
 from repro.fleet.breaker import LEGAL_TRANSITIONS
-from repro.fleet.gateway import GatewayConfig
 from repro.obs.health import (
     FleetHealth,
     SessionHealth,
@@ -944,12 +944,8 @@ def verify_health(payload: Any) -> List[VerifyFinding]:
 # FLT001-FLT005 — fleet health reports (schema v2)
 # ---------------------------------------------------------------------------
 
-#: FLT005 bound: the default backoff policy's jittered cap,
-#: cap_windows * (1 + jitter)
-_FLEET_BACKOFF = GatewayConfig().backoff
-_FLEET_BACKOFF_CAP_WINDOWS = _FLEET_BACKOFF.cap_windows * (
-    1.0 + _FLEET_BACKOFF.jitter
-)
+#: FLT005 bound: the backoff's jittered cap, CAP_WINDOWS * (1 + JITTER)
+_FLEET_BACKOFF_CAP_WINDOWS = CAP_WINDOWS * (1.0 + JITTER)
 
 _RETRY_DELAY_PATTERN = re.compile(r"retry in ([0-9][0-9.]*) windows")
 

@@ -36,21 +36,24 @@ diagnosis  degraded path re-priced, or retry      whenever the placement
   the plan in force and fires once its calibration converges. A
   candidate that rescues a violated ``L_set`` is adopted outright;
   otherwise its modeled saving over ``horizon_windows`` windows must
-  exceed the migration cost by ``min_saving_ratio``.
+  exceed the migration cost.
 - **Diagnosis** (only with telemetry) fires when a window violates
   ``L_set`` without heartbeat or drift and the residual ledger
-  (:mod:`repro.obs.residuals`) pins a *signal-free* fault on a degraded
+  (:mod:`repro.obs.residuals`) pins a *signal-free* fault, scoring at
+  least :data:`~repro.obs.health.ANOMALY_THRESHOLD`, on a degraded
   path (:meth:`~repro.core.cost_model.CostModel.apply_path_degradation`)
-  or a retry-heavy stage. Each (kind, key) is acted on once per
-  session: the edit is persistent, so repeating it would compound.
+  or a retry-heavy stage. The one-shot correction is capped at 8×.
+  Each (kind, key) is acted on once per session: the edit is
+  persistent, so repeating it would compound.
 
 The search runs with ``warm_start=incumbent``: the incumbent's energy
 seeds the branch-and-bound bound (strict-``>`` pruning, so ties keep
 the incumbent), and the scheduler's energy-floor cache survives drift
 recalibration (floors depend on κ scales, not ``latency_scale``). The
 migration from the plan in force is state transfer over the board's
-c0/c1/c2 paths (profiled communication table) plus the pipeline-pause
-energy at static power.
+c0/c1/c2 paths (profiled communication table; each stage's state is
+:data:`STATE_BYTES_SCALE` of its profiled output) plus the
+pipeline-pause energy at static power.
 
 Everything is deterministic: the controller draws no randomness and
 reads no clocks (the ledger's tie-break epsilons come from a fixed
@@ -72,7 +75,7 @@ from repro.core.statistics_regulator import StatisticsAwareRegulator
 from repro.errors import ConfigurationError
 from repro.numerics import ordered_sum
 from repro.obs.health import SessionHealth, WindowHealth, build_window_health
-from repro.obs.residuals import LedgerConfig, ResidualLedger
+from repro.obs.residuals import ResidualLedger
 from repro.runtime.executor import WindowDecision, WindowObservation
 from repro.simcore.interconnect import Path
 
@@ -81,7 +84,17 @@ __all__ = [
     "ControlEvent",
     "FailoverEvent",
     "SessionController",
+    "STATE_BYTES_SCALE",
 ]
+
+#: multiplier on the profiled per-stage output bytes standing in for
+#: the replica state footprint — the migratable state (dictionary,
+#: counters, partial window) is a fraction of one batch's output
+STATE_BYTES_SCALE = 0.25
+
+#: cap on the one-shot latency_scale inflation a diagnosis may apply —
+#: keeps a pathological window from poisoning the model
+_DIAGNOSIS_SCALE_CAP = 8.0
 
 
 @dataclass(frozen=True)
@@ -90,26 +103,8 @@ class ControllerConfig:
 
     #: the drift trigger's detector: the statistics watcher or Eq 8's PID
     drift_detector: Literal["statistics", "pid"] = "statistics"
-    #: relative per-stage work shift that counts as drift (the
-    #: statistics detector's trigger; 15 % is above batch noise, below
-    #: real jumps)
-    trigger_threshold: float = 0.15
-    #: EWMA factor on observed statistics (0 = trust each batch)
-    smoothing: float = 0.3
     #: windows over which a candidate plan must amortize its migration
     horizon_windows: int = 4
-    #: modeled savings must exceed migration cost by this factor
-    min_saving_ratio: float = 1.0
-    #: multiplier on the profiled per-stage output bytes standing in for
-    #: the replica state footprint — the migratable state (dictionary,
-    #: counters, partial window) is a fraction of one batch's output
-    state_bytes_scale: float = 0.25
-    #: residual anomaly score a health attribution must clear before a
-    #: diagnosis replan fires (healthy windows sit near |score| ≈ 1)
-    diagnosis_threshold: float = 3.0
-    #: cap on the one-shot latency_scale inflation a retry diagnosis may
-    #: apply — keeps a pathological window from poisoning the model
-    diagnosis_scale_cap: float = 8.0
 
     def __post_init__(self) -> None:
         if self.drift_detector not in ("statistics", "pid"):
@@ -118,12 +113,6 @@ class ControllerConfig:
             )
         if self.horizon_windows < 1:
             raise ConfigurationError("horizon must span at least one window")
-        if self.min_saving_ratio <= 0.0:
-            raise ConfigurationError("min_saving_ratio must be positive")
-        if self.diagnosis_threshold <= 0.0:
-            raise ConfigurationError("diagnosis threshold must be positive")
-        if self.diagnosis_scale_cap < 1.0:
-            raise ConfigurationError("diagnosis scale cap must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -179,11 +168,7 @@ class SessionController:
         if config.drift_detector == "pid":
             self.regulator = FeedbackRegulator(model)
         else:
-            self.regulator = StatisticsAwareRegulator(
-                model,
-                trigger_threshold=config.trigger_threshold,
-                smoothing=config.smoothing,
-            )
+            self.regulator = StatisticsAwareRegulator(model)
         self.plan: SchedulingPlan = (
             plan if plan is not None
             else self.scheduler.schedule(best_effort=True).plan
@@ -195,7 +180,7 @@ class SessionController:
         self.warm_start_hits = 0
         #: residual ledger + per-window health, populated only when the
         #: executor delivers telemetry with its window observations
-        self.ledger = ResidualLedger(LedgerConfig())
+        self.ledger = ResidualLedger()
         self.health_windows: List[WindowHealth] = []
         self._failed_cores: set = set()
         self._throttled: dict = {}
@@ -203,7 +188,7 @@ class SessionController:
         #: persistent, so repeating it would compound the correction
         self._diagnosed: set = set()
         self._state_bytes = {
-            stage: model.stage_output_bytes(stage) * config.state_bytes_scale
+            stage: model.stage_output_bytes(stage) * STATE_BYTES_SCALE
             for stage in range(model.graph.stage_count)
         }
         #: W == µJ/µs: prices the pipeline pause a migration causes
@@ -291,9 +276,7 @@ class SessionController:
         )
         constraint = self.model.latency_constraint_us_per_byte
         violated = any(l > constraint for l in steady)
-        health = build_window_health(
-            residual, violated, self.config.diagnosis_threshold
-        )
+        health = build_window_health(residual, violated)
         self.health_windows.append(health)
         return health
 
@@ -332,7 +315,7 @@ class SessionController:
             c for c in window.components
             if c.kind == attribution.kind and c.key == attribution.key
         )
-        cap = self.config.diagnosis_scale_cap
+        cap = _DIAGNOSIS_SCALE_CAP
         if attribution.kind == "path":
             if component.predicted_us_per_byte > 0.0:
                 factor = (
@@ -458,7 +441,7 @@ class SessionController:
             adopted, reason = False, "incumbent-optimal"
         elif not incumbent.feasible and candidate.feasible:
             adopted, reason = True, "constraint-rescue"
-        elif saving_uj > cost_uj * self.config.min_saving_ratio:
+        elif saving_uj > cost_uj:
             adopted, reason = True, "amortized-saving"
         else:
             adopted, reason = False, "migration-too-costly"

@@ -39,6 +39,7 @@ from repro.runtime.metrics import BatchMetrics
 __all__ = [
     "ADAPT_L_SET",
     "SESSION_BATCH_BYTES",
+    "SESSION_WARMUP_BATCHES",
     "SessionSpec",
     "SessionComparison",
     "build_drift_stream",
@@ -63,6 +64,10 @@ ADAPT_L_SET = {
 #: pinned here so that no environment variable can move a session result
 SESSION_BATCH_BYTES = 65536
 
+#: leading batches of every session that count toward no summary: the
+#: pipeline fills while they run
+SESSION_WARMUP_BATCHES = 2
+
 #: rows of each drift profile the stream cycles through: batch ``i`` of
 #: a dynamic range reads row ``i % DRIFT_PROFILE_CYCLE`` of its profile
 DRIFT_PROFILE_CYCLE = 3
@@ -81,7 +86,6 @@ class SessionSpec:
     scenario: str = "phase-shift"
     batches: int = 18
     window_batches: int = 3
-    warmup_batches: int = 2
     #: L_set in µs/byte; ``None`` takes the board's :data:`ADAPT_L_SET`
     latency_constraint: Optional[float] = None
     low_range: int = 500
@@ -96,7 +100,7 @@ class SessionSpec:
             )
         if self.window_batches < 1:
             raise ConfigurationError("window must hold at least one batch")
-        if self.warmup_batches >= self.batches:
+        if self.batches <= SESSION_WARMUP_BATCHES:
             raise ConfigurationError("warmup must leave measurable batches")
 
     def for_board(self, board) -> "SessionSpec":
@@ -229,18 +233,17 @@ def steady_batches(
     return tuple(b for b in batches if b.batch_index % window_batches != 0)
 
 
-def summarize_session(result: SessionResult, spec) -> Tuple[float, int, int]:
+def summarize_session(
+    result: SessionResult, window_batches: int
+) -> Tuple[float, int, int]:
     """One arm's mean measured energy (µJ/byte), its violations and its
-    steady-state violations (window-boundary batches excluded).
-
-    ``spec`` is a :class:`SessionSpec` or a
-    :class:`~repro.faults.chaos.ChaosSpec`: only its
-    ``warmup_batches`` and ``window_batches`` are read."""
-    measured = result.measured(spec.warmup_batches)
+    steady-state violations (window-boundary batches excluded), after
+    the :data:`SESSION_WARMUP_BATCHES`."""
+    measured = result.measured(SESSION_WARMUP_BATCHES)
     energy = ordered_sum(b.energy_uj_per_byte for b in measured) / len(measured)
     violations = sum(1 for b in measured if b.violated)
     steady = sum(
-        1 for b in steady_batches(measured, spec.window_batches) if b.violated
+        1 for b in steady_batches(measured, window_batches) if b.violated
     )
     return energy, violations, steady
 
@@ -314,7 +317,7 @@ def run_adaptive_session(
         latency_constraint_us_per_byte=spec.latency_constraint,
         repetitions=1,
         batches_per_repetition=spec.batches,
-        warmup_batches=spec.warmup_batches,
+        warmup_batches=SESSION_WARMUP_BATCHES,
         seed=harness.seed,
     )
 
@@ -352,10 +355,10 @@ def run_adaptive_session(
         )
 
     static_energy, static_violations, static_steady = summarize_session(
-        static_result, spec
+        static_result, spec.window_batches
     )
     adaptive_energy, adaptive_violations, adaptive_steady = summarize_session(
-        adaptive_result, spec
+        adaptive_result, spec.window_batches
     )
     return SessionComparison(
         spec=spec,

@@ -23,7 +23,6 @@ from typing import List, Optional
 
 from repro.core.cost_model import CostModel
 from repro.core.plan import SchedulingPlan
-from repro.errors import ConfigurationError
 
 __all__ = [
     "IncrementalPID", "FeedbackRegulator", "RegulationEvent", "PID_GAINS",
@@ -33,23 +32,19 @@ __all__ = [
 #: (§VII-A); taken as given, not re-derived.
 PID_GAINS = (0.1, 0.85, 0.05)
 
+#: relative latency error that starts a calibration (and ends it once
+#: the error is that small again)
+_ERROR_THRESHOLD = 0.1
+
 
 class IncrementalPID:
     """The incremental-form PID of Eq 8.
 
     ``delta = P·(e_k - e_{k-1}) + I·e_k + D·(e_k - 2·e_{k-1} + e_{k-2})``
-    with the paper's :data:`PID_GAINS` unless given.
+    with the paper's :data:`PID_GAINS`.
     """
 
-    def __init__(
-        self,
-        p: float = PID_GAINS[0],
-        i: float = PID_GAINS[1],
-        d: float = PID_GAINS[2],
-    ) -> None:
-        self.p = p
-        self.i = i
-        self.d = d
+    def __init__(self) -> None:
         self._e1: Optional[float] = None  # e_{k-1}
         self._e2: Optional[float] = None  # e_{k-2}
         self._count = 0
@@ -58,11 +53,8 @@ class IncrementalPID:
         """Feed e_k, get the increment δ_k."""
         e1 = self._e1 if self._e1 is not None else 0.0
         e2 = self._e2 if self._e2 is not None else 0.0
-        delta = (
-            self.p * (error - e1)
-            + self.i * error
-            + self.d * (error - 2.0 * e1 + e2)
-        )
+        p, i, d = PID_GAINS
+        delta = p * (error - e1) + i * error + d * (error - 2.0 * e1 + e2)
         self._e2 = self._e1 if self._e1 is not None else 0.0
         self._e1 = error
         self._count += 1
@@ -98,18 +90,15 @@ class RegulationEvent:
 class FeedbackRegulator:
     """Watches the running plan's latency and recalibrates on drift.
 
-    Parameters mirror §V-D: ``error_threshold`` triggers calibration
-    (and ends it once the error is small again); the PID runs with the
+    As in §V-D, a relative error above 10 % starts a calibration, which
+    ends once the error is that small again; the PID runs with the
     paper's :data:`PID_GAINS`.
     """
 
     model: CostModel
-    error_threshold: float = 0.1
     events: List[RegulationEvent] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if not 0 < self.error_threshold < 1:
-            raise ConfigurationError("error threshold must be in (0, 1)")
         self._pid = IncrementalPID()
         self._calibrating = False
 
@@ -130,7 +119,7 @@ class FeedbackRegulator:
 
         drifted = False
         if not self._calibrating:
-            if relative_error > self.error_threshold:
+            if relative_error > _ERROR_THRESHOLD:
                 self._calibrating = True
                 self._pid.reset()
         if self._calibrating:
@@ -146,7 +135,7 @@ class FeedbackRegulator:
                 refreshed, 1e-9
             )
             if (
-                refreshed_error <= self.error_threshold
+                refreshed_error <= _ERROR_THRESHOLD
                 and self._pid.observations >= 3
             ):
                 self._calibrating = False

@@ -18,9 +18,11 @@ session controller (:class:`~repro.control.controller.SessionController`)
 owns the replan.
 
 The trade-off is sensitivity: the PID integrates noise away, while the
-statistics watcher must distinguish real drift from batch-to-batch
-variation — hence the hysteresis (``trigger_threshold`` to act,
-``settle_threshold`` to re-anchor the baseline).
+statistics watcher must tell real drift from batch-to-batch variation.
+It smooths each stage's observed work with an EWMA
+(``_SMOOTHING``) and acts only when the smoothed work moves more than
+``_TRIGGER_THRESHOLD`` (15 %) from its baseline; acting re-anchors the
+baseline at the smoothed work, so one jump fires once.
 """
 
 from __future__ import annotations
@@ -30,9 +32,15 @@ from typing import Dict, List, Mapping, Tuple
 
 from repro.compression.base import StepCost
 from repro.core.cost_model import CostModel
-from repro.errors import ConfigurationError
 
 __all__ = ["StatisticsAwareRegulator", "StatisticsEvent"]
+
+#: relative per-stage work shift that counts as drift: above batch
+#: noise, below any real range jump
+_TRIGGER_THRESHOLD = 0.15
+
+#: EWMA weight of the previous smoothed value (0 would trust each batch)
+_SMOOTHING = 0.3
 
 
 @dataclass(frozen=True)
@@ -52,28 +60,15 @@ class StatisticsEvent:
 class StatisticsAwareRegulator:
     """Detects drift from direct workload-statistics observation.
 
-    Parameters
-    ----------
-    model:
-        The cost model to keep calibrated (its ``latency_scale`` is the
-        calibrated parameter, as in the PID regulator).
-    trigger_threshold:
-        Relative per-stage work shift that triggers recalibration
-        (default 15 % — above batch noise, below any real range jump).
-    smoothing:
-        EWMA factor for the observed statistics (0 = trust each batch).
+    ``model`` is the cost model to keep calibrated (its
+    ``latency_scale`` is the calibrated parameter, as in the PID
+    regulator).
     """
 
     model: CostModel
-    trigger_threshold: float = 0.15
-    smoothing: float = 0.3
     events: List[StatisticsEvent] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.trigger_threshold < 1.0:
-            raise ConfigurationError("trigger_threshold must be in (0, 1)")
-        if not 0.0 <= self.smoothing < 1.0:
-            raise ConfigurationError("smoothing must be in [0, 1)")
         self._baseline = self._stage_instructions_from_profile()
         self._smoothed: Dict[int, float] = dict(self._baseline)
         #: ``id(mapping) -> (mapping, per-stage merged instructions)``;
@@ -99,14 +94,12 @@ class StatisticsAwareRegulator:
         shifts: Dict[int, float] = {}
         for stage, observed in enumerate(self._stage_row(batch_step_costs)):
             previous = self._smoothed[stage]
-            smoothed = (
-                self.smoothing * previous + (1.0 - self.smoothing) * observed
-            )
+            smoothed = _SMOOTHING * previous + (1.0 - _SMOOTHING) * observed
             self._smoothed[stage] = smoothed
             shifts[stage] = smoothed / self._baseline[stage]
 
         max_shift = max(abs(ratio - 1.0) for ratio in shifts.values())
-        drifted = max_shift > self.trigger_threshold
+        drifted = max_shift > _TRIGGER_THRESHOLD
         if drifted:
             # One-step recalibration: the observed work *is* the new
             # baseline; Eq 6 scales linearly in instructions.

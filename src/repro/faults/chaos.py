@@ -25,9 +25,10 @@ import dataclasses
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.control.controller import ControllerConfig, SessionController
+from repro.control.controller import SessionController
 from repro.control.session import (
     SESSION_BATCH_BYTES,
+    SESSION_WARMUP_BATCHES,
     finalize_session_health,
     run_static_session,
     steady_batches,
@@ -68,6 +69,18 @@ CHAOS_SCENARIOS = (
     "core-failure+corruption",
 )
 
+#: surcharge on emergency-rerouted work after a core failure: the batch
+#: re-executes cold — state re-fetched over the interconnect, caches and
+#: branch predictors unprimed, queues doubled up
+_REROUTE_PENALTY = 1.5
+#: the ``throttle`` scenario's frequency cap, MHz
+_THROTTLE_MHZ = 600.0
+#: the ``stall`` scenario's one-off stall, µs
+_STALL_US = 40_000.0
+#: the ``interconnect`` scenario's degraded path class and slowdown
+_DEGRADATION_PATH = "c1"
+_DEGRADATION_FACTOR = 6.0
+
 
 @dataclass(frozen=True)
 class ChaosSpec:
@@ -80,21 +93,11 @@ class ChaosSpec:
     scenario: str = "core-failure"
     batches: int = 18
     window_batches: int = 3
-    warmup_batches: int = 2
     #: the batch boundary at which hardware faults fire
     fault_batch: int = 7
     #: session L_set = static plan's modeled latency x this margin
     latency_margin: float = 1.35
-    #: surcharge on emergency-rerouted work after a core failure: the
-    #: batch re-executes cold — state re-fetched over the interconnect,
-    #: caches and branch predictors unprimed, queues doubled up
-    reroute_penalty: float = 1.5
-    throttle_mhz: float = 600.0
-    stall_us: float = 40_000.0
-    degradation_path: str = "c1"
-    degradation_factor: float = 6.0
     corruption_probability: float = 0.15
-    controller: ControllerConfig = ControllerConfig()
 
     def __post_init__(self) -> None:
         if self.scenario not in CHAOS_SCENARIOS:
@@ -104,7 +107,7 @@ class ChaosSpec:
             )
         if self.window_batches < 1:
             raise ConfigurationError("window must hold at least one batch")
-        if self.warmup_batches >= self.batches:
+        if self.batches <= SESSION_WARMUP_BATCHES:
             raise ConfigurationError("warmup must leave measurable batches")
         if not 0 < self.fault_batch < self.batches:
             raise ConfigurationError(
@@ -167,25 +170,25 @@ def build_fault_plan(spec: ChaosSpec, victim_core: int) -> FaultPlan:
         events.append(CoreFailure(
             core_id=victim_core,
             at_batch=spec.fault_batch,
-            reroute_penalty=spec.reroute_penalty,
+            reroute_penalty=_REROUTE_PENALTY,
         ))
     if spec.scenario == "throttle":
         events.append(DvfsThrottle(
             core_id=victim_core,
             at_batch=spec.fault_batch,
-            frequency_mhz=spec.throttle_mhz,
+            frequency_mhz=_THROTTLE_MHZ,
         ))
     if spec.scenario == "stall":
         events.append(CoreStall(
             core_id=victim_core,
             at_batch=spec.fault_batch,
-            stall_us=spec.stall_us,
+            stall_us=_STALL_US,
         ))
     if spec.scenario == "interconnect":
         events.append(InterconnectDegradation(
             at_batch=spec.fault_batch,
-            path=spec.degradation_path,
-            factor=spec.degradation_factor,
+            path=_DEGRADATION_PATH,
+            factor=_DEGRADATION_FACTOR,
         ))
     if spec.scenario in ("corruption", "core-failure+corruption"):
         events.append(BatchCorruption(
@@ -290,7 +293,7 @@ def run_chaos_session(
             latency_constraint_us_per_byte=l_set,
             repetitions=1,
             batches_per_repetition=spec.batches,
-            warmup_batches=spec.warmup_batches,
+            warmup_batches=SESSION_WARMUP_BATCHES,
             seed=harness.seed,
             fault_plan=fault_plan if with_faults else None,
         )
@@ -324,11 +327,7 @@ def run_chaos_session(
     )
     adaptive_model = adaptive_context.cost_model(adaptive_context.fine_graph)
     controller = SessionController(
-        adaptive_model,
-        stream,
-        batch_bytes,
-        config=spec.controller,
-        plan=static_plan,
+        adaptive_model, stream, batch_bytes, plan=static_plan
     )
     collector = TelemetryCollector() if telemetry else None
     adaptive_result = _run(
@@ -341,12 +340,14 @@ def run_chaos_session(
             label=f"chaos:{spec.scenario}",
         )
 
-    baseline_energy, _, _ = summarize_session(baseline_result, spec)
+    baseline_energy, _, _ = summarize_session(
+        baseline_result, spec.window_batches
+    )
     static_energy, static_violations, static_steady = summarize_session(
-        static_result, spec
+        static_result, spec.window_batches
     )
     adaptive_energy, adaptive_violations, adaptive_steady = summarize_session(
-        adaptive_result, spec
+        adaptive_result, spec.window_batches
     )
     return ChaosComparison(
         spec=spec,

@@ -35,21 +35,23 @@ FLEET_SCENARIOS = (
     "board-throttle",
 )
 
+#: windows a crashed board stays down in ``board-crash-reboot``
+_REBOOT_AFTER_WINDOWS = 4
+#: the sustained frequency cap of ``board-throttle``, MHz
+_THROTTLE_MHZ = 408.0
+
 
 def build_fleet_fault_plan(
     scenario: str,
     board_index: int = 0,
     at_window: int = 3,
-    reboot_after_windows: int = 4,
-    throttle_mhz: float = 408.0,
     seed: int = 0,
 ) -> FaultPlan:
     """The scenario's board-level fault events, aimed at ``board_index``.
 
     ``board_index`` is a position in the fleet's board list; the fleet
-    scenario glue aims it at the most-loaded board by default, the same
-    way single-board chaos targets the static plan's most load-bearing
-    core.
+    scenario glue passes ``FleetScenarioSpec.fault_board`` (board 0
+    unless set), whether or not a tenant runs there.
     """
     if scenario not in FLEET_SCENARIOS:
         raise ConfigurationError(
@@ -71,7 +73,7 @@ def build_fleet_fault_plan(
                 BoardCrash(
                     board_index=board_index,
                     at_window=at_window,
-                    reboot_after_windows=reboot_after_windows,
+                    reboot_after_windows=_REBOOT_AFTER_WINDOWS,
                 ),
             ),
             seed=seed,
@@ -81,7 +83,7 @@ def build_fleet_fault_plan(
             BoardThrottle(
                 board_index=board_index,
                 at_window=at_window,
-                frequency_mhz=throttle_mhz,
+                frequency_mhz=_THROTTLE_MHZ,
             ),
         ),
         seed=seed,

@@ -21,10 +21,10 @@ driver packages, so wall clocks, unseeded RNG and environment reads are
 mechanically excluded.
 """
 
-from repro.fleet.admission import AdmissionConfig, AdmissionDecision
+from repro.fleet.admission import AdmissionDecision
 from repro.fleet.backoff import BackoffPolicy
-from repro.fleet.breaker import BreakerConfig, BreakerTransition, CircuitBreaker
-from repro.fleet.gateway import Gateway, GatewayConfig
+from repro.fleet.breaker import BreakerTransition, CircuitBreaker
+from repro.fleet.gateway import Gateway
 from repro.fleet.placement import FleetScheduler, Placement
 from repro.fleet.registry import (
     BOARD_KINDS,
@@ -42,14 +42,11 @@ from repro.fleet.scenario import (
 from repro.fleet.tenants import TenantSpec, TenantWorkload, build_tenant_catalog
 
 __all__ = [
-    "AdmissionConfig",
     "AdmissionDecision",
     "BackoffPolicy",
-    "BreakerConfig",
     "BreakerTransition",
     "CircuitBreaker",
     "Gateway",
-    "GatewayConfig",
     "FleetScheduler",
     "Placement",
     "BOARD_KINDS",

@@ -7,8 +7,8 @@ gates, in order:
    cost-model feasible and its modeled latency (inflated by any
    sustained throttle) is within the tenant's ``L_set``;
 2. **headroom** — adding the plan's per-core busy time keeps the
-   board's most-loaded core below the configured utilization headroom
-   (the slack that absorbs congestion and measurement noise);
+   board's most-loaded core within :data:`HEADROOM` utilization (the
+   slack that absorbs congestion and measurement noise);
 3. **energy** — the fleet's aggregate modeled energy per window,
    including the newcomer, stays within the fleet energy budget.
 
@@ -26,37 +26,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Tuple
 
-from repro.errors import ConfigurationError
 from repro.fleet.placement import FleetScheduler
 from repro.fleet.registry import BoardHandle
 from repro.fleet.tenants import TenantWorkload
 from repro.numerics import ordered_sum
 
-__all__ = ["AdmissionConfig", "AdmissionDecision", "evaluate_admission"]
+__all__ = ["HEADROOM", "AdmissionDecision", "evaluate_admission"]
 
-
-@dataclass(frozen=True)
-class AdmissionConfig:
-    """The admission controller's thresholds."""
-
-    #: max projected utilization of any single core (busy / window)
-    headroom: float = 0.85
-    #: fleet-wide modeled energy budget per window, µJ; None = auto
-    #: (scaled to the fleet size by the gateway)
-    energy_budget_uj_per_window: Optional[float] = None
-    #: admission attempts (initial + retries) before a final reject
-    max_attempts: int = 4
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.headroom <= 1.0:
-            raise ConfigurationError("headroom must be in (0, 1]")
-        if (
-            self.energy_budget_uj_per_window is not None
-            and self.energy_budget_uj_per_window <= 0.0
-        ):
-            raise ConfigurationError("energy budget must be positive")
-        if self.max_attempts < 1:
-            raise ConfigurationError("max_attempts must be >= 1")
+#: max projected utilization of any single core (busy / window)
+HEADROOM = 0.85
 
 
 @dataclass(frozen=True)
@@ -86,7 +64,6 @@ def evaluate_admission(
     energy_budget_uj_per_window: float,
     window_index: int,
     window_period_us: float,
-    config: AdmissionConfig,
 ) -> AdmissionDecision:
     """Gate one tenant against the fleet's current state.
 
@@ -109,7 +86,7 @@ def evaluate_admission(
             continue
         saw_feasible = True
         max_load, modeled = candidate
-        if max_load > config.headroom:
+        if max_load > HEADROOM:
             continue
         if best is None or max_load < best[0]:
             best = (max_load, modeled, board)

@@ -21,35 +21,28 @@ from typing import Tuple
 from repro.errors import ConfigurationError
 from repro.numerics import keyed_uniform
 
-__all__ = ["BackoffPolicy"]
+__all__ = ["BackoffPolicy", "BASE_WINDOWS", "CAP_WINDOWS", "FACTOR", "JITTER"]
 
 #: stream-domain tag so backoff draws never collide with the gateway's
 #: measurement-noise streams derived from the same seed
 _BACKOFF_STREAM = 11
 
+#: first-retry delay, in windows
+BASE_WINDOWS = 1.0
+#: growth of the delay per attempt
+FACTOR = 2.0
+#: delay ceiling (pre-jitter), in windows
+CAP_WINDOWS = 8.0
+#: jitter fraction: u ~ U[0,1) widens the delay by up to this much
+JITTER = 0.25
+
 
 @dataclass(frozen=True)
 class BackoffPolicy:
-    """Deterministic ``min(base * factor^attempt, cap) * (1 + jitter*u)``."""
+    """Deterministic ``min(BASE_WINDOWS * FACTOR^attempt, CAP_WINDOWS) *
+    (1 + JITTER*u)``, with ``u`` drawn from ``seed``."""
 
     seed: int = 0
-    #: first-retry delay, in windows
-    base_windows: float = 1.0
-    factor: float = 2.0
-    #: delay ceiling (pre-jitter), in windows
-    cap_windows: float = 8.0
-    #: jitter fraction: u ~ U[0,1) widens the delay by up to this much
-    jitter: float = 0.25
-
-    def __post_init__(self) -> None:
-        if self.base_windows <= 0.0:
-            raise ConfigurationError("base_windows must be positive")
-        if self.factor < 1.0:
-            raise ConfigurationError("factor must be >= 1")
-        if self.cap_windows < self.base_windows:
-            raise ConfigurationError("cap_windows must be >= base_windows")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ConfigurationError("jitter must be in [0, 1)")
 
     def delay_windows(self, key: Tuple[int, ...], attempt: int) -> float:
         """The jittered delay before retry number ``attempt`` (0-based).
@@ -59,8 +52,6 @@ class BackoffPolicy:
         """
         if attempt < 0:
             raise ConfigurationError("attempt must be >= 0")
-        raw = min(
-            self.base_windows * self.factor ** attempt, self.cap_windows
-        )
+        raw = min(BASE_WINDOWS * FACTOR ** attempt, CAP_WINDOWS)
         u = keyed_uniform(self.seed, _BACKOFF_STREAM, *key, attempt)
-        return raw * (1.0 + self.jitter * u)
+        return raw * (1.0 + JITTER * u)

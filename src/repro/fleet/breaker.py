@@ -1,11 +1,11 @@
 """Per-board circuit breaker: closed → open → half-open → closed.
 
 The gateway counts each board's *consecutive* failed window RPCs. At
-``failure_threshold`` the breaker opens: the board takes no placements
-and no window traffic, so a dead or flapping board stops burning
-retries. After ``cooldown_windows`` the breaker lets one probe through
-(half-open); a successful probe closes it, a failed one re-opens it and
-restarts the cooldown.
+two the breaker opens: the board takes no placements and no window
+traffic, so a dead or flapping board stops burning retries. Two
+windows later the breaker lets one probe through (half-open); a
+successful probe closes it, a failed one re-opens it and restarts the
+cooldown.
 
 Every transition is recorded with its window and reason; invariant
 FLT003 (:func:`repro.analysis.verify.verify_fleet_health`) replays the
@@ -24,7 +24,6 @@ from repro.errors import ConfigurationError
 __all__ = [
     "BREAKER_STATES",
     "LEGAL_TRANSITIONS",
-    "BreakerConfig",
     "BreakerTransition",
     "CircuitBreaker",
 ]
@@ -40,20 +39,10 @@ LEGAL_TRANSITIONS = frozenset({
 })
 
 
-@dataclass(frozen=True)
-class BreakerConfig:
-    """Trip and recovery thresholds."""
-
-    #: consecutive failed window RPCs that open the breaker
-    failure_threshold: int = 2
-    #: windows an open breaker waits before probing (half-open)
-    cooldown_windows: int = 2
-
-    def __post_init__(self) -> None:
-        if self.failure_threshold < 1:
-            raise ConfigurationError("failure_threshold must be >= 1")
-        if self.cooldown_windows < 1:
-            raise ConfigurationError("cooldown_windows must be >= 1")
+#: consecutive failed window RPCs that open the breaker
+_FAILURE_THRESHOLD = 2
+#: windows an open breaker waits before probing (half-open)
+_COOLDOWN_WINDOWS = 2
 
 
 @dataclass(frozen=True)
@@ -74,7 +63,6 @@ class CircuitBreaker:
     """The live per-board state machine the gateway drives."""
 
     board_index: int
-    config: BreakerConfig = field(default_factory=BreakerConfig)
     state: str = "closed"
     consecutive_failures: int = 0
     #: window the breaker last opened in (meaningful while open)
@@ -108,7 +96,7 @@ class CircuitBreaker:
         window through.
         """
         if self.state == "open":
-            if window >= self.opened_at_window + self.config.cooldown_windows:
+            if window >= self.opened_at_window + _COOLDOWN_WINDOWS:
                 self._move(window, "half-open", "cooldown")
                 return True
             return False
@@ -128,7 +116,7 @@ class CircuitBreaker:
             self._move(window, "open", "probe-failure")
         elif (
             self.state == "closed"
-            and self.consecutive_failures >= self.config.failure_threshold
+            and self.consecutive_failures >= _FAILURE_THRESHOLD
         ):
             self.opened_at_window = window
             self._move(window, "open", "threshold")

@@ -23,10 +23,10 @@ machinery, not a re-implementation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.control.controller import ControllerConfig, SessionController
+from repro.control.controller import SessionController
 from repro.control.heartbeat import ExternalHeartbeat
 from repro.errors import ConfigurationError
 from repro.faults.model import (
@@ -35,9 +35,13 @@ from repro.faults.model import (
     BoardThrottle,
     FaultPlan,
 )
-from repro.fleet.admission import AdmissionConfig, evaluate_admission
+from repro.fleet.admission import (
+    HEADROOM,
+    AdmissionDecision,
+    evaluate_admission,
+)
 from repro.fleet.backoff import BackoffPolicy
-from repro.fleet.breaker import BreakerConfig, CircuitBreaker
+from repro.fleet.breaker import CircuitBreaker
 from repro.fleet.placement import FleetScheduler, Placement
 from repro.fleet.registry import BoardHandle
 from repro.fleet.tenants import TenantWorkload
@@ -50,46 +54,26 @@ from repro.obs.health import (
     FleetWindowHealth,
 )
 
-__all__ = ["GatewayConfig", "Gateway"]
+__all__ = ["FLEET_ARMS", "Gateway"]
+
+#: the gateway's configurations: admission control only, plus load
+#: shedding, plus shedding with cross-board failover
+FLEET_ARMS = ("static", "shed", "shed-failover")
 
 #: RNG stream tag for measurement noise (backoff uses its own tag)
 _NOISE_STREAM = 13
 
-
-@dataclass(frozen=True)
-class GatewayConfig:
-    """Shape and policies of one serving run."""
-
-    windows: int = 12
-    #: the fleet's only clock: one serving window, µs
-    window_period_us: float = 400_000.0
-    #: relative amplitude of seeded measurement noise
-    noise: float = 0.02
-    #: arm flags: load shedding / cross-board failover enabled
-    shedding: bool = True
-    failover: bool = True
-    admission: AdmissionConfig = AdmissionConfig()
-    breaker: BreakerConfig = BreakerConfig()
-    #: jitter/backoff template; the gateway re-seeds it with its own seed
-    backoff: BackoffPolicy = BackoffPolicy()
-    #: per-window RPC attempts against a board before it counts failed
-    rpc_attempts: int = 3
-    #: auto energy budget: per-board allowance when the admission config
-    #: leaves the budget unset, µJ per window
-    energy_budget_uj_per_board: float = 20_000.0
-    controller: ControllerConfig = ControllerConfig()
-
-    def __post_init__(self) -> None:
-        if self.windows < 1:
-            raise ConfigurationError("need at least one window")
-        if self.window_period_us <= 0.0:
-            raise ConfigurationError("window period must be positive")
-        if not 0.0 <= self.noise < 0.2:
-            raise ConfigurationError("noise must be in [0, 0.2)")
-        if self.rpc_attempts < 1:
-            raise ConfigurationError("rpc_attempts must be >= 1")
-        if self.energy_budget_uj_per_board <= 0.0:
-            raise ConfigurationError("energy allowance must be positive")
+#: the fleet's only clock: one serving window, µs
+_WINDOW_PERIOD_US = 400_000.0
+#: relative amplitude of seeded measurement noise
+_NOISE = 0.02
+#: per-window RPC attempts against a board before it counts failed
+_RPC_ATTEMPTS = 3
+#: the fleet's modeled energy budget per window is this allowance per
+#: board, µJ
+_ENERGY_BUDGET_UJ_PER_BOARD = 20_000.0
+#: admission attempts (initial + retries) before a final reject
+_MAX_ATTEMPTS = 4
 
 
 @dataclass
@@ -140,14 +124,16 @@ class _TenantState:
 
 
 class Gateway:
-    """Runs the serving loop and assembles the fleet health report."""
+    """Runs the serving loop for ``windows`` windows under ``arm`` (one
+    of :data:`FLEET_ARMS`) and assembles the fleet health report."""
 
     def __init__(
         self,
         boards: Tuple[BoardHandle, ...],
         workloads: Tuple[TenantWorkload, ...],
+        windows: int,
+        arm: str,
         fault_plan: Optional[FaultPlan] = None,
-        config: GatewayConfig = GatewayConfig(),
         seed: int = 0,
         label: str = "fleet",
         scheduler: Optional[FleetScheduler] = None,
@@ -156,7 +142,16 @@ class Gateway:
             raise ConfigurationError("fleet has no boards")
         if not workloads:
             raise ConfigurationError("no tenants to serve")
-        self.config = config
+        if windows < 1:
+            raise ConfigurationError("need at least one window")
+        if arm not in FLEET_ARMS:
+            raise ConfigurationError(
+                f"unknown arm {arm!r}; expected one of {FLEET_ARMS}"
+            )
+        self.windows = windows
+        self.arm = arm
+        self._shedding = arm != "static"
+        self._failover = arm == "shed-failover"
         self.seed = seed
         self.label = label
         if scheduler is None:
@@ -168,12 +163,12 @@ class Gateway:
         #: plan lookups; arms of one scenario may share it, since its
         #: contexts and plans depend only on (workload, board kind, seed)
         self.scheduler = scheduler
-        self.backoff = replace(config.backoff, seed=seed)
+        self.backoff = BackoffPolicy(seed=seed)
         self.boards = {
             b.board_index: _BoardState(handle=b) for b in boards
         }
         self.breakers = {
-            b.board_index: CircuitBreaker(b.board_index, config.breaker)
+            b.board_index: CircuitBreaker(b.board_index)
             for b in boards
         }
         self.tenants = {
@@ -193,20 +188,9 @@ class Gateway:
         self.events: List[FleetEvent] = []
         self._windows: List[FleetWindowHealth] = []
         self._consumed_transitions = {b.board_index: 0 for b in boards}
-        budget = config.admission.energy_budget_uj_per_window
         self.energy_budget_uj_per_window = (
-            budget
-            if budget is not None
-            else config.energy_budget_uj_per_board * len(boards)
+            _ENERGY_BUDGET_UJ_PER_BOARD * len(boards)
         )
-
-    @property
-    def arm(self) -> str:
-        if self.config.failover:
-            return "shed-failover"
-        if self.config.shedding:
-            return "shed"
-        return "static"
 
     # -- bookkeeping helpers -------------------------------------------------
 
@@ -261,7 +245,7 @@ class Gateway:
     def _max_core_load(self, board_index: int) -> float:
         busy = self._board_busy_us(board_index)
         return max(
-            (amount / self.config.window_period_us for amount in busy.values()),
+            (amount / _WINDOW_PERIOD_US for amount in busy.values()),
             default=0.0,
         )
 
@@ -289,7 +273,7 @@ class Gateway:
 
     def _noise(self, tenant_id: int, window: int) -> float:
         u = keyed_uniform(self.seed, _NOISE_STREAM, tenant_id, window)
-        return self.config.noise * (2.0 * u - 1.0)
+        return _NOISE * (2.0 * u - 1.0)
 
     # -- placement lifecycle -------------------------------------------------
 
@@ -301,13 +285,10 @@ class Gateway:
         model = self.scheduler.model(tenant.tenant_id, board.handle)
         batches = tenant.workload.spec.batches_per_window
         stream = [tenant.workload.profile.mean_step_costs] * (
-            (self.config.windows + 1) * batches
+            (self.windows + 1) * batches
         )
         controller = SessionController(
-            model,
-            stream,
-            tenant.workload.spec.batch_bytes,
-            config=self.config.controller,
+            model, stream, tenant.workload.spec.batch_bytes,
             plan=placement.plan,
         )
         tenant.placement = placement
@@ -406,6 +387,33 @@ class Gateway:
                     f"{board.handle.name} back to nominal frequency",
                 )
 
+    def _admit(
+        self,
+        tenant: _TenantState,
+        eligible: Tuple[BoardHandle, ...],
+        window: int,
+    ) -> AdmissionDecision:
+        """Gate ``tenant`` onto one of ``eligible`` against the fleet as
+        it stands: the boards' committed load and throttle scales are
+        rebuilt on every call, since each install changes what the next
+        tenant sees."""
+        busy = {b: self._board_busy_us(b) for b in sorted(self.boards)}
+        scales = {
+            b: self._throttle_scale(self.boards[b])
+            for b in sorted(self.boards)
+        }
+        return evaluate_admission(
+            tenant.workload,
+            self.scheduler,
+            eligible,
+            busy,
+            scales,
+            self._running_energy_uj_per_window(),
+            self.energy_budget_uj_per_window,
+            window,
+            _WINDOW_PERIOD_US,
+        )
+
     def _admission_phase(
         self, window: int, traffic_ok: Dict[int, bool]
     ) -> None:
@@ -428,23 +436,7 @@ class Gateway:
                     window, "retry", tenant.tenant_id, None,
                     f"admission attempt {tenant.attempts + 1}",
                 )
-            busy = {b: self._board_busy_us(b) for b in sorted(self.boards)}
-            scales = {
-                b: self._throttle_scale(self.boards[b])
-                for b in sorted(self.boards)
-            }
-            decision = evaluate_admission(
-                tenant.workload,
-                self.scheduler,
-                eligible,
-                busy,
-                scales,
-                self._running_energy_uj_per_window(),
-                self.energy_budget_uj_per_window,
-                window,
-                self.config.window_period_us,
-                self.config.admission,
-            )
+            decision = self._admit(tenant, eligible, window)
             if decision.admitted:
                 board = self.boards[decision.board_index]
                 placement = self.scheduler.build_placement(
@@ -457,7 +449,7 @@ class Gateway:
                     f"<= l_set {decision.l_set_us_per_byte:.4f} us/B, "
                     f"load {decision.projected_max_core_load:.3f}",
                 )
-            elif tenant.attempts + 1 >= self.config.admission.max_attempts:
+            elif tenant.attempts + 1 >= _MAX_ATTEMPTS:
                 tenant.attempts += 1
                 tenant.state = "rejected"
                 self._emit(
@@ -488,8 +480,7 @@ class Gateway:
                 breaker.record_failure(window)
                 self._emit(
                     window, "rpc-failure", None, board_index,
-                    f"health ping failed after {self.config.rpc_attempts} "
-                    f"attempts",
+                    f"health ping failed after {_RPC_ATTEMPTS} attempts",
                 )
             throttle_scale = self._throttle_scale(board)
             max_load = self._max_core_load(board_index)
@@ -499,17 +490,16 @@ class Gateway:
                     board.rpc_failures += 1
                     self._emit(
                         window, "rpc-failure", tenant.tenant_id, board_index,
-                        f"window RPC failed after "
-                        f"{self.config.rpc_attempts} attempts",
+                        f"window RPC failed after {_RPC_ATTEMPTS} attempts",
                     )
                     tenant.measured_us_per_byte = 0.0
                     tenant.modeled_us_per_byte = 0.0
                     tenant.energy_uj = 0.0
                     tenant.violated = True
-                    if self.config.failover:
+                    if self._failover:
                         # hold for the breaker-open failover sweep
                         self._evict(tenant, "stranded")
-                    elif self.config.shedding:
+                    elif self._shedding:
                         delay = self._queue_retry(tenant, window)
                         self._evict(tenant, "queued")
                         self._emit(
@@ -545,16 +535,15 @@ class Gateway:
                 tenant.heartbeat.observe(
                     window,
                     [measured] * batches,
-                    now_us=(window + 1) * self.config.window_period_us,
+                    now_us=(window + 1) * _WINDOW_PERIOD_US,
                     throttled_mhz=throttle_signal,
                 )
                 if throttle_signal:
                     tenant.throttle_seen = True
 
     def _shedding_phase(self, window: int, traffic_ok: Dict[int, bool]) -> None:
-        if not self.config.shedding:
+        if not self._shedding:
             return
-        headroom = self.config.admission.headroom
         for board_index in sorted(self.boards):
             board = self.boards[board_index]
             if not board.alive or not traffic_ok[board_index]:
@@ -584,7 +573,7 @@ class Gateway:
                 running = self._running_on(board_index)
                 if len(running) <= 1:
                     break
-                if self._max_core_load(board_index) <= headroom:
+                if self._max_core_load(board_index) <= HEADROOM:
                     break
                 victim = min(
                     running, key=lambda t: (t.priority, t.tenant_id)
@@ -593,14 +582,14 @@ class Gateway:
                 self._evict(victim, "queued")
                 self._emit(
                     window, "shed", victim.tenant_id, board_index,
-                    f"overload (headroom {headroom:.2f}); retry in "
+                    f"overload (headroom {HEADROOM:.2f}); retry in "
                     f"{delay:.2f} windows",
                 )
 
     def _failover_phase(
         self, window: int, traffic_ok: Dict[int, bool]
     ) -> None:
-        if not self.config.failover:
+        if not self._failover:
             return
         # boards whose breaker opened by this window with stranded tenants
         for board_index in sorted(self.boards):
@@ -626,23 +615,7 @@ class Gateway:
             )
             for tenant in victims:
                 incumbent = tenant.last_plan
-                busy = {b: self._board_busy_us(b) for b in sorted(self.boards)}
-                scales = {
-                    b: self._throttle_scale(self.boards[b])
-                    for b in sorted(self.boards)
-                }
-                decision = evaluate_admission(
-                    tenant.workload,
-                    self.scheduler,
-                    eligible,
-                    busy,
-                    scales,
-                    self._running_energy_uj_per_window(),
-                    self.energy_budget_uj_per_window,
-                    window,
-                    self.config.window_period_us,
-                    self.config.admission,
-                )
+                decision = self._admit(tenant, eligible, window)
                 if not decision.admitted:
                     delay = self._queue_retry(tenant, window)
                     self._evict(tenant, "queued")
@@ -743,7 +716,7 @@ class Gateway:
     # -- the loop ------------------------------------------------------------
 
     def run(self) -> FleetHealth:
-        for window in range(self.config.windows):
+        for window in range(self.windows):
             self._fire_board_events(window)
             traffic_ok = {
                 b: self.breakers[b].allows_traffic(window)

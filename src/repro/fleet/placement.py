@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
+from repro.control.controller import STATE_BYTES_SCALE
 from repro.core.baselines import WorkloadContext
 from repro.core.cost_model import CostModel
 from repro.core.plan import (
@@ -41,10 +42,6 @@ from repro.fleet.tenants import TenantWorkload
 from repro.simcore.boards import BoardSpec, rk3399
 
 __all__ = ["Placement", "FleetScheduler", "cross_board_routing"]
-
-#: replica state footprint as a fraction of one batch's stage output —
-#: mirrors ControllerConfig.state_bytes_scale
-_STATE_BYTES_SCALE = 0.25
 
 
 @dataclass(frozen=True)
@@ -209,7 +206,7 @@ class FleetScheduler:
         )
         candidate = result.estimate
         state_bytes = {
-            stage: model.stage_output_bytes(stage) * _STATE_BYTES_SCALE
+            stage: model.stage_output_bytes(stage) * STATE_BYTES_SCALE
             for stage in range(model.graph.stage_count)
         }
         cost = migration_cost(

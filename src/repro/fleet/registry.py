@@ -168,24 +168,18 @@ class BoardHandle:
     spec: BoardSpec
 
 
-def build_fleet(size: int, kinds=None) -> tuple:
-    """``size`` board handles, cycling ``kinds`` for heterogeneity.
+def build_fleet(size: int) -> tuple:
+    """``size`` board handles, cycling :data:`DEFAULT_KIND_CYCLE` for
+    heterogeneity.
 
     Instance names carry the fleet index ("jetson-1"), so two boards of
     the same kind stay distinguishable in health reports and logs.
     """
     if size < 1:
         raise ConfigurationError("a fleet needs at least one board")
-    cycle = tuple(kinds) if kinds is not None else DEFAULT_KIND_CYCLE
-    for kind in cycle:
-        if kind not in BOARD_KINDS:
-            raise ConfigurationError(
-                f"unknown board kind {kind!r}; "
-                f"expected one of {sorted(BOARD_KINDS)}"
-            )
     handles = []
     for index in range(size):
-        kind = cycle[index % len(cycle)]
+        kind = DEFAULT_KIND_CYCLE[index % len(DEFAULT_KIND_CYCLE)]
         handles.append(
             BoardHandle(
                 board_index=index,

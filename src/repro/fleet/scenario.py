@@ -27,7 +27,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.faults.fleet import FLEET_SCENARIOS, build_fleet_fault_plan
-from repro.fleet.gateway import Gateway, GatewayConfig
+from repro.fleet.gateway import FLEET_ARMS, Gateway
 from repro.fleet.placement import FleetScheduler
 from repro.fleet.registry import build_fleet
 from repro.fleet.tenants import build_tenant_catalog, build_tenant_workloads
@@ -39,12 +39,9 @@ __all__ = [
     "ArmSummary",
     "FleetComparison",
     "FleetScenarioSpec",
-    "arm_config",
     "run_fleet_arm",
     "run_fleet_scenario",
 ]
-
-FLEET_ARMS = ("static", "shed", "shed-failover")
 
 
 @dataclass(frozen=True)
@@ -109,18 +106,6 @@ class FleetComparison:
         raise ConfigurationError(f"no arm {arm!r} in comparison")
 
 
-def arm_config(arm: str, spec: FleetScenarioSpec) -> GatewayConfig:
-    if arm not in FLEET_ARMS:
-        raise ConfigurationError(
-            f"unknown arm {arm!r}; expected one of {FLEET_ARMS}"
-        )
-    return GatewayConfig(
-        windows=spec.windows,
-        shedding=arm in ("shed", "shed-failover"),
-        failover=arm == "shed-failover",
-    )
-
-
 def summarize_arm(health: FleetHealth, spec: FleetScenarioSpec) -> ArmSummary:
     crash_windows = [
         e.window_index for e in health.events if e.kind == "board-crash"
@@ -169,8 +154,9 @@ def run_fleet_arm(
     gateway = Gateway(
         boards,
         workloads,
+        windows=spec.windows,
+        arm=arm,
         fault_plan=fault_plan,
-        config=arm_config(arm, spec),
         seed=spec.seed,
         label=f"fleet-{spec.scenario}-{arm}",
         scheduler=scheduler,

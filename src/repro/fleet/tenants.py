@@ -48,6 +48,14 @@ _CATALOG_REGIMES = (
 #: load shedding evicts the lowest first)
 _CATALOG_PRIORITIES = (2, 0, 1)
 
+#: every tenant's batch size, bytes, and batches per gateway window
+_BATCH_BYTES = 2048
+_BATCHES_PER_WINDOW = 3
+
+#: tenants arriving per window: the admission controller fills the
+#: fleet gradually instead of in one burst
+_ARRIVAL_STRIDE = 2
+
 #: SLO margin by priority class — premium tenants buy tighter SLOs,
 #: but every class keeps enough slack that congestion noise alone
 #: (a few percent) cannot breach it
@@ -107,23 +115,11 @@ class TenantWorkload:
         return self.spec.tenant_id
 
 
-def build_tenant_catalog(
-    count: int,
-    seed: int = 0,
-    batch_bytes: int = 2048,
-    batches_per_window: int = 3,
-    arrival_stride: int = 2,
-) -> Tuple[TenantSpec, ...]:
-    """``count`` tenant specs, cycling regimes and priorities.
-
-    ``arrival_stride`` staggers admission requests: ``arrival_stride``
-    tenants arrive per window, so the admission controller fills the
-    fleet gradually instead of in one burst.
-    """
+def build_tenant_catalog(count: int, seed: int = 0) -> Tuple[TenantSpec, ...]:
+    """``count`` tenant specs, cycling regimes and priorities, arriving
+    ``_ARRIVAL_STRIDE`` per window."""
     if count < 1:
         raise ConfigurationError("a catalogue needs at least one tenant")
-    if arrival_stride < 1:
-        raise ConfigurationError("arrival_stride must be positive")
     specs = []
     for tenant_id in range(count):
         codec, dynamic_range = _CATALOG_REGIMES[
@@ -136,11 +132,11 @@ def build_tenant_catalog(
                 name=f"tenant-{tenant_id}-{codec}",
                 codec=codec,
                 dynamic_range=dynamic_range,
-                batch_bytes=batch_bytes,
-                batches_per_window=batches_per_window,
+                batch_bytes=_BATCH_BYTES,
+                batches_per_window=_BATCHES_PER_WINDOW,
                 priority=priority,
                 slo_margin=_SLO_MARGIN_BY_PRIORITY[priority],
-                arrival_window=tenant_id // arrival_stride,
+                arrival_window=tenant_id // _ARRIVAL_STRIDE,
             )
         )
     return tuple(specs)

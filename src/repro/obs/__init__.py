@@ -46,7 +46,6 @@ from repro.obs.trace import (
 )
 from repro.obs.export import write_chrome_trace
 from repro.obs.residuals import (
-    LedgerConfig,
     ResidualLedger,
     TelemetryCollector,
     WindowTelemetry,
@@ -56,7 +55,6 @@ from repro.obs.live import NdjsonTail, prometheus_text, render_top
 
 __all__ = [
     "Attribution",
-    "LedgerConfig",
     "NdjsonTail",
     "ResidualLedger",
     "SessionHealth",

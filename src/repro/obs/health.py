@@ -74,8 +74,10 @@ __all__ = [
 HEALTH_SCHEMA_VERSION = 1
 FLEET_HEALTH_SCHEMA_VERSION = 2
 
-#: anomaly score above which a window's top component is named
-DEFAULT_ANOMALY_THRESHOLD = 3.0
+#: anomaly score a window's top component must reach to be named (and
+#: for the session controller to act on it); healthy windows sit near
+#: |score| ≈ 1
+ANOMALY_THRESHOLD = 3.0
 
 BreakerState = Literal["closed", "open", "half-open"]
 #: "running", "queued" (awaiting admission/re-admission), "stranded"
@@ -143,20 +145,19 @@ class WindowHealth:
 def build_window_health(
     residual: WindowResidual,
     violated: bool,
-    threshold: float = DEFAULT_ANOMALY_THRESHOLD,
 ) -> WindowHealth:
     """Fold one ledger window into a health record.
 
-    The window is *anomalous* when its top-scoring component clears
-    ``threshold``; the attribution's confidence is the relative score
-    gap to the runner-up (1.0 when there is none), so two components
-    racing each other read as low-confidence.
+    The window is *anomalous* when its top-scoring component reaches
+    :data:`ANOMALY_THRESHOLD`; the attribution's confidence is the
+    relative score gap to the runner-up (1.0 when there is none), so two
+    components racing each other read as low-confidence.
     """
     ranked = sorted(
         residual.components, key=lambda c: c.score, reverse=True
     )
     attribution = None
-    anomalous = bool(ranked) and ranked[0].score >= threshold
+    anomalous = bool(ranked) and ranked[0].score >= ANOMALY_THRESHOLD
     if anomalous:
         top = ranked[0]
         runner_up = ranked[1].score if len(ranked) > 1 else 0.0

@@ -52,7 +52,6 @@ __all__ = [
     "TelemetryCollector",
     "ResidualComponent",
     "WindowResidual",
-    "LedgerConfig",
     "ResidualLedger",
     "predicted_breakdown",
 ]
@@ -271,26 +270,14 @@ class WindowResidual:
         )
 
 
-@dataclass(frozen=True)
-class LedgerConfig:
-    """Knobs of the residual ledger's baselines and scoring."""
-
-    #: EWMA factor on per-component residual baselines (0 = frozen)
-    smoothing: float = 0.35
-    #: score scale floor, as a fraction of the predicted window latency
-    scale_floor_fraction: float = 0.02
-    #: windows observed before any component may score as anomalous
-    warmup_windows: int = 1
-    #: tie-break epsilon stream (determinism, not randomness)
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.smoothing <= 1.0:
-            raise ConfigurationError("smoothing must be in [0, 1]")
-        if self.scale_floor_fraction <= 0.0:
-            raise ConfigurationError("scale floor must be positive")
-        if self.warmup_windows < 0:
-            raise ConfigurationError("warmup_windows must be >= 0")
+#: EWMA factor on per-component residual baselines (0 = frozen)
+_SMOOTHING = 0.35
+#: score scale floor, as a fraction of the predicted window latency
+_SCALE_FLOOR_FRACTION = 0.02
+#: windows observed before any component may score as anomalous
+_WARMUP_WINDOWS = 1
+#: tie-break epsilon stream (determinism, not randomness)
+_SEED = 0
 
 
 class ResidualLedger:
@@ -300,18 +287,17 @@ class ResidualLedger:
     :class:`WindowResidual` stream in :attr:`windows`. Scores measure
     how far a component's residual sits above its own running baseline,
     in units of its running mean absolute deviation (floored at
-    ``scale_floor_fraction`` of the predicted window latency so a
+    ``_SCALE_FLOOR_FRACTION`` of the predicted window latency so a
     near-zero baseline cannot make noise look infinitely anomalous).
     """
 
-    def __init__(self, config: LedgerConfig = LedgerConfig()) -> None:
-        self.config = config
+    def __init__(self) -> None:
         self.windows: List[WindowResidual] = []
         #: component key -> [ewma_residual, ewma_absdev]
         self._baseline: Dict[Tuple[str, str], List[float]] = {}
         #: deterministic per-component tie-break epsilons
         self._epsilon: Dict[Tuple[str, str], float] = {}
-        self._rng = np.random.default_rng(config.seed)
+        self._rng = np.random.default_rng(_SEED)
 
     # -- internals ----------------------------------------------------------
 
@@ -327,7 +313,7 @@ class ResidualLedger:
     def _score(
         self, key: Tuple[str, str], residual: float, scale_floor: float
     ) -> float:
-        warmed = len(self.windows) >= self.config.warmup_windows
+        warmed = len(self.windows) >= _WARMUP_WINDOWS
         if not warmed:
             return 0.0
         baseline = self._baseline.get(key)
@@ -344,7 +330,7 @@ class ResidualLedger:
         return (residual - mean) / scale + self._epsilon_for(key)
 
     def _update(self, key: Tuple[str, str], residual: float) -> None:
-        alpha = self.config.smoothing
+        alpha = _SMOOTHING
         baseline = self._baseline.get(key)
         if baseline is None:
             self._baseline[key] = [residual, abs(residual)]
@@ -373,8 +359,7 @@ class ResidualLedger:
             predicted_breakdown(plan, estimate, model)
         )
         scale_floor = (
-            self.config.scale_floor_fraction
-            * max(estimate.latency_us_per_byte, 1e-12)
+            _SCALE_FLOOR_FRACTION * max(estimate.latency_us_per_byte, 1e-12)
         )
 
         components: List[ResidualComponent] = []

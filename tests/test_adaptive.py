@@ -2,25 +2,26 @@
 
 import pytest
 
-from repro.core.adaptive import FeedbackRegulator, IncrementalPID
-from repro.errors import ConfigurationError
+from repro.core.adaptive import PID_GAINS, FeedbackRegulator, IncrementalPID
 
 
 class TestIncrementalPID:
     def test_eq8_first_step(self):
-        pid = IncrementalPID(p=0.1, i=0.85, d=0.05)
+        # the paper's gains (§VII-A), which the literals below spell out
+        assert PID_GAINS == (0.1, 0.85, 0.05)
+        pid = IncrementalPID()
         # With e_{k-1} = e_{k-2} = 0: δ = (P + I + D)·e.
         assert pid.step(1.0) == pytest.approx(1.0)
 
     def test_eq8_second_step(self):
-        pid = IncrementalPID(p=0.1, i=0.85, d=0.05)
+        pid = IncrementalPID()
         pid.step(1.0)
         # δ = P(e2-e1) + I·e2 + D(e2 - 2e1 + e0)
         expected = 0.1 * (2.0 - 1.0) + 0.85 * 2.0 + 0.05 * (2.0 - 2.0 + 0.0)
         assert pid.step(2.0) == pytest.approx(expected)
 
     def test_eq8_third_step_uses_both_histories(self):
-        pid = IncrementalPID(p=0.1, i=0.85, d=0.05)
+        pid = IncrementalPID()
         pid.step(1.0)
         pid.step(2.0)
         expected = 0.1 * (3.0 - 2.0) + 0.85 * 3.0 + 0.05 * (3.0 - 4.0 + 1.0)
@@ -123,8 +124,3 @@ class TestFeedbackRegulator:
         regulator.observe(1, estimated * 1.5, plan)
         assert len(regulator.events) == 2
         assert regulator.events[1].relative_error > 0.4
-
-    def test_invalid_threshold_rejected(self, regulator):
-        regulator, _ = regulator
-        with pytest.raises(ConfigurationError):
-            FeedbackRegulator(regulator.model, error_threshold=0.0)

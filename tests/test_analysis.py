@@ -1106,7 +1106,7 @@ class TestParentUnitBindings:
             ]
             assert vector == site["params"], site
             bound += 1
-        assert (bound, unbound) == (85, 2)
+        assert (bound, unbound) == (84, 2)
 
 
 # ---------------------------------------------------------------------------

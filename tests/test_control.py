@@ -9,6 +9,7 @@ from repro.control import (
     SessionSpec,
     run_adaptive_session,
 )
+from repro.control.session import SESSION_WARMUP_BATCHES
 from repro.core.plan import (
     PlanDelta,
     ReplicaMove,
@@ -311,10 +312,6 @@ class TestControllerConfig:
         with pytest.raises(ConfigurationError):
             ControllerConfig(horizon_windows=0)
 
-    def test_saving_ratio_must_be_positive(self):
-        with pytest.raises(ConfigurationError):
-            ControllerConfig(min_saving_ratio=0.0)
-
     def test_unknown_drift_detector_rejected(self):
         with pytest.raises(ConfigurationError):
             ControllerConfig(drift_detector="kalman")
@@ -327,7 +324,7 @@ class TestSessionSpec:
 
     def test_warmup_must_leave_batches(self):
         with pytest.raises(ConfigurationError):
-            SessionSpec(batches=3, warmup_batches=3)
+            SessionSpec(batches=SESSION_WARMUP_BATCHES)
 
     def test_default_latency_constraint_is_per_board(self):
         from repro.control.session import ADAPT_L_SET

@@ -20,12 +20,14 @@ from repro.control.controller import SessionController
 from repro.core import baselines
 from repro.core.scheduler import Scheduler
 from repro.errors import ConfigurationError
-from repro.fleet.backoff import BackoffPolicy
-from repro.fleet.breaker import (
-    LEGAL_TRANSITIONS,
-    BreakerConfig,
-    CircuitBreaker,
+from repro.fleet.backoff import (
+    BASE_WINDOWS,
+    CAP_WINDOWS,
+    FACTOR,
+    JITTER,
+    BackoffPolicy,
 )
+from repro.fleet.breaker import LEGAL_TRANSITIONS, CircuitBreaker
 from repro.fleet.placement import FleetScheduler
 from repro.fleet.registry import BOARD_KINDS, build_fleet
 from repro.fleet.scenario import (
@@ -80,12 +82,9 @@ class TestBackoffDeterminism:
         # pre-jitter growth is monotone until the cap; jitter is < 25%
         # so each delay stays within its attempt's envelope
         for attempt, delay in enumerate(schedule):
-            raw = min(
-                policy.base_windows * policy.factor ** attempt,
-                policy.cap_windows,
-            )
-            assert raw <= delay < raw * (1.0 + policy.jitter)
-            assert delay <= policy.cap_windows * (1.0 + policy.jitter)
+            raw = min(BASE_WINDOWS * FACTOR ** attempt, CAP_WINDOWS)
+            assert raw <= delay < raw * (1.0 + JITTER)
+            assert delay <= CAP_WINDOWS * (1.0 + JITTER)
 
     def test_distinct_keys_get_distinct_jitter(self):
         policy = BackoffPolicy()
@@ -94,19 +93,13 @@ class TestBackoffDeterminism:
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            BackoffPolicy(base_windows=0.0)
-        with pytest.raises(ConfigurationError):
-            BackoffPolicy(jitter=1.0)
-        with pytest.raises(ConfigurationError):
             BackoffPolicy().delay_windows((0,), -1)
 
 
 class TestCircuitBreaker:
     def test_full_cycle(self):
-        breaker = CircuitBreaker(
-            board_index=0,
-            config=BreakerConfig(failure_threshold=2, cooldown_windows=2),
-        )
+        # two failures trip it; it probes two windows after opening
+        breaker = CircuitBreaker(board_index=0)
         assert breaker.allows_traffic(0)
         breaker.record_failure(0)
         assert breaker.state == "closed"
@@ -371,6 +364,23 @@ class TestHealthReport:
             )
             findings = verify_fleet_health(payload)
             assert any(f.code == "FLT005" for f in findings)
+
+    @pytest.mark.parametrize("delay, flagged", [
+        ("10.00", False),  # CAP_WINDOWS x (1 + JITTER), the longest delay
+        ("10.01", True),  # the next value the gateway's 2 decimals print
+    ])
+    def test_flt005_bound_is_the_jittered_cap(
+        self, comparison_small, delay, flagged
+    ):
+        assert CAP_WINDOWS * (1.0 + JITTER) == 10.0
+        payload = json.loads(comparison_small.healths["shed"].to_json())
+        requeue = next(
+            e for e in payload["events"]
+            if e["kind"] == "shed" and "retry in" in e["detail"]
+        )
+        requeue["detail"] = f"board dead; requeued, retry in {delay} windows"
+        codes = [f.code for f in verify_fleet_health(payload)]
+        assert ("FLT005" in codes) is flagged, codes
 
 
 #: (case, planted defect, text the rejection must carry — the path)

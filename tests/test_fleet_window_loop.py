@@ -23,7 +23,13 @@ from repro.core.cost_model import CostModel
 from repro.core.statistics_regulator import StatisticsAwareRegulator
 from repro.core.task import Task
 from repro.faults.fleet import FLEET_SCENARIOS
-from repro.fleet.backoff import BackoffPolicy
+from repro.fleet.backoff import (
+    BASE_WINDOWS,
+    CAP_WINDOWS,
+    FACTOR,
+    JITTER,
+    BackoffPolicy,
+)
 from repro.fleet.gateway import Gateway
 from repro.fleet.placement import FleetScheduler
 from repro.fleet.registry import build_fleet
@@ -191,14 +197,12 @@ class TestKeyedUniform:
         for policy in (
             BackoffPolicy(),
             BackoffPolicy(seed=7),
-            BackoffPolicy(seed=3, base_windows=0.5, factor=3.0,
-                          cap_windows=5.0, jitter=0.5),
+            BackoffPolicy(seed=3),
         ):
             for key in ((0,), (4,), (2, 9)):
                 expected = tuple(
-                    min(policy.base_windows * policy.factor ** attempt,
-                        policy.cap_windows)
-                    * (1.0 + policy.jitter * np.random.default_rng(
+                    min(BASE_WINDOWS * FACTOR ** attempt, CAP_WINDOWS)
+                    * (1.0 + JITTER * np.random.default_rng(
                         [policy.seed, 11, *key, attempt]
                     ).random())
                     for attempt in range(7)

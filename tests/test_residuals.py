@@ -17,7 +17,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.obs.residuals import (
-    LedgerConfig,
     ResidualLedger,
     TelemetryCollector,
     WindowTelemetry,
@@ -170,7 +169,7 @@ def test_ledger_components_sum_to_window_residual():
 
 
 def test_ledger_warmup_window_never_scores():
-    ledger = ResidualLedger(LedgerConfig(warmup_windows=1))
+    ledger = ResidualLedger()
     window = ledger.observe(
         _telemetry(0, 0, retry_us=((1, 9000.0),)),
         8.0, _PLAN, _estimate(), _Model(),
@@ -198,7 +197,7 @@ def test_ledger_scores_first_seen_component_against_zero_baseline():
 
 def test_ledger_is_deterministic_across_instances():
     def run():
-        ledger = ResidualLedger(LedgerConfig(seed=7))
+        ledger = ResidualLedger()
         out = []
         for index in range(4):
             retry = ((1, 500.0 * index),) if index >= 2 else ()
@@ -214,12 +213,8 @@ def test_ledger_is_deterministic_across_instances():
 
 
 def test_ledger_config_validation():
-    with pytest.raises(ConfigurationError):
-        LedgerConfig(smoothing=1.5)
-    with pytest.raises(ConfigurationError):
-        LedgerConfig(scale_floor_fraction=0.0)
-    with pytest.raises(ConfigurationError):
-        LedgerConfig(warmup_windows=-1)
+    # the ledger has no settings left; what it still rejects is a window
+    # that covers no bytes
     ledger = ResidualLedger()
     with pytest.raises(ConfigurationError):
         ledger.observe(

@@ -4,7 +4,6 @@ import pytest
 
 from repro.compression.base import StepCost
 from repro.core.statistics_regulator import StatisticsAwareRegulator
-from repro.errors import ConfigurationError
 
 
 @pytest.fixture
@@ -29,20 +28,6 @@ def scaled_costs(baseline, factor):
         )
         for step, cost in baseline.items()
     }
-
-
-class TestConstruction:
-    def test_invalid_threshold(self, tcomp32_rovio_context):
-        context = tcomp32_rovio_context
-        model = context.cost_model(context.fine_graph)
-        with pytest.raises(ConfigurationError):
-            StatisticsAwareRegulator(model, trigger_threshold=0.0)
-
-    def test_invalid_smoothing(self, tcomp32_rovio_context):
-        context = tcomp32_rovio_context
-        model = context.cost_model(context.fine_graph)
-        with pytest.raises(ConfigurationError):
-            StatisticsAwareRegulator(model, smoothing=1.0)
 
 
 class TestObservation:
